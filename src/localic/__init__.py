@@ -16,14 +16,13 @@ from .sublocale import (
     void_subl, whole_subl,
 )
 from .remoteness import (
-    CONTEXT_CHECKS, FRAME_CHECKS, RemoteContext, bl_context,
-    check_section2_3, whole_context,
+    CONTEXT_CHECKS, FRAME_CHECKS, RemoteContext, bl_context, whole_context,
 )
 from .locmap import LocalicMap, build_map, compose, identity_map
 from .diagrams import (
     CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, DenseSquare, SquareChain,
-    Triangle, check_section4, check_section5, is_f_remote_preserving,
-    is_f_star_remote_preserving, takes_remainder,
+    Triangle, is_f_remote_preserving, is_f_star_remote_preserving,
+    takes_remainder,
 )
 from .generators import (
     GenSpec, gen_chains, gen_dense_sublocales, gen_frames, gen_maps,

@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fnmatch import fnmatch
 
-from .errors import LocalicError
+from .errors import InvalidSublocale, LocalicError
 from .frame import FiniteFrame
 from .generators import (
     GenSpec, gen_chains, gen_dense_sublocales, gen_frames, gen_squares,
@@ -24,7 +24,7 @@ from .generators import (
 )
 from .jsonio import load_document
 from .registry import REGISTRY, checks_in_scope
-from .remoteness import RemoteContext, _sample
+from .remoteness import RemoteContext, sample_evenly
 from .result import FAIL, HYPOTHESES_NOT_MET, PASS, SKIPPED
 from .sublocale import (
     Sublocale, booleanization, enumerate_sublocales, is_dense_in_itself,
@@ -44,7 +44,8 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
     contexts = []
     for f in frames:
         dense = gen_dense_sublocales(f)
-        keep = set(id(s) for s in _sample(dense, MAX_CONTEXTS_PER_FRAME))
+        keep = set(id(s) for s in sample_evenly(dense,
+                                                MAX_CONTEXTS_PER_FRAME))
         bl = booleanization(f)
         for s in dense:
             if id(s) in keep or s.mask == bl.mask or s.is_whole():
@@ -75,6 +76,8 @@ def _run_shard(args: tuple) -> tuple[list[dict], dict[str, int]]:
 
 
 def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
+    # One worker process per shard, and never more shards than cores.
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         shards = [_run_shard((spec.to_json(), pattern, 0, 1))]
     else:
@@ -118,7 +121,11 @@ def _parse_subl(frame: FiniteFrame, token: str) -> Sublocale:
     if token == "BL":
         return booleanization(frame)
     labels = token.strip("{}").split(",")
-    return Sublocale.of(frame, [frame.index_of(x) for x in labels if x])
+    try:
+        members = [frame.index_of(x) for x in labels if x]
+    except KeyError as e:
+        raise InvalidSublocale(f"no element labelled {e.args[0]!r}") from None
+    return Sublocale.of(frame, members)
 
 
 def answer_query(frame: FiniteFrame, words: list[str]):
@@ -198,7 +205,12 @@ def main(argv=None) -> int:
         jobs = args.jobs
         env = os.environ.get("LOCALIC_JOBS")
         if env:
-            jobs = int(env)
+            try:
+                jobs = int(env)
+            except ValueError:
+                print(f"LOCALIC_JOBS must be an integer, not {env!r}",
+                      file=sys.stderr)
+                return 2
         if jobs <= 0:
             jobs = os.cpu_count() or 1
         try:

@@ -21,8 +21,8 @@ from .locmap import LocalicMap, compose
 from .remoteness import RemoteContext, whole_context
 from .result import CheckResult, PASS, HYPOTHESES_NOT_MET, FAIL
 from .sublocale import (
-    Sublocale, booleanization, enumerate_sublocales, join_is_whole,
-    supplement, whole_subl as _whole,
+    Sublocale, booleanization, enumerate_sublocales, supplement,
+    whole_subl as _whole,
 )
 
 
@@ -224,11 +224,12 @@ def is_f_star_remote_preserving(sq: DenseSquare) -> bool:
 
 
 def is_complemented_subl(frame: FiniteFrame, s: Sublocale) -> bool:
-    """Whether s has a complement in the coframe S(frame)."""
-    top_bit = 1 << frame.top
-    return any(t.mask & s.mask == top_bit
-               and join_is_whole(frame, t.mask, s.mask)
-               for t in enumerate_sublocales(frame))
+    """Whether s has a complement in the coframe S(frame).
+
+    A complement must contain the supplement, the least sublocale joining
+    s to the whole; so one exists iff the supplement misses s.
+    """
+    return supplement(frame, s).mask & s.mask == 1 << frame.top
 
 
 def _verdict(check_id: str, subject: str, hyp: bool,
@@ -490,13 +491,6 @@ SQUARE_CHECKS: dict[str, Callable[[DenseSquare], CheckResult]] = {
 }
 
 
-def check_section4(sq: DenseSquare) -> list[CheckResult]:
-    """Run the preservation/reflection checks on one square."""
-    ids = ("beta", "betastar", "beta1", "beta1star",
-           "for", "forstar", "for1", "for1star")
-    return [SQUARE_CHECKS[i](sq) for i in ids]
-
-
 # ---------------------------------------------------------------------------
 # Chain-level checks
 # ---------------------------------------------------------------------------
@@ -620,14 +614,3 @@ TRIANGLE_CHECKS: dict[str, Callable[[Triangle], CheckResult]] = {
     "tfg-2": check_tfg2,
     "tfg-3": check_tfg3,
 }
-
-
-def check_section5(sq: DenseSquare,
-                   chain: Optional[SquareChain] = None) -> list[CheckResult]:
-    """Run the remote-preserving checks; chain checks only when supplied."""
-    ids = ("gammaremotepreserving", "stargammaremotepreserving",
-           "gammapreservationlemma", "remotepreservation")
-    out = [SQUARE_CHECKS[i](sq) for i in ids]
-    if chain is not None:
-        out.extend(fn(chain) for _, fn in sorted(CHAIN_CHECKS.items()))
-    return out

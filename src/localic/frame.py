@@ -13,7 +13,7 @@ from .errors import NotAPartialOrder, NotALattice, NotDistributive, FrameTooLarg
 
 # Frames larger than this are rejected outright.
 MAX_ELEMENTS = 64
-# Operations that enumerate all 2^n candidate subsets refuse frames above this.
+# Frames above this are refused by operations that enumerate all of S(L).
 ENUMERATION_CAP = 16
 
 
@@ -40,7 +40,7 @@ class FiniteFrame:
         "n", "up", "down", "meet_table", "join_table", "impl_table",
         "bottom", "top", "labels", "name",
         "_label_index", "_impl_req", "_dense_mask", "_bool_mask",
-        "_sublocales", "_supplements",
+        "_points", "_sublocales",
     )
 
     def __init__(self, n, up, down, meet_table, join_table, impl_table,
@@ -65,8 +65,8 @@ class FiniteFrame:
             a for a in range(n) if impl_table[a][bottom] == bottom
         )
         self._bool_mask = _mask_of(impl_table[x][bottom] for x in range(n))
+        self._points = None         # lazy cache, see points_mask
         self._sublocales = None     # lazy cache, see sublocale.py
-        self._supplements = {}      # mask -> supplement mask cache
 
     # -- order and lattice operations ------------------------------------
 
@@ -102,12 +102,6 @@ class FiniteFrame:
             out = row[out][x]
         return out
 
-    def meet_of_mask(self, mask: int) -> int:
-        return self.meet_of(bits(mask))
-
-    def join_of_mask(self, mask: int) -> int:
-        return self.join_of(bits(mask))
-
     # -- element predicates -----------------------------------------------
 
     def is_dense_element(self, a: int) -> bool:
@@ -115,6 +109,19 @@ class FiniteFrame:
 
     def is_complemented_element(self, a: int) -> bool:
         return self.join_table[a][self.pseudocomplement(a)] == self.top
+
+    def points_mask(self) -> int:
+        """The points (primes) of the frame as a mask, cached.
+
+        In a finite distributive lattice the primes are the meet-irreducible
+        elements p < 1: those whose strict up-set has a least element.
+        :meth:`is_point` is the independent oracle.
+        """
+        if self._points is None:
+            self._points = _mask_of(
+                p for p in range(self.n) if p != self.top
+                and self.meet_of(bits(self.up[p] & ~(1 << p))) != p)
+        return self._points
 
     def is_point(self, p: int) -> bool:
         """p < 1 and a /\\ b <= p forces a <= p or b <= p."""
@@ -142,7 +149,7 @@ class FiniteFrame:
     def require_enumerable(self) -> None:
         if self.n > ENUMERATION_CAP:
             raise FrameTooLarge(
-                f"frame {self.name or ''} has {self.n} elements; full subset "
+                f"frame {self.name or ''} has {self.n} elements; sublocale "
                 f"enumeration is capped at {ENUMERATION_CAP}"
             )
 

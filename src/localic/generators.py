@@ -40,6 +40,9 @@ class GenSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.max_size < 0 or self.count < 0:
+            raise ValueError(f"max_size and count must be non-negative, "
+                             f"got {self.max_size} and {self.count}")
 
     def to_json(self) -> dict:
         return {"family": self.family, "max_size": self.max_size,

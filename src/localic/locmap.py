@@ -12,14 +12,13 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import AdjointNotFrameHom, MixedFrames, NotMeetPreserving
 from .frame import FiniteFrame, bits
-from .sublocale import Sublocale, enumerate_sublocales, is_sublocale, meet_close
+from .sublocale import Sublocale, is_sublocale, span
 
 
 class LocalicMap:
     """A validated meet-preserving map with its derived adjoint."""
 
-    __slots__ = ("source", "target", "table", "adjoint_table", "name",
-                 "_image_masks")
+    __slots__ = ("source", "target", "table", "adjoint_table", "name")
 
     def __init__(self, source, target, table, adjoint_table, name=None):
         self.source = source
@@ -27,19 +26,6 @@ class LocalicMap:
         self.table = table
         self.adjoint_table = adjoint_table
         self.name = name
-        self._image_masks = None
-
-    def _images(self) -> list[tuple[int, int]]:
-        """(source sublocale mask, image mask) pairs, cached."""
-        if self._image_masks is None:
-            pairs = []
-            for a in enumerate_sublocales(self.source):
-                img = 0
-                for x in a.members():
-                    img |= 1 << self.table[x]
-                pairs.append((a.mask, img))
-            self._image_masks = pairs
-        return self._image_masks
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -119,17 +105,18 @@ class LocalicMap:
     def preimage_subl(self, b: Sublocale) -> Sublocale:
         """Largest sublocale whose image lands inside b.
 
-        Computed as the coframe join of every enumerated sublocale with
-        image inside b; the image function preserves joins, so the join
-        still maps into b.
+        f preserves meets and a sublocale is the span of its points, so the
+        image of A lies in b iff f(p) is in b for every point p of A: the
+        preimage is the span of those points.
         """
         if b.frame is not self.target:
             raise MixedFrames("sublocale not in the map's target frame")
-        union = 0
-        for a_mask, img in self._images():
-            if img & ~b.mask == 0:
-                union |= a_mask
-        return Sublocale(self.source, meet_close(self.source, union))
+        src = self.source
+        pts = 0
+        for p in bits(src.points_mask()):
+            if b.mask >> self.table[p] & 1:
+                pts |= 1 << p
+        return Sublocale(src, span(src, pts))
 
     def preimage_open(self, a: int) -> Sublocale:
         """f_{-1}[o(a)] = o(f*(a)) without enumerating."""
@@ -142,9 +129,16 @@ class LocalicMap:
         return closed_subl(self.source, self.adjoint_table[a])
 
     def image_is_surjective(self) -> bool:
-        """Whether f[-] : S(L) -> S(M) is onto."""
-        images = {img for _, img in self._images()}
-        return images == {t.mask for t in enumerate_sublocales(self.target)}
+        """Whether f[-] : S(L) -> S(M) is onto.
+
+        The image of a span of points is the span of their images, and a
+        point of M is a meet of images only if it is one of them; so f[-]
+        is onto iff every point of M is f(p) for some point p of L.
+        """
+        hit = 0
+        for p in bits(self.source.points_mask()):
+            hit |= 1 << self.table[p]
+        return self.target.points_mask() & ~hit == 0
 
     def __repr__(self) -> str:
         return (f"LocalicMap({self.name or '?'}: "

@@ -24,8 +24,8 @@ from .sublocale import (
 )
 from .errors import InvalidSublocale, MixedFrames
 
-# Context checks whose cost is quadratic in |S(L)| (or that need the
-# supplement of S) step down to a deterministic sample / skip beyond these.
+# Oracle checks whose cost is quadratic in |S(L)| step down to a
+# deterministic sample, or skip, beyond these.
 SMALL_COFRAME = 256
 PAIR_BUDGET = 200_000
 
@@ -148,7 +148,7 @@ def bl_context(frame: FiniteFrame) -> RemoteContext:
     return RemoteContext(frame, booleanization(frame))
 
 
-def _sample(items: list, cap: int) -> list:
+def sample_evenly(items: list, cap: int) -> list:
     """Deterministic evenly-spaced sample when a list exceeds the cap."""
     if len(items) <= cap:
         return items
@@ -171,7 +171,7 @@ def check_opendensefrom(ctx: RemoteContext) -> CheckResult:
     subs = enumerate_sublocales(ctx.frame)
     # beyond the cap the per-T oracle scan gets quadratic; sample T
     cap = SMALL_COFRAME * 4 if len(subs) <= SMALL_COFRAME else SMALL_COFRAME
-    subs = _sample(subs, cap)
+    subs = sample_evenly(subs, cap)
     for t in subs:
         votes = (ctx.pred_nwd_oracle(t), ctx.pred_closed_miss(t),
                  ctx.pred_open_subset(t), ctx.pred_nucleus_top(t))
@@ -192,7 +192,7 @@ def check_downward_closure(ctx: RemoteContext) -> CheckResult:
     flags = {t.mask: ctx.is_remote_from(t) for t in subs}
     remote = [t for t in subs if flags[t.mask]]
     if len(remote) * len(subs) > PAIR_BUDGET:
-        remote = _sample(remote, max(1, PAIR_BUDGET // len(subs)))
+        remote = sample_evenly(remote, max(1, PAIR_BUDGET // len(subs)))
     for b in remote:
         for a in subs:
             if a.mask & ~b.mask == 0 and not flags[a.mask]:
@@ -212,8 +212,6 @@ def check_nd_remote(ctx: RemoteContext) -> CheckResult:
 
 def check_star_subset(ctx: RemoteContext) -> CheckResult:
     """*remote sublocales are remote."""
-    if len(enumerate_sublocales(ctx.frame)) > SMALL_COFRAME:
-        return CheckResult("remotesets", ctx.subject(), SKIPPED)
     remote = set(t.mask for t in ctx.remote_set())
     for t in ctx.star_remote_set():
         if t.mask not in remote:
@@ -261,24 +259,20 @@ def check_rmt_characterization(ctx: RemoteContext) -> CheckResult:
     if fast != slow:
         return _result("sublocale", ctx.subject(), False,
                        f"join-rule={sorted(fast)} oracle={sorted(slow)}")
-    if len(enumerate_sublocales(ctx.frame)) <= SMALL_COFRAME:
-        f = ctx.frame
-        supp = ctx.supplement_of_s().mask
-        star = ctx.star_rmt_elements(oracle=True)
-        for a in range(f.n):
-            if f.up[a] & ~supp == 0:
-                join_rule = all(f.join_table[a][x] == f.top
-                                for x in ctx.s_dense)
-                if (a in star) != join_rule:
-                    return _result("sublocale", ctx.subject(), False,
-                                   f"star mismatch at a={f.labels[a]}")
+    f = ctx.frame
+    supp = ctx.supplement_of_s().mask
+    star = ctx.star_rmt_elements(oracle=True)
+    for a in range(f.n):
+        if f.up[a] & ~supp == 0:
+            join_rule = all(f.join_table[a][x] == f.top for x in ctx.s_dense)
+            if (a in star) != join_rule:
+                return _result("sublocale", ctx.subject(), False,
+                               f"star mismatch at a={f.labels[a]}")
     return _result("sublocale", ctx.subject(), True)
 
 
 def check_rare_equality(ctx: RemoteContext) -> CheckResult:
     """For dense and rare S the remote and *remote collections coincide."""
-    if len(enumerate_sublocales(ctx.frame)) > SMALL_COFRAME:
-        return CheckResult("rareequality", ctx.subject(), SKIPPED)
     if not is_rare(ctx.frame, ctx.s):
         return CheckResult("rareequality", ctx.subject(), HYPOTHESES_NOT_MET)
     plain = {t.mask for t in ctx.remote_set()}
@@ -346,11 +340,6 @@ CONTEXT_CHECKS: dict[str, Callable[[RemoteContext], CheckResult]] = {
     "RsBL": check_rs_bl,
     "RsNd": check_rs_nd,
 }
-
-
-def check_section2_3(ctx: RemoteContext) -> list[CheckResult]:
-    """Run every context-scoped structure check; never fail-fast."""
-    return [fn(ctx) for _, fn in sorted(CONTEXT_CHECKS.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@
 A sublocale is a subset of frame elements containing the top, closed under
 binary meets, and closed under ``x -> s`` for every frame element ``x`` and
 member ``s``.  Sublocales are stored as bitmasks over the owning frame.
+
+A finite frame is spatial and T_D, so S(L) is the powerset of its points
+(primes): every sublocale is the :func:`span` of the points it contains.
+The coframe operations are point-set arithmetic on that model; the
+subset filter :func:`enumerate_sublocales_oracle` and the induced-frame
+computations are the independent oracles.
 """
 
 from __future__ import annotations
@@ -175,26 +181,19 @@ def subl_meet(ss: list[Sublocale]) -> Sublocale:
     return Sublocale(frame, mask)
 
 
-def meet_close(frame: FiniteFrame, mask: int) -> int:
-    """Close an element mask under binary meets and add the top."""
-    mask |= 1 << frame.top
-    meet = frame.meet_table
-    changed = True
-    while changed:
-        changed = False
-        elems = list(bits(mask))
-        for i, a in enumerate(elems):
-            row = meet[a]
-            for b in elems[i:]:
-                m = row[b]
-                if not mask >> m & 1:
-                    mask |= 1 << m
-                    changed = True
-    return mask
+def span(frame: FiniteFrame, pts: int) -> int:
+    """The sublocale spanned by a mask of points: all meets of its subsets.
+
+    An element belongs exactly when it is the meet of the given points
+    above it; the empty meet puts the top in every span.
+    """
+    up = frame.up
+    return _to_mask(a for a in range(frame.n)
+                    if frame.meet_of(bits(pts & up[a])) == a)
 
 
 def subl_join(ss: list[Sublocale]) -> Sublocale:
-    """Coframe join: all meets of subsets of the union of member sets."""
+    """Coframe join: the span of the points of all the members."""
     if not ss:
         raise ValueError("need at least one sublocale")
     frame = ss[0].frame
@@ -202,14 +201,15 @@ def subl_join(ss: list[Sublocale]) -> Sublocale:
     for s in ss:
         ss[0]._check(s)
         mask |= s.mask
-    return Sublocale(frame, meet_close(frame, mask))
+    return Sublocale(frame, span(frame, mask & frame.points_mask()))
 
 
 def join_is_whole(frame: FiniteFrame, mask_a: int, mask_b: int) -> bool:
     """Whether the coframe join of two member masks is all of L.
 
-    Avoids materializing the meet closure: the join is L iff every element
-    is the meet of the union's members above it.
+    Works on all members, not points: the join is L iff every element is
+    the meet of the union's members above it.  The oracle for
+    :func:`supplement`.
     """
     union = mask_a | mask_b
     for a in range(frame.n):
@@ -221,49 +221,57 @@ def join_is_whole(frame: FiniteFrame, mask_a: int, mask_b: int) -> bool:
 def enumerate_sublocales(frame: FiniteFrame) -> list[Sublocale]:
     """All sublocales of the frame, ordered by mask (deterministic).
 
-    Brute-force oracle: filters every subset containing the top.  Requires
-    the enumeration cap; results are cached on the frame.
+    One span per set of points, grown a point at a time:
+    span(Q + p) = span(Q) | {p /\\ x : x in span(Q)}.  Each span passes
+    :func:`is_sublocale` before the list is cached on the frame.  Requires
+    the enumeration cap; :func:`enumerate_sublocales_oracle` is the
+    independent oracle.
     """
     if frame._sublocales is None:
         frame.require_enumerable()
-        top_bit = 1 << frame.top
-        rest = [i for i in range(frame.n) if i != frame.top]
-        out = []
-        for sub in range(1 << len(rest)):
-            mask = top_bit
-            for j, e in enumerate(rest):
-                if sub >> j & 1:
-                    mask |= 1 << e
-            if is_sublocale(frame, mask):
-                out.append(mask)
-        out.sort()
-        frame._sublocales = [Sublocale(frame, m) for m in out]
+        spans = [1 << frame.top]
+        for p in bits(frame.points_mask()):
+            row = frame.meet_table[p]
+            spans += [m | _to_mask(row[x] for x in bits(m)) for m in spans]
+        for m in spans:
+            if not is_sublocale(frame, m):
+                raise InvalidSublocale(
+                    f"span {sorted(bits(m))} is not a sublocale of {frame!r}")
+        spans.sort()
+        frame._sublocales = [Sublocale(frame, m) for m in spans]
     return list(frame._sublocales)
+
+
+def enumerate_sublocales_oracle(frame: FiniteFrame) -> list[Sublocale]:
+    """Brute-force oracle: filter every subset containing the top.
+
+    Uncached; requires the enumeration cap.  Ordered by mask like
+    :func:`enumerate_sublocales`.
+    """
+    frame.require_enumerable()
+    top_bit = 1 << frame.top
+    rest = [i for i in range(frame.n) if i != frame.top]
+    out = []
+    for sub in range(1 << len(rest)):
+        mask = top_bit
+        for j, e in enumerate(rest):
+            if sub >> j & 1:
+                mask |= 1 << e
+        if is_sublocale(frame, mask):
+            out.append(Sublocale(frame, mask))
+    out.sort(key=lambda t: t.mask)
+    return out
 
 
 def supplement(frame: FiniteFrame, s: Sublocale) -> Sublocale:
     """L \\ S: the least sublocale whose join with S is the whole frame.
 
     This is the co-Heyting difference in S(L) (not the join of sublocales
-    disjoint from S).  Closed and open sublocales are each other's
-    complements, so those cases short-circuit; otherwise the candidates
-    from the full enumeration are intersected, which by the coframe law
-    yields the least one.
+    disjoint from S).  Joins in S(L) are unions of point sets, so it is
+    the span of the points outside S; the test suite checks it against
+    :func:`join_is_whole` over the enumeration.
     """
-    cached = frame._supplements.get(s.mask)
-    if cached is not None:
-        return Sublocale(frame, cached)
-    bot = s.min_element()
-    if s.mask == frame.up[bot]:                  # s is closed: c(bot)
-        result = open_subl(frame, bot)
-    else:
-        mask = (1 << frame.n) - 1
-        for t in enumerate_sublocales(frame):
-            if join_is_whole(frame, s.mask, t.mask):
-                mask &= t.mask
-        result = Sublocale(frame, mask)
-    frame._supplements[s.mask] = result.mask
-    return result
+    return Sublocale(frame, span(frame, frame.points_mask() & ~s.mask))
 
 
 def nucleus_map(s: Sublocale, a: int) -> int:
@@ -280,8 +288,8 @@ def s_nowhere_dense_sublocales(s: Sublocale) -> list[Sublocale]:
     """All S-nowhere dense members of S(S), as ambient sublocales.
 
     Enumerated inside the induced frame of S (the independent oracle path):
-    subsets of S are filtered through the subframe's own closure conditions
-    and nowhere density is decided against the subframe's Booleanization.
+    the sublocales are the spans of the subframe's own points, and nowhere
+    density is decided against the subframe's Booleanization.
     """
     sub, elems = s.as_frame()
     out = []
@@ -304,19 +312,16 @@ def s_dense_elements(s: Sublocale) -> list[int]:
 def nd_join(frame: FiniteFrame, s: Sublocale) -> Sublocale:
     """Nd(S): the join in S(L) of all S-nowhere dense sublocales of S.
 
-    Requires S dense.  Uses the fact that a sublocale of S is S-nowhere
-    dense exactly when its meet is S-dense, and that for dense S the
-    S-pseudocomplement agrees with the ambient one; cross-checked against
-    the induced-frame oracle in the test suite.
+    Requires S dense.  A sublocale of S is S-nowhere dense exactly when its
+    meet is S-dense, which for dense S means dense in L.  Dense elements
+    form an up-set, so those sublocales are the spans of dense points of S,
+    and Nd(S) is the span of all of them.  Cross-checked against the
+    induced-frame oracle :func:`nd_join_oracle` in the test suite.
     """
     if not s.is_dense():
         raise InvalidSublocale("Nd(S) is defined for dense S")
-    union = 0
-    dense = frame._dense_mask
-    for t in enumerate_sublocales(frame):
-        if t.mask & ~s.mask == 0 and dense >> t.min_element() & 1:
-            union |= t.mask
-    return Sublocale(frame, meet_close(frame, union))
+    dense_pts = s.mask & frame.points_mask() & frame.dense_elements_mask()
+    return Sublocale(frame, span(frame, dense_pts))
 
 
 def nd_join_oracle(frame: FiniteFrame, s: Sublocale) -> Sublocale:

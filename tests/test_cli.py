@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from localic import cli
 from localic.cli import main
+from localic.generators import GenSpec
 
 C3_DOC = {
     "type": "frame",
@@ -158,3 +160,57 @@ def test_suite_byte_determinism(tmp_path):
 def test_suite_rejects_bad_family(capsys):
     with pytest.raises(SystemExit):
         main(["suite", "--family", "nope", "--max-size", "3"])
+
+
+def _one_line(err: str) -> bool:
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_query_unknown_label(tmp_path, capsys):
+    path = _write(tmp_path, "c3.json", C3_DOC)
+    assert main(["query", path, "remote-set", "S={x,1}"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err) and "'x'" in err
+
+
+def test_suite_rejects_bad_jobs_env(monkeypatch, capsys):
+    monkeypatch.setenv("LOCALIC_JOBS", "abc")
+    assert main(["suite", "--family", "chain", "--max-size", "3"]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err) and "LOCALIC_JOBS" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "chain", "--max-size", "-3"],
+    ["--family", "random-poset", "--max-size", "8", "--count", "-1"],
+])
+def test_suite_rejects_negative_sizes(flags, capsys):
+    assert main(["suite", "--jobs", "1"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+
+
+def test_suite_clamps_workers_to_cores(monkeypatch):
+    # an in-process stand-in records the pool size; nothing is forked
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return list(map(fn, args))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    spec = GenSpec("chain", 3)
+    serial = cli.render_report(cli.run_suite(spec, "*", 1))
+    assert cli.render_report(cli.run_suite(spec, "*", 1000)) == serial
+    assert cli.render_report(cli.run_suite(spec, "*", 2)) == serial
+    assert pools == [3, 2]

@@ -2,8 +2,7 @@ import pytest
 
 from localic import (
     DenseSquare, GenSpec, InvalidSquare, SquareChain, Triangle,
-    booleanization, chain_frame, check_section4, check_section5,
-    identity_map, whole_subl,
+    booleanization, chain_frame, checks_in_scope, identity_map, whole_subl,
 )
 from localic.diagrams import (
     CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, is_complemented_subl,
@@ -76,7 +75,8 @@ def test_is_complemented_subl(c3, b2):
 
 def test_square_checks_never_fail(squares):
     for sq in squares:
-        for r in check_section4(sq) + check_section5(sq):
+        for check in checks_in_scope("square"):
+            r = check.runner(sq)
             assert r.verdict != FAIL, (r.check_id, r.subject, r.witness)
 
 

@@ -97,6 +97,12 @@ def test_boolean_frame_shape():
     assert sum(b3.is_point(p) for p in range(b3.n)) == 3
 
 
+def test_points_mask_matches_is_point(tier1_frames):
+    for f in tier1_frames:
+        oracle = sum(1 << p for p in range(f.n) if f.is_point(p))
+        assert f.points_mask() == oracle, f
+
+
 def test_labels_roundtrip(c3):
     for i in range(c3.n):
         assert c3.index_of(c3.label(i)) == i

@@ -5,7 +5,16 @@ from localic import (
     build_map, chain_frame, closed_subl, compose, enumerate_sublocales,
     identity_map, open_subl, void_subl, whole_subl,
 )
-from localic.generators import inclusion_map
+from localic.generators import gen_maps, inclusion_map
+from localic.sublocale import enumerate_sublocales_oracle
+
+
+@pytest.fixture(scope="module")
+def small_maps(tier1_frames):
+    """A few localic maps between each pair of small tier-1 frames."""
+    small = [f for f in tier1_frames if f.n <= 6]
+    return [m for src in small for tgt in small
+            for m in gen_maps(src, tgt, limit=3)]
 
 
 def test_identity_map(c3):
@@ -132,3 +141,34 @@ def test_image_is_surjective(c3):
     assert identity_map(c3).image_is_surjective()
     inc = inclusion_map(booleanization(c3))
     assert not inc.image_is_surjective()
+
+
+def test_preimage_subl_matches_brute_force_join(small_maps):
+    # the join of {A : f[A] <= B} is the least enumerated sublocale
+    # containing all their members
+    oracle = {}
+    for f in small_maps:
+        for frame in (f.source, f.target):
+            if frame not in oracle:
+                oracle[frame] = enumerate_sublocales_oracle(frame)
+        for b in oracle[f.target]:
+            union = 0
+            for a in oracle[f.source]:
+                if f.image_subl(a) <= b:
+                    union |= a.mask
+            join = (1 << f.source.n) - 1
+            for t in oracle[f.source]:
+                if union & ~t.mask == 0:
+                    join &= t.mask
+            assert f.preimage_subl(b).mask == join, (f.table, b)
+
+
+def test_image_is_surjective_matches_image_sets(small_maps):
+    verdicts = set()
+    for f in small_maps:
+        images = {f.image_subl(a).mask
+                  for a in enumerate_sublocales_oracle(f.source)}
+        targets = {t.mask for t in enumerate_sublocales_oracle(f.target)}
+        assert f.image_is_surjective() == (images == targets), f.table
+        verdicts.add(images == targets)
+    assert verdicts == {True, False}

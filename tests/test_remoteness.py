@@ -1,5 +1,5 @@
 from localic import (
-    RemoteContext, Sublocale, bl_context, booleanization, check_section2_3,
+    RemoteContext, Sublocale, bl_context, booleanization, checks_in_scope,
     closed_subl, enumerate_sublocales, void_subl, whole_context, whole_subl,
 )
 from localic.remoteness import CONTEXT_CHECKS, FRAME_CHECKS
@@ -84,7 +84,8 @@ def test_void_always_remote(tier1_frames):
 def test_context_checks_pass_on_tier1(tier1_frames):
     for f in tier1_frames:
         for ctx in all_contexts(f):
-            for r in check_section2_3(ctx):
+            for check in checks_in_scope("context"):
+                r = check.runner(ctx)
                 assert r.verdict != FAIL, (r.check_id, r.subject, r.witness)
 
 

@@ -7,8 +7,8 @@ from localic import (
     supplement, void_subl, whole_subl,
 )
 from localic.sublocale import (
-    join_is_whole, nd_join_oracle, s_dense_elements,
-    s_nowhere_dense_sublocales,
+    enumerate_sublocales_oracle, join_is_whole, nd_join_oracle,
+    s_dense_elements, s_nowhere_dense_sublocales,
 )
 
 
@@ -22,6 +22,22 @@ def test_chain_sublocales_are_all_top_subsets(c4):
     masks = {s.mask for s in enumerate_sublocales(c4)}
     top_bit = 1 << c4.top
     assert masks == {m | top_bit for m in range(1 << (c4.n - 1))}
+
+
+def _masks(subs):
+    return [s.mask for s in subs]
+
+
+def test_enumeration_matches_subset_filter(tier1_frames):
+    # spans of point sets against the brute-force subset filter, on every
+    # tier-1 frame and on the induced frame of each of its sublocales
+    for f in tier1_frames:
+        subs = enumerate_sublocales(f)
+        assert _masks(subs) == _masks(enumerate_sublocales_oracle(f)), f
+        for s in subs:
+            sub, _ = s.as_frame()
+            assert _masks(enumerate_sublocales(sub)) \
+                == _masks(enumerate_sublocales_oracle(sub)), sub
 
 
 def test_boolean_sublocales_are_closed(b2):
@@ -75,12 +91,14 @@ def test_supplement_joins_back(tier1_frames):
             assert join_is_whole(f, s.mask, t.mask)
 
 
-def test_supplement_is_least(c4):
-    for s in enumerate_sublocales(c4):
-        t = supplement(c4, s)
-        for cand in enumerate_sublocales(c4):
-            if join_is_whole(c4, s.mask, cand.mask):
-                assert t <= cand
+def test_supplement_is_least(tier1_frames):
+    for f in tier1_frames:
+        subs = enumerate_sublocales(f)
+        for s in subs:
+            t = supplement(f, s)
+            for cand in subs:
+                if join_is_whole(f, s.mask, cand.mask):
+                    assert t <= cand
 
 
 def test_closure_and_density(c3):
