@@ -10,10 +10,10 @@ from .frame import (
     chain_frame, frame_from_leq,
 )
 from .sublocale import (
-    Sublocale, booleanization, closed_subl, closure, enumerate_sublocales,
-    is_dense, is_dense_in_itself, is_nowhere_dense, is_rare, is_sublocale,
-    nd_join, nucleus_map, open_subl, subl_join, subl_meet, supplement,
-    void_subl, whole_subl,
+    Sublocale, booleanization, closed_subl, enumerate_sublocales,
+    is_dense_in_itself, is_nowhere_dense, is_rare, is_sublocale, nd_join,
+    nucleus_map, open_subl, subl_join, subl_meet, supplement, void_subl,
+    whole_subl,
 )
 from .remoteness import (
     CONTEXT_CHECKS, FRAME_CHECKS, RemoteContext, bl_context, whole_context,

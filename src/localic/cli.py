@@ -222,10 +222,15 @@ def main(argv=None) -> int:
         report = run_suite(spec, args.filter, jobs)
         elapsed = time.monotonic() - started
         text = render_report(report)
-        sys.stdout.write(text)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                print(f"cannot write {args.out}: {e.strerror}",
+                      file=sys.stderr)
+                return 2
+        sys.stdout.write(text)
         print(f"wall-time: {elapsed:.2f}s", file=sys.stderr)
         fails = sum(t[FAIL] for t in report["checks"].values())
         return 1 if fails else 0

@@ -41,14 +41,6 @@ class LocalicMap:
 
     # -- map-level properties ---------------------------------------------
 
-    def is_dense_map(self) -> bool:
-        """The adjoint maps only the bottom element to the bottom element."""
-        src, tgt = self.source, self.target
-        return all(y == tgt.bottom
-                   for y in range(tgt.n)
-                   if self.adjoint_table[y] == src.bottom) \
-            and self.adjoint_table[tgt.bottom] == src.bottom
-
     def is_skeletal(self) -> bool:
         """Forward table sends dense elements to dense elements."""
         return table_is_skeletal(self.source, self.target, self.table)
@@ -65,27 +57,6 @@ class LocalicMap:
                 if src.join_table[a][self.adjoint_table[b]] == src.top \
                         and tgt.join_table[fa][b] != tgt.top:
                     return False
-        return True
-
-    def is_closed_map(self) -> bool:
-        """f(x \\/ f*(y)) = f(x) \\/ y for all x, y."""
-        src, tgt = self.source, self.target
-        for x in range(src.n):
-            for y in range(tgt.n):
-                lhs = self.table[src.join_table[x][self.adjoint_table[y]]]
-                if lhs != tgt.join_table[self.table[x]][y]:
-                    return False
-        return True
-
-    def is_nowhere_dense_adjoint(self) -> bool:
-        """Every nonzero x in the target dominates a nonzero y with f*(y) = 0."""
-        src, tgt = self.source, self.target
-        for x in range(tgt.n):
-            if x == tgt.bottom:
-                continue
-            if not any(self.adjoint_table[y] == src.bottom
-                       for y in bits(tgt.down[x]) if y != tgt.bottom):
-                return False
         return True
 
     # -- sublocale image / preimage -----------------------------------------
@@ -117,16 +88,6 @@ class LocalicMap:
             if b.mask >> self.table[p] & 1:
                 pts |= 1 << p
         return Sublocale(src, span(src, pts))
-
-    def preimage_open(self, a: int) -> Sublocale:
-        """f_{-1}[o(a)] = o(f*(a)) without enumerating."""
-        from .sublocale import open_subl
-        return open_subl(self.source, self.adjoint_table[a])
-
-    def preimage_closed(self, a: int) -> Sublocale:
-        """f_{-1}[c(a)] = c(f*(a)) without enumerating."""
-        from .sublocale import closed_subl
-        return closed_subl(self.source, self.adjoint_table[a])
 
     def image_is_surjective(self) -> bool:
         """Whether f[-] : S(L) -> S(M) is onto.

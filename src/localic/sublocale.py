@@ -157,17 +157,14 @@ def open_subl(frame: FiniteFrame, a: int) -> Sublocale:
     return Sublocale(frame, mask)
 
 
-def closure(s: Sublocale) -> Sublocale:
-    return s.closure()
-
-
-def is_dense(s: Sublocale) -> bool:
-    return s.is_dense()
-
-
 def booleanization(frame: FiniteFrame) -> Sublocale:
-    """{x -> 0 : x in L}, the smallest dense sublocale."""
-    return Sublocale(frame, frame._bool_mask)
+    """{x -> 0 : x in L}, the smallest dense sublocale.
+
+    Cached on the frame, so the checks about BL share one induced frame.
+    """
+    if frame._booleanization is None:
+        frame._booleanization = Sublocale(frame, frame._bool_mask)
+    return frame._booleanization
 
 
 def subl_meet(ss: list[Sublocale]) -> Sublocale:

@@ -45,7 +45,7 @@ def test_criterion_1_opendensefrom_exact(tier1_frames):
         subs = enumerate_sublocales(f)
         for ctx in _dense_contexts(f):
             for t in subs:
-                votes = (ctx.pred_nwd_oracle(t), ctx.pred_closed_miss(t),
+                votes = (ctx.pred_nwd_oracle(t), ctx.is_remote_from(t),
                          ctx.pred_open_subset(t), ctx.pred_nucleus_top(t))
                 checked += 1
                 if len(set(votes)) != 1:

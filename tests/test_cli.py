@@ -190,6 +190,15 @@ def test_suite_rejects_negative_sizes(flags, capsys):
     assert captured.out == "" and _one_line(captured.err)
 
 
+def test_suite_rejects_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["suite", "--family", "chain", "--max-size", "3",
+                 "--jobs", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+    assert str(out) in captured.err
+
+
 def test_suite_clamps_workers_to_cores(monkeypatch):
     # an in-process stand-in records the pool size; nothing is forked
     pools = []

@@ -21,9 +21,7 @@ def test_identity_map(c3):
     f = identity_map(c3)
     assert f.table == (0, 1, 2)
     assert f.adjoint_table == (0, 1, 2)
-    assert f.is_dense_map() and f.is_skeletal()
-    assert f.is_weakly_closed_adjoint() and f.is_closed_map()
-    assert not f.is_nowhere_dense_adjoint()
+    assert f.is_skeletal() and f.is_weakly_closed_adjoint()
 
 
 def test_build_map_c3_to_c2(c3):
@@ -73,7 +71,6 @@ def test_inclusion_of_booleanization(c3):
     assert inc.table == (0, 2)
     # adjoint is the nucleus: the middle element maps up to the top
     assert inc.adjoint(1) == sub.top
-    assert inc.is_dense_map()
     assert inc.is_skeletal()
 
 
@@ -95,9 +92,11 @@ def test_preimage_subl(c3):
 def test_preimage_special_cases(c3, b2):
     a = b2.index_of("1")
     f = build_map(c3, b2, [a, a, b2.top])
+    # f_{-1}[o(a)] = o(f*(a)) and f_{-1}[c(a)] = c(f*(a))
     for a in range(b2.n):
-        assert f.preimage_open(a) == f.preimage_subl(open_subl(b2, a))
-        assert f.preimage_closed(a) == f.preimage_subl(closed_subl(b2, a))
+        assert f.preimage_subl(open_subl(b2, a)) == open_subl(c3, f.adjoint(a))
+        assert (f.preimage_subl(closed_subl(b2, a))
+                == closed_subl(c3, f.adjoint(a)))
 
 
 def test_galois_adjunction_of_image_preimage(c4):

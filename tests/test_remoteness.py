@@ -1,8 +1,13 @@
 from localic import (
-    RemoteContext, Sublocale, bl_context, booleanization, checks_in_scope,
-    closed_subl, enumerate_sublocales, void_subl, whole_context, whole_subl,
+    RemoteContext, Sublocale, bl_context, booleanization, chain_frame,
+    checks_in_scope, closed_subl, enumerate_sublocales, void_subl,
+    whole_context, whole_subl,
 )
-from localic.remoteness import CONTEXT_CHECKS, FRAME_CHECKS
+from localic.frame import popcount
+from localic.remoteness import (
+    CONTEXT_CHECKS, FRAME_CHECKS, check_downward_closure,
+    check_rem_s_intersection,
+)
 from localic.result import FAIL, PASS
 
 
@@ -52,14 +57,37 @@ def test_fast_and_oracle_agree(tier1_frames):
             for t in enumerate_sublocales(f):
                 assert ctx.is_remote_from(t) == ctx.is_remote_from(
                     t, oracle=True)
+            assert ctx.rs() == ctx.rs(oracle=True), ctx.subject()
+            assert ctx.star_rs() == ctx.star_rs(oracle=True), ctx.subject()
 
 
 def test_four_predicates_agree(c4):
     for ctx in all_contexts(c4):
         for t in enumerate_sublocales(c4):
-            votes = {ctx.pred_nwd_oracle(t), ctx.pred_closed_miss(t),
+            votes = {ctx.pred_nwd_oracle(t), ctx.is_remote_from(t),
                      ctx.pred_open_subset(t), ctx.pred_nucleus_top(t)}
             assert len(votes) == 1
+
+
+def test_rem_s_runs_beyond_256_sublocales():
+    ctx = whole_context(chain_frame(10))
+    assert len(enumerate_sublocales(ctx.frame)) == 512
+    assert check_rem_s_intersection(ctx).verdict == PASS
+
+
+class _OnePointContext(RemoteContext):
+    """'Remote' means exactly one point: not closed under going down."""
+
+    def is_remote_from(self, t, oracle=False):
+        return popcount(t.mask & self.frame.points_mask()) == 1
+
+
+def test_downward_closure_catches_non_down_closed_predicate(b2):
+    ctx = _OnePointContext(b2, whole_subl(b2))
+    r = check_downward_closure(ctx)
+    assert r.verdict == FAIL
+    assert r.witness == "A=['3'] B=['1', '3']"   # O below one point
+    assert check_downward_closure(whole_context(b2)).verdict == PASS
 
 
 def test_rmt_c3(c3):
