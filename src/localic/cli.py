@@ -48,7 +48,10 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
                                                 MAX_CONTEXTS_PER_FRAME))
         bl = booleanization(f)
         for s in dense:
-            if id(s) in keep or s.mask == bl.mask or s.is_whole():
+            if s.mask == bl.mask:
+                # the frame checks share the induced frame of this object
+                contexts.append(RemoteContext(f, bl))
+            elif id(s) in keep or s.is_whole():
                 contexts.append(RemoteContext(f, s))
     squares = gen_squares(frames, budget=SQUARE_BUDGET, seed=spec.seed)
     chains = gen_chains(squares, budget=CHAIN_BUDGET)
@@ -147,7 +150,7 @@ def answer_query(frame: FiniteFrame, words: list[str]):
     if question == "rs":
         return serialize_sublocale(RemoteContext(frame, s).rs())
     if question == "star-rs":
-        return serialize_sublocale(RemoteContext(frame, s).star_rs())
+        return serialize_sublocale(RemoteContext(frame, s).star().rs())
     if question == "nd":
         return serialize_sublocale(nd_join(frame, s))
     if question == "rare?":

@@ -211,16 +211,21 @@ def takes_remainder(sq: DenseSquare) -> bool:
     return sq.f.image_subl(rem_l) <= rem_m
 
 
+def _image_witness(f: LocalicMap, src: RemoteContext,
+                   dst: RemoteContext) -> Optional[str]:
+    """A sublocale remote in src whose image under f is not remote in dst."""
+    for a in src.remote_set():
+        if not dst.is_remote_from(f.image_subl(a)):
+            return f"A={sorted(a.labels())}"
+    return None
+
+
 def is_f_remote_preserving(sq: DenseSquare) -> bool:
-    ctx_m = sq.ctx_m()
-    return all(ctx_m.is_remote_from(sq.f.image_subl(a))
-               for a in sq.ctx_l().remote_set())
+    return _image_witness(sq.f, sq.ctx_l(), sq.ctx_m()) is None
 
 
 def is_f_star_remote_preserving(sq: DenseSquare) -> bool:
-    ctx_m = sq.ctx_m()
-    return all(ctx_m.is_star_remote_from(sq.f.image_subl(a))
-               for a in sq.ctx_l().star_remote_set())
+    return _image_witness(sq.f, sq.ctx_l().star(), sq.ctx_m().star()) is None
 
 
 def is_complemented_subl(frame: FiniteFrame, s: Sublocale) -> bool:
@@ -245,62 +250,51 @@ def _verdict(check_id: str, subject: str, hyp: bool,
 # Preservation and reflection over one square
 # ---------------------------------------------------------------------------
 
+def _beta(sq: DenseSquare, ctx_l: RemoteContext,
+          ctx_m: RemoteContext) -> Optional[str]:
+    """f maps remote sublocales, and Rmt elements if f* is weakly closed."""
+    fail = _image_witness(sq.f, ctx_l, ctx_m)
+    if fail is None and sq.f.is_weakly_closed_adjoint():
+        rmt_m = ctx_m.rmt_elements()
+        for x in ctx_l.rmt_elements():
+            if sq.f(x) not in rmt_m:
+                return f"x={sq.l_frame.labels[x]} (Rmt part)"
+    return fail
+
+
 def check_beta(sq: DenseSquare) -> CheckResult:
     """g* skeletal and commuting adjoints force f to preserve remoteness."""
     hyp = sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
-    fail = None
-    if hyp:
-        ctx_m = sq.ctx_m()
-        for a in sq.ctx_l().remote_set():
-            if not ctx_m.is_remote_from(sq.f.image_subl(a)):
-                fail = f"A={sorted(a.labels())}"
-                break
-        if fail is None and sq.f.is_weakly_closed_adjoint():
-            rmt_m = sq.ctx_m().rmt_elements()
-            for x in sq.ctx_l().rmt_elements():
-                if sq.f(x) not in rmt_m:
-                    fail = f"x={sq.l_frame.labels[x]} (Rmt part)"
-                    break
+    fail = _beta(sq, sq.ctx_l(), sq.ctx_m()) if hyp else None
     return _verdict("beta", sq.subject(), hyp, fail)
 
 
 def check_betastar(sq: DenseSquare) -> CheckResult:
     hyp = (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
            and takes_remainder(sq))
-    fail = None
-    if hyp:
-        ctx_m = sq.ctx_m()
-        for a in sq.ctx_l().star_remote_set():
-            if not ctx_m.is_star_remote_from(sq.f.image_subl(a)):
-                fail = f"A={sorted(a.labels())}"
-                break
-        if fail is None and sq.f.is_weakly_closed_adjoint():
-            star_m = sq.ctx_m().star_rmt_elements()
-            for x in sq.ctx_l().star_rmt_elements():
-                if sq.f(x) not in star_m:
-                    fail = f"x={sq.l_frame.labels[x]} (*Rmt part)"
-                    break
+    fail = _beta(sq, sq.ctx_l().star(), sq.ctx_m().star()) if hyp else None
     return _verdict("betastar", sq.subject(), hyp, fail)
+
+
+def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
+           ctx_m: RemoteContext) -> Optional[str]:
+    """A remote image under f, or f(x) in Rmt of M, forces the same in L."""
+    for a in enumerate_sublocales(sq.l_frame):
+        if ctx_m.is_remote_from(sq.f.image_subl(a)) \
+                and not ctx_l.is_remote_from(a):
+            return f"A={sorted(a.labels())}"
+    rmt_l = ctx_l.rmt_elements()
+    rmt_m = ctx_m.rmt_elements()
+    for x in range(sq.l_frame.n):
+        if sq.f(x) in rmt_m and x not in rmt_l:
+            return f"x={sq.l_frame.labels[x]} (Rmt part)"
+    return None
 
 
 def check_beta1(sq: DenseSquare) -> CheckResult:
     """Skeletal g reflects remoteness through images under f."""
     hyp = sq.g.is_skeletal()
-    fail = None
-    if hyp:
-        ctx_l, ctx_m = sq.ctx_l(), sq.ctx_m()
-        for a in enumerate_sublocales(sq.l_frame):
-            if ctx_m.is_remote_from(sq.f.image_subl(a)) \
-                    and not ctx_l.is_remote_from(a):
-                fail = f"A={sorted(a.labels())}"
-                break
-        if fail is None:
-            rmt_l = ctx_l.rmt_elements()
-            rmt_m = ctx_m.rmt_elements()
-            for x in range(sq.l_frame.n):
-                if sq.f(x) in rmt_m and x not in rmt_l:
-                    fail = f"x={sq.l_frame.labels[x]} (Rmt part)"
-                    break
+    fail = _beta1(sq, sq.ctx_l(), sq.ctx_m()) if hyp else None
     return _verdict("beta1", sq.subject(), hyp, fail)
 
 
@@ -308,40 +302,27 @@ def check_beta1star(sq: DenseSquare) -> CheckResult:
     hyp = (sq.g.is_skeletal()
            and is_complemented_subl(sq.m_frame, sq.omega_image)
            and sq.f.preimage_subl(sq.omega_image) == sq.alpha_image)
-    fail = None
-    if hyp:
-        ctx_l, ctx_m = sq.ctx_l(), sq.ctx_m()
-        for a in enumerate_sublocales(sq.l_frame):
-            if ctx_m.is_star_remote_from(sq.f.image_subl(a)) \
-                    and not ctx_l.is_star_remote_from(a):
-                fail = f"A={sorted(a.labels())}"
-                break
-        if fail is None:
-            star_l = ctx_l.star_rmt_elements()
-            star_m = ctx_m.star_rmt_elements()
-            for x in range(sq.l_frame.n):
-                if sq.f(x) in star_m and x not in star_l:
-                    fail = f"x={sq.l_frame.labels[x]} (*Rmt part)"
-                    break
+    fail = _beta1(sq, sq.ctx_l().star(), sq.ctx_m().star()) if hyp else None
     return _verdict("beta1star", sq.subject(), hyp, fail)
+
+
+def _for(sq: DenseSquare, ctx_l: RemoteContext,
+         ctx_m: RemoteContext) -> Optional[str]:
+    """f pulls remote sublocales and Rmt elements of M back into L."""
+    for a in ctx_m.remote_set():
+        if not ctx_l.is_remote_from(sq.f.preimage_subl(a)):
+            return f"A={sorted(a.labels())}"
+    rmt_l = ctx_l.rmt_elements()
+    for x in ctx_m.rmt_elements():
+        if sq.f.adjoint(x) not in rmt_l:
+            return f"x={sq.m_frame.labels[x]} (Rmt part)"
+    return None
 
 
 def check_for(sq: DenseSquare) -> CheckResult:
     """Skeletal g pulls remote sublocales back to remote sublocales."""
     hyp = sq.g.is_skeletal()
-    fail = None
-    if hyp:
-        ctx_l = sq.ctx_l()
-        for a in sq.ctx_m().remote_set():
-            if not ctx_l.is_remote_from(sq.f.preimage_subl(a)):
-                fail = f"A={sorted(a.labels())}"
-                break
-        if fail is None:
-            rmt_l = ctx_l.rmt_elements()
-            for x in sq.ctx_m().rmt_elements():
-                if sq.f.adjoint(x) not in rmt_l:
-                    fail = f"x={sq.m_frame.labels[x]} (Rmt part)"
-                    break
+    fail = _for(sq, sq.ctx_l(), sq.ctx_m()) if hyp else None
     return _verdict("for", sq.subject(), hyp, fail)
 
 
@@ -349,41 +330,49 @@ def check_forstar(sq: DenseSquare) -> CheckResult:
     hyp = (sq.g.is_skeletal()
            and sq.f.preimage_subl(sq.omega_image) == sq.alpha_image
            and is_complemented_subl(sq.m_frame, sq.omega_image))
-    fail = None
-    if hyp:
-        ctx_l = sq.ctx_l()
-        for a in sq.ctx_m().star_remote_set():
-            if not ctx_l.is_star_remote_from(sq.f.preimage_subl(a)):
-                fail = f"A={sorted(a.labels())}"
-                break
-        if fail is None:
-            star_l = ctx_l.star_rmt_elements()
-            for x in sq.ctx_m().star_rmt_elements():
-                if sq.f.adjoint(x) not in star_l:
-                    fail = f"x={sq.m_frame.labels[x]} (*Rmt part)"
-                    break
+    fail = _for(sq, sq.ctx_l().star(), sq.ctx_m().star()) if hyp else None
     return _verdict("forstar", sq.subject(), hyp, fail)
+
+
+def _plain_then_star(sq: DenseSquare, body) -> Optional[str]:
+    """Run a body on the plain contexts, then on the *remote ones when f
+    takes the remainder."""
+    ctx_l, ctx_m = sq.ctx_l(), sq.ctx_m()
+    fail = body(sq, ctx_l, ctx_m)
+    if fail is None and takes_remainder(sq):
+        fail = body(sq, ctx_l.star(), ctx_m.star())
+        if fail is not None:
+            fail += " (star part)"
+    return fail
+
+
+def _for1(sq: DenseSquare, ctx_l: RemoteContext,
+          ctx_m: RemoteContext) -> Optional[str]:
+    """A remote preimage under f forces a remote sublocale of M."""
+    for a in enumerate_sublocales(sq.m_frame):
+        if ctx_l.is_remote_from(sq.f.preimage_subl(a)) \
+                and not ctx_m.is_remote_from(a):
+            return f"A={sorted(a.labels())}"
+    return None
 
 
 def check_for1(sq: DenseSquare) -> CheckResult:
     """Surjective image function turns preimage-remoteness into remoteness."""
     hyp = (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
            and sq.f.image_is_surjective())
-    fail = None
-    if hyp:
-        ctx_l, ctx_m = sq.ctx_l(), sq.ctx_m()
-        for a in enumerate_sublocales(sq.m_frame):
-            if ctx_l.is_remote_from(sq.f.preimage_subl(a)) \
-                    and not ctx_m.is_remote_from(a):
-                fail = f"A={sorted(a.labels())}"
-                break
-        if fail is None and takes_remainder(sq):
-            for a in enumerate_sublocales(sq.m_frame):
-                if ctx_l.is_star_remote_from(sq.f.preimage_subl(a)) \
-                        and not ctx_m.is_star_remote_from(a):
-                    fail = f"A={sorted(a.labels())} (star part)"
-                    break
+    fail = _plain_then_star(sq, _for1) if hyp else None
     return _verdict("for1", sq.subject(), hyp, fail)
+
+
+def _for1star(sq: DenseSquare, ctx_l: RemoteContext,
+              ctx_m: RemoteContext) -> Optional[str]:
+    """f*(x) in Rmt of L forces x in Rmt of M."""
+    rmt_l = ctx_l.rmt_elements()
+    rmt_m = ctx_m.rmt_elements()
+    for x in range(sq.m_frame.n):
+        if sq.f.adjoint(x) in rmt_l and x not in rmt_m:
+            return f"x={sq.m_frame.labels[x]}"
+    return None
 
 
 def check_for1star(sq: DenseSquare) -> CheckResult:
@@ -391,22 +380,7 @@ def check_for1star(sq: DenseSquare) -> CheckResult:
     hyp = sq.g.adjoint_is_skeletal() and (
         (sq.f.is_weakly_closed_adjoint() and sq.g.is_surjective())
         or (sq.adjoints_commute() and sq.f.is_surjective()))
-    fail = None
-    if hyp:
-        ctx_l, ctx_m = sq.ctx_l(), sq.ctx_m()
-        rmt_l = ctx_l.rmt_elements()
-        rmt_m = ctx_m.rmt_elements()
-        for x in range(sq.m_frame.n):
-            if sq.f.adjoint(x) in rmt_l and x not in rmt_m:
-                fail = f"x={sq.m_frame.labels[x]}"
-                break
-        if fail is None and takes_remainder(sq):
-            star_l = ctx_l.star_rmt_elements()
-            star_m = ctx_m.star_rmt_elements()
-            for x in range(sq.m_frame.n):
-                if sq.f.adjoint(x) in star_l and x not in star_m:
-                    fail = f"x={sq.m_frame.labels[x]} (star part)"
-                    break
+    fail = _plain_then_star(sq, _for1star) if hyp else None
     return _verdict("for1star", sq.subject(), hyp, fail)
 
 
@@ -435,11 +409,11 @@ def check_star_gamma_remote_preserving(sq: DenseSquare) -> CheckResult:
     hyp = sq.adjoints_commute()
     fail = None
     if hyp:
-        ctx_m = sq.ctx_m()
+        ctx_l, ctx_m = sq.ctx_l().star(), sq.ctx_m().star()
         p1 = is_f_star_remote_preserving(sq)
-        img = sq.f.image_subl(sq.ctx_l().star_rs())
-        p2 = ctx_m.is_star_remote_from(img)
-        p3 = img <= ctx_m.star_rs()
+        img = sq.f.image_subl(ctx_l.rs())
+        p2 = ctx_m.is_remote_from(img)
+        p3 = img <= ctx_m.rs()
         if not p1 == p2 == p3:
             fail = f"faces={(p1, p2, p3)}"
     return _verdict("stargammaremotepreserving", sq.subject(), hyp, fail)
@@ -497,48 +471,31 @@ SQUARE_CHECKS: dict[str, Callable[[DenseSquare], CheckResult]] = {
 
 def check_bvl(chain: SquareChain) -> CheckResult:
     """theta maps the middle layer's remote sublocales to remote ones."""
-    ctx_l = chain.outer.ctx_l()
-    for a in chain.ctx_r().remote_set():
-        if not ctx_l.is_remote_from(chain.theta.image_subl(a)):
-            return _verdict("bvl", chain.subject(), True,
-                            f"A={sorted(a.labels())}")
-    return _verdict("bvl", chain.subject(), True, None)
+    fail = _image_witness(chain.theta, chain.ctx_r(), chain.outer.ctx_l())
+    return _verdict("bvl", chain.subject(), True, fail)
 
 
 def check_starbvl(chain: SquareChain) -> CheckResult:
-    ctx_l = chain.outer.ctx_l()
-    for a in chain.ctx_r().star_remote_set():
-        if not ctx_l.is_star_remote_from(chain.theta.image_subl(a)):
-            return _verdict("starbvl", chain.subject(), True,
-                            f"A={sorted(a.labels())}")
-    return _verdict("starbvl", chain.subject(), True, None)
-
-
-def _inner_preserving(chain: SquareChain) -> bool:
-    """phi maps remote-from-i[S] sublocales to remote-from-k[T] ones."""
-    ctx_u = chain.ctx_u()
-    return all(ctx_u.is_remote_from(chain.phi.image_subl(a))
-               for a in chain.ctx_r().remote_set())
-
-
-def _inner_star_preserving(chain: SquareChain) -> bool:
-    ctx_u = chain.ctx_u()
-    return all(ctx_u.is_star_remote_from(chain.phi.image_subl(a))
-               for a in chain.ctx_r().star_remote_set())
+    fail = _image_witness(chain.theta, chain.ctx_r().star(),
+                          chain.outer.ctx_l().star())
+    return _verdict("starbvl", chain.subject(), True, fail)
 
 
 def check_gfremote(chain: SquareChain) -> CheckResult:
     """Outer f-remote preservation descends to the middle layer."""
     hyp = is_f_remote_preserving(chain.outer)
     fail = None
-    if hyp and not _inner_preserving(chain):
+    if hyp and _image_witness(chain.phi, chain.ctx_r(),
+                              chain.ctx_u()) is not None:
         fail = "phi not remote preserving"
     return _verdict("gfremote", chain.subject(), hyp, fail)
 
 
 def check_obsfremote(chain: SquareChain) -> CheckResult:
     """Converse of the descent when alpha is surjective."""
-    hyp = chain.outer.alpha.is_surjective() and _inner_preserving(chain)
+    hyp = (chain.outer.alpha.is_surjective()
+           and _image_witness(chain.phi, chain.ctx_r(),
+                              chain.ctx_u()) is None)
     fail = None
     if hyp and not is_f_remote_preserving(chain.outer):
         fail = "f not remote preserving"
@@ -551,7 +508,8 @@ def check_star_obs_gfremote(chain: SquareChain) -> CheckResult:
            and chain.phi.preimage_subl(chain.k_image) == chain.i_image
            and chain.phi.image_is_surjective())
     fail = None
-    if hyp and not _inner_star_preserving(chain):
+    if hyp and _image_witness(chain.phi, chain.ctx_r().star(),
+                              chain.ctx_u().star()) is not None:
         fail = "phi not *remote preserving"
     return _verdict("starobsgfremote", chain.subject(), hyp, fail)
 

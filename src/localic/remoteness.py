@@ -3,7 +3,8 @@
 A :class:`RemoteContext` fixes a frame L and a dense sublocale S.  A
 sublocale T is remote from S when it misses the ambient closure of every
 S-nowhere dense sublocale of S; *remote additionally requires T to sit
-inside the supplement of S.
+inside the supplement of S, so the *remote context ``ctx.star()`` is the
+same context restricted to L minus S.
 
 Every predicate has two routes: a fast path driven by the S-dense elements
 of S, and an oracle path that enumerates the S-nowhere dense sublocales in
@@ -32,18 +33,25 @@ SMALL_COFRAME = 256
 
 
 class RemoteContext:
-    """The pair (L, S) with S a dense sublocale of L."""
+    """The pair (L, S) with S a dense sublocale of L, inside a sublocale W.
 
-    __slots__ = ("frame", "s", "s_dense", "_miss_mask", "_open_mask",
-                 "_nwd_union", "_supplement")
+    Every operation asks for T remote from S and T <= W.  W is all of L for
+    an ordinary context; :meth:`star` gives the *remote context, whose W
+    is L minus S.
+    """
 
-    def __init__(self, frame: FiniteFrame, dense_subl: Sublocale):
+    __slots__ = ("frame", "s", "within", "s_dense", "_miss_mask",
+                 "_open_mask", "_nwd_union", "_star")
+
+    def __init__(self, frame: FiniteFrame, dense_subl: Sublocale,
+                 within: Optional[Sublocale] = None):
         if dense_subl.frame is not frame:
             raise MixedFrames("context sublocale belongs to another frame")
         if not dense_subl.is_dense():
             raise InvalidSublocale("remoteness contexts need a dense sublocale")
         self.frame = frame
         self.s = dense_subl
+        self.within = whole_subl(frame) if within is None else within
         # For dense S the S-pseudocomplement of x in S equals x* in L, so
         # the S-dense members of S are the ambient-dense members of S.
         self.s_dense = [x for x in bits(dense_subl.mask)
@@ -51,15 +59,28 @@ class RemoteContext:
         mask = 0
         for x in self.s_dense:
             mask |= frame.up[x]
-        self._miss_mask = mask & ~(1 << frame.top)
+        # T <= W exactly when T has no point outside W
+        self._miss_mask = (mask & ~(1 << frame.top)
+                           | frame.points_mask() & ~self.within.mask)
         self._open_mask = None
         self._nwd_union = None
-        self._supplement = None
+        self._star = None
+
+    def star(self) -> "RemoteContext":
+        """The *remote context: the same S, inside its supplement L minus S."""
+        if self._star is None:
+            self._star = type(self)(self.frame, self.s,
+                                    supplement(self.frame, self.s))
+        return self._star
+
+    def _outside(self) -> int:
+        """The elements of L that are not in W."""
+        return (1 << self.frame.n) - 1 & ~self.within.mask
 
     # -- the oracle and two more predicates equivalent to the fast path --
 
     def pred_nwd_oracle(self, t: Sublocale) -> bool:
-        """T meets the closure of no S-nowhere dense sublocale of S.
+        """T <= W and T meets the closure of no S-nowhere dense sublocale.
 
         Missing every closure is missing their union, one mask filled from
         the induced-frame enumeration.
@@ -68,86 +89,63 @@ class RemoteContext:
             union = 0
             for n in s_nowhere_dense_sublocales(self.s):
                 union |= n.closure().mask
-            self._nwd_union = union & ~(1 << self.frame.top)
+            self._nwd_union = union & ~(1 << self.frame.top) | self._outside()
         return t.mask & self._nwd_union == 0
 
     def pred_open_subset(self, t: Sublocale) -> bool:
-        """T <= o(x) for every S-dense x in S: T inside their meet."""
+        """T <= W and T <= o(x) for every S-dense x in S: T inside a meet."""
         if self._open_mask is None:
-            mask = (1 << self.frame.n) - 1
+            mask = self.within.mask
             for x in self.s_dense:
                 mask &= open_subl(self.frame, x).mask
             self._open_mask = mask
         return t.mask & ~self._open_mask == 0
 
     def pred_nucleus_top(self, t: Sublocale) -> bool:
-        """nu_T(x) = 1 for every S-dense x in S."""
+        """T <= W and nu_T(x) = 1 for every S-dense x in S."""
         top = self.frame.top
-        return all(nucleus_map(t, x) == top for x in self.s_dense)
+        return (t.mask & self._outside() == 0
+                and all(nucleus_map(t, x) == top for x in self.s_dense))
 
     # -- public operations --------------------------------------------------
 
     def is_remote_from(self, t: Sublocale, oracle: bool = False) -> bool:
         if oracle:
             return self.pred_nwd_oracle(t)
-        # T /\ c(x) = O for every S-dense x in S, as one mask test
+        # T /\ c(x) = O for every S-dense x in S and T <= W, as one mask test
         return t.mask & self._miss_mask == 0
-
-    def supplement_of_s(self) -> Sublocale:
-        if self._supplement is None:
-            self._supplement = supplement(self.frame, self.s)
-        return self._supplement
-
-    def is_star_remote_from(self, t: Sublocale, oracle: bool = False) -> bool:
-        return (t.mask & ~self.supplement_of_s().mask == 0
-                and self.is_remote_from(t, oracle=oracle))
 
     def remote_set(self, oracle: bool = False) -> list[Sublocale]:
         return [t for t in enumerate_sublocales(self.frame)
                 if self.is_remote_from(t, oracle=oracle)]
 
-    def star_remote_set(self, oracle: bool = False) -> list[Sublocale]:
-        supp = self.supplement_of_s().mask
-        return [t for t in enumerate_sublocales(self.frame)
-                if t.mask & ~supp == 0 and self.is_remote_from(t, oracle=oracle)]
-
     def rmt_elements(self, oracle: bool = False) -> set[int]:
-        """{a : c(a) is remote from S}."""
+        """{a : c(a) is remote from S and c(a) <= W}."""
         f = self.frame
         if oracle:
             return {a for a in range(f.n)
                     if self.pred_nwd_oracle(closed_subl(f, a))}
-        # a \/ x = 1 for every S-dense x in S
-        return {a for a in range(f.n)
-                if all(f.join_table[a][x] == f.top for x in self.s_dense)}
-
-    def star_rmt_elements(self, oracle: bool = False) -> set[int]:
-        f = self.frame
-        supp = self.supplement_of_s().mask
-        return {a for a in self.rmt_elements(oracle=oracle)
-                if f.up[a] & ~supp == 0}
+        # c(a) <= W, and a \/ x = 1 for every S-dense x in S
+        outside = self._outside()
+        return {a for a in range(f.n) if f.up[a] & outside == 0
+                and all(f.join_table[a][x] == f.top for x in self.s_dense)}
 
     def rs(self, oracle: bool = False) -> Sublocale:
         """The largest sublocale remote from S (join of all of them).
 
-        The miss mask is an up-set, so no remote T has a point in it, and
-        the span of the points outside it misses it: Rs is that span.
+        No remote T has a point in the miss mask, and the span of the points
+        outside it is remote: the S-dense part of the mask is an up-set, so
+        the span misses it, and W is closed under meets, so the span lies
+        in W.  Rs is that span.
         """
+        f = self.frame
         if oracle:
-            return subl_join([void_subl(self.frame)]
-                             + self.remote_set(oracle=True))
-        return self._span_outside(self._miss_mask)
+            return subl_join([void_subl(f)] + self.remote_set(oracle=True))
+        return Sublocale(f, span(f, f.points_mask() & ~self._miss_mask))
 
     def star_rs(self, oracle: bool = False) -> Sublocale:
-        """The largest sublocale *remote from S: Rs without the points of S."""
-        if oracle:
-            return subl_join([void_subl(self.frame)]
-                             + self.star_remote_set(oracle=True))
-        return self._span_outside(self._miss_mask | self.s.mask)
-
-    def _span_outside(self, mask: int) -> Sublocale:
-        f = self.frame
-        return Sublocale(f, span(f, f.points_mask() & ~mask))
+        """*Rs, the largest sublocale *remote from S."""
+        return self.star().rs(oracle)
 
     def subject(self) -> str:
         return (f"{self.frame.name or 'frame'}; "
@@ -229,7 +227,7 @@ def check_nd_remote(ctx: RemoteContext) -> CheckResult:
 def check_star_subset(ctx: RemoteContext) -> CheckResult:
     """*remote sublocales are remote."""
     remote = set(t.mask for t in ctx.remote_set())
-    for t in ctx.star_remote_set():
+    for t in ctx.star().remote_set():
         if t.mask not in remote:
             return _result("remotesets", ctx.subject(), False,
                            f"T={sorted(t.labels())}")
@@ -267,21 +265,13 @@ def check_rem_s_intersection(ctx: RemoteContext) -> CheckResult:
 
 
 def check_rmt_characterization(ctx: RemoteContext) -> CheckResult:
-    """Rmt via the join condition agrees with remoteness of c(a); star too."""
-    fast = ctx.rmt_elements()
-    slow = ctx.rmt_elements(oracle=True)
-    if fast != slow:
-        return _result("sublocale", ctx.subject(), False,
-                       f"join-rule={sorted(fast)} oracle={sorted(slow)}")
-    f = ctx.frame
-    supp = ctx.supplement_of_s().mask
-    star = ctx.star_rmt_elements(oracle=True)
-    for a in range(f.n):
-        if f.up[a] & ~supp == 0:
-            join_rule = all(f.join_table[a][x] == f.top for x in ctx.s_dense)
-            if (a in star) != join_rule:
-                return _result("sublocale", ctx.subject(), False,
-                               f"star mismatch at a={f.labels[a]}")
+    """Rmt via the join condition agrees with remoteness of c(a); *Rmt too."""
+    for c in (ctx, ctx.star()):
+        fast = c.rmt_elements()
+        slow = c.rmt_elements(oracle=True)
+        if fast != slow:
+            return _result("sublocale", ctx.subject(), False,
+                           f"join-rule={sorted(fast)} oracle={sorted(slow)}")
     return _result("sublocale", ctx.subject(), True)
 
 
@@ -290,7 +280,7 @@ def check_rare_equality(ctx: RemoteContext) -> CheckResult:
     if not is_rare(ctx.frame, ctx.s):
         return CheckResult("rareequality", ctx.subject(), HYPOTHESES_NOT_MET)
     plain = {t.mask for t in ctx.remote_set()}
-    star = {t.mask for t in ctx.star_remote_set()}
+    star = {t.mask for t in ctx.star().remote_set()}
     return _result("rareequality", ctx.subject(), plain == star,
                    f"difference masks {sorted(plain ^ star)}")
 
@@ -376,11 +366,10 @@ def check_remprop_bl(frame: FiniteFrame) -> CheckResult:
 
 def check_remprop_bl_star(frame: FiniteFrame) -> CheckResult:
     """*remote-from-BL sublocales are exactly those inside L \\ BL."""
-    ctx = bl_context(frame)
-    supp = ctx.supplement_of_s().mask
+    star = bl_context(frame).star()
     expected = {t.mask for t in enumerate_sublocales(frame)
-                if t.mask & ~supp == 0}
-    actual = {t.mask for t in ctx.star_remote_set(oracle=True)}
+                if t <= star.within}
+    actual = {t.mask for t in star.remote_set(oracle=True)}
     return _result("rempropBLstar", _fsubject(frame), expected == actual,
                    f"difference masks {sorted(expected ^ actual)}")
 
@@ -393,10 +382,10 @@ def check_l_is_large(frame: FiniteFrame) -> CheckResult:
 
 def check_rs_dense(frame: FiniteFrame) -> CheckResult:
     """*Rs(L |x BL), joined over the oracle's *remote set, is L \\ BL."""
-    ctx = bl_context(frame)
-    star = ctx.star_rs(oracle=True)
-    return _result("RsDense", _fsubject(frame), star == ctx.supplement_of_s(),
-                   f"*Rs={sorted(star.labels())}")
+    star = bl_context(frame).star()
+    rs = star.rs(oracle=True)
+    return _result("RsDense", _fsubject(frame), rs == star.within,
+                   f"*Rs={sorted(rs.labels())}")
 
 
 def check_obs_remotefrom(frame: FiniteFrame) -> CheckResult:
@@ -409,9 +398,8 @@ def check_obs_remotefrom(frame: FiniteFrame) -> CheckResult:
 def check_obs_remotefrom_star(frame: FiniteFrame) -> CheckResult:
     """L dense in itself iff L is *remote from its Booleanization."""
     from .sublocale import is_dense_in_itself
-    ctx = bl_context(frame)
     ok = is_dense_in_itself(frame) \
-        == ctx.is_star_remote_from(whole_subl(frame))
+        == bl_context(frame).star().is_remote_from(whole_subl(frame))
     return _result("obsremotefromstar", _fsubject(frame), ok)
 
 

@@ -88,8 +88,11 @@ class Sublocale:
         Returns ``(frame, elems)`` where ``elems[i]`` is the ambient element
         index of subframe element ``i``.  Order is inherited; meets coincide
         with the ambient meets, joins and implication are recomputed inside.
+        The induced frame of the whole sublocale is the frame itself.
         """
-        if self._frame_view is None:
+        if self._frame_view is None and self.is_whole():
+            self._frame_view = (self.frame, list(range(self.frame.n)))
+        elif self._frame_view is None:
             f = self.frame
             elems = list(self.members())
             pos = {e: i for i, e in enumerate(elems)}

@@ -242,12 +242,12 @@ def test_criterion_6_known_value_regressions():
         problems.append("rs(C3,L)")
 
     # *Rs(C3 from BL) = c(m), oracle join first
-    star_ctx = bl_context(c3)
+    star_ctx = bl_context(c3).star()
     star_oracle = subl_join(
         [t for t in brute_sublocales(c3)
-         if star_ctx.is_star_remote_from(t, oracle=True)])
+         if star_ctx.is_remote_from(t, oracle=True)])
     if star_oracle != closed_subl(c3, 1) \
-            or star_ctx.star_rs() != closed_subl(c3, 1):
+            or star_ctx.rs() != closed_subl(c3, 1):
         problems.append("*Rs(C3,BL)")
 
     _report("criterion-6 known-value-regressions", not problems,

@@ -5,6 +5,7 @@ import pytest
 from localic import cli
 from localic.cli import main
 from localic.generators import GenSpec
+from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS, SKIPPED
 
 C3_DOC = {
     "type": "frame",
@@ -223,3 +224,37 @@ def test_suite_clamps_workers_to_cores(monkeypatch):
     assert cli.render_report(cli.run_suite(spec, "*", 1000)) == serial
     assert cli.render_report(cli.run_suite(spec, "*", 2)) == serial
     assert pools == [3, 2]
+
+
+# Per-check (pass, hypotheses-not-met) tallies of
+# `localic suite --family all-posets-up-to --max-size 3`; no row is skipped
+# and none fails.
+SIZE3_TALLIES = {
+    "BLandL1": (18, 0), "BLandL4": (18, 0), "BLisremote": (18, 0),
+    "Lislarge": (9, 0), "NDSremotefrom": (18, 0), "RsBL": (18, 0),
+    "RsDense": (9, 0), "RsNd": (18, 0), "SRemLemma": (18, 0),
+    "SRemandSRemLS": (18, 0), "SisBL": (18, 0), "beta": (267, 133),
+    "beta1": (309, 91), "beta1star": (191, 209), "betastar": (178, 222),
+    "bvl": (240, 0), "for": (309, 91), "for1": (46, 354),
+    "for1star": (50, 350), "forstar": (191, 209),
+    "gammapreservationlemma": (400, 0), "gammaremotepreserving": (353, 47),
+    "gfremote": (177, 63), "obsfremote": (126, 114), "obsremotefrom": (9, 0),
+    "obsremotefromstar": (9, 0), "opendensefrom": (18, 0),
+    "rareequality": (1, 17), "remS": (18, 0),
+    "remotepreservation": (353, 47), "remotesets": (18, 0),
+    "rempropBL": (9, 0), "rempropBLstar": (9, 0), "starbvl": (240, 0),
+    "stargammaremotepreserving": (353, 47), "starobsgfremote": (27, 213),
+    "sublocale": (18, 0), "tfg-1": (204, 36), "tfg-2": (184, 56),
+    "tfg-3": (18, 222),
+}
+
+
+def test_suite_tallies_are_pinned():
+    report = cli.run_suite(GenSpec("all-posets-up-to", 3), "*", 1)
+    assert report["corpus"] == {"chain": 240, "context": 18, "frame": 9,
+                                "square": 400, "triangle": 240}
+    got = {cid: (t[PASS], t[HYPOTHESES_NOT_MET])
+           for cid, t in report["checks"].items()}
+    assert got == SIZE3_TALLIES
+    assert all(t[SKIPPED] == 0 and t[FAIL] == 0
+               for t in report["checks"].values())

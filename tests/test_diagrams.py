@@ -1,8 +1,9 @@
 import pytest
 
 from localic import (
-    DenseSquare, GenSpec, InvalidSquare, SquareChain, Triangle,
-    booleanization, chain_frame, checks_in_scope, identity_map, whole_subl,
+    DenseSquare, GenSpec, InvalidSquare, RemoteContext, SquareChain,
+    Triangle, booleanization, chain_frame, checks_in_scope, identity_map,
+    whole_subl,
 )
 from localic.diagrams import (
     CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, is_complemented_subl,
@@ -12,7 +13,7 @@ from localic.generators import (
     gen_chains, gen_frames, gen_squares, gen_triangles, identity_square,
     inclusion_map, square_from,
 )
-from localic.result import FAIL, PASS
+from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,50 @@ def test_chain_checks(squares):
         for cid, fn in sorted(CHAIN_CHECKS.items()):
             r = fn(chain)
             assert r.verdict != FAIL, (cid, r.subject, r.witness)
+
+
+class _RejectAll(RemoteContext):
+    """A context in which nothing is remote; its star() is one too."""
+
+    def is_remote_from(self, t, oracle=False):
+        return False
+
+
+def _rejecting(sq: DenseSquare, side: str) -> DenseSquare:
+    """A copy of sq whose source ("l") or target ("m") context rejects all."""
+    fresh = DenseSquare(sq.g, sq.f, sq.alpha, sq.omega)
+    frame, s = ((sq.l_frame, sq.alpha_image) if side == "l"
+                else (sq.m_frame, sq.omega_image))
+    setattr(fresh, f"_ctx_{side}", _RejectAll(frame, s))
+    return fresh
+
+
+# the side whose context the conclusion of each check asks about
+_CONCLUSION_SIDE = {"beta": "m", "betastar": "m", "beta1": "l",
+                    "beta1star": "l", "for": "l", "forstar": "l"}
+
+
+def test_preservation_bodies_are_not_vacuous(squares):
+    # whenever the hypotheses hold, a conclusion context that rejects every
+    # sublocale must turn the verdict into a failure with a witness
+    hits = dict.fromkeys(_CONCLUSION_SIDE, 0)
+    for sq in squares:
+        for cid, side in _CONCLUSION_SIDE.items():
+            fn = SQUARE_CHECKS[cid]
+            if fn(sq).verdict == HYPOTHESES_NOT_MET:
+                continue
+            r = fn(_rejecting(sq, side))
+            assert r.verdict == FAIL and r.witness, (cid, r.subject)
+            hits[cid] += 1
+    assert all(hits.values()), hits
+    chains = gen_chains(squares[:20], budget=40)
+    assert chains
+    for c in chains:
+        outer = _rejecting(c.outer, "l")
+        rejecting = SquareChain(outer, c.i, c.k, c.phi, c.theta, c.sigma)
+        for fn in (CHAIN_CHECKS["bvl"], CHAIN_CHECKS["starbvl"]):
+            r = fn(rejecting)
+            assert r.verdict == FAIL and r.witness, r.subject
 
 
 def test_chain_inner_square(squares):

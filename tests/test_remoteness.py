@@ -1,7 +1,7 @@
 from localic import (
     RemoteContext, Sublocale, bl_context, booleanization, chain_frame,
-    checks_in_scope, closed_subl, enumerate_sublocales, void_subl,
-    whole_context, whole_subl,
+    checks_in_scope, closed_subl, enumerate_sublocales, subl_join,
+    supplement, void_subl, whole_context, whole_subl,
 )
 from localic.frame import popcount
 from localic.remoteness import (
@@ -51,22 +51,39 @@ def test_everything_remote_from_bl(c3, c4, b2):
             assert ctx.is_remote_from(t, oracle=True)
 
 
+def _star_remote(ctx, t, oracle):
+    """*remote, straight from the definition: remote and inside L minus S."""
+    return t <= supplement(ctx.frame, ctx.s) and ctx.is_remote_from(t, oracle)
+
+
 def test_fast_and_oracle_agree(tier1_frames):
     for f in tier1_frames:
         for ctx in all_contexts(f):
+            star = ctx.star()
             for t in enumerate_sublocales(f):
                 assert ctx.is_remote_from(t) == ctx.is_remote_from(
                     t, oracle=True)
-            assert ctx.rs() == ctx.rs(oracle=True), ctx.subject()
-            assert ctx.star_rs() == ctx.star_rs(oracle=True), ctx.subject()
+                for oracle in (False, True):
+                    assert star.is_remote_from(t, oracle) \
+                        == _star_remote(ctx, t, oracle), ctx.subject()
+            for c in (ctx, star):
+                assert c.rs() == c.rs(oracle=True), ctx.subject()
+                assert c.rmt_elements() == c.rmt_elements(oracle=True)
+            star_rs = subl_join([void_subl(f)] + [
+                t for t in enumerate_sublocales(f)
+                if _star_remote(ctx, t, oracle=True)])
+            assert star.rs() == star_rs == ctx.star_rs(oracle=True)
 
 
-def test_four_predicates_agree(c4):
-    for ctx in all_contexts(c4):
-        for t in enumerate_sublocales(c4):
-            votes = {ctx.pred_nwd_oracle(t), ctx.is_remote_from(t),
-                     ctx.pred_open_subset(t), ctx.pred_nucleus_top(t)}
-            assert len(votes) == 1
+def test_four_predicates_agree(tier1_frames):
+    for f in tier1_frames:
+        for ctx in all_contexts(f):
+            for t in enumerate_sublocales(f):
+                for c, oracle in ((ctx, ctx.pred_nwd_oracle(t)),
+                                  (ctx.star(), _star_remote(ctx, t, True))):
+                    votes = [c.pred_nwd_oracle(t), c.is_remote_from(t),
+                             c.pred_open_subset(t), c.pred_nucleus_top(t)]
+                    assert votes == [oracle] * 4, (ctx.subject(), t)
 
 
 def test_rem_s_runs_beyond_256_sublocales():
@@ -97,10 +114,13 @@ def test_rmt_c3(c3):
 
 def test_star_remote_requires_supplement(c3):
     ctx = bl_context(c3)
+    assert ctx.within.is_whole()
+    star = ctx.star()
+    assert star is ctx.star() and star.within == closed_subl(c3, 1)
     # L is remote from BL but not *remote (not inside L minus BL)
     assert ctx.is_remote_from(whole_subl(c3))
-    assert not ctx.is_star_remote_from(whole_subl(c3))
-    assert ctx.is_star_remote_from(closed_subl(c3, 1))
+    assert not star.is_remote_from(whole_subl(c3))
+    assert star.is_remote_from(closed_subl(c3, 1))
 
 
 def test_void_always_remote(tier1_frames):
