@@ -9,6 +9,7 @@ can be compared directly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -164,7 +165,10 @@ def answer_query(frame: FiniteFrame, words: list[str]):
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import; parse_args returns a fresh
+    # namespace each time, so one parser serves every call of main.
     p = argparse.ArgumentParser(
         prog="localic",
         description="finite-locale computations and theorem suite")
@@ -251,9 +255,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

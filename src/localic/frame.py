@@ -209,50 +209,56 @@ def frame_from_leq(up: Sequence[int],
                     f"elements {a} and {b} are in a cycle")
     down = [_mask_of(x for x in range(n) if up[x] >> a & 1) for a in range(n)]
 
-    def glb(a: int, b: int) -> int:
-        lower = down[a] & down[b]
-        for m in bits(lower):
-            if lower & ~down[m] == 0:
-                return m
-        raise NotALattice(f"elements {a} and {b} have no meet")
-
-    def lub(a: int, b: int) -> int:
-        upper = up[a] & up[b]
-        for m in bits(upper):
-            if upper & ~up[m] == 0:
-                return m
-        raise NotALattice(f"elements {a} and {b} have no join")
-
+    # a /\ b is the element whose down-set is down[a] & down[b], if any;
+    # dually for joins.
+    by_down = {d: x for x, d in enumerate(down)}
+    by_up = {u: x for x, u in enumerate(up)}
     meet_table = [[0] * n for _ in range(n)]
     join_table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            meet_table[a][b] = meet_table[b][a] = glb(a, b)
-            join_table[a][b] = join_table[b][a] = lub(a, b)
+            m = by_down.get(down[a] & down[b])
+            if m is None:
+                raise NotALattice(f"elements {a} and {b} have no meet")
+            j = by_up.get(up[a] & up[b])
+            if j is None:
+                raise NotALattice(f"elements {a} and {b} have no join")
+            meet_table[a][b] = meet_table[b][a] = m
+            join_table[a][b] = join_table[b][a] = j
 
     bottom = next(a for a in range(n) if popcount(up[a]) == n)
     top = next(a for a in range(n) if popcount(down[a]) == n)
 
+    # j is join-irreducible when its strict down-set has a largest element.
+    # The lattice is distributive iff x -> jm[x], the join-irreducibles
+    # below x, preserves binary joins (Birkhoff); then jm is a lattice
+    # isomorphism onto the down-sets of the join-irreducibles.
+    irr = _mask_of(j for j in range(n) if down[j] & ~(1 << j) in by_down)
+    jm = [d & irr for d in down]
     for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = meet_table[a][join_table[b][c]]
-                rhs = join_table[meet_table[a][b]][meet_table[a][c]]
-                if lhs != rhs:
-                    raise NotDistributive(
-                        f"witness triple ({a},{b},{c}): "
-                        f"{a}/\\({b}\\/{c})={lhs} but ({a}/\\{b})\\/({a}/\\{c})={rhs}")
+        for b in range(a + 1, n):
+            lost = jm[join_table[a][b]] & ~(jm[a] | jm[b])
+            if lost:
+                # j <= a \/ b, but j /\ a and j /\ b lie below j's lower cover
+                j = (lost & -lost).bit_length() - 1
+                rhs = join_table[meet_table[j][a]][meet_table[j][b]]
+                raise NotDistributive(
+                    f"witness triple ({j},{a},{b}): "
+                    f"{j}/\\({a}\\/{b})={j} but ({j}/\\{a})\\/({j}/\\{b})={rhs}")
 
-    # a -> b is the join of {x : x /\ a <= b}; in a distributive finite
-    # lattice that set is join-closed, so the fold lands on its maximum.
+    # a -> b is the element whose join-irreducibles are the j with
+    # j /\ a <= b.
+    by_jm = {m: x for x, m in enumerate(jm)}
+    irreducibles = [(1 << j, jm[j]) for j in bits(irr)]
     impl_table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            r = bottom
-            for x in range(n):
-                if down[b] >> meet_table[x][a] & 1:
-                    r = join_table[r][x]
-            impl_table[a][b] = r
+            outside = jm[a] & ~jm[b]
+            m = 0
+            for bit, below in irreducibles:
+                if not below & outside:
+                    m |= bit
+            impl_table[a][b] = by_jm[m]
 
     if labels is None:
         labels = tuple(str(i) for i in range(n))
@@ -278,6 +284,8 @@ def build_frame(order: Iterable[tuple[int, int]], n: int,
     """
     if n <= 0:
         raise NotALattice("element count must be positive")
+    if n > MAX_ELEMENTS:    # before the closure, which is cubic in n
+        raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
     up = _close_order(n, order)
     return frame_from_leq(up, labels=labels, name=name)
 

@@ -11,6 +11,9 @@ they mention and reference them by name.
   square: {"type": "square", "frames": [...], "maps": {name: mapbody},
            "square": {"g": name, "f": name, "alpha": name, "omega": name}}
   chain:  square fields plus {"chain": {"i","k","phi","theta","sigma"}}
+
+Labels and names are strings, and the labels of a frame are distinct.  A
+field of any other shape raises InvalidDocument.
 """
 
 from __future__ import annotations
@@ -26,26 +29,56 @@ from .diagrams import DenseSquare, SquareChain
 Document = Union[FiniteFrame, LocalicMap, DenseSquare, SquareChain]
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidDocument(f"{what} must be an object")
+    return value
+
+
+def _names(value, what: str) -> dict[str, str]:
+    """``value`` if it is an object whose values are all strings."""
+    if not isinstance(value, dict) or not all(
+            isinstance(v, str) for v in value.values()):
+        raise InvalidDocument(f"{what} must be an object with string values")
+    return value
+
+
+def _pick(named: dict, key, what: str):
+    """``named[key]`` for a string key, else InvalidDocument."""
+    if not isinstance(key, str) or key not in named:
+        raise InvalidDocument(f"unknown {what} {key!r}")
+    return named[key]
+
+
 def frame_from_json(doc: dict) -> FiniteFrame:
+    doc = _object(doc, "a frame")
+    labels = doc.get("elements")
+    if not isinstance(labels, list) or not all(
+            isinstance(x, str) for x in labels):
+        raise InvalidDocument("'elements' must be a list of strings")
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise InvalidDocument("element labels must be distinct")
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InvalidDocument("a frame name must be a string")
+    order = doc.get("order")
+    if not isinstance(order, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in order):
+        raise InvalidDocument("'order' must be a list of [a, b] pairs")
     try:
-        labels = list(doc["elements"])
-        pairs = [(labels.index(a), labels.index(b)) for a, b in doc["order"]]
-    except (KeyError, TypeError) as e:
-        raise InvalidDocument(f"malformed frame document: {e}")
-    except ValueError as e:
+        pairs = [(index[a], index[b]) for a, b in order]
+    except (KeyError, TypeError) as e:     # TypeError: an unhashable label
         raise InvalidDocument(f"order references unknown element: {e}")
-    return build_frame(pairs, len(labels), labels=labels,
-                       name=doc.get("name"))
+    return build_frame(pairs, len(labels), labels=labels, name=name)
 
 
 def _map_from_body(body: dict, frames: dict[str, FiniteFrame],
                    name: str = "") -> LocalicMap:
-    try:
-        src = frames[body["source"]]
-        tgt = frames[body["target"]]
-        tab = body["table"]
-    except KeyError as e:
-        raise InvalidDocument(f"map references unknown frame or field: {e}")
+    body = _object(body, "a map")
+    src = _pick(frames, body.get("source"), "source frame")
+    tgt = _pick(frames, body.get("target"), "target frame")
+    tab = _names(body.get("table"), "a map table")
     table = [0] * src.n
     if set(tab) != set(src.labels):
         raise InvalidDocument("map table keys must cover the source exactly")
@@ -58,8 +91,11 @@ def _map_from_body(body: dict, frames: dict[str, FiniteFrame],
 
 
 def _frames_of(doc: dict) -> dict[str, FiniteFrame]:
+    fdocs = doc.get("frames", [])
+    if not isinstance(fdocs, list):
+        raise InvalidDocument("'frames' must be a list")
     frames = {}
-    for fdoc in doc.get("frames", []):
+    for fdoc in fdocs:
         f = frame_from_json(fdoc)
         if f.name in frames:
             raise InvalidDocument(f"duplicate frame name {f.name!r}")
@@ -70,12 +106,10 @@ def _frames_of(doc: dict) -> dict[str, FiniteFrame]:
 def _square_from_json(doc: dict) -> tuple[DenseSquare, dict[str, LocalicMap]]:
     frames = _frames_of(doc)
     maps = {name: _map_from_body(body, frames, name)
-            for name, body in doc.get("maps", {}).items()}
-    try:
-        sq = doc["square"]
-        parts = [maps[sq[k]] for k in ("g", "f", "alpha", "omega")]
-    except KeyError as e:
-        raise InvalidDocument(f"square references unknown map or field: {e}")
+            for name, body in _object(doc.get("maps", {}), "'maps'").items()}
+    sq = _names(doc.get("square"), "'square'")
+    parts = [_pick(maps, sq.get(k), "map")
+             for k in ("g", "f", "alpha", "omega")]
     return DenseSquare(*parts), maps
 
 
@@ -91,11 +125,9 @@ def document_from_json(doc: dict) -> Document:
         return _square_from_json(doc)[0]
     if kind == "chain":
         outer, maps = _square_from_json(doc)
-        try:
-            ch = doc["chain"]
-            parts = [maps[ch[k]] for k in ("i", "k", "phi", "theta", "sigma")]
-        except KeyError as e:
-            raise InvalidDocument(f"chain references unknown map or field: {e}")
+        ch = _names(doc.get("chain"), "'chain'")
+        parts = [_pick(maps, ch.get(k), "map")
+                 for k in ("i", "k", "phi", "theta", "sigma")]
         return SquareChain(outer, *parts)
     raise InvalidDocument(f"unknown document type {kind!r}")
 
@@ -106,6 +138,7 @@ def load_document(path: str) -> Document:
             doc = json.load(fh)
     except OSError as e:
         raise InvalidDocument(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, bytes that are not text, or nesting too deep
         raise InvalidDocument(f"not valid JSON: {e}")
     return document_from_json(doc)

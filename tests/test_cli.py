@@ -1,10 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from localic import cli
+from localic import (
+    DenseSquare, FiniteFrame, LocalicError, LocalicMap, SquareChain, cli,
+)
 from localic.cli import main
 from localic.generators import GenSpec
+from localic.jsonio import document_from_json
 from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS, SKIPPED
 
 C3_DOC = {
@@ -86,6 +90,94 @@ def test_validate_rejects_bad_map_table(tmp_path):
     assert main(["validate", _write(tmp_path, "bad_map.json", doc)]) == 2
 
 
+CHAIN_DOC = dict(SQUARE_DOC, type="chain", chain={
+    "i": "g", "k": "g", "phi": "g", "theta": "alpha", "sigma": "omega"})
+
+
+def _one_line(err: str) -> bool:
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "frame", "elements": [[1]], "order": []},
+    dict(MAP_DOC, frames=[dict(C3_DOC, name=["F"])]),
+    dict(MAP_DOC, table={"0": "0", "m": ["m"], "1": "1"}),
+    dict(MAP_DOC, frames=5),
+    dict(SQUARE_DOC, maps=[]),
+    {"type": "frame", "elements": ["a", "a"], "order": []},
+], ids=["list-label", "list-name", "list-image", "int-frames", "list-maps",
+        "duplicate-labels"])
+def test_validate_rejects_malformed_document(doc, tmp_path, capsys):
+    assert main(["validate", _write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err) and "InvalidDocument" in err
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not-utf8", "too-deep"])
+def test_validate_rejects_undecodable_file(raw, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(raw)
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err) and "InvalidDocument" in err
+
+
+LABELS = st.sampled_from(["0", "m", "1", "C3", "BL", "g", "f", "alpha"])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | LABELS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(LABELS, kids, max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def _mutants(draw, bases, fields):
+    """One of ``bases`` with up to three fields replaced by drawn values."""
+    doc = dict(draw(st.sampled_from(bases)))
+    for key in draw(st.lists(st.sampled_from(sorted(fields)), unique=True,
+                             max_size=3)):
+        doc[key] = draw(fields[key] | JSON)
+    return doc
+
+
+FRAME_DOCS = _mutants(SQUARE_DOC["frames"], {
+    "name": LABELS,
+    "elements": st.lists(LABELS, max_size=4),
+    "order": st.lists(st.lists(LABELS, min_size=2, max_size=2),
+                      max_size=4),
+})
+MAP_FIELDS = {
+    "source": LABELS,
+    "target": LABELS,
+    "table": st.dictionaries(LABELS, LABELS, max_size=3),
+}
+ROLE_NAMES = st.dictionaries(
+    st.sampled_from(list(SQUARE_DOC["square"]) + list(CHAIN_DOC["chain"])),
+    LABELS)
+DOCUMENTS = JSON | _mutants([C3_DOC, MAP_DOC, SQUARE_DOC, CHAIN_DOC], {
+    "type": st.sampled_from(["frame", "map", "square", "chain"]),
+    "frames": st.lists(FRAME_DOCS, max_size=3),
+    "maps": st.dictionaries(
+        LABELS, _mutants(list(SQUARE_DOC["maps"].values()), MAP_FIELDS),
+        max_size=4),
+    "square": ROLE_NAMES,
+    "chain": ROLE_NAMES,
+    **MAP_FIELDS,
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+def test_document_from_json_fuzz(doc):
+    try:
+        out = document_from_json(doc)
+    except LocalicError:
+        return
+    assert isinstance(out, (FiniteFrame, LocalicMap, DenseSquare,
+                            SquareChain))
+
+
 def test_query_booleanization(tmp_path, capsys):
     path = _write(tmp_path, "c3.json", C3_DOC)
     assert main(["query", path, "booleanization"]) == 0
@@ -163,15 +255,30 @@ def test_suite_rejects_bad_family(capsys):
         main(["suite", "--family", "nope", "--max-size", "3"])
 
 
-def _one_line(err: str) -> bool:
-    return err.count("\n") == 1 and "Traceback" not in err
-
-
 def test_query_unknown_label(tmp_path, capsys):
     path = _write(tmp_path, "c3.json", C3_DOC)
     assert main(["query", path, "remote-set", "S={x,1}"]) == 2
     err = capsys.readouterr().err
     assert _one_line(err) and "'x'" in err
+
+
+def test_parser_reuse_leaks_nothing(tmp_path, capsys):
+    # one parser serves every call of main in a process
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["suite", "--family", "chain", "--max-size", "3", "--jobs", "1"]
+    assert main(args + ["--filter", "beta*", "--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert len(json.loads(a.read_text())["checks"]) == 4
+    report = json.loads(b.read_text())
+    assert report["filter"] == "*" and len(report["checks"]) == 40
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["query"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    path = _write(tmp_path, "c3.json", C3_DOC)
+    assert main(["query", path, "booleanization"]) == 0
+    assert json.loads(capsys.readouterr().out) == ["0", "1"]
 
 
 def test_suite_rejects_bad_jobs_env(monkeypatch, capsys):

@@ -1,9 +1,15 @@
+import itertools
+import random
+import re
+
 import pytest
 
 from localic import (
     FrameTooLarge, NotALattice, NotAPartialOrder, NotDistributive,
     boolean_frame, build_frame, chain_frame,
 )
+from localic import frame
+from localic.frame import frame_from_leq
 
 
 def test_chain_basics(c3):
@@ -85,9 +91,13 @@ def test_rejects_pentagon():
         build_frame(pairs, 5)
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     with pytest.raises(FrameTooLarge):
         build_frame([(i, i + 1) for i in range(70)], 71)
+    # the cap is checked before the order is closed
+    monkeypatch.setattr(frame, "_close_order", None)
+    with pytest.raises(FrameTooLarge):
+        build_frame([], 10_000)
 
 
 def test_boolean_frame_shape():
@@ -106,3 +116,104 @@ def test_points_mask_matches_is_point(tier1_frames):
 def test_labels_roundtrip(c3):
     for i in range(c3.n):
         assert c3.index_of(c3.label(i)) == i
+
+
+# -- brute-force oracle for frame_from_leq -----------------------------------
+
+def _closure(n, pairs):
+    """leq[a][b] of the reflexive-transitive closure of ``pairs``."""
+    leq = [[a == b or (a, b) in pairs for b in range(n)] for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                leq[a][b] = leq[a][b] or (leq[a][k] and leq[k][b])
+    return leq
+
+
+def _by_definition(leq):
+    """(error class or None, meet, join, implication) by the definitions.
+
+    Meets and joins are greatest lower and least upper bounds found by
+    scanning; distributivity is a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c)
+    for every triple; a -> b is the join of {x : x /\\ a <= b}.
+    """
+    n = len(leq)
+    if any(leq[a][b] and leq[b][a]
+           for a in range(n) for b in range(n) if a != b):
+        return NotAPartialOrder, None, None, None
+
+    def best(cands, above):
+        tops = [m for m in cands if all(above(m, x) for x in cands)]
+        return tops[0] if tops else None
+
+    def glb(a, b):
+        return best([x for x in range(n) if leq[x][a] and leq[x][b]],
+                    lambda m, x: leq[x][m])
+
+    def lub(a, b):
+        return best([x for x in range(n) if leq[a][x] and leq[b][x]],
+                    lambda m, x: leq[m][x])
+
+    meet = [[glb(a, b) for b in range(n)] for a in range(n)]
+    join = [[lub(a, b) for b in range(n)] for a in range(n)]
+    if any(None in row for row in meet + join):
+        return NotALattice, None, None, None
+    if any(meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]
+           for a in range(n) for b in range(n) for c in range(n)):
+        return NotDistributive, meet, join, None
+    impl = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            r = next(x for x in range(n) if all(leq[x][y] for y in range(n)))
+            for x in range(n):
+                if leq[meet[x][a]][b]:
+                    r = join[r][x]
+            row.append(r)
+        impl.append(row)
+    return None, meet, join, impl
+
+
+def _orders():
+    """Every relation on <= 4 elements, then 2,000 seeded random DAGs on
+    5 to 8 elements, half of them given a bottom and a top."""
+    for n in range(1, 5):
+        offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for k in range(1 << len(offdiag)):
+            yield n, {p for i, p in enumerate(offdiag) if k >> i & 1}
+    rng = random.Random(2024)
+    for i in range(2000):
+        n = rng.randint(5, 8)
+        p = rng.random()
+        perm = rng.sample(range(n), n)
+        pairs = {(perm[a], perm[b]) for a, b in
+                 itertools.combinations(range(n), 2) if rng.random() < p}
+        if i % 2:
+            pairs |= {(perm[0], perm[b]) for b in range(1, n)}
+            pairs |= {(perm[a], perm[-1]) for a in range(n - 1)}
+        yield n, pairs
+
+
+def test_frame_from_leq_matches_definitions():
+    seen = set()
+    for n, pairs in _orders():
+        leq = _closure(n, pairs)
+        up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+        error, meet, join, impl = _by_definition(leq)
+        if error is None:
+            f = frame_from_leq(up)
+            assert [list(r) for r in f.meet_table] == meet, up
+            assert [list(r) for r in f.join_table] == join, up
+            assert [list(r) for r in f.impl_table] == impl, up
+            seen.add("frame")
+            continue
+        with pytest.raises(error) as info:
+            frame_from_leq(up)
+        seen.add(error.__name__)
+        if error is NotDistributive:
+            triple = re.match(r"witness triple \((\d+),(\d+),(\d+)\)",
+                              str(info.value))
+            a, b, c = map(int, triple.groups())
+            assert meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]], up
+    assert seen == {"frame", "NotAPartialOrder", "NotALattice",
+                    "NotDistributive"}
