@@ -26,7 +26,7 @@ from .generators import (
 from .jsonio import load_document
 from .registry import REGISTRY, checks_in_scope
 from .remoteness import RemoteContext, sample_evenly
-from .result import FAIL, HYPOTHESES_NOT_MET, PASS, SKIPPED
+from .result import FAIL, HYPOTHESES_NOT_MET, PASS
 from .sublocale import (
     Sublocale, booleanization, enumerate_sublocales, is_dense_in_itself,
     is_rare, nd_join, serialize_sublocale, whole_subl,
@@ -95,7 +95,7 @@ def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
     tallies: dict[str, dict[str, int]] = {}
     failures = []
     for cid in sorted(c for c in REGISTRY if fnmatch(c, pattern)):
-        tallies[cid] = {PASS: 0, HYPOTHESES_NOT_MET: 0, SKIPPED: 0, FAIL: 0}
+        tallies[cid] = {PASS: 0, HYPOTHESES_NOT_MET: 0, FAIL: 0}
     for r in rows:
         tallies[r["statement_id"]][r["verdict"]] += 1
         if r["verdict"] == FAIL:
@@ -107,7 +107,6 @@ def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
         "corpus": counts,
         "checks": tallies,
         "failures": failures,
-        "input_hashes": {},
     }
 
 
@@ -209,17 +208,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "suite":
-        jobs = args.jobs
-        env = os.environ.get("LOCALIC_JOBS")
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                print(f"LOCALIC_JOBS must be an integer, not {env!r}",
-                      file=sys.stderr)
-                return 2
-        if jobs <= 0:
-            jobs = os.cpu_count() or 1
+        jobs = args.jobs if args.jobs > 0 else os.cpu_count() or 1
         try:
             spec = GenSpec(args.family, args.max_size, args.seed, args.count)
         except ValueError as e:

@@ -15,11 +15,12 @@ from typing import Iterator, Optional
 
 from .errors import LocalicError
 from .frame import (
-    FiniteFrame, bits, boolean_frame, chain_frame, frame_from_leq, popcount,
+    FiniteFrame, _close_order, bits, boolean_frame, chain_frame,
+    frame_from_leq, popcount,
 )
-from .locmap import LocalicMap, build_map
+from .locmap import LocalicMap, build_map, identity_map
 from .diagrams import DenseSquare, SquareChain, Triangle
-from .sublocale import Sublocale, enumerate_sublocales
+from .sublocale import Sublocale, enumerate_sublocales, whole_subl
 
 FAMILIES = ("all-posets-up-to", "random-poset", "chain",
             "boolean-algebra", "finite-topology")
@@ -59,15 +60,9 @@ class GenSpec:
 # ---------------------------------------------------------------------------
 
 def _transitive_closure(n: int, rel: frozenset) -> frozenset:
-    out = set(rel)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(out), repeat=2):
-            if b == c and (a, d) not in out:
-                out.add((a, d))
-                changed = True
-    return frozenset(out)
+    """The strict order generated by an acyclic relation."""
+    up = _close_order(n, rel)
+    return frozenset((i, j) for i in range(n) for j in bits(up[i] & ~(1 << i)))
 
 
 def _canonical_poset(n: int, rel: frozenset) -> tuple:
@@ -87,14 +82,28 @@ def all_posets(n: int) -> list[frozenset]:
     as a linear extension; every poset shows up under some labeling.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    closed = set()
     seen = {}
     for mask in range(1 << len(pairs)):
-        rel = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
-        rel = _transitive_closure(n, rel)
-        key = _canonical_poset(n, rel)
-        if key not in seen:
-            seen[key] = rel
+        rel = _transitive_closure(
+            n, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
+        if rel not in closed:   # canonicalize each order once
+            closed.add(rel)
+            seen.setdefault(_canonical_poset(n, rel), rel)
     return [seen[k] for k in sorted(seen)]
+
+
+def _lattice_of_sets(sets, name: Optional[str]) -> FiniteFrame:
+    """A union- and intersection-closed family of point sets as a frame."""
+    elems = sorted(sets, key=lambda d: (popcount(d), d))
+    up = [0] * len(elems)
+    for i, d in enumerate(elems):
+        for j, e in enumerate(elems):
+            if d & ~e == 0:
+                up[i] |= 1 << j
+    labels = ["o" if d == 0 else "".join(str(p) for p in bits(d))
+              for d in elems]
+    return frame_from_leq(up, labels=labels, name=name)
 
 
 def downset_frame(n_points: int, rel: frozenset,
@@ -103,20 +112,9 @@ def downset_frame(n_points: int, rel: frozenset,
     below = [0] * n_points
     for i, j in rel:
         below[j] |= 1 << i
-    downsets = []
-    for d in range(1 << n_points):
-        if all(below[j] & ~d == 0 for j in bits(d)):
-            downsets.append(d)
-    downsets.sort(key=lambda d: (popcount(d), d))
-    pos = {d: i for i, d in enumerate(downsets)}
-    up = [0] * len(downsets)
-    for i, d in enumerate(downsets):
-        for j, e in enumerate(downsets):
-            if d & ~e == 0:
-                up[i] |= 1 << j
-    labels = ["o" if d == 0 else "".join(str(p) for p in bits(d))
-              for d in downsets]
-    return frame_from_leq(up, labels=labels, name=name)
+    return _lattice_of_sets(
+        (d for d in range(1 << n_points)
+         if all(below[j] & ~d == 0 for j in bits(d))), name)
 
 
 def _random_poset(rng: random.Random, n_points: int) -> frozenset:
@@ -145,15 +143,7 @@ def _random_topology_frame(rng: random.Random, size_cap: int,
                     changed = True
     if len(opens) > size_cap:
         return None
-    elems = sorted(opens, key=lambda d: (popcount(d), d))
-    up = [0] * len(elems)
-    for i, d in enumerate(elems):
-        for j, e in enumerate(elems):
-            if d & ~e == 0:
-                up[i] |= 1 << j
-    labels = ["o" if d == 0 else "".join(str(p) for p in bits(d))
-              for d in elems]
-    return frame_from_leq(up, labels=labels, name=name)
+    return _lattice_of_sets(opens, name)
 
 
 def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
@@ -269,22 +259,6 @@ def inclusion_map(s: Sublocale) -> LocalicMap:
     return build_map(sub, s.frame, elems, name="incl")
 
 
-def corestriction_map(f: LocalicMap, t: Sublocale) -> Optional[LocalicMap]:
-    """f with its target cut down to the induced frame of t."""
-    sub_t, elems_t = t.as_frame()
-    pos_t = {e: i for i, e in enumerate(elems_t)}
-    table = []
-    for x in range(f.source.n):
-        y = f(x)
-        if y not in pos_t:
-            return None
-        table.append(pos_t[y])
-    try:
-        return build_map(f.source, sub_t, table)
-    except LocalicError:
-        return None
-
-
 def restriction_map(f: LocalicMap, s: Sublocale, t: Sublocale
                     ) -> Optional[LocalicMap]:
     """f cut down to induced frames, when f maps members of s into t."""
@@ -322,7 +296,6 @@ def square_from(f: LocalicMap, s: Sublocale, t: Sublocale
 
 
 def identity_square(frame: FiniteFrame, s: Sublocale) -> DenseSquare:
-    from .locmap import identity_map
     sq = square_from(identity_map(frame), s, s)
     assert sq is not None
     return sq
@@ -331,7 +304,6 @@ def identity_square(frame: FiniteFrame, s: Sublocale) -> DenseSquare:
 def _pair_maps(l: FiniteFrame, m: FiniteFrame, limit: int,
                seed: int) -> list[LocalicMap]:
     """Maps between a frame pair; same-frame pairs lead with the identity."""
-    from .locmap import identity_map
     if l is m:
         ident = identity_map(l)
         out = [ident]
@@ -380,16 +352,17 @@ def gen_chains(squares: list[DenseSquare], budget: int = 0
                   if sq.alpha_image.mask & ~r.mask == 0]
         mids_m = [u for u in gen_dense_sublocales(sq.m_frame)
                   if sq.omega_image.mask & ~u.mask == 0]
+        s, t = whole_subl(sq.s_frame), whole_subl(sq.t_frame)
         for r in mids_l:
             theta = inclusion_map(r)
-            i = corestriction_map(sq.alpha, r)
+            i = restriction_map(sq.alpha, s, r)
             if i is None:
                 continue
             for u in mids_m:
                 phi = restriction_map(sq.f, r, u)
                 if phi is None:
                     continue
-                k = corestriction_map(sq.omega, u)
+                k = restriction_map(sq.omega, t, u)
                 if k is None:
                     continue
                 try:
@@ -411,8 +384,8 @@ def gen_triangles(frames: list[FiniteFrame], max_frame: int = 8,
     out: list[Triangle] = []
     for li, l in enumerate(small):
         for mi, m in enumerate(small):
+            fs = _pair_maps(l, m, maps_per_pair, seed + 31 * li + mi)
             for ni, nf in enumerate(small):
-                fs = _pair_maps(l, m, maps_per_pair, seed + 31 * li + mi)
                 ps = _pair_maps(m, nf, maps_per_pair, seed + 31 * mi + ni + 1)
                 for f in fs:
                     for p in ps:

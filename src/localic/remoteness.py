@@ -71,6 +71,7 @@ class RemoteContext:
         if self._star is None:
             self._star = type(self)(self.frame, self.s,
                                     supplement(self.frame, self.s))
+            self._star._nwd_union = self._nwd_union
         return self._star
 
     def _outside(self) -> int:
@@ -83,14 +84,21 @@ class RemoteContext:
         """T <= W and T meets the closure of no S-nowhere dense sublocale.
 
         Missing every closure is missing their union, one mask filled from
-        the induced-frame enumeration.
+        the induced-frame enumeration.  The union depends on S alone, so a
+        context and its star share one fill.
         """
         if self._nwd_union is None:
-            union = 0
-            for n in s_nowhere_dense_sublocales(self.s):
-                union |= n.closure().mask
-            self._nwd_union = union & ~(1 << self.frame.top) | self._outside()
-        return t.mask & self._nwd_union == 0
+            star = self._star
+            if star is not None and star._nwd_union is not None:
+                self._nwd_union = star._nwd_union
+            else:
+                union = 0
+                for n in s_nowhere_dense_sublocales(self.s):
+                    union |= n.closure().mask
+                self._nwd_union = union & ~(1 << self.frame.top)
+                if star is not None:
+                    star._nwd_union = self._nwd_union
+        return t.mask & (self._nwd_union | ~self.within.mask) == 0
 
     def pred_open_subset(self, t: Sublocale) -> bool:
         """T <= W and T <= o(x) for every S-dense x in S: T inside a meet."""

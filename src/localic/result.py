@@ -7,7 +7,6 @@ from typing import Optional
 
 PASS = "pass"
 HYPOTHESES_NOT_MET = "hypotheses-not-met"
-SKIPPED = "skipped"      # a report tally; no check emits it now
 FAIL = "fail"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,7 @@ from localic import (
 from localic.cli import main
 from localic.generators import GenSpec
 from localic.jsonio import document_from_json
-from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS, SKIPPED
+from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
 
 C3_DOC = {
     "type": "frame",
@@ -281,13 +282,6 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == ["0", "1"]
 
 
-def test_suite_rejects_bad_jobs_env(monkeypatch, capsys):
-    monkeypatch.setenv("LOCALIC_JOBS", "abc")
-    assert main(["suite", "--family", "chain", "--max-size", "3"]) == 2
-    err = capsys.readouterr().err
-    assert _one_line(err) and "LOCALIC_JOBS" in err
-
-
 @pytest.mark.parametrize("flags", [
     ["--family", "chain", "--max-size", "-3"],
     ["--family", "random-poset", "--max-size", "8", "--count", "-1"],
@@ -334,8 +328,7 @@ def test_suite_clamps_workers_to_cores(monkeypatch):
 
 
 # Per-check (pass, hypotheses-not-met) tallies of
-# `localic suite --family all-posets-up-to --max-size 3`; no row is skipped
-# and none fails.
+# `localic suite --family all-posets-up-to --max-size 3`; no row fails.
 SIZE3_TALLIES = {
     "BLandL1": (18, 0), "BLandL4": (18, 0), "BLisremote": (18, 0),
     "Lislarge": (9, 0), "NDSremotefrom": (18, 0), "RsBL": (18, 0),
@@ -363,5 +356,8 @@ def test_suite_tallies_are_pinned():
     got = {cid: (t[PASS], t[HYPOTHESES_NOT_MET])
            for cid, t in report["checks"].items()}
     assert got == SIZE3_TALLIES
-    assert all(t[SKIPPED] == 0 and t[FAIL] == 0
+    assert all(set(t) == {PASS, HYPOTHESES_NOT_MET, FAIL} and t[FAIL] == 0
                for t in report["checks"].values())
+    # the whole report, byte for byte
+    assert hashlib.sha256(cli.render_report(report).encode()).hexdigest() \
+        == "1366972ef7839269a66a589cce598201f30d91edb9767b6b6054792a8dee287b"

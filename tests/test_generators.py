@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from localic import GenSpec, booleanization, chain_frame, whole_subl
@@ -13,6 +16,28 @@ def test_all_posets_counts():
     assert len(all_posets(2)) == 2
     assert len(all_posets(3)) == 5
     assert len(all_posets(4)) == 16
+    assert len(all_posets(5)) == 63
+
+
+# sha256 of the (name, labels, up-masks) of every frame of a corpus, in
+# order: a changed representative, label, order or frame order shows.
+CORPUS_HASHES = [
+    (GenSpec("all-posets-up-to", 5), 79,
+     "bc0d84431083958286e655f229ade765e1b426a24636c2f1480e5d953b71031d"),
+    (GenSpec("random-poset", 12, seed=7, count=200), 200,
+     "0ec8014941ce2b42171bc40d9111245312c3216a540de7afce773f6da62ab661"),
+    (GenSpec("finite-topology", 16, count=100), 100,
+     "2bde1ffe352fcfb2bac51fa9e991fb5125285286006a2e50a3935f76c3b45959"),
+]
+
+
+@pytest.mark.parametrize("spec,count,digest", CORPUS_HASHES,
+                         ids=[spec.family for spec, _, _ in CORPUS_HASHES])
+def test_frame_corpora_are_pinned(spec, count, digest):
+    frames = gen_frames(spec)
+    assert len(frames) == count
+    enc = json.dumps([[f.name, list(f.labels), list(f.up)] for f in frames])
+    assert hashlib.sha256(enc.encode()).hexdigest() == digest
 
 
 def test_downset_frame_of_antichain():

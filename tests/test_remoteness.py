@@ -3,6 +3,7 @@ from localic import (
     checks_in_scope, closed_subl, enumerate_sublocales, subl_join,
     supplement, void_subl, whole_context, whole_subl,
 )
+from localic import remoteness
 from localic.frame import popcount
 from localic.remoteness import (
     CONTEXT_CHECKS, FRAME_CHECKS, check_downward_closure,
@@ -84,6 +85,28 @@ def test_four_predicates_agree(tier1_frames):
                     votes = [c.pred_nwd_oracle(t), c.is_remote_from(t),
                              c.pred_open_subset(t), c.pred_nucleus_top(t)]
                     assert votes == [oracle] * 4, (ctx.subject(), t)
+
+
+def test_star_reuses_the_nowhere_dense_union(tier1_frames, monkeypatch):
+    # one induced-frame fill per S, whichever of ctx and its star asks first
+    fills = []
+    fill = remoteness.s_nowhere_dense_sublocales
+    monkeypatch.setattr(remoteness, "s_nowhere_dense_sublocales",
+                        lambda s: fills.append(s) or fill(s))
+    contexts = [ctx for f in tier1_frames for ctx in all_contexts(f)]
+    for k, ctx in enumerate(contexts):
+        void = void_subl(ctx.frame)
+        if k % 3 == 0:      # the plain context fills before its star exists
+            ctx.pred_nwd_oracle(void)
+        elif k % 3 == 1:    # the star fills first
+            ctx.star().pred_nwd_oracle(void)
+        else:               # the star exists, the plain context fills
+            ctx.star()
+            ctx.pred_nwd_oracle(void)
+        for t in enumerate_sublocales(ctx.frame):
+            assert ctx.star().pred_nwd_oracle(t) \
+                == _star_remote(ctx, t, True), (k, ctx.subject(), t)
+    assert fills == [ctx.s for ctx in contexts]
 
 
 def test_rem_s_runs_beyond_256_sublocales():
