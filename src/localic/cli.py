@@ -48,12 +48,8 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
         keep = set(id(s) for s in sample_evenly(dense,
                                                 MAX_CONTEXTS_PER_FRAME))
         bl = booleanization(f)
-        for s in dense:
-            if s.mask == bl.mask:
-                # the frame checks share the induced frame of this object
-                contexts.append(RemoteContext(f, bl))
-            elif id(s) in keep or s.is_whole():
-                contexts.append(RemoteContext(f, s))
+        contexts += [RemoteContext(f, s) for s in dense
+                     if id(s) in keep or s.is_whole() or s == bl]
     squares = gen_squares(frames, budget=SQUARE_BUDGET, seed=spec.seed)
     chains = gen_chains(squares, budget=CHAIN_BUDGET)
     triangles = gen_triangles(frames, budget=TRIANGLE_BUDGET, seed=spec.seed)

@@ -40,7 +40,7 @@ class FiniteFrame:
         "n", "up", "down", "meet_table", "join_table", "impl_table",
         "bottom", "top", "labels", "name",
         "_label_index", "_impl_req", "_dense_mask", "_bool_mask",
-        "_points", "_sublocales", "_booleanization",
+        "_points", "_sublocales",
     )
 
     def __init__(self, n, up, down, meet_table, join_table, impl_table,
@@ -67,7 +67,6 @@ class FiniteFrame:
         self._bool_mask = _mask_of(impl_table[x][bottom] for x in range(n))
         self._points = None         # lazy cache, see points_mask
         self._sublocales = None     # lazy cache, see sublocale.py
-        self._booleanization = None  # lazy cache, see sublocale.py
 
     # -- order and lattice operations ------------------------------------
 
@@ -159,9 +158,6 @@ class FiniteFrame:
 
     def index_of(self, label: str) -> int:
         return self._label_index[label]
-
-    def elements(self) -> range:
-        return range(self.n)
 
     def __repr__(self) -> str:
         return f"FiniteFrame({self.name or 'unnamed'}, n={self.n})"

@@ -44,6 +44,12 @@ class GenSpec:
         if self.max_size < 0 or self.count < 0:
             raise ValueError(f"max_size and count must be non-negative, "
                              f"got {self.max_size} and {self.count}")
+        # every random frame has at least 2 elements; a smaller cap would
+        # make gen_frames reject candidates forever
+        if self.family in ("random-poset", "finite-topology") \
+                and self.max_size < 2:
+            raise ValueError(f"{self.family} needs max_size of at least 2, "
+                             f"got {self.max_size}")
 
     def to_json(self) -> dict:
         return {"family": self.family, "max_size": self.max_size,

@@ -7,11 +7,12 @@ inside the supplement of S, so the *remote context ``ctx.star()`` is the
 same context restricted to L minus S.
 
 Every predicate has two routes: a fast path driven by the S-dense elements
-of S, and an oracle path that enumerates the S-nowhere dense sublocales in
-the induced frame of S.  The fast path is the default; their agreement is
-itself one of the checked theorems, so the theorem checks never assume it.
-On the fast path the joins Rs and *Rs are spans of points (S(L) is the
-powerset of the points of L).
+of S, and an oracle path on the point space X = pt(L), with opens
+U_a = {p : a </= p}.  S(L) is the powerset of X, and there T is remote from
+S iff T misses cl(S minus Iso(S)), Iso(S) being the isolated points of the
+subspace S (van Douwen's remote sets).  The fast path is the default; their
+agreement is itself one of the checked theorems, so the theorem checks
+never assume it.  On the fast path the joins Rs and *Rs are spans of points.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .frame import FiniteFrame, bits
 from .result import CheckResult, PASS, HYPOTHESES_NOT_MET, FAIL
 from .sublocale import (
     Sublocale, booleanization, closed_subl, enumerate_sublocales,
-    is_rare, nd_join, nucleus_map, open_subl,
-    s_nowhere_dense_sublocales, span, subl_join, supplement, void_subl,
-    whole_subl,
+    is_dense_in_itself, is_rare, nd_join, nucleus_map, open_subl, span,
+    subl_join, supplement, void_subl, whole_subl,
 )
 from .errors import InvalidSublocale, MixedFrames
 
@@ -41,7 +41,7 @@ class RemoteContext:
     """
 
     __slots__ = ("frame", "s", "within", "s_dense", "_miss_mask",
-                 "_open_mask", "_nwd_union", "_star")
+                 "_open_mask", "_oracle_mask", "_star")
 
     def __init__(self, frame: FiniteFrame, dense_subl: Sublocale,
                  within: Optional[Sublocale] = None):
@@ -63,7 +63,7 @@ class RemoteContext:
         self._miss_mask = (mask & ~(1 << frame.top)
                            | frame.points_mask() & ~self.within.mask)
         self._open_mask = None
-        self._nwd_union = None
+        self._oracle_mask = None
         self._star = None
 
     def star(self) -> "RemoteContext":
@@ -71,7 +71,6 @@ class RemoteContext:
         if self._star is None:
             self._star = type(self)(self.frame, self.s,
                                     supplement(self.frame, self.s))
-            self._star._nwd_union = self._nwd_union
         return self._star
 
     def _outside(self) -> int:
@@ -81,24 +80,26 @@ class RemoteContext:
     # -- the oracle and two more predicates equivalent to the fast path --
 
     def pred_nwd_oracle(self, t: Sublocale) -> bool:
-        """T <= W and T meets the closure of no S-nowhere dense sublocale.
+        """T <= W and T misses cl(S minus Iso(S)) in the point space.
 
-        Missing every closure is missing their union, one mask filled from
-        the induced-frame enumeration.  The union depends on S alone, so a
-        context and its star share one fill.
+        A point of S is isolated when some open U_a meets S in it alone; the
+        closure of a point set is the meet of the closed sets c(a) holding it.
         """
-        if self._nwd_union is None:
-            star = self._star
-            if star is not None and star._nwd_union is not None:
-                self._nwd_union = star._nwd_union
-            else:
-                union = 0
-                for n in s_nowhere_dense_sublocales(self.s):
-                    union |= n.closure().mask
-                self._nwd_union = union & ~(1 << self.frame.top)
-                if star is not None:
-                    star._nwd_union = self._nwd_union
-        return t.mask & (self._nwd_union | ~self.within.mask) == 0
+        if self._oracle_mask is None:
+            f = self.frame
+            pts = f.points_mask()
+            in_s = pts & self.s.mask
+            iso = 0
+            for a in range(f.n):
+                u = in_s & ~f.up[a]
+                if u & (u - 1) == 0:
+                    iso |= u
+            cl = pts
+            for a in range(f.n):
+                if in_s & ~iso & ~f.up[a] == 0:
+                    cl &= f.up[a]
+            self._oracle_mask = cl | pts & ~self.within.mask
+        return t.mask & self._oracle_mask == 0
 
     def pred_open_subset(self, t: Sublocale) -> bool:
         """T <= W and T <= o(x) for every S-dense x in S: T inside a meet."""
@@ -405,7 +406,6 @@ def check_obs_remotefrom(frame: FiniteFrame) -> CheckResult:
 
 def check_obs_remotefrom_star(frame: FiniteFrame) -> CheckResult:
     """L dense in itself iff L is *remote from its Booleanization."""
-    from .sublocale import is_dense_in_itself
     ok = is_dense_in_itself(frame) \
         == bl_context(frame).star().is_remote_from(whole_subl(frame))
     return _result("obsremotefromstar", _fsubject(frame), ok)

@@ -163,11 +163,11 @@ def open_subl(frame: FiniteFrame, a: int) -> Sublocale:
 def booleanization(frame: FiniteFrame) -> Sublocale:
     """{x -> 0 : x in L}, the smallest dense sublocale.
 
-    Cached on the frame, so the checks about BL share one induced frame.
+    On the point space X = pt(L) it is Iso(X), the isolated points, which is
+    the least dense subset of a finite T0 space.  Every point of BL is then
+    isolated in BL, so the remoteness oracle closes no point for S = BL.
     """
-    if frame._booleanization is None:
-        frame._booleanization = Sublocale(frame, frame._bool_mask)
-    return frame._booleanization
+    return Sublocale(frame, frame._bool_mask)
 
 
 def subl_meet(ss: list[Sublocale]) -> Sublocale:

@@ -6,6 +6,7 @@ brute-force oracles (subset filtering, exhaustive search) and only then
 compared against the fast paths.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -260,6 +261,12 @@ def test_criterion_7_suite_determinism(tmp_path):
     rc1 = main(args + ["--jobs", "1", "--out", str(a)])
     rc8 = main(args + ["--jobs", "8", "--out", str(b)])
     same = a.read_bytes() == b.read_bytes()
+    # the --jobs 1 report is pinned too, so a refactor that moves a verdict
+    # or a count fails here
+    digest = hashlib.sha256(a.read_bytes()).hexdigest()
+    pinned = digest == ("baddb1201fe7e734e6dd191b85394d83"
+                        "04df08ff4287309e57c07bfdd0b24675")
     _report("criterion-7 suite-determinism",
-            rc1 == 0 and rc8 == 0 and same,
-            f"exit codes {rc1}/{rc8}, byte-identical={same}")
+            rc1 == 0 and rc8 == 0 and same and pinned,
+            f"exit codes {rc1}/{rc8}, byte-identical={same}, "
+            f"sha256={digest[:8]}")

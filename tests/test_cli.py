@@ -285,6 +285,9 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--family", "chain", "--max-size", "-3"],
     ["--family", "random-poset", "--max-size", "8", "--count", "-1"],
+    ["--family", "random-poset", "--max-size", "1"],
+    ["--family", "random-poset", "--max-size", "0"],
+    ["--family", "finite-topology", "--max-size", "1"],
 ])
 def test_suite_rejects_negative_sizes(flags, capsys):
     assert main(["suite", "--jobs", "1"] + flags) == 2

@@ -58,6 +58,12 @@ def test_genspec_roundtrip():
     assert GenSpec.from_json(spec.to_json()) == spec
     with pytest.raises(ValueError):
         GenSpec("no-such-family", 4)
+    # no random frame has fewer than 2 elements, so gen_frames would
+    # reject candidates forever under a smaller cap
+    for family, size in (("random-poset", 0), ("random-poset", 1),
+                         ("finite-topology", 1)):
+        with pytest.raises(ValueError):
+            GenSpec(family, size)
 
 
 def test_gen_frames_deterministic():
@@ -75,6 +81,9 @@ def test_gen_frames_respects_cap():
         assert f.n <= 12
     for f in gen_frames(GenSpec("finite-topology", 16, seed=3, count=10)):
         assert f.n <= 16
+    for family in ("random-poset", "finite-topology"):    # the least cap
+        assert [f.n for f in gen_frames(GenSpec(family, 2, count=3))] \
+            == [2, 2, 2]
 
 
 def test_gen_frames_families():

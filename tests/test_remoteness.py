@@ -1,15 +1,17 @@
 from localic import (
-    RemoteContext, Sublocale, bl_context, booleanization, chain_frame,
-    checks_in_scope, closed_subl, enumerate_sublocales, subl_join,
-    supplement, void_subl, whole_context, whole_subl,
+    GenSpec, RemoteContext, Sublocale, bl_context, boolean_frame,
+    booleanization, chain_frame, checks_in_scope, closed_subl,
+    enumerate_sublocales, subl_join, supplement, void_subl, whole_context,
+    whole_subl,
 )
-from localic import remoteness
 from localic.frame import popcount
+from localic.generators import gen_frames
 from localic.remoteness import (
     CONTEXT_CHECKS, FRAME_CHECKS, check_downward_closure,
     check_rem_s_intersection,
 )
 from localic.result import FAIL, PASS
+from localic.sublocale import s_nowhere_dense_sublocales
 
 
 def all_contexts(frame):
@@ -24,7 +26,7 @@ def test_remote_set_c3(c3):
 
 
 def test_remote_set_c3_oracle_first(c3):
-    # the oracle path (induced-frame nowhere-dense enumeration) is primary
+    # the oracle path (the point-space closure of S minus Iso(S)) is primary
     ctx = whole_context(c3)
     oracle = {t.mask for t in ctx.remote_set(oracle=True)}
     fast = {t.mask for t in ctx.remote_set()}
@@ -87,26 +89,22 @@ def test_four_predicates_agree(tier1_frames):
                     assert votes == [oracle] * 4, (ctx.subject(), t)
 
 
-def test_star_reuses_the_nowhere_dense_union(tier1_frames, monkeypatch):
-    # one induced-frame fill per S, whichever of ctx and its star asks first
-    fills = []
-    fill = remoteness.s_nowhere_dense_sublocales
-    monkeypatch.setattr(remoteness, "s_nowhere_dense_sublocales",
-                        lambda s: fills.append(s) or fill(s))
-    contexts = [ctx for f in tier1_frames for ctx in all_contexts(f)]
-    for k, ctx in enumerate(contexts):
-        void = void_subl(ctx.frame)
-        if k % 3 == 0:      # the plain context fills before its star exists
-            ctx.pred_nwd_oracle(void)
-        elif k % 3 == 1:    # the star fills first
-            ctx.star().pred_nwd_oracle(void)
-        else:               # the star exists, the plain context fills
-            ctx.star()
-            ctx.pred_nwd_oracle(void)
-        for t in enumerate_sublocales(ctx.frame):
-            assert ctx.star().pred_nwd_oracle(t) \
-                == _star_remote(ctx, t, True), (k, ctx.subject(), t)
-    assert fills == [ctx.s for ctx in contexts]
+def test_point_space_oracle_matches_induced_frame_enumeration():
+    # two oracles that share no code: van Douwen's closure on pt(L) and the
+    # closures of the S-nowhere dense sublocales enumerated inside S
+    frames = (gen_frames(GenSpec("all-posets-up-to", 5))
+              + [chain_frame(n) for n in range(1, 11)] + [boolean_frame(3)])
+    for f in frames:
+        subs = enumerate_sublocales(f)
+        for ctx in all_contexts(f):
+            closures = [n.closure().mask
+                        for n in s_nowhere_dense_sublocales(ctx.s)]
+            for c in (ctx, ctx.star()):
+                for t in subs:
+                    expected = t <= c.within and all(
+                        t.mask & m == 1 << f.top for m in closures)
+                    assert c.pred_nwd_oracle(t) == expected, \
+                        (c.subject(), c.within, t)
 
 
 def test_rem_s_runs_beyond_256_sublocales():
