@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fnmatch import fnmatch
 
 from .errors import InvalidSublocale, LocalicError
@@ -81,6 +80,8 @@ def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
     if jobs <= 1:
         shards = [_run_shard((spec.to_json(), pattern, 0, 1))]
     else:
+        # imported here: only a forking run should pay for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         args = [(spec.to_json(), pattern, k, jobs) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             shards = list(pool.map(_run_shard, args))
@@ -204,12 +205,16 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "suite":
-        jobs = args.jobs if args.jobs > 0 else os.cpu_count() or 1
         try:
             spec = GenSpec(args.family, args.max_size, args.seed, args.count)
+            if args.jobs < 0:
+                raise ValueError(f"--jobs must be at least 0, got {args.jobs}")
+            if not any(fnmatch(c, args.filter) for c in REGISTRY):
+                raise ValueError(f"--filter {args.filter!r} matches no check")
         except ValueError as e:
             print(str(e), file=sys.stderr)
             return 2
+        jobs = args.jobs or os.cpu_count() or 1
         started = time.monotonic()
         report = run_suite(spec, args.filter, jobs)
         elapsed = time.monotonic() - started

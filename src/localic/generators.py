@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterator, Optional
 
 from .errors import LocalicError
@@ -29,31 +29,29 @@ FAMILIES = ("all-posets-up-to", "random-poset", "chain",
 FRAME_SIZE_CAP = 16
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
     """Reproducible description of a generated corpus."""
 
-    family: str
-    max_size: int
-    seed: int = 0
-    count: int = 0          # random families: instances to emit (0 = default)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.max_size < 0 or self.count < 0:
+    def __new__(cls, family: str, max_size: int, seed: int = 0,
+                count: int = 0):    # count: random-family instances, 0 = 50
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if max_size < 0 or count < 0:
             raise ValueError(f"max_size and count must be non-negative, "
-                             f"got {self.max_size} and {self.count}")
-        # every random frame has at least 2 elements; a smaller cap would
-        # make gen_frames reject candidates forever
-        if self.family in ("random-poset", "finite-topology") \
-                and self.max_size < 2:
-            raise ValueError(f"{self.family} needs max_size of at least 2, "
-                             f"got {self.max_size}")
+                             f"got {max_size} and {count}")
+        # no random frame has under 2 elements, so gen_frames would loop;
+        # a chain or Boolean corpus under cap 1 is empty and checks nothing
+        least = {"random-poset": 2, "finite-topology": 2, "chain": 1,
+                 "boolean-algebra": 1}.get(family, 0)
+        if max_size < least:
+            raise ValueError(f"{family} needs max_size of at least {least}, "
+                             f"got {max_size}")
+        return super().__new__(cls, family, max_size, seed, count)
 
     def to_json(self) -> dict:
-        return {"family": self.family, "max_size": self.max_size,
-                "seed": self.seed, "count": self.count}
+        return self._asdict()
 
     @classmethod
     def from_json(cls, doc: dict) -> "GenSpec":

@@ -8,9 +8,8 @@ out of the suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .remoteness import CONTEXT_CHECKS, FRAME_CHECKS
 from .diagrams import CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS
@@ -18,24 +17,18 @@ from .diagrams import CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS
 SCOPES = ("frame", "context", "square", "chain", "triangle")
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     id: str
     scope: str
     runner: Callable
 
-    def __post_init__(self):
-        if self.scope not in SCOPES:
-            raise ValueError(f"unknown scope {self.scope!r}")
-
 
 def _build_registry() -> dict[str, TheoremCheck]:
     reg: dict[str, TheoremCheck] = {}
-    for scope, table in (("frame", FRAME_CHECKS),
-                         ("context", CONTEXT_CHECKS),
-                         ("square", SQUARE_CHECKS),
-                         ("chain", CHAIN_CHECKS),
-                         ("triangle", TRIANGLE_CHECKS)):
+    # each table takes its scope from SCOPES, so no check has another scope
+    for scope, table in zip(SCOPES, (FRAME_CHECKS, CONTEXT_CHECKS,
+                                     SQUARE_CHECKS, CHAIN_CHECKS,
+                                     TRIANGLE_CHECKS), strict=True):
         for check_id, fn in table.items():
             if check_id in reg:
                 raise ValueError(f"duplicate check id {check_id}")

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 PASS = "pass"
 HYPOTHESES_NOT_MET = "hypotheses-not-met"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     subject: str          # human-readable instance description
     verdict: str

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,11 +292,26 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     ["--family", "random-poset", "--max-size", "1"],
     ["--family", "random-poset", "--max-size", "0"],
     ["--family", "finite-topology", "--max-size", "1"],
+    ["--family", "chain", "--max-size", "0"],
+    ["--family", "boolean-algebra", "--max-size", "0"],
+    ["--family", "chain", "--max-size", "3", "--jobs", "-5"],
 ])
 def test_suite_rejects_negative_sizes(flags, capsys):
     assert main(["suite", "--jobs", "1"] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and _one_line(captured.err)
+
+
+def test_suite_rejects_filter_matching_nothing(monkeypatch, capsys):
+    def no_corpus(spec):
+        raise AssertionError("corpus built for an empty filter")
+
+    monkeypatch.setattr(cli, "build_corpus", no_corpus)
+    assert main(["suite", "--family", "chain", "--max-size", "3",
+                 "--jobs", "1", "--filter", "zzz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+    assert "'zzz'" in captured.err
 
 
 def test_suite_rejects_unwritable_out(tmp_path, capsys):
@@ -321,13 +340,34 @@ def test_suite_clamps_workers_to_cores(monkeypatch):
         def map(self, fn, args):
             return list(map(fn, args))
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     spec = GenSpec("chain", 3)
     serial = cli.render_report(cli.run_suite(spec, "*", 1))
     assert cli.render_report(cli.run_suite(spec, "*", 1000)) == serial
     assert cli.render_report(cli.run_suite(spec, "*", 2)) == serial
     assert pools == [3, 2]
+
+
+def test_serial_suite_imports_no_pool_or_dataclasses():
+    # a fresh interpreter, so modules loaded by other tests don't count
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from localic.cli import main\n"
+        "rc = main(['suite', '--family', 'chain', '--max-size', '3',"
+        " '--jobs', '1'])\n"
+        "print(' '.join(set(sys.modules) - before))\n"
+        "sys.exit(rc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "localic.cli" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing",
+                         "dataclasses", "inspect"}
 
 
 # Per-check (pass, hypotheses-not-met) tallies of

@@ -56,14 +56,21 @@ def test_downset_frame_of_chain():
 def test_genspec_roundtrip():
     spec = GenSpec("random-poset", 12, seed=5, count=20)
     assert GenSpec.from_json(spec.to_json()) == spec
+    assert hash(GenSpec.from_json(spec.to_json())) == hash(spec)
+    assert spec.to_json() == {"family": "random-poset", "max_size": 12,
+                              "seed": 5, "count": 20}
     with pytest.raises(ValueError):
         GenSpec("no-such-family", 4)
     # no random frame has fewer than 2 elements, so gen_frames would
-    # reject candidates forever under a smaller cap
+    # reject candidates forever under a smaller cap; a chain or Boolean
+    # corpus under cap 1 is empty
     for family, size in (("random-poset", 0), ("random-poset", 1),
-                         ("finite-topology", 1)):
+                         ("finite-topology", 1), ("chain", 0),
+                         ("boolean-algebra", 0)):
         with pytest.raises(ValueError):
             GenSpec(family, size)
+    # the least exhaustive corpus is the one-element frame
+    assert [f.n for f in gen_frames(GenSpec("all-posets-up-to", 0))] == [1]
 
 
 def test_gen_frames_deterministic():
