@@ -28,7 +28,7 @@ from .generators import (
     GenSpec, gen_chains, gen_dense_sublocales, gen_frames, gen_maps,
     gen_squares, gen_triangles, inclusion_map,
 )
-from .registry import REGISTRY, TheoremCheck, checks_in_scope, load_manifest
+from .registry import REGISTRY, TheoremCheck, checks_in_scope
 from .result import CheckResult
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -58,8 +58,7 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
 
 def _run_shard(args: tuple) -> tuple[list[dict], dict[str, int]]:
     """Worker: regenerate the corpus and run its slice of the instances."""
-    spec_json, pattern, shard, nshards = args
-    spec = GenSpec.from_json(spec_json)
+    spec, pattern, shard, nshards = args
     corpus = build_corpus(spec)
     counts = {scope: len(items) for scope, items in corpus.items()}
     rows = []
@@ -78,11 +77,11 @@ def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
     # One worker process per shard, and never more shards than cores.
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        shards = [_run_shard((spec.to_json(), pattern, 0, 1))]
+        shards = [_run_shard((spec, pattern, 0, 1))]
     else:
         # imported here: only a forking run should pay for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        args = [(spec.to_json(), pattern, k, jobs) for k in range(jobs)]
+        args = [(spec, pattern, k, jobs) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             shards = list(pool.map(_run_shard, args))
     rows = [r for part, _ in shards for r in part]

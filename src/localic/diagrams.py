@@ -2,9 +2,10 @@
 
 A :class:`DenseSquare` is the basic diagram: a top map g between two
 locales, a bottom map f, and injective dense verticals pinning the top
-row inside the bottom row.  A :class:`SquareChain` factors the square
-through a middle layer; a :class:`Triangle` composes two squares that
-share their middle vertical.
+row inside the bottom row.  A :class:`SquareChain` factors a square
+through a middle layer as two squares pasted vertically, so its checks
+ask which of the three squares are remote preserving; a
+:class:`Triangle` composes two squares that share their middle vertical.
 
 Each check follows the hypothesis-gated discipline: the hypotheses of a
 statement are evaluated on the instance, and only when they hold is the
@@ -93,80 +94,49 @@ class DenseSquare:
 
 
 class SquareChain:
-    """Diagram with a middle layer R -> U between the square's rows.
+    """Two dense squares stacked vertically through a middle layer R -> U.
 
-    Holds maps i: S->R, k: T->U, phi: R->U, theta: R->L, sigma: U->M with
-    alpha = theta o i, omega = sigma o k, f o theta = sigma o phi and
-    phi o i = k o g; every downward arrow is injective and dense.
+    ``upper`` is g : S -> T over phi : R -> U with verticals i and k;
+    ``lower`` is phi over f : L -> M with verticals theta and sigma.  The
+    pasted square is ``outer``, so alpha = theta o i and omega = sigma o k.
     """
 
-    __slots__ = ("outer", "i", "k", "phi", "theta", "sigma",
-                 "r_frame", "u_frame", "i_image", "k_image",
-                 "_ctx_r", "_ctx_u", "name")
+    __slots__ = ("outer", "upper", "lower", "name")
 
     def __init__(self, outer: DenseSquare, i: LocalicMap, k: LocalicMap,
                  phi: LocalicMap, theta: LocalicMap, sigma: LocalicMap,
                  name: Optional[str] = None):
         self.outer = outer
-        self.i, self.k, self.phi = i, k, phi
-        self.theta, self.sigma = theta, sigma
-        self.r_frame = phi.source
-        self.u_frame = phi.target
-        if i.source is not outer.s_frame or i.target is not self.r_frame:
-            raise InvalidSquare("i must run S -> R")
-        if k.source is not outer.t_frame or k.target is not self.u_frame:
-            raise InvalidSquare("k must run T -> U")
-        if theta.source is not self.r_frame or theta.target is not outer.l_frame:
-            raise InvalidSquare("theta must run R -> L")
-        if sigma.source is not self.u_frame or sigma.target is not outer.m_frame:
-            raise InvalidSquare("sigma must run U -> M")
-        for v, lab in ((i, "i"), (k, "k"), (theta, "theta"),
-                       (sigma, "sigma")):
-            if not v.is_injective():
-                raise InvalidSquare(f"{lab} is not injective")
-            if not v.image_subl(_whole(v.source)).is_dense():
-                raise InvalidSquare(f"image of {lab} is not dense")
+        self.upper = _named_square("upper square (i, k)",
+                                   outer.g, phi, i, k)
+        self.lower = _named_square("lower square (theta, sigma)",
+                                   phi, outer.f, theta, sigma)
         for x in range(outer.s_frame.n):
             if theta(i(x)) != outer.alpha(x):
                 raise InvalidSquare(f"alpha != theta o i at element {x}")
-            if phi(i(x)) != k(outer.g(x)):
-                raise InvalidSquare(f"phi o i != k o g at element {x}")
         for x in range(outer.t_frame.n):
             if sigma(k(x)) != outer.omega(x):
                 raise InvalidSquare(f"omega != sigma o k at element {x}")
-        for x in range(self.r_frame.n):
-            if outer.f(theta(x)) != sigma(phi(x)):
-                raise InvalidSquare(f"f o theta != sigma o phi at element {x}")
-        self.i_image = i.image_subl(_whole(outer.s_frame))
-        self.k_image = k.image_subl(_whole(outer.t_frame))
-        self._ctx_r = None
-        self._ctx_u = None
         self.name = name
-
-    def ctx_r(self) -> RemoteContext:
-        """The middle-layer context (R, i[S])."""
-        if self._ctx_r is None:
-            self._ctx_r = RemoteContext(self.r_frame, self.i_image)
-        return self._ctx_r
-
-    def ctx_u(self) -> RemoteContext:
-        if self._ctx_u is None:
-            self._ctx_u = RemoteContext(self.u_frame, self.k_image)
-        return self._ctx_u
-
-    def inner_square(self) -> DenseSquare:
-        """The square g : S -> T over phi : R -> U."""
-        return DenseSquare(self.outer.g, self.phi, self.i, self.k)
 
     def subject(self) -> str:
         if self.name:
             return self.name
         return (f"{self.outer.subject()} via "
-                f"R={{{','.join(sorted(self.theta.image_subl(_whole(self.r_frame)).labels()))}}} "
-                f"U={{{','.join(sorted(self.sigma.image_subl(_whole(self.u_frame)).labels()))}}}")
+                f"R={{{','.join(sorted(self.lower.alpha_image.labels()))}}} "
+                f"U={{{','.join(sorted(self.lower.omega_image.labels()))}}}")
 
     def __repr__(self) -> str:
         return f"SquareChain({self.subject()})"
+
+
+def _named_square(label: str, g: LocalicMap, f: LocalicMap,
+                  alpha: LocalicMap, omega: LocalicMap) -> DenseSquare:
+    """A DenseSquare whose InvalidSquare message names the chain's square."""
+    try:
+        return DenseSquare(g, f, alpha, omega)
+    except InvalidSquare as e:
+        raise InvalidSquare(f"{label}: {e}") from None
 
 
 class Triangle:
@@ -471,22 +441,22 @@ SQUARE_CHECKS: dict[str, Callable[[DenseSquare], CheckResult]] = {
 
 def check_bvl(chain: SquareChain) -> CheckResult:
     """theta maps the middle layer's remote sublocales to remote ones."""
-    fail = _image_witness(chain.theta, chain.ctx_r(), chain.outer.ctx_l())
+    fail = _image_witness(chain.lower.alpha, chain.upper.ctx_l(),
+                          chain.outer.ctx_l())
     return _verdict("bvl", chain.subject(), True, fail)
 
 
 def check_starbvl(chain: SquareChain) -> CheckResult:
-    fail = _image_witness(chain.theta, chain.ctx_r().star(),
+    fail = _image_witness(chain.lower.alpha, chain.upper.ctx_l().star(),
                           chain.outer.ctx_l().star())
     return _verdict("starbvl", chain.subject(), True, fail)
 
 
 def check_gfremote(chain: SquareChain) -> CheckResult:
-    """Outer f-remote preservation descends to the middle layer."""
+    """Outer f-remote preservation descends to the upper square."""
     hyp = is_f_remote_preserving(chain.outer)
     fail = None
-    if hyp and _image_witness(chain.phi, chain.ctx_r(),
-                              chain.ctx_u()) is not None:
+    if hyp and not is_f_remote_preserving(chain.upper):
         fail = "phi not remote preserving"
     return _verdict("gfremote", chain.subject(), hyp, fail)
 
@@ -494,8 +464,7 @@ def check_gfremote(chain: SquareChain) -> CheckResult:
 def check_obsfremote(chain: SquareChain) -> CheckResult:
     """Converse of the descent when alpha is surjective."""
     hyp = (chain.outer.alpha.is_surjective()
-           and _image_witness(chain.phi, chain.ctx_r(),
-                              chain.ctx_u()) is None)
+           and is_f_remote_preserving(chain.upper))
     fail = None
     if hyp and not is_f_remote_preserving(chain.outer):
         fail = "f not remote preserving"
@@ -504,12 +473,12 @@ def check_obsfremote(chain: SquareChain) -> CheckResult:
 
 def check_star_obs_gfremote(chain: SquareChain) -> CheckResult:
     """Star descent under the remainder-forcing side conditions."""
+    up = chain.upper
     hyp = (is_f_star_remote_preserving(chain.outer)
-           and chain.phi.preimage_subl(chain.k_image) == chain.i_image
-           and chain.phi.image_is_surjective())
+           and up.f.preimage_subl(up.omega_image) == up.alpha_image
+           and up.f.image_is_surjective())
     fail = None
-    if hyp and _image_witness(chain.phi, chain.ctx_r().star(),
-                              chain.ctx_u().star()) is not None:
+    if hyp and not is_f_star_remote_preserving(up):
         fail = "phi not *remote preserving"
     return _verdict("starobsgfremote", chain.subject(), hyp, fail)
 

@@ -15,8 +15,8 @@ from typing import Iterator, Optional
 
 from .errors import LocalicError
 from .frame import (
-    FiniteFrame, _close_order, bits, boolean_frame, chain_frame,
-    frame_from_leq, popcount,
+    ENUMERATION_CAP, FiniteFrame, _close_order, bits, boolean_frame,
+    chain_frame, frame_from_leq, popcount,
 )
 from .locmap import LocalicMap, build_map, identity_map
 from .diagrams import DenseSquare, SquareChain, Triangle
@@ -24,9 +24,6 @@ from .sublocale import Sublocale, enumerate_sublocales, whole_subl
 
 FAMILIES = ("all-posets-up-to", "random-poset", "chain",
             "boolean-algebra", "finite-topology")
-
-# Downset lattices above this size are rejected by the random families.
-FRAME_SIZE_CAP = 16
 
 
 class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
@@ -52,11 +49,6 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
 
     def to_json(self) -> dict:
         return self._asdict()
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "GenSpec":
-        return cls(doc["family"], doc["max_size"],
-                   doc.get("seed", 0), doc.get("count", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +146,11 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
     """The frame corpus for a spec, in a fixed deterministic order."""
     fam = spec.family
     if fam == "chain":
-        return [chain_frame(n) for n in range(1, min(spec.max_size, 16) + 1)]
+        return [chain_frame(n)
+                for n in range(1, min(spec.max_size, ENUMERATION_CAP) + 1)]
     if fam == "boolean-algebra":
         return [boolean_frame(k) for k in range(0, 5)
-                if 1 << k <= min(spec.max_size, FRAME_SIZE_CAP)]
+                if 1 << k <= min(spec.max_size, ENUMERATION_CAP)]
     if fam == "all-posets-up-to":
         out = []
         # size 0 contributes the one-element frame, the only finite frame
@@ -165,12 +158,12 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
         for n in range(0, min(spec.max_size, 5) + 1):
             for idx, rel in enumerate(all_posets(n)):
                 f = downset_frame(n, rel, name=f"P{n}-{idx}")
-                if f.n <= FRAME_SIZE_CAP:
+                if f.n <= ENUMERATION_CAP:
                     out.append(f)
         return out
     rng = random.Random(spec.seed)
     count = spec.count or 50
-    cap = min(spec.max_size, FRAME_SIZE_CAP)
+    cap = min(spec.max_size, ENUMERATION_CAP)
     out = []
     if fam == "random-poset":
         idx = 0

@@ -134,18 +134,6 @@ def derive_adjoint(src: FiniteFrame, tgt: FiniteFrame,
     return adj
 
 
-def adjoint_defect(src: FiniteFrame, tgt: FiniteFrame,
-                   adj: Sequence[int]) -> Optional[tuple]:
-    """Check the adjoint preserves top and binary meets; witness or None."""
-    if adj[tgt.top] != src.top:
-        return ("top",)
-    for a in range(tgt.n):
-        for b in range(a + 1, tgt.n):
-            if src.meet_table[adj[a]][adj[b]] != adj[tgt.meet_table[a][b]]:
-                return ("meet", a, b)
-    return None
-
-
 def build_map(src: FiniteFrame, tgt: FiniteFrame,
               table: Iterable[int], name: Optional[str] = None) -> LocalicMap:
     """Validate a table as a localic map and derive its adjoint."""
@@ -156,7 +144,8 @@ def build_map(src: FiniteFrame, tgt: FiniteFrame,
     if defect is not None:
         raise NotMeetPreserving(f"witness {defect}")
     adj = derive_adjoint(src, tgt, table)
-    defect = adjoint_defect(src, tgt, adj)
+    # the adjoint runs tgt -> src and must keep top and binary meets too
+    defect = check_table(tgt, src, adj)
     if defect is not None:
         raise AdjointNotFrameHom(f"witness {defect}")
     return LocalicMap(src, tgt, table, tuple(adj), name=name)

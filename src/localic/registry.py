@@ -1,14 +1,7 @@
-"""Registry of all theorem checks, keyed by stable id.
-
-The ids and scopes are mirrored in ``check_manifest.json`` next to this
-module; a meta-test keeps the two in sync so a check can't silently drop
-out of the suite.
-"""
+"""Registry of all theorem checks, keyed by stable id."""
 
 from __future__ import annotations
 
-import json
-from importlib import resources
 from typing import Callable, NamedTuple
 
 from .remoteness import CONTEXT_CHECKS, FRAME_CHECKS
@@ -37,12 +30,6 @@ def _build_registry() -> dict[str, TheoremCheck]:
 
 
 REGISTRY: dict[str, TheoremCheck] = _build_registry()
-
-
-def load_manifest() -> list[dict]:
-    text = resources.files("localic").joinpath(
-        "check_manifest.json").read_text()
-    return json.loads(text)["checks"]
 
 
 def checks_in_scope(scope: str) -> list[TheoremCheck]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from .errors import MixedFrames, InvalidSublocale
-from .frame import FiniteFrame, frame_from_leq, bits, popcount
+from .frame import FiniteFrame, _mask_of, frame_from_leq, bits, popcount
 
 
 class Sublocale:
@@ -31,9 +31,7 @@ class Sublocale:
 
     @classmethod
     def of(cls, frame: FiniteFrame, members: Iterable[int]) -> "Sublocale":
-        mask = 0
-        for m in members:
-            mask |= 1 << m
+        mask = _mask_of(members)
         if not is_sublocale(frame, mask):
             raise InvalidSublocale(
                 f"{sorted(bits(mask))} is not a sublocale of {frame!r}")
@@ -96,13 +94,8 @@ class Sublocale:
             f = self.frame
             elems = list(self.members())
             pos = {e: i for i, e in enumerate(elems)}
-            up = [0] * len(elems)
-            for i, e in enumerate(elems):
-                m = f.up[e] & self.mask
-                acc = 0
-                for x in bits(m):
-                    acc |= 1 << pos[x]
-                up[i] = acc
+            up = [_mask_of(pos[x] for x in bits(f.up[e] & self.mask))
+                  for e in elems]
             sub = frame_from_leq(
                 up, labels=[f.labels[e] for e in elems],
                 name=f"{f.name or 'frame'}|{''.join(sorted(self.labels()))}")
@@ -115,7 +108,7 @@ class Sublocale:
 
 def is_sublocale(frame: FiniteFrame, subset: int | Iterable[int]) -> bool:
     """Check the three closure conditions on a candidate member set."""
-    mask = subset if isinstance(subset, int) else _to_mask(subset)
+    mask = subset if isinstance(subset, int) else _mask_of(subset)
     if not mask >> frame.top & 1:
         return False
     req = frame._impl_req
@@ -130,13 +123,6 @@ def is_sublocale(frame: FiniteFrame, subset: int | Iterable[int]) -> bool:
             if not mask >> row[t] & 1:
                 return False
     return True
-
-
-def _to_mask(members: Iterable[int]) -> int:
-    mask = 0
-    for m in members:
-        mask |= 1 << m
-    return mask
 
 
 def void_subl(frame: FiniteFrame) -> Sublocale:
@@ -188,7 +174,7 @@ def span(frame: FiniteFrame, pts: int) -> int:
     above it; the empty meet puts the top in every span.
     """
     up = frame.up
-    return _to_mask(a for a in range(frame.n)
+    return _mask_of(a for a in range(frame.n)
                     if frame.meet_of(bits(pts & up[a])) == a)
 
 
@@ -232,7 +218,7 @@ def enumerate_sublocales(frame: FiniteFrame) -> list[Sublocale]:
         spans = [1 << frame.top]
         for p in bits(frame.points_mask()):
             row = frame.meet_table[p]
-            spans += [m | _to_mask(row[x] for x in bits(m)) for m in spans]
+            spans += [m | _mask_of(row[x] for x in bits(m)) for m in spans]
         for m in spans:
             if not is_sublocale(frame, m):
                 raise InvalidSublocale(

@@ -103,6 +103,15 @@ def _one_line(err: str) -> bool:
     return err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_validate_chain_names_the_map_at_fault(tmp_path, capsys):
+    assert main(["validate", _write(tmp_path, "ch.json", CHAIN_DOC)]) == 0
+    assert "ok: SquareChain" in capsys.readouterr().out
+    bad = dict(CHAIN_DOC, chain=dict(CHAIN_DOC["chain"], theta="f"))
+    assert main(["validate", _write(tmp_path, "bad.json", bad)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err) and "InvalidSquare" in err and "theta" in err
+
+
 @pytest.mark.parametrize("doc", [
     {"type": "frame", "elements": [[1]], "order": []},
     dict(MAP_DOC, frames=[dict(C3_DOC, name=["F"])]),

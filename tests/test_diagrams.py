@@ -2,8 +2,8 @@ import pytest
 
 from localic import (
     DenseSquare, GenSpec, InvalidSquare, RemoteContext, SquareChain,
-    Triangle, booleanization, chain_frame, checks_in_scope, identity_map,
-    whole_subl,
+    Triangle, booleanization, build_map, chain_frame, checks_in_scope,
+    identity_map, whole_subl,
 )
 from localic.diagrams import (
     CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, is_complemented_subl,
@@ -137,18 +137,39 @@ def test_preservation_bodies_are_not_vacuous(squares):
     assert chains
     for c in chains:
         outer = _rejecting(c.outer, "l")
-        rejecting = SquareChain(outer, c.i, c.k, c.phi, c.theta, c.sigma)
+        rejecting = SquareChain(outer, c.upper.alpha, c.upper.omega,
+                                c.upper.f, c.lower.alpha, c.lower.omega)
         for fn in (CHAIN_CHECKS["bvl"], CHAIN_CHECKS["starbvl"]):
             r = fn(rejecting)
             assert r.verdict == FAIL and r.witness, r.subject
 
 
 def test_chain_inner_square(squares):
+    # the upper square g over phi sits on the lower square phi over f
     chains = gen_chains(squares[:10], budget=10)
+    assert chains
     for chain in chains:
-        inner = chain.inner_square()
-        assert inner.l_frame is chain.r_frame
-        assert inner.m_frame is chain.u_frame
+        assert chain.upper.g is chain.outer.g
+        assert chain.lower.f is chain.outer.f
+        assert chain.upper.f is chain.lower.g
+
+
+def test_chain_rejects_each_broken_composite(c3, c4):
+    # both squares commute, but the pasted verticals miss one outer vertical
+    c2 = chain_frame(2)
+    e1, e2 = build_map(c3, c4, [0, 1, 3]), build_map(c3, c4, [0, 2, 3])
+    id2, id3, id4 = identity_map(c2), identity_map(c3), identity_map(c4)
+    # theta o i = e1 but alpha = e2; sigma o k = e1 = omega
+    f = build_map(c4, c4, [0, 1, 1, 3])
+    outer = DenseSquare(id3, f, e2, e1)
+    with pytest.raises(InvalidSquare, match="alpha != theta o i"):
+        SquareChain(outer, id3, id3, id3, e1, e1)
+    # g misses element 1 of C3, where k = e1 and omega = e2 differ
+    g = build_map(c2, c3, [0, 2])
+    f = build_map(c2, c4, [0, 3])   # phi is f too: R = L = S = C2, U = M
+    outer = DenseSquare(g, f, id2, e2)
+    with pytest.raises(InvalidSquare, match="omega != sigma o k"):
+        SquareChain(outer, id2, e1, f, id2, id4)
 
 
 def test_triangle_checks(small_frames):

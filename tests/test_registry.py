@@ -1,16 +1,15 @@
-from localic.registry import REGISTRY, SCOPES, checks_in_scope, load_manifest
+from localic.diagrams import CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS
+from localic.registry import REGISTRY, SCOPES, checks_in_scope
+from localic.remoteness import CONTEXT_CHECKS, FRAME_CHECKS
 
 
-def test_manifest_matches_registry():
-    checks = load_manifest()
-    entries = {(c["id"], c["scope"]) for c in checks}
-    assert entries == {(c.id, c.scope) for c in REGISTRY.values()}
-
-
-def test_manifest_sorted_and_unique():
-    ids = [c["id"] for c in load_manifest()]
-    assert ids == sorted(ids)
-    assert len(ids) == len(set(ids)) == 40
+def test_registry_scopes_match_check_tables():
+    tables = {"frame": FRAME_CHECKS, "context": CONTEXT_CHECKS,
+              "square": SQUARE_CHECKS, "chain": CHAIN_CHECKS,
+              "triangle": TRIANGLE_CHECKS}
+    for scope in SCOPES:
+        assert {c.id for c in checks_in_scope(scope)} == set(tables[scope])
+    assert len(REGISTRY) == 40
 
 
 def test_scopes_valid():
