@@ -15,14 +15,11 @@ from .sublocale import (
     nucleus_map, open_subl, subl_join, subl_meet, supplement, void_subl,
     whole_subl,
 )
-from .remoteness import (
-    CONTEXT_CHECKS, FRAME_CHECKS, RemoteContext, bl_context, whole_context,
-)
+from .remoteness import RemoteContext, bl_context, whole_context
 from .locmap import LocalicMap, build_map, compose, identity_map
 from .diagrams import (
-    CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, DenseSquare, SquareChain,
-    Triangle, is_f_remote_preserving, is_f_star_remote_preserving,
-    takes_remainder,
+    DenseSquare, SquareChain, Triangle, is_f_remote_preserving,
+    is_f_star_remote_preserving, takes_remainder,
 )
 from .generators import (
     GenSpec, gen_chains, gen_dense_sublocales, gen_frames, gen_maps,

@@ -23,7 +23,7 @@ from .generators import (
     gen_triangles,
 )
 from .jsonio import load_document
-from .registry import REGISTRY, checks_in_scope
+from .registry import REGISTRY, SCOPES, checks_in_scope
 from .remoteness import RemoteContext, sample_evenly
 from .result import FAIL, HYPOTHESES_NOT_MET, PASS
 from .sublocale import (
@@ -63,7 +63,7 @@ def _run_shard(args: tuple) -> tuple[list[dict], dict[str, int]]:
     counts = {scope: len(items) for scope, items in corpus.items()}
     rows = []
     idx = 0
-    for scope in ("frame", "context", "square", "chain", "triangle"):
+    for scope in SCOPES:
         checks = [c for c in checks_in_scope(scope) if fnmatch(c.id, pattern)]
         for inst in corpus[scope]:
             if checks and idx % nshards == shard:
@@ -119,27 +119,41 @@ def _parse_subl(frame: FiniteFrame, token: str) -> Sublocale:
         return whole_subl(frame)
     if token == "BL":
         return booleanization(frame)
-    labels = token.strip("{}").split(",")
+    if not (token.startswith("{") and token.endswith("}")):
+        raise InvalidSublocale(f"S={token}: expected L, BL or {{labels}}")
+    inner = token[1:-1]
+    labels = inner.split(",") if inner else []
+    if "" in labels:
+        raise InvalidSublocale(f"empty label in S={token}")
     try:
-        members = [frame.index_of(x) for x in labels if x]
+        members = [frame.index_of(x) for x in labels]
     except KeyError as e:
         raise InvalidSublocale(f"no element labelled {e.args[0]!r}") from None
     return Sublocale.of(frame, members)
 
 
 def answer_query(frame: FiniteFrame, words: list[str]):
-    question = words[0]
-    s = None
-    for w in words[1:]:
-        if w.startswith("S="):
-            s = _parse_subl(frame, w[2:])
+    question, *rest = words
+    # these ask about one dense S, given by at most one S=... (default L)
+    takes_s = question in ("remote-set", "rs", "star-rs", "nd", "rare?")
+    if not takes_s and question not in ("booleanization", "sublocale-count",
+                                        "dense-in-itself?"):
+        raise LocalicError(f"unknown question {question!r}")
+    for w in rest:
+        if not w.startswith("S="):
+            raise LocalicError(f"unexpected word {w!r}: only S=... may "
+                               f"follow the question")
+    if rest and not takes_s:
+        raise LocalicError(f"{question} takes no S=")
+    if len(rest) > 1:
+        raise LocalicError("S= given more than once")
     if question == "booleanization":
         return serialize_sublocale(booleanization(frame))
     if question == "sublocale-count":
         return len(enumerate_sublocales(frame))
-    if s is None and question in ("remote-set", "rs", "star-rs", "nd",
-                                  "rare?"):
-        s = whole_subl(frame)
+    if question == "dense-in-itself?":
+        return is_dense_in_itself(frame)
+    s = _parse_subl(frame, rest[0][2:]) if rest else whole_subl(frame)
     if question == "remote-set":
         ctx = RemoteContext(frame, s)
         return sorted(serialize_sublocale(t) for t in ctx.remote_set())
@@ -149,11 +163,7 @@ def answer_query(frame: FiniteFrame, words: list[str]):
         return serialize_sublocale(RemoteContext(frame, s).star().rs())
     if question == "nd":
         return serialize_sublocale(nd_join(frame, s))
-    if question == "rare?":
-        return is_rare(frame, s)
-    if question == "dense-in-itself?":
-        return is_dense_in_itself(frame)
-    raise LocalicError(f"unknown question {question!r}")
+    return is_rare(frame, s)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ through a middle layer as two squares pasted vertically, so its checks
 ask which of the three squares are remote preserving; a
 :class:`Triangle` composes two squares that share their middle vertical.
 
-Each check follows the hypothesis-gated discipline: the hypotheses of a
-statement are evaluated on the instance, and only when they hold is the
-conclusion asserted; otherwise the verdict is "hypotheses-not-met".
+Each check is hypothesis-gated: it evaluates the hypotheses of its
+statement on the instance and returns HYPOTHESES_NOT_MET when they fail;
+otherwise it asserts the conclusion and returns None when it holds or a
+witness string when it does not.  The registry writes the report row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import InvalidSquare
 from .frame import FiniteFrame
 from .locmap import LocalicMap, compose
 from .remoteness import RemoteContext, whole_context
-from .result import CheckResult, PASS, HYPOTHESES_NOT_MET, FAIL
+from .result import HYPOTHESES_NOT_MET
 from .sublocale import (
     Sublocale, booleanization, enumerate_sublocales, supplement,
     whole_subl as _whole,
@@ -207,15 +208,6 @@ def is_complemented_subl(frame: FiniteFrame, s: Sublocale) -> bool:
     return supplement(frame, s).mask & s.mask == 1 << frame.top
 
 
-def _verdict(check_id: str, subject: str, hyp: bool,
-             failure: Optional[str]) -> CheckResult:
-    if not hyp:
-        return CheckResult(check_id, subject, HYPOTHESES_NOT_MET)
-    if failure is None:
-        return CheckResult(check_id, subject, PASS)
-    return CheckResult(check_id, subject, FAIL, failure)
-
-
 # ---------------------------------------------------------------------------
 # Preservation and reflection over one square
 # ---------------------------------------------------------------------------
@@ -232,18 +224,18 @@ def _beta(sq: DenseSquare, ctx_l: RemoteContext,
     return fail
 
 
-def check_beta(sq: DenseSquare) -> CheckResult:
+def check_beta(sq: DenseSquare) -> Optional[str]:
     """g* skeletal and commuting adjoints force f to preserve remoteness."""
-    hyp = sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
-    fail = _beta(sq, sq.ctx_l(), sq.ctx_m()) if hyp else None
-    return _verdict("beta", sq.subject(), hyp, fail)
+    if not (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()):
+        return HYPOTHESES_NOT_MET
+    return _beta(sq, sq.ctx_l(), sq.ctx_m())
 
 
-def check_betastar(sq: DenseSquare) -> CheckResult:
-    hyp = (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
-           and takes_remainder(sq))
-    fail = _beta(sq, sq.ctx_l().star(), sq.ctx_m().star()) if hyp else None
-    return _verdict("betastar", sq.subject(), hyp, fail)
+def check_betastar(sq: DenseSquare) -> Optional[str]:
+    if not (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
+            and takes_remainder(sq)):
+        return HYPOTHESES_NOT_MET
+    return _beta(sq, sq.ctx_l().star(), sq.ctx_m().star())
 
 
 def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
@@ -261,19 +253,19 @@ def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
     return None
 
 
-def check_beta1(sq: DenseSquare) -> CheckResult:
+def check_beta1(sq: DenseSquare) -> Optional[str]:
     """Skeletal g reflects remoteness through images under f."""
-    hyp = sq.g.is_skeletal()
-    fail = _beta1(sq, sq.ctx_l(), sq.ctx_m()) if hyp else None
-    return _verdict("beta1", sq.subject(), hyp, fail)
+    if not sq.g.is_skeletal():
+        return HYPOTHESES_NOT_MET
+    return _beta1(sq, sq.ctx_l(), sq.ctx_m())
 
 
-def check_beta1star(sq: DenseSquare) -> CheckResult:
-    hyp = (sq.g.is_skeletal()
-           and is_complemented_subl(sq.m_frame, sq.omega_image)
-           and sq.f.preimage_subl(sq.omega_image) == sq.alpha_image)
-    fail = _beta1(sq, sq.ctx_l().star(), sq.ctx_m().star()) if hyp else None
-    return _verdict("beta1star", sq.subject(), hyp, fail)
+def check_beta1star(sq: DenseSquare) -> Optional[str]:
+    if not (sq.g.is_skeletal()
+            and is_complemented_subl(sq.m_frame, sq.omega_image)
+            and sq.f.preimage_subl(sq.omega_image) == sq.alpha_image):
+        return HYPOTHESES_NOT_MET
+    return _beta1(sq, sq.ctx_l().star(), sq.ctx_m().star())
 
 
 def _for(sq: DenseSquare, ctx_l: RemoteContext,
@@ -289,19 +281,19 @@ def _for(sq: DenseSquare, ctx_l: RemoteContext,
     return None
 
 
-def check_for(sq: DenseSquare) -> CheckResult:
+def check_for(sq: DenseSquare) -> Optional[str]:
     """Skeletal g pulls remote sublocales back to remote sublocales."""
-    hyp = sq.g.is_skeletal()
-    fail = _for(sq, sq.ctx_l(), sq.ctx_m()) if hyp else None
-    return _verdict("for", sq.subject(), hyp, fail)
+    if not sq.g.is_skeletal():
+        return HYPOTHESES_NOT_MET
+    return _for(sq, sq.ctx_l(), sq.ctx_m())
 
 
-def check_forstar(sq: DenseSquare) -> CheckResult:
-    hyp = (sq.g.is_skeletal()
-           and sq.f.preimage_subl(sq.omega_image) == sq.alpha_image
-           and is_complemented_subl(sq.m_frame, sq.omega_image))
-    fail = _for(sq, sq.ctx_l().star(), sq.ctx_m().star()) if hyp else None
-    return _verdict("forstar", sq.subject(), hyp, fail)
+def check_forstar(sq: DenseSquare) -> Optional[str]:
+    if not (sq.g.is_skeletal()
+            and sq.f.preimage_subl(sq.omega_image) == sq.alpha_image
+            and is_complemented_subl(sq.m_frame, sq.omega_image)):
+        return HYPOTHESES_NOT_MET
+    return _for(sq, sq.ctx_l().star(), sq.ctx_m().star())
 
 
 def _plain_then_star(sq: DenseSquare, body) -> Optional[str]:
@@ -326,12 +318,12 @@ def _for1(sq: DenseSquare, ctx_l: RemoteContext,
     return None
 
 
-def check_for1(sq: DenseSquare) -> CheckResult:
+def check_for1(sq: DenseSquare) -> Optional[str]:
     """Surjective image function turns preimage-remoteness into remoteness."""
-    hyp = (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
-           and sq.f.image_is_surjective())
-    fail = _plain_then_star(sq, _for1) if hyp else None
-    return _verdict("for1", sq.subject(), hyp, fail)
+    if not (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
+            and sq.f.image_is_surjective()):
+        return HYPOTHESES_NOT_MET
+    return _plain_then_star(sq, _for1)
 
 
 def _for1star(sq: DenseSquare, ctx_l: RemoteContext,
@@ -345,81 +337,75 @@ def _for1star(sq: DenseSquare, ctx_l: RemoteContext,
     return None
 
 
-def check_for1star(sq: DenseSquare) -> CheckResult:
+def check_for1star(sq: DenseSquare) -> Optional[str]:
     """f* reflects the Rmt condition under either closure-style hypothesis."""
-    hyp = sq.g.adjoint_is_skeletal() and (
-        (sq.f.is_weakly_closed_adjoint() and sq.g.is_surjective())
-        or (sq.adjoints_commute() and sq.f.is_surjective()))
-    fail = _plain_then_star(sq, _for1star) if hyp else None
-    return _verdict("for1star", sq.subject(), hyp, fail)
+    if not (sq.g.adjoint_is_skeletal() and (
+            (sq.f.is_weakly_closed_adjoint() and sq.g.is_surjective())
+            or (sq.adjoints_commute() and sq.f.is_surjective()))):
+        return HYPOTHESES_NOT_MET
+    return _plain_then_star(sq, _for1star)
 
 
 # ---------------------------------------------------------------------------
 # Remote-preserving characterizations over one square
 # ---------------------------------------------------------------------------
 
-def check_gamma_remote_preserving(sq: DenseSquare) -> CheckResult:
+def check_gamma_remote_preserving(sq: DenseSquare) -> Optional[str]:
     """Four equivalent faces of f-remote preservation."""
-    hyp = sq.adjoints_commute()
-    fail = None
-    if hyp:
-        ctx_m = sq.ctx_m()
-        p1 = is_f_remote_preserving(sq)
-        p2 = ctx_m.is_remote_from(
-            sq.f.image_subl(booleanization(sq.l_frame)))
-        img_rs = sq.f.image_subl(sq.ctx_l().rs())
-        p3 = ctx_m.is_remote_from(img_rs)
-        p4 = img_rs <= ctx_m.rs()
-        if not p1 == p2 == p3 == p4:
-            fail = f"faces={(p1, p2, p3, p4)}"
-    return _verdict("gammaremotepreserving", sq.subject(), hyp, fail)
+    if not sq.adjoints_commute():
+        return HYPOTHESES_NOT_MET
+    ctx_m = sq.ctx_m()
+    p1 = is_f_remote_preserving(sq)
+    p2 = ctx_m.is_remote_from(sq.f.image_subl(booleanization(sq.l_frame)))
+    img_rs = sq.f.image_subl(sq.ctx_l().rs())
+    p3 = ctx_m.is_remote_from(img_rs)
+    p4 = img_rs <= ctx_m.rs()
+    if not p1 == p2 == p3 == p4:
+        return f"faces={(p1, p2, p3, p4)}"
+    return None
 
 
-def check_star_gamma_remote_preserving(sq: DenseSquare) -> CheckResult:
-    hyp = sq.adjoints_commute()
-    fail = None
-    if hyp:
-        ctx_l, ctx_m = sq.ctx_l().star(), sq.ctx_m().star()
-        p1 = is_f_star_remote_preserving(sq)
-        img = sq.f.image_subl(ctx_l.rs())
-        p2 = ctx_m.is_remote_from(img)
-        p3 = img <= ctx_m.rs()
-        if not p1 == p2 == p3:
-            fail = f"faces={(p1, p2, p3)}"
-    return _verdict("stargammaremotepreserving", sq.subject(), hyp, fail)
+def check_star_gamma_remote_preserving(sq: DenseSquare) -> Optional[str]:
+    if not sq.adjoints_commute():
+        return HYPOTHESES_NOT_MET
+    ctx_l, ctx_m = sq.ctx_l().star(), sq.ctx_m().star()
+    p1 = is_f_star_remote_preserving(sq)
+    img = sq.f.image_subl(ctx_l.rs())
+    p2 = ctx_m.is_remote_from(img)
+    p3 = img <= ctx_m.rs()
+    if not p1 == p2 == p3:
+        return f"faces={(p1, p2, p3)}"
+    return None
 
 
-def check_gamma_preservation_lemma(sq: DenseSquare) -> CheckResult:
+def check_gamma_preservation_lemma(sq: DenseSquare) -> Optional[str]:
     """Remoteness transfers along alpha between S and (L, alpha[S])."""
     s_ctx = whole_context(sq.s_frame)
     ctx_l = sq.ctx_l()
     for a in enumerate_sublocales(sq.s_frame):
         if s_ctx.is_remote_from(a) \
                 != ctx_l.is_remote_from(sq.alpha.image_subl(a)):
-            return _verdict("gammapreservationlemma", sq.subject(), True,
-                            f"A={sorted(a.labels())} (part 1)")
+            return f"A={sorted(a.labels())} (part 1)"
     for a in ctx_l.remote_set():
         if not s_ctx.is_remote_from(sq.alpha.preimage_subl(a)):
-            return _verdict("gammapreservationlemma", sq.subject(), True,
-                            f"A={sorted(a.labels())} (part 2)")
-    return _verdict("gammapreservationlemma", sq.subject(), True, None)
+            return f"A={sorted(a.labels())} (part 2)"
+    return None
 
 
-def check_remote_preservation(sq: DenseSquare) -> CheckResult:
+def check_remote_preservation(sq: DenseSquare) -> Optional[str]:
     """f-remote preservation matches g preserving remote sublocales."""
-    hyp = sq.adjoints_commute()
-    fail = None
-    if hyp:
-        lhs = is_f_remote_preserving(sq)
-        # g preserves remote sublocales iff g[BS] is remote in T
-        rhs = whole_context(sq.t_frame).is_remote_from(
-            sq.g.image_subl(booleanization(sq.s_frame)))
-        if lhs != rhs:
-            fail = f"f-remote-preserving={lhs} g-preserves-remote={rhs}"
-    return _verdict("remotepreservation", sq.subject(), hyp, fail)
+    if not sq.adjoints_commute():
+        return HYPOTHESES_NOT_MET
+    lhs = is_f_remote_preserving(sq)
+    # g preserves remote sublocales iff g[BS] is remote in T
+    rhs = whole_context(sq.t_frame).is_remote_from(
+        sq.g.image_subl(booleanization(sq.s_frame)))
+    if lhs != rhs:
+        return f"f-remote-preserving={lhs} g-preserves-remote={rhs}"
+    return None
 
 
-SQUARE_CHECKS: dict[str, Callable[[DenseSquare], CheckResult]] = {
+SQUARE_CHECKS: dict[str, Callable[[DenseSquare], Optional[str]]] = {
     "beta": check_beta,
     "betastar": check_betastar,
     "beta1": check_beta1,
@@ -439,51 +425,49 @@ SQUARE_CHECKS: dict[str, Callable[[DenseSquare], CheckResult]] = {
 # Chain-level checks
 # ---------------------------------------------------------------------------
 
-def check_bvl(chain: SquareChain) -> CheckResult:
+def check_bvl(chain: SquareChain) -> Optional[str]:
     """theta maps the middle layer's remote sublocales to remote ones."""
-    fail = _image_witness(chain.lower.alpha, chain.upper.ctx_l(),
+    return _image_witness(chain.lower.alpha, chain.upper.ctx_l(),
                           chain.outer.ctx_l())
-    return _verdict("bvl", chain.subject(), True, fail)
 
 
-def check_starbvl(chain: SquareChain) -> CheckResult:
-    fail = _image_witness(chain.lower.alpha, chain.upper.ctx_l().star(),
+def check_starbvl(chain: SquareChain) -> Optional[str]:
+    return _image_witness(chain.lower.alpha, chain.upper.ctx_l().star(),
                           chain.outer.ctx_l().star())
-    return _verdict("starbvl", chain.subject(), True, fail)
 
 
-def check_gfremote(chain: SquareChain) -> CheckResult:
+def check_gfremote(chain: SquareChain) -> Optional[str]:
     """Outer f-remote preservation descends to the upper square."""
-    hyp = is_f_remote_preserving(chain.outer)
-    fail = None
-    if hyp and not is_f_remote_preserving(chain.upper):
-        fail = "phi not remote preserving"
-    return _verdict("gfremote", chain.subject(), hyp, fail)
+    if not is_f_remote_preserving(chain.outer):
+        return HYPOTHESES_NOT_MET
+    if not is_f_remote_preserving(chain.upper):
+        return "phi not remote preserving"
+    return None
 
 
-def check_obsfremote(chain: SquareChain) -> CheckResult:
+def check_obsfremote(chain: SquareChain) -> Optional[str]:
     """Converse of the descent when alpha is surjective."""
-    hyp = (chain.outer.alpha.is_surjective()
-           and is_f_remote_preserving(chain.upper))
-    fail = None
-    if hyp and not is_f_remote_preserving(chain.outer):
-        fail = "f not remote preserving"
-    return _verdict("obsfremote", chain.subject(), hyp, fail)
+    if not (chain.outer.alpha.is_surjective()
+            and is_f_remote_preserving(chain.upper)):
+        return HYPOTHESES_NOT_MET
+    if not is_f_remote_preserving(chain.outer):
+        return "f not remote preserving"
+    return None
 
 
-def check_star_obs_gfremote(chain: SquareChain) -> CheckResult:
+def check_star_obs_gfremote(chain: SquareChain) -> Optional[str]:
     """Star descent under the remainder-forcing side conditions."""
     up = chain.upper
-    hyp = (is_f_star_remote_preserving(chain.outer)
-           and up.f.preimage_subl(up.omega_image) == up.alpha_image
-           and up.f.image_is_surjective())
-    fail = None
-    if hyp and not is_f_star_remote_preserving(up):
-        fail = "phi not *remote preserving"
-    return _verdict("starobsgfremote", chain.subject(), hyp, fail)
+    if not (is_f_star_remote_preserving(chain.outer)
+            and up.f.preimage_subl(up.omega_image) == up.alpha_image
+            and up.f.image_is_surjective()):
+        return HYPOTHESES_NOT_MET
+    if not is_f_star_remote_preserving(up):
+        return "phi not *remote preserving"
+    return None
 
 
-CHAIN_CHECKS: dict[str, Callable[[SquareChain], CheckResult]] = {
+CHAIN_CHECKS: dict[str, Callable[[SquareChain], Optional[str]]] = {
     "bvl": check_bvl,
     "starbvl": check_starbvl,
     "gfremote": check_gfremote,
@@ -496,47 +480,45 @@ CHAIN_CHECKS: dict[str, Callable[[SquareChain], CheckResult]] = {
 # Triangle-level checks (composition of preservation)
 # ---------------------------------------------------------------------------
 
-def check_tfg1(tri: Triangle) -> CheckResult:
+def check_tfg1(tri: Triangle) -> Optional[str]:
     """Preservation composes; the star case composes the same way."""
     hyp_plain = (is_f_remote_preserving(tri.sq1)
                  and is_f_remote_preserving(tri.sq2))
     hyp_star = (is_f_star_remote_preserving(tri.sq1)
                 and is_f_star_remote_preserving(tri.sq2))
     if not (hyp_plain or hyp_star):
-        return CheckResult("tfg-1", tri.subject(), HYPOTHESES_NOT_MET)
-    fail = None
+        return HYPOTHESES_NOT_MET
     if hyp_plain and not is_f_remote_preserving(tri.sq3):
-        fail = "composite not remote preserving"
-    if fail is None and hyp_star \
-            and not is_f_star_remote_preserving(tri.sq3):
-        fail = "composite not *remote preserving"
-    return _verdict("tfg-1", tri.subject(), True, fail)
+        return "composite not remote preserving"
+    if hyp_star and not is_f_star_remote_preserving(tri.sq3):
+        return "composite not *remote preserving"
+    return None
 
 
-def check_tfg2(tri: Triangle) -> CheckResult:
+def check_tfg2(tri: Triangle) -> Optional[str]:
     """Composite preservation plus a skeletal second leg recovers the first."""
-    hyp = is_f_remote_preserving(tri.sq3) and tri.sq2.g.is_skeletal()
-    fail = None
-    if hyp and not is_f_remote_preserving(tri.sq1):
-        fail = "first leg not remote preserving"
-    return _verdict("tfg-2", tri.subject(), hyp, fail)
+    if not (is_f_remote_preserving(tri.sq3) and tri.sq2.g.is_skeletal()):
+        return HYPOTHESES_NOT_MET
+    if not is_f_remote_preserving(tri.sq1):
+        return "first leg not remote preserving"
+    return None
 
 
-def check_tfg3(tri: Triangle) -> CheckResult:
+def check_tfg3(tri: Triangle) -> Optional[str]:
     """Composite preservation recovers the second leg when the middle
     context's remote sublocales all sit inside the image of the first
     Booleanization."""
-    hyp = is_f_remote_preserving(tri.sq3)
-    if hyp:
-        bound = tri.sq1.f.image_subl(booleanization(tri.sq1.l_frame))
-        hyp = all(a <= bound for a in tri.sq2.ctx_l().remote_set())
-    fail = None
-    if hyp and not is_f_remote_preserving(tri.sq2):
-        fail = "second leg not remote preserving"
-    return _verdict("tfg-3", tri.subject(), hyp, fail)
+    if not is_f_remote_preserving(tri.sq3):
+        return HYPOTHESES_NOT_MET
+    bound = tri.sq1.f.image_subl(booleanization(tri.sq1.l_frame))
+    if not all(a <= bound for a in tri.sq2.ctx_l().remote_set()):
+        return HYPOTHESES_NOT_MET
+    if not is_f_remote_preserving(tri.sq2):
+        return "second leg not remote preserving"
+    return None
 
 
-TRIANGLE_CHECKS: dict[str, Callable[[Triangle], CheckResult]] = {
+TRIANGLE_CHECKS: dict[str, Callable[[Triangle], Optional[str]]] = {
     "tfg-1": check_tfg1,
     "tfg-2": check_tfg2,
     "tfg-3": check_tfg3,

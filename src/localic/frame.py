@@ -159,6 +159,9 @@ class FiniteFrame:
     def index_of(self, label: str) -> int:
         return self._label_index[label]
 
+    def subject(self) -> str:
+        return self.name or f"frame(n={self.n})"
+
     def __repr__(self) -> str:
         return f"FiniteFrame({self.name or 'unnamed'}, n={self.n})"
 

@@ -25,6 +25,9 @@ from .sublocale import Sublocale, enumerate_sublocales, whole_subl
 FAMILIES = ("all-posets-up-to", "random-poset", "chain",
             "boolean-algebra", "finite-topology")
 
+# Squares and triangles are built only over frames of at most this size.
+DIAGRAM_FRAME_CAP = 8
+
 
 class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
     """Reproducible description of a generated corpus."""
@@ -311,16 +314,15 @@ def _pair_maps(l: FiniteFrame, m: FiniteFrame, limit: int,
     return gen_maps(l, m, limit=limit, seed=seed)
 
 
-def gen_squares(frames: list[FiniteFrame], max_frame: int = 8,
-                maps_per_pair: int = 4, budget: int = 0,
-                seed: int = 0) -> list[DenseSquare]:
-    """Squares over all frame pairs below the size cutoff.
+def gen_squares(frames: list[FiniteFrame], maps_per_pair: int = 4,
+                budget: int = 0, seed: int = 0) -> list[DenseSquare]:
+    """Squares over all pairs of frames of at most DIAGRAM_FRAME_CAP elements.
 
     Same-frame pairs come first with their full dense-sublocale grid;
     cross pairs use searched maps, a few per pair.  The budget, when
     nonzero, truncates deterministically.
     """
-    small = [f for f in frames if f.n <= max_frame]
+    small = [f for f in frames if f.n <= DIAGRAM_FRAME_CAP]
     out: list[DenseSquare] = []
 
     def push(sq: Optional[DenseSquare]) -> bool:
@@ -373,11 +375,10 @@ def gen_chains(squares: list[DenseSquare], budget: int = 0
     return out
 
 
-def gen_triangles(frames: list[FiniteFrame], max_frame: int = 8,
-                  maps_per_pair: int = 2, budget: int = 0,
-                  seed: int = 0) -> list[Triangle]:
+def gen_triangles(frames: list[FiniteFrame], maps_per_pair: int = 2,
+                  budget: int = 0, seed: int = 0) -> list[Triangle]:
     """Composable square pairs sharing the middle vertical."""
-    small = [f for f in frames if f.n <= max_frame]
+    small = [f for f in frames if f.n <= DIAGRAM_FRAME_CAP]
     out: list[Triangle] = []
     for li, l in enumerate(small):
         for mi, m in enumerate(small):

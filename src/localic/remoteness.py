@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .frame import FiniteFrame, bits
-from .result import CheckResult, PASS, HYPOTHESES_NOT_MET, FAIL
+from .result import HYPOTHESES_NOT_MET
 from .sublocale import (
     Sublocale, booleanization, closed_subl, enumerate_sublocales,
     is_dense_in_itself, is_rare, nd_join, nucleus_map, open_subl, span,
@@ -180,15 +180,10 @@ def sample_evenly(items: list, cap: int) -> list:
 
 # ---------------------------------------------------------------------------
 # Per-statement context checks (scope: one frame + one dense sublocale)
+# Each returns None, HYPOTHESES_NOT_MET or its witness; see localic.registry.
 # ---------------------------------------------------------------------------
 
-def _result(check_id: str, ctx_subject: str, ok: bool,
-            witness: Optional[str] = None) -> CheckResult:
-    return CheckResult(check_id, ctx_subject, PASS if ok else FAIL,
-                       None if ok else witness)
-
-
-def check_opendensefrom(ctx: RemoteContext) -> CheckResult:
+def check_opendensefrom(ctx: RemoteContext) -> Optional[str]:
     """The oracle, fast-path, open-subset and nucleus predicates agree."""
     # beyond the cap the nucleus votes dominate; sample T
     subs = sample_evenly(enumerate_sublocales(ctx.frame), SMALL_COFRAME)
@@ -196,17 +191,17 @@ def check_opendensefrom(ctx: RemoteContext) -> CheckResult:
         votes = (ctx.pred_nwd_oracle(t), ctx.is_remote_from(t),
                  ctx.pred_open_subset(t), ctx.pred_nucleus_top(t))
         if len(set(votes)) != 1:
-            return _result("opendensefrom", ctx.subject(), False,
-                           f"T={sorted(t.labels())} predicates={votes}")
-    return _result("opendensefrom", ctx.subject(), True)
+            return f"T={sorted(t.labels())} predicates={votes}"
+    return None
 
 
-def check_void_remote(ctx: RemoteContext) -> CheckResult:
-    ok = ctx.is_remote_from(void_subl(ctx.frame), oracle=True)
-    return _result("BLandL1", ctx.subject(), ok, "O not remote")
+def check_void_remote(ctx: RemoteContext) -> Optional[str]:
+    if not ctx.is_remote_from(void_subl(ctx.frame), oracle=True):
+        return "O not remote"
+    return None
 
 
-def check_downward_closure(ctx: RemoteContext) -> CheckResult:
+def check_downward_closure(ctx: RemoteContext) -> Optional[str]:
     """A <= B and B remote from S imply A remote from S.
 
     Sublocales are keyed by their point sets, and a family of point sets is
@@ -219,41 +214,38 @@ def check_downward_closure(ctx: RemoteContext) -> CheckResult:
         for p in bits(q):
             if q & ~(1 << p) not in remote:
                 a, b = by_pts[q & ~(1 << p)], by_pts[q]
-                return _result("BLandL4", ctx.subject(), False,
-                               f"A={sorted(a.labels())} B={sorted(b.labels())}")
-    return _result("BLandL4", ctx.subject(), True)
+                return f"A={sorted(a.labels())} B={sorted(b.labels())}"
+    return None
 
 
-def check_nd_remote(ctx: RemoteContext) -> CheckResult:
+def check_nd_remote(ctx: RemoteContext) -> Optional[str]:
     """L minus the closure of Nd(S) is remote from S."""
     nd = nd_join(ctx.frame, ctx.s)
     rem = supplement(ctx.frame, nd.closure())
-    ok = ctx.is_remote_from(rem, oracle=True)
-    return _result("NDSremotefrom", ctx.subject(), ok,
-                   f"Nd(S)={sorted(nd.labels())}")
+    if not ctx.is_remote_from(rem, oracle=True):
+        return f"Nd(S)={sorted(nd.labels())}"
+    return None
 
 
-def check_star_subset(ctx: RemoteContext) -> CheckResult:
+def check_star_subset(ctx: RemoteContext) -> Optional[str]:
     """*remote sublocales are remote."""
     remote = set(t.mask for t in ctx.remote_set())
     for t in ctx.star().remote_set():
         if t.mask not in remote:
-            return _result("remotesets", ctx.subject(), False,
-                           f"T={sorted(t.labels())}")
-    return _result("remotesets", ctx.subject(), True)
+            return f"T={sorted(t.labels())}"
+    return None
 
 
-def check_rem_l_subset(ctx: RemoteContext) -> CheckResult:
+def check_rem_l_subset(ctx: RemoteContext) -> Optional[str]:
     """Remote sublocales of L are remote from every dense S."""
     whole = whole_context(ctx.frame)
     for t in whole.remote_set():
         if not ctx.is_remote_from(t):
-            return _result("SRemandSRemLS", ctx.subject(), False,
-                           f"T={sorted(t.labels())}")
-    return _result("SRemandSRemLS", ctx.subject(), True)
+            return f"T={sorted(t.labels())}"
+    return None
 
 
-def check_rem_s_intersection(ctx: RemoteContext) -> CheckResult:
+def check_rem_s_intersection(ctx: RemoteContext) -> Optional[str]:
     """S(S) /\\ S_rem(L |x S) equals S_rem(S), computed in the induced frame."""
     sub, elems = ctx.s.as_frame()
     sub_ctx = whole_context(sub)
@@ -265,79 +257,78 @@ def check_rem_s_intersection(ctx: RemoteContext) -> CheckResult:
         rhs.add(mask)
     lhs = {t.mask for t in enumerate_sublocales(ctx.frame)
            if t.mask & ~ctx.s.mask == 0 and ctx.is_remote_from(t)}
-    ok = lhs == rhs
-    wit = None
-    if not ok:
-        diff = lhs.symmetric_difference(rhs)
-        wit = f"masks differ on {sorted(diff)}"
-    return _result("remS", ctx.subject(), ok, wit)
+    if lhs != rhs:
+        return f"masks differ on {sorted(lhs ^ rhs)}"
+    return None
 
 
-def check_rmt_characterization(ctx: RemoteContext) -> CheckResult:
+def check_rmt_characterization(ctx: RemoteContext) -> Optional[str]:
     """Rmt via the join condition agrees with remoteness of c(a); *Rmt too."""
     for c in (ctx, ctx.star()):
         fast = c.rmt_elements()
         slow = c.rmt_elements(oracle=True)
         if fast != slow:
-            return _result("sublocale", ctx.subject(), False,
-                           f"join-rule={sorted(fast)} oracle={sorted(slow)}")
-    return _result("sublocale", ctx.subject(), True)
+            return f"join-rule={sorted(fast)} oracle={sorted(slow)}"
+    return None
 
 
-def check_rare_equality(ctx: RemoteContext) -> CheckResult:
+def check_rare_equality(ctx: RemoteContext) -> Optional[str]:
     """For dense and rare S the remote and *remote collections coincide."""
     if not is_rare(ctx.frame, ctx.s):
-        return CheckResult("rareequality", ctx.subject(), HYPOTHESES_NOT_MET)
+        return HYPOTHESES_NOT_MET
     plain = {t.mask for t in ctx.remote_set()}
     star = {t.mask for t in ctx.star().remote_set()}
-    return _result("rareequality", ctx.subject(), plain == star,
-                   f"difference masks {sorted(plain ^ star)}")
+    if plain != star:
+        return f"difference masks {sorted(plain ^ star)}"
+    return None
 
 
-def check_bl_remote(ctx: RemoteContext) -> CheckResult:
-    ok = ctx.is_remote_from(booleanization(ctx.frame), oracle=True)
-    return _result("BLisremote", ctx.subject(), ok, "BL not remote from S")
+def check_bl_remote(ctx: RemoteContext) -> Optional[str]:
+    if not ctx.is_remote_from(booleanization(ctx.frame), oracle=True):
+        return "BL not remote from S"
+    return None
 
 
-def check_s_is_bl(ctx: RemoteContext) -> CheckResult:
+def check_s_is_bl(ctx: RemoteContext) -> Optional[str]:
     """S remote from itself iff S = BL iff L remote from S."""
     a = ctx.is_remote_from(ctx.s)
     b = ctx.s == booleanization(ctx.frame)
     c = ctx.is_remote_from(whole_subl(ctx.frame))
-    ok = a == b == c
-    return _result("SisBL", ctx.subject(), ok, f"(S rem, S=BL, L rem)={(a, b, c)}")
+    if not a == b == c:
+        return f"(S rem, S=BL, L rem)={(a, b, c)}"
+    return None
 
 
-def check_srem_lemma(ctx: RemoteContext) -> CheckResult:
+def check_srem_lemma(ctx: RemoteContext) -> Optional[str]:
     """A remote from S implies A /\\ S remote in L."""
     whole = whole_context(ctx.frame)
     for a in ctx.remote_set():
         cut = Sublocale(ctx.frame, a.mask & ctx.s.mask)
         if not whole.is_remote_from(cut):
-            return _result("SRemLemma", ctx.subject(), False,
-                           f"A={sorted(a.labels())}")
-    return _result("SRemLemma", ctx.subject(), True)
+            return f"A={sorted(a.labels())}"
+    return None
 
 
-def check_rs_bl(ctx: RemoteContext) -> CheckResult:
+def check_rs_bl(ctx: RemoteContext) -> Optional[str]:
     """Rs(L |x S) /\\ S = BL."""
     cut = ctx.rs().mask & ctx.s.mask
-    ok = cut == booleanization(ctx.frame).mask
-    return _result("RsBL", ctx.subject(), ok,
-                   f"Rs/\\S mask={cut:#x}")
+    if cut != booleanization(ctx.frame).mask:
+        return f"Rs/\\S mask={cut:#x}"
+    return None
 
 
-def check_rs_nd(ctx: RemoteContext) -> CheckResult:
+def check_rs_nd(ctx: RemoteContext) -> Optional[str]:
     """Rs = L minus closure(Nd(S)) iff Nd(S) is S-nowhere dense."""
     nd = nd_join(ctx.frame, ctx.s)
     lhs = ctx.rs() == supplement(ctx.frame, nd.closure())
     # Nd(S) <= S, and for dense S its S-pseudocomplements are ambient ones.
     rhs = ctx.frame.is_dense_element(nd.min_element())
-    return _result("RsNd", ctx.subject(), lhs == rhs,
-                   f"equality={lhs} nd-nowhere-dense={rhs}")
+    if lhs != rhs:
+        return f"equality={lhs} nd-nowhere-dense={rhs}"
+    return None
 
 
-CONTEXT_CHECKS: dict[str, Callable[[RemoteContext], CheckResult]] = {
+CONTEXT_CHECKS: dict[str, Callable[[RemoteContext], Optional[str]]] = {
     "opendensefrom": check_opendensefrom,
     "BLandL1": check_void_remote,
     "BLandL4": check_downward_closure,
@@ -359,59 +350,61 @@ CONTEXT_CHECKS: dict[str, Callable[[RemoteContext], CheckResult]] = {
 # Frame-scoped checks (statements about S = BL specifically)
 # ---------------------------------------------------------------------------
 
-def _fsubject(frame: FiniteFrame) -> str:
-    return frame.name or f"frame(n={frame.n})"
-
-
-def check_remprop_bl(frame: FiniteFrame) -> CheckResult:
+def check_remprop_bl(frame: FiniteFrame) -> Optional[str]:
     """Everything is remote from the Booleanization."""
     ctx = bl_context(frame)
     for t in enumerate_sublocales(frame):
         if not ctx.is_remote_from(t):
-            return _result("rempropBL", _fsubject(frame), False,
-                           f"T={sorted(t.labels())}")
-    return _result("rempropBL", _fsubject(frame), True)
+            return f"T={sorted(t.labels())}"
+    return None
 
 
-def check_remprop_bl_star(frame: FiniteFrame) -> CheckResult:
+def check_remprop_bl_star(frame: FiniteFrame) -> Optional[str]:
     """*remote-from-BL sublocales are exactly those inside L \\ BL."""
     star = bl_context(frame).star()
     expected = {t.mask for t in enumerate_sublocales(frame)
                 if t <= star.within}
     actual = {t.mask for t in star.remote_set(oracle=True)}
-    return _result("rempropBLstar", _fsubject(frame), expected == actual,
-                   f"difference masks {sorted(expected ^ actual)}")
+    if expected != actual:
+        return f"difference masks {sorted(expected ^ actual)}"
+    return None
 
 
-def check_l_is_large(frame: FiniteFrame) -> CheckResult:
+def check_l_is_large(frame: FiniteFrame) -> Optional[str]:
     """Rs(L |x BL), joined over the oracle's remote set, is L."""
-    ok = bl_context(frame).rs(oracle=True).is_whole()
-    return _result("Lislarge", _fsubject(frame), ok, "Rs(L|xBL) != L")
+    if not bl_context(frame).rs(oracle=True).is_whole():
+        return "Rs(L|xBL) != L"
+    return None
 
 
-def check_rs_dense(frame: FiniteFrame) -> CheckResult:
+def check_rs_dense(frame: FiniteFrame) -> Optional[str]:
     """*Rs(L |x BL), joined over the oracle's *remote set, is L \\ BL."""
     star = bl_context(frame).star()
     rs = star.rs(oracle=True)
-    return _result("RsDense", _fsubject(frame), rs == star.within,
-                   f"*Rs={sorted(rs.labels())}")
+    if rs != star.within:
+        return f"*Rs={sorted(rs.labels())}"
+    return None
 
 
-def check_obs_remotefrom(frame: FiniteFrame) -> CheckResult:
+def check_obs_remotefrom(frame: FiniteFrame) -> Optional[str]:
     """L is remote in itself exactly when L is Boolean."""
-    ok = whole_context(frame).is_remote_from(whole_subl(frame)) \
-        == frame.is_boolean()
-    return _result("obsremotefrom", _fsubject(frame), ok)
+    a = whole_context(frame).is_remote_from(whole_subl(frame))
+    b = frame.is_boolean()
+    if a != b:
+        return f"(L rem in L, L Boolean)={(a, b)}"
+    return None
 
 
-def check_obs_remotefrom_star(frame: FiniteFrame) -> CheckResult:
+def check_obs_remotefrom_star(frame: FiniteFrame) -> Optional[str]:
     """L dense in itself iff L is *remote from its Booleanization."""
-    ok = is_dense_in_itself(frame) \
-        == bl_context(frame).star().is_remote_from(whole_subl(frame))
-    return _result("obsremotefromstar", _fsubject(frame), ok)
+    a = is_dense_in_itself(frame)
+    b = bl_context(frame).star().is_remote_from(whole_subl(frame))
+    if a != b:
+        return f"(L dense in itself, L *rem from BL)={(a, b)}"
+    return None
 
 
-FRAME_CHECKS: dict[str, Callable[[FiniteFrame], CheckResult]] = {
+FRAME_CHECKS: dict[str, Callable[[FiniteFrame], Optional[str]]] = {
     "rempropBL": check_remprop_bl,
     "rempropBLstar": check_remprop_bl_star,
     "Lislarge": check_l_is_large,

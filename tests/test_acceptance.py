@@ -18,9 +18,8 @@ from localic import (
     subl_meet, supplement, whole_context, whole_subl,
 )
 from localic.cli import build_corpus, main
-from localic.diagrams import CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS
 from localic.generators import gen_chains, gen_frames, gen_maps, gen_squares, gen_triangles
-from localic.remoteness import CONTEXT_CHECKS, FRAME_CHECKS
+from localic.registry import REGISTRY, checks_in_scope
 from localic.result import FAIL, PASS
 from localic.sublocale import join_is_whole
 
@@ -75,12 +74,12 @@ def test_criterion_2_section3_suite(tier1_frames):
     failures = []
     for f in frames:
         for cid in SECTION3_FRAME_IDS:
-            r = FRAME_CHECKS[cid](f)
+            r = REGISTRY[cid].runner(f)
             if r.verdict == FAIL:
                 failures.append((cid, r.subject, r.witness))
     for ctx in contexts:
         for cid in SECTION3_CONTEXT_IDS:
-            r = CONTEXT_CHECKS[cid](ctx)
+            r = REGISTRY[cid].runner(ctx)
             if r.verdict == FAIL:
                 failures.append((cid, r.subject, r.witness))
     elapsed = time.monotonic() - started
@@ -103,7 +102,7 @@ def test_criterion_3_section2_containments(tier1_frames):
     for f in tier1_frames:
         for ctx in _dense_contexts(f):
             for cid in SECTION2_CONTEXT_IDS:
-                r = CONTEXT_CHECKS[cid](ctx)
+                r = REGISTRY[cid].runner(ctx)
                 if r.verdict == FAIL:
                     failures.append((cid, r.subject, r.witness))
                 elif r.verdict == PASS:
@@ -126,18 +125,18 @@ def test_criterion_4_conditional_suite(tier1_frames):
     triangles = gen_triangles(small, budget=240)
     failures = []
     passes = {}
-    for items, checks in ((squares, SQUARE_CHECKS),
-                          (chains, CHAIN_CHECKS),
-                          (triangles, TRIANGLE_CHECKS)):
-        for cid in checks:
-            passes.setdefault(cid, 0)
+    for items, scope in ((squares, "square"), (chains, "chain"),
+                         (triangles, "triangle")):
+        checks = checks_in_scope(scope)
+        for c in checks:
+            passes.setdefault(c.id, 0)
         for inst in items:
-            for cid, fn in checks.items():
-                r = fn(inst)
+            for c in checks:
+                r = c.runner(inst)
                 if r.verdict == FAIL:
-                    failures.append((cid, r.subject, r.witness))
+                    failures.append((c.id, r.subject, r.witness))
                 elif r.verdict == PASS:
-                    passes[cid] += 1
+                    passes[c.id] += 1
     vacuous = sorted(cid for cid, n in passes.items() if n == 0)
     elapsed = time.monotonic() - started
     _report("criterion-4 section-4-5-conditional-suite",

@@ -276,6 +276,23 @@ def test_query_unknown_label(tmp_path, capsys):
     assert _one_line(err) and "'x'" in err
 
 
+@pytest.mark.parametrize("words", [
+    ["rs", "s={m,1}"],                  # lower-case s is not S=
+    ["rs", "S={m,1}", "S=L"],           # a second S=
+    ["remote-set", "BL"],
+    ["booleanization", "S=L"],          # questions that take no S
+    ["sublocale-count", "S=BL"],
+    ["dense-in-itself?", "S=L"],
+    ["rs", "S={0,,1}"],                 # an empty label
+    ["rs", "S=m,1"],                    # labels outside braces
+])
+def test_query_rejects_stray_words(tmp_path, capsys, words):
+    path = _write(tmp_path, "c3.json", C3_DOC)
+    assert main(["query", path] + words) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+
+
 def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     # one parser serves every call of main in a process
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -413,3 +430,12 @@ def test_suite_tallies_are_pinned():
     # the whole report, byte for byte
     assert hashlib.sha256(cli.render_report(report).encode()).hexdigest() \
         == "1366972ef7839269a66a589cce598201f30d91edb9767b6b6054792a8dee287b"
+
+
+def test_finite_topology_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["suite", "--family", "finite-topology", "--max-size", "16",
+                 "--count", "100", "--jobs", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "2efd8413f8a5ae274c0c6f68cd853f147e6bb4cf9556d5e80ead7af59736ebde"

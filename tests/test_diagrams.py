@@ -1,9 +1,9 @@
 import pytest
 
 from localic import (
-    DenseSquare, GenSpec, InvalidSquare, RemoteContext, SquareChain,
-    Triangle, booleanization, build_map, chain_frame, checks_in_scope,
-    identity_map, whole_subl,
+    REGISTRY, DenseSquare, GenSpec, InvalidSquare, RemoteContext,
+    SquareChain, Triangle, booleanization, build_map, chain_frame,
+    checks_in_scope, identity_map, whole_subl,
 )
 from localic.diagrams import (
     CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, is_complemented_subl,
@@ -28,9 +28,9 @@ def squares(small_frames):
 
 def test_identity_square_passes_everything(c3):
     sq = identity_square(c3, booleanization(c3))
-    for check_id, fn in sorted(SQUARE_CHECKS.items()):
-        r = fn(sq)
-        assert r.verdict != FAIL, (check_id, r.witness)
+    for check in checks_in_scope("square"):
+        r = check.runner(sq)
+        assert r.verdict != FAIL, (check.id, r.witness)
 
 
 def test_square_requires_commuting(c3):
@@ -84,8 +84,8 @@ def test_square_checks_never_fail(squares):
 def test_square_checks_sometimes_apply(squares):
     seen = {cid: 0 for cid in SQUARE_CHECKS}
     for sq in squares:
-        for cid, fn in SQUARE_CHECKS.items():
-            if fn(sq).verdict == PASS:
+        for cid in SQUARE_CHECKS:
+            if REGISTRY[cid].runner(sq).verdict == PASS:
                 seen[cid] += 1
     assert all(v > 0 for v in seen.values()), seen
 
@@ -94,9 +94,9 @@ def test_chain_checks(squares):
     chains = gen_chains(squares[:20], budget=40)
     assert chains
     for chain in chains:
-        for cid, fn in sorted(CHAIN_CHECKS.items()):
-            r = fn(chain)
-            assert r.verdict != FAIL, (cid, r.subject, r.witness)
+        for check in checks_in_scope("chain"):
+            r = check.runner(chain)
+            assert r.verdict != FAIL, (check.id, r.subject, r.witness)
 
 
 class _RejectAll(RemoteContext):
@@ -126,7 +126,7 @@ def test_preservation_bodies_are_not_vacuous(squares):
     hits = dict.fromkeys(_CONCLUSION_SIDE, 0)
     for sq in squares:
         for cid, side in _CONCLUSION_SIDE.items():
-            fn = SQUARE_CHECKS[cid]
+            fn = REGISTRY[cid].runner
             if fn(sq).verdict == HYPOTHESES_NOT_MET:
                 continue
             r = fn(_rejecting(sq, side))
@@ -139,8 +139,8 @@ def test_preservation_bodies_are_not_vacuous(squares):
         outer = _rejecting(c.outer, "l")
         rejecting = SquareChain(outer, c.upper.alpha, c.upper.omega,
                                 c.upper.f, c.lower.alpha, c.lower.omega)
-        for fn in (CHAIN_CHECKS["bvl"], CHAIN_CHECKS["starbvl"]):
-            r = fn(rejecting)
+        for cid in ("bvl", "starbvl"):
+            r = REGISTRY[cid].runner(rejecting)
             assert r.verdict == FAIL and r.witness, r.subject
 
 
@@ -176,9 +176,9 @@ def test_triangle_checks(small_frames):
     tris = gen_triangles(small_frames[:4], maps_per_pair=2, budget=40)
     assert tris
     for tri in tris:
-        for cid, fn in sorted(TRIANGLE_CHECKS.items()):
-            r = fn(tri)
-            assert r.verdict != FAIL, (cid, r.subject, r.witness)
+        for check in checks_in_scope("triangle"):
+            r = check.runner(tri)
+            assert r.verdict != FAIL, (check.id, r.subject, r.witness)
 
 
 def test_triangle_rejects_mismatched_middle(c3):
