@@ -30,11 +30,11 @@ class InvalidSublocale(LocalicError):
 
 
 class NotMeetPreserving(LocalicError):
-    """A candidate map table fails to preserve top or a binary meet."""
+    """Some x does not go to the meet of the images of the points above x."""
 
 
 class AdjointNotFrameHom(LocalicError):
-    """The derived left adjoint of a map fails to preserve finite meets."""
+    """Some point goes to a non-point: the left adjoint is no frame hom."""
 
 
 class InvalidSquare(LocalicError):

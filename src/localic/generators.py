@@ -3,7 +3,8 @@
 Everything here is deterministic given a :class:`GenSpec`: the exhaustive
 families enumerate in a fixed order and the random families derive all
 choices from the seed.  Emitted objects are validated through the regular
-constructors, never assumed correct.
+constructors, never assumed correct; a constructor that rejects one
+raises, since a generated diagram that fails validation is a bug.
 """
 
 from __future__ import annotations
@@ -261,7 +262,11 @@ def inclusion_map(s: Sublocale) -> LocalicMap:
 
 def restriction_map(f: LocalicMap, s: Sublocale, t: Sublocale
                     ) -> Optional[LocalicMap]:
-    """f cut down to induced frames, when f maps members of s into t."""
+    """f cut down to induced frames, when f maps members of s into t.
+
+    Induced frames keep the ambient meets and points, so the cut-down
+    table still preserves meets and sends points to points.
+    """
     sub_s, elems_s = s.as_frame()
     sub_t, elems_t = t.as_frame()
     pos_t = {e: i for i, e in enumerate(elems_t)}
@@ -271,10 +276,7 @@ def restriction_map(f: LocalicMap, s: Sublocale, t: Sublocale
         if y not in pos_t:
             return None
         table.append(pos_t[y])
-    try:
-        return build_map(sub_s, sub_t, table)
-    except LocalicError:
-        return None
+    return build_map(sub_s, sub_t, table)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +291,7 @@ def square_from(f: LocalicMap, s: Sublocale, t: Sublocale
     g = restriction_map(f, s, t)
     if g is None:
         return None
-    try:
-        return DenseSquare(g, f, inclusion_map(s), inclusion_map(t))
-    except LocalicError:
-        return None
+    return DenseSquare(g, f, inclusion_map(s), inclusion_map(t))
 
 
 def identity_square(frame: FiniteFrame, s: Sublocale) -> DenseSquare:
@@ -354,22 +353,15 @@ def gen_chains(squares: list[DenseSquare], budget: int = 0
         s, t = whole_subl(sq.s_frame), whole_subl(sq.t_frame)
         for r in mids_l:
             theta = inclusion_map(r)
+            # i and k are never None: R holds alpha[S], U holds omega[T]
             i = restriction_map(sq.alpha, s, r)
-            if i is None:
-                continue
             for u in mids_m:
                 phi = restriction_map(sq.f, r, u)
                 if phi is None:
                     continue
                 k = restriction_map(sq.omega, t, u)
-                if k is None:
-                    continue
-                try:
-                    chain = SquareChain(sq, i, k, phi, theta,
-                                        inclusion_map(u))
-                except LocalicError:
-                    continue
-                out.append(chain)
+                out.append(SquareChain(sq, i, k, phi, theta,
+                                       inclusion_map(u)))
                 if budget and len(out) >= budget:
                     return out
     return out
@@ -396,10 +388,7 @@ def gen_triangles(frames: list[FiniteFrame], maps_per_pair: int = 2,
                                     sq2 = square_from(p, t, v)
                                     if sq2 is None:
                                         continue
-                                    try:
-                                        out.append(Triangle(sq1, sq2))
-                                    except LocalicError:
-                                        continue
+                                    out.append(Triangle(sq1, sq2))
                                     if budget and len(out) >= budget:
                                         return out
     return out

@@ -90,9 +90,17 @@ def test_validate_map_and_square(tmp_path, capsys):
     assert "LocalicMap" in out and "DenseSquare" in out
 
 
-def test_validate_rejects_bad_map_table(tmp_path):
-    doc = dict(MAP_DOC, table={"0": "1", "m": "m", "1": "1"})
-    assert main(["validate", _write(tmp_path, "bad_map.json", doc)]) == 2
+def test_validate_rejects_bad_map_table(tmp_path, capsys):
+    # the message names the elements at fault by label
+    for table, message in [
+        ({"0": "1", "m": "m", "1": "1"}, "NotMeetPreserving: f(0) = 1, but "
+         "the images of the points above 0 meet in m"),
+        ({"0": "0", "m": "1", "1": "1"}, "AdjointNotFrameHom: point m goes "
+         "to 1, which is not a point of C3"),
+    ]:
+        doc = dict(MAP_DOC, table=table)
+        assert main(["validate", _write(tmp_path, "bad_map.json", doc)]) == 2
+        assert capsys.readouterr().err == f"invalid: {message}\n"
 
 
 CHAIN_DOC = dict(SQUARE_DOC, type="chain", chain={
@@ -439,3 +447,14 @@ def test_finite_topology_report_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "2efd8413f8a5ae274c0c6f68cd853f147e6bb4cf9556d5e80ead7af59736ebde"
+
+
+def test_random_poset_report_is_pinned(tmp_path, capsys):
+    # its seeded map search hands build_map tables that it rejects
+    out = tmp_path / "report.json"
+    assert main(["suite", "--family", "random-poset", "--max-size", "12",
+                 "--count", "200", "--seed", "7", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "710c7d8cc47aa156129c8c7fb8bbfca6fb905add9168b811af38d373920f9dba"

@@ -1,12 +1,16 @@
+import itertools
+
 import pytest
 
 from localic import (
-    AdjointNotFrameHom, NotMeetPreserving, Sublocale, booleanization,
-    build_map, chain_frame, closed_subl, compose, enumerate_sublocales,
-    identity_map, open_subl, void_subl, whole_subl,
+    AdjointNotFrameHom, LocalicError, NotMeetPreserving, Sublocale,
+    booleanization, build_map, chain_frame, closed_subl, compose,
+    enumerate_sublocales, identity_map, is_sublocale, open_subl, void_subl,
+    whole_subl,
 )
+from localic.frame import bits
 from localic.generators import gen_maps, inclusion_map
-from localic.sublocale import enumerate_sublocales_oracle
+from localic.sublocale import enumerate_sublocales_oracle, span
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +175,51 @@ def test_image_is_surjective_matches_image_sets(small_maps):
         assert f.image_is_surjective() == (images == targets), f.table
         verdicts.add(images == targets)
     assert verdicts == {True, False}
+
+
+def _keeps_top_and_meets(src, tgt, table):
+    return table[src.top] == tgt.top and all(
+        tgt.meet_table[table[a]][table[b]] == table[src.meet_table[a][b]]
+        for a in range(src.n) for b in range(a + 1, src.n))
+
+
+def reference_build(src, tgt, table):
+    """(error type, adjoint) from element-wise scans, sharing no point logic.
+
+    The table must keep the top and every binary meet; its adjoint is
+    y -> meet{x : y <= f(x)}, and it must keep them too.
+    """
+    if not _keeps_top_and_meets(src, tgt, table):
+        return NotMeetPreserving, None
+    adj = tuple(src.meet_of(x for x in range(src.n)
+                            if tgt.up[y] >> table[x] & 1)
+                for y in range(tgt.n))
+    if not _keeps_top_and_meets(tgt, src, adj):
+        return AdjointNotFrameHom, None
+    return None, adj
+
+
+def test_build_map_matches_element_wise_reference(tier1_frames):
+    # every table between small tier-1 frames, valid or not
+    tables = accepted = images = 0
+    for src in (f for f in tier1_frames if f.n <= 5):
+        subs = enumerate_sublocales(src)
+        for tgt in (f for f in tier1_frames if f.n <= 6):
+            for table in itertools.product(range(tgt.n), repeat=src.n):
+                tables += 1
+                want_error, want_adj = reference_build(src, tgt, table)
+                try:
+                    f = build_map(src, tgt, table)
+                except LocalicError as e:
+                    assert type(e) is want_error, (src, tgt, table)
+                    continue
+                assert want_error is None and f.adjoint_table == want_adj
+                accepted += 1
+                for a in subs:
+                    img = f.image_subl(a).mask
+                    f_pts = 0
+                    for p in bits(a.mask & src.points_mask()):
+                        f_pts |= 1 << table[p]
+                    assert img == span(tgt, f_pts) and is_sublocale(tgt, img)
+                    images += 1
+    assert (tables, accepted, images) == (145_468, 784, 6_558)
