@@ -19,8 +19,8 @@ from fnmatch import fnmatch
 from .errors import InvalidSublocale, LocalicError
 from .frame import FiniteFrame
 from .generators import (
-    GenSpec, gen_chains, gen_dense_sublocales, gen_frames, gen_squares,
-    gen_triangles,
+    FAMILIES, GenSpec, gen_chains, gen_dense_sublocales, gen_frames,
+    gen_squares, gen_triangles,
 )
 from .jsonio import load_document
 from .registry import REGISTRY, SCOPES, checks_in_scope
@@ -183,9 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
 
     s = sub.add_parser("suite", help="run the theorem suite over a corpus")
-    s.add_argument("--family", required=True,
-                   choices=["all-posets-up-to", "random-poset", "chain",
-                            "boolean-algebra", "finite-topology"])
+    s.add_argument("--family", required=True, choices=FAMILIES)
     s.add_argument("--max-size", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--count", type=int, default=0,

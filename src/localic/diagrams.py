@@ -7,21 +7,22 @@ through a middle layer as two squares pasted vertically, so its checks
 ask which of the three squares are remote preserving; a
 :class:`Triangle` composes two squares that share their middle vertical.
 
-Each check is hypothesis-gated: it evaluates the hypotheses of its
-statement on the instance and returns HYPOTHESES_NOT_MET when they fail;
-otherwise it asserts the conclusion and returns None when it holds or a
-witness string when it does not.  The registry writes the report row.
+Each check is a pair ``(hypotheses, conclusion)``: a tuple of predicates
+on the instance, empty for an unconditional statement, and a conclusion
+that returns None when it holds or a witness string when it does not.
+The registry decides the verdict.  A hypothesis shared by several checks
+is one named predicate below; each calls the instance's methods at call
+time, so a method patched on its class is the one a check sees.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import InvalidSquare
 from .frame import FiniteFrame
 from .locmap import LocalicMap, compose
 from .remoteness import RemoteContext, whole_context
-from .result import HYPOTHESES_NOT_MET
 from .sublocale import (
     Sublocale, booleanization, enumerate_sublocales, supplement,
     whole_subl as _whole,
@@ -33,11 +34,10 @@ class DenseSquare:
 
     __slots__ = ("s_frame", "t_frame", "l_frame", "m_frame",
                  "g", "f", "alpha", "omega",
-                 "alpha_image", "omega_image", "_ctx_l", "_ctx_m", "name")
+                 "alpha_image", "omega_image", "_ctx_l", "_ctx_m")
 
     def __init__(self, g: LocalicMap, f: LocalicMap,
-                 alpha: LocalicMap, omega: LocalicMap,
-                 name: Optional[str] = None):
+                 alpha: LocalicMap, omega: LocalicMap):
         self.s_frame = g.source
         self.t_frame = g.target
         self.l_frame = f.source
@@ -62,7 +62,6 @@ class DenseSquare:
                     f"square does not commute at element {x}")
         self._ctx_l = None
         self._ctx_m = None
-        self.name = name
 
     def ctx_l(self) -> RemoteContext:
         """The context (L, alpha[S]) on the source side."""
@@ -82,8 +81,6 @@ class DenseSquare:
             for t in range(self.t_frame.n))
 
     def subject(self) -> str:
-        if self.name:
-            return self.name
         sig = ".".join(str(v) for v in self.f.table)
         return (f"{self.l_frame.name or 'L'}->{self.m_frame.name or 'M'} "
                 f"f={sig}; "
@@ -102,11 +99,10 @@ class SquareChain:
     pasted square is ``outer``, so alpha = theta o i and omega = sigma o k.
     """
 
-    __slots__ = ("outer", "upper", "lower", "name")
+    __slots__ = ("outer", "upper", "lower")
 
     def __init__(self, outer: DenseSquare, i: LocalicMap, k: LocalicMap,
-                 phi: LocalicMap, theta: LocalicMap, sigma: LocalicMap,
-                 name: Optional[str] = None):
+                 phi: LocalicMap, theta: LocalicMap, sigma: LocalicMap):
         self.outer = outer
         self.upper = _named_square("upper square (i, k)",
                                    outer.g, phi, i, k)
@@ -118,11 +114,8 @@ class SquareChain:
         for x in range(outer.t_frame.n):
             if sigma(k(x)) != outer.omega(x):
                 raise InvalidSquare(f"omega != sigma o k at element {x}")
-        self.name = name
 
     def subject(self) -> str:
-        if self.name:
-            return self.name
         return (f"{self.outer.subject()} via "
                 f"R={{{','.join(sorted(self.lower.alpha_image.labels()))}}} "
                 f"U={{{','.join(sorted(self.lower.omega_image.labels()))}}}")
@@ -148,10 +141,9 @@ class Triangle:
     composite square whose bottom map is sq2.f after sq1.f.
     """
 
-    __slots__ = ("sq1", "sq2", "sq3", "name")
+    __slots__ = ("sq1", "sq2", "sq3")
 
-    def __init__(self, sq1: DenseSquare, sq2: DenseSquare,
-                 name: Optional[str] = None):
+    def __init__(self, sq1: DenseSquare, sq2: DenseSquare):
         if sq1.t_frame is not sq2.s_frame or sq1.m_frame is not sq2.l_frame:
             raise InvalidSquare("squares do not share the middle column")
         if sq1.omega.table != sq2.alpha.table:
@@ -160,11 +152,8 @@ class Triangle:
         self.sq2 = sq2
         self.sq3 = DenseSquare(compose(sq2.g, sq1.g), compose(sq2.f, sq1.f),
                                sq1.alpha, sq2.omega)
-        self.name = name
 
     def subject(self) -> str:
-        if self.name:
-            return self.name
         return f"{self.sq1.subject()} | {self.sq2.subject()}"
 
     def __repr__(self) -> str:
@@ -209,8 +198,69 @@ def is_complemented_subl(frame: FiniteFrame, s: Sublocale) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The hypotheses shared by the square checks
+# ---------------------------------------------------------------------------
+
+def commuting_adjoints(sq: DenseSquare) -> bool:
+    return sq.adjoints_commute()
+
+
+def g_skeletal(sq: DenseSquare) -> bool:
+    return sq.g.is_skeletal()
+
+
+def g_star_skeletal(sq: DenseSquare) -> bool:
+    return sq.g.adjoint_is_skeletal()
+
+
+def omega_complemented(sq: DenseSquare) -> bool:
+    return is_complemented_subl(sq.m_frame, sq.omega_image)
+
+
+def pulls_omega_to_alpha(sq: DenseSquare) -> bool:
+    """f^{-1}[omega[T]] = alpha[S]."""
+    return sq.f.preimage_subl(sq.omega_image) == sq.alpha_image
+
+
+def image_onto(sq: DenseSquare) -> bool:
+    return sq.f.image_is_surjective()
+
+
+def closure_style(sq: DenseSquare) -> bool:
+    """f* weakly closed over a surjective g, or commuting adjoints over a
+    surjective f."""
+    return ((sq.f.is_weakly_closed_adjoint() and sq.g.is_surjective())
+            or (commuting_adjoints(sq) and sq.f.is_surjective()))
+
+
+# ---------------------------------------------------------------------------
 # Preservation and reflection over one square
 # ---------------------------------------------------------------------------
+
+# Each body runs on a pair of contexts; _plain, _star and _plain_then_star
+# turn it into the conclusion of a check on the square.
+
+def _plain(body):
+    return lambda sq: body(sq, sq.ctx_l(), sq.ctx_m())
+
+
+def _star(body):
+    return lambda sq: body(sq, sq.ctx_l().star(), sq.ctx_m().star())
+
+
+def _plain_then_star(body):
+    """The body on the plain contexts, then on the *remote ones when f
+    takes the remainder."""
+    def conclusion(sq: DenseSquare) -> Optional[str]:
+        ctx_l, ctx_m = sq.ctx_l(), sq.ctx_m()
+        fail = body(sq, ctx_l, ctx_m)
+        if fail is None and takes_remainder(sq):
+            fail = body(sq, ctx_l.star(), ctx_m.star())
+            if fail is not None:
+                fail += " (star part)"
+        return fail
+    return conclusion
+
 
 def _beta(sq: DenseSquare, ctx_l: RemoteContext,
           ctx_m: RemoteContext) -> Optional[str]:
@@ -222,20 +272,6 @@ def _beta(sq: DenseSquare, ctx_l: RemoteContext,
             if sq.f(x) not in rmt_m:
                 return f"x={sq.l_frame.labels[x]} (Rmt part)"
     return fail
-
-
-def check_beta(sq: DenseSquare) -> Optional[str]:
-    """g* skeletal and commuting adjoints force f to preserve remoteness."""
-    if not (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()):
-        return HYPOTHESES_NOT_MET
-    return _beta(sq, sq.ctx_l(), sq.ctx_m())
-
-
-def check_betastar(sq: DenseSquare) -> Optional[str]:
-    if not (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
-            and takes_remainder(sq)):
-        return HYPOTHESES_NOT_MET
-    return _beta(sq, sq.ctx_l().star(), sq.ctx_m().star())
 
 
 def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
@@ -253,21 +289,6 @@ def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
     return None
 
 
-def check_beta1(sq: DenseSquare) -> Optional[str]:
-    """Skeletal g reflects remoteness through images under f."""
-    if not sq.g.is_skeletal():
-        return HYPOTHESES_NOT_MET
-    return _beta1(sq, sq.ctx_l(), sq.ctx_m())
-
-
-def check_beta1star(sq: DenseSquare) -> Optional[str]:
-    if not (sq.g.is_skeletal()
-            and is_complemented_subl(sq.m_frame, sq.omega_image)
-            and sq.f.preimage_subl(sq.omega_image) == sq.alpha_image):
-        return HYPOTHESES_NOT_MET
-    return _beta1(sq, sq.ctx_l().star(), sq.ctx_m().star())
-
-
 def _for(sq: DenseSquare, ctx_l: RemoteContext,
          ctx_m: RemoteContext) -> Optional[str]:
     """f pulls remote sublocales and Rmt elements of M back into L."""
@@ -281,33 +302,6 @@ def _for(sq: DenseSquare, ctx_l: RemoteContext,
     return None
 
 
-def check_for(sq: DenseSquare) -> Optional[str]:
-    """Skeletal g pulls remote sublocales back to remote sublocales."""
-    if not sq.g.is_skeletal():
-        return HYPOTHESES_NOT_MET
-    return _for(sq, sq.ctx_l(), sq.ctx_m())
-
-
-def check_forstar(sq: DenseSquare) -> Optional[str]:
-    if not (sq.g.is_skeletal()
-            and sq.f.preimage_subl(sq.omega_image) == sq.alpha_image
-            and is_complemented_subl(sq.m_frame, sq.omega_image)):
-        return HYPOTHESES_NOT_MET
-    return _for(sq, sq.ctx_l().star(), sq.ctx_m().star())
-
-
-def _plain_then_star(sq: DenseSquare, body) -> Optional[str]:
-    """Run a body on the plain contexts, then on the *remote ones when f
-    takes the remainder."""
-    ctx_l, ctx_m = sq.ctx_l(), sq.ctx_m()
-    fail = body(sq, ctx_l, ctx_m)
-    if fail is None and takes_remainder(sq):
-        fail = body(sq, ctx_l.star(), ctx_m.star())
-        if fail is not None:
-            fail += " (star part)"
-    return fail
-
-
 def _for1(sq: DenseSquare, ctx_l: RemoteContext,
           ctx_m: RemoteContext) -> Optional[str]:
     """A remote preimage under f forces a remote sublocale of M."""
@@ -316,14 +310,6 @@ def _for1(sq: DenseSquare, ctx_l: RemoteContext,
                 and not ctx_m.is_remote_from(a):
             return f"A={sorted(a.labels())}"
     return None
-
-
-def check_for1(sq: DenseSquare) -> Optional[str]:
-    """Surjective image function turns preimage-remoteness into remoteness."""
-    if not (sq.g.adjoint_is_skeletal() and sq.adjoints_commute()
-            and sq.f.image_is_surjective()):
-        return HYPOTHESES_NOT_MET
-    return _plain_then_star(sq, _for1)
 
 
 def _for1star(sq: DenseSquare, ctx_l: RemoteContext,
@@ -337,23 +323,12 @@ def _for1star(sq: DenseSquare, ctx_l: RemoteContext,
     return None
 
 
-def check_for1star(sq: DenseSquare) -> Optional[str]:
-    """f* reflects the Rmt condition under either closure-style hypothesis."""
-    if not (sq.g.adjoint_is_skeletal() and (
-            (sq.f.is_weakly_closed_adjoint() and sq.g.is_surjective())
-            or (sq.adjoints_commute() and sq.f.is_surjective()))):
-        return HYPOTHESES_NOT_MET
-    return _plain_then_star(sq, _for1star)
-
-
 # ---------------------------------------------------------------------------
 # Remote-preserving characterizations over one square
 # ---------------------------------------------------------------------------
 
 def check_gamma_remote_preserving(sq: DenseSquare) -> Optional[str]:
     """Four equivalent faces of f-remote preservation."""
-    if not sq.adjoints_commute():
-        return HYPOTHESES_NOT_MET
     ctx_m = sq.ctx_m()
     p1 = is_f_remote_preserving(sq)
     p2 = ctx_m.is_remote_from(sq.f.image_subl(booleanization(sq.l_frame)))
@@ -366,8 +341,6 @@ def check_gamma_remote_preserving(sq: DenseSquare) -> Optional[str]:
 
 
 def check_star_gamma_remote_preserving(sq: DenseSquare) -> Optional[str]:
-    if not sq.adjoints_commute():
-        return HYPOTHESES_NOT_MET
     ctx_l, ctx_m = sq.ctx_l().star(), sq.ctx_m().star()
     p1 = is_f_star_remote_preserving(sq)
     img = sq.f.image_subl(ctx_l.rs())
@@ -394,8 +367,6 @@ def check_gamma_preservation_lemma(sq: DenseSquare) -> Optional[str]:
 
 def check_remote_preservation(sq: DenseSquare) -> Optional[str]:
     """f-remote preservation matches g preserving remote sublocales."""
-    if not sq.adjoints_commute():
-        return HYPOTHESES_NOT_MET
     lhs = is_f_remote_preserving(sq)
     # g preserves remote sublocales iff g[BS] is remote in T
     rhs = whole_context(sq.t_frame).is_remote_from(
@@ -405,25 +376,41 @@ def check_remote_preservation(sq: DenseSquare) -> Optional[str]:
     return None
 
 
-SQUARE_CHECKS: dict[str, Callable[[DenseSquare], Optional[str]]] = {
-    "beta": check_beta,
-    "betastar": check_betastar,
-    "beta1": check_beta1,
-    "beta1star": check_beta1star,
-    "for": check_for,
-    "forstar": check_forstar,
-    "for1": check_for1,
-    "for1star": check_for1star,
-    "gammaremotepreserving": check_gamma_remote_preserving,
-    "stargammaremotepreserving": check_star_gamma_remote_preserving,
-    "gammapreservationlemma": check_gamma_preservation_lemma,
-    "remotepreservation": check_remote_preservation,
+SQUARE_CHECKS: dict[str, tuple] = {
+    # g* skeletal and commuting adjoints force f to preserve remoteness
+    "beta": ((g_star_skeletal, commuting_adjoints), _plain(_beta)),
+    "betastar": ((g_star_skeletal, commuting_adjoints, takes_remainder),
+                 _star(_beta)),
+    # skeletal g reflects remoteness through images under f
+    "beta1": ((g_skeletal,), _plain(_beta1)),
+    "beta1star": ((g_skeletal, omega_complemented, pulls_omega_to_alpha),
+                  _star(_beta1)),
+    # skeletal g pulls remote sublocales back to remote sublocales
+    "for": ((g_skeletal,), _plain(_for)),
+    "forstar": ((g_skeletal, omega_complemented, pulls_omega_to_alpha),
+                _star(_for)),
+    # a surjective image function turns preimage-remoteness into remoteness
+    "for1": ((g_star_skeletal, commuting_adjoints, image_onto),
+             _plain_then_star(_for1)),
+    # f* reflects the Rmt condition under either closure-style hypothesis
+    "for1star": ((g_star_skeletal, closure_style),
+                 _plain_then_star(_for1star)),
+    "gammaremotepreserving": ((commuting_adjoints,),
+                              check_gamma_remote_preserving),
+    "stargammaremotepreserving": ((commuting_adjoints,),
+                                  check_star_gamma_remote_preserving),
+    "gammapreservationlemma": ((), check_gamma_preservation_lemma),
+    "remotepreservation": ((commuting_adjoints,), check_remote_preservation),
 }
 
 
 # ---------------------------------------------------------------------------
 # Chain-level checks
 # ---------------------------------------------------------------------------
+
+def _unless(holds: bool, witness: str) -> Optional[str]:
+    return None if holds else witness
+
 
 def check_bvl(chain: SquareChain) -> Optional[str]:
     """theta maps the middle layer's remote sublocales to remote ones."""
@@ -438,41 +425,34 @@ def check_starbvl(chain: SquareChain) -> Optional[str]:
 
 def check_gfremote(chain: SquareChain) -> Optional[str]:
     """Outer f-remote preservation descends to the upper square."""
-    if not is_f_remote_preserving(chain.outer):
-        return HYPOTHESES_NOT_MET
-    if not is_f_remote_preserving(chain.upper):
-        return "phi not remote preserving"
-    return None
+    return _unless(is_f_remote_preserving(chain.upper),
+                   "phi not remote preserving")
 
 
 def check_obsfremote(chain: SquareChain) -> Optional[str]:
     """Converse of the descent when alpha is surjective."""
-    if not (chain.outer.alpha.is_surjective()
-            and is_f_remote_preserving(chain.upper)):
-        return HYPOTHESES_NOT_MET
-    if not is_f_remote_preserving(chain.outer):
-        return "f not remote preserving"
-    return None
+    return _unless(is_f_remote_preserving(chain.outer),
+                   "f not remote preserving")
 
 
 def check_star_obs_gfremote(chain: SquareChain) -> Optional[str]:
     """Star descent under the remainder-forcing side conditions."""
-    up = chain.upper
-    if not (is_f_star_remote_preserving(chain.outer)
-            and up.f.preimage_subl(up.omega_image) == up.alpha_image
-            and up.f.image_is_surjective()):
-        return HYPOTHESES_NOT_MET
-    if not is_f_star_remote_preserving(up):
-        return "phi not *remote preserving"
-    return None
+    return _unless(is_f_star_remote_preserving(chain.upper),
+                   "phi not *remote preserving")
 
 
-CHAIN_CHECKS: dict[str, Callable[[SquareChain], Optional[str]]] = {
-    "bvl": check_bvl,
-    "starbvl": check_starbvl,
-    "gfremote": check_gfremote,
-    "obsfremote": check_obsfremote,
-    "starobsgfremote": check_star_obs_gfremote,
+CHAIN_CHECKS: dict[str, tuple] = {
+    "bvl": ((), check_bvl),
+    "starbvl": ((), check_starbvl),
+    "gfremote": ((lambda c: is_f_remote_preserving(c.outer),),
+                 check_gfremote),
+    "obsfremote": ((lambda c: c.outer.alpha.is_surjective(),
+                    lambda c: is_f_remote_preserving(c.upper)),
+                   check_obsfremote),
+    "starobsgfremote": ((lambda c: is_f_star_remote_preserving(c.outer),
+                         lambda c: pulls_omega_to_alpha(c.upper),
+                         lambda c: image_onto(c.upper)),
+                        check_star_obs_gfremote),
 }
 
 
@@ -480,46 +460,46 @@ CHAIN_CHECKS: dict[str, Callable[[SquareChain], Optional[str]]] = {
 # Triangle-level checks (composition of preservation)
 # ---------------------------------------------------------------------------
 
+def _both_legs(tri: Triangle, preserving) -> bool:
+    return preserving(tri.sq1) and preserving(tri.sq2)
+
+
 def check_tfg1(tri: Triangle) -> Optional[str]:
     """Preservation composes; the star case composes the same way."""
-    hyp_plain = (is_f_remote_preserving(tri.sq1)
-                 and is_f_remote_preserving(tri.sq2))
-    hyp_star = (is_f_star_remote_preserving(tri.sq1)
-                and is_f_star_remote_preserving(tri.sq2))
-    if not (hyp_plain or hyp_star):
-        return HYPOTHESES_NOT_MET
-    if hyp_plain and not is_f_remote_preserving(tri.sq3):
-        return "composite not remote preserving"
-    if hyp_star and not is_f_star_remote_preserving(tri.sq3):
-        return "composite not *remote preserving"
+    for preserving, kind in ((is_f_remote_preserving, "remote"),
+                             (is_f_star_remote_preserving, "*remote")):
+        if _both_legs(tri, preserving) and not preserving(tri.sq3):
+            return f"composite not {kind} preserving"
     return None
 
 
 def check_tfg2(tri: Triangle) -> Optional[str]:
     """Composite preservation plus a skeletal second leg recovers the first."""
-    if not (is_f_remote_preserving(tri.sq3) and tri.sq2.g.is_skeletal()):
-        return HYPOTHESES_NOT_MET
-    if not is_f_remote_preserving(tri.sq1):
-        return "first leg not remote preserving"
-    return None
+    return _unless(is_f_remote_preserving(tri.sq1),
+                   "first leg not remote preserving")
+
+
+def _middle_remote_in_first_image(tri: Triangle) -> bool:
+    """The middle context's remote sublocales all sit inside the image of
+    the first Booleanization."""
+    bound = tri.sq1.f.image_subl(booleanization(tri.sq1.l_frame))
+    return all(a <= bound for a in tri.sq2.ctx_l().remote_set())
 
 
 def check_tfg3(tri: Triangle) -> Optional[str]:
-    """Composite preservation recovers the second leg when the middle
-    context's remote sublocales all sit inside the image of the first
-    Booleanization."""
-    if not is_f_remote_preserving(tri.sq3):
-        return HYPOTHESES_NOT_MET
-    bound = tri.sq1.f.image_subl(booleanization(tri.sq1.l_frame))
-    if not all(a <= bound for a in tri.sq2.ctx_l().remote_set()):
-        return HYPOTHESES_NOT_MET
-    if not is_f_remote_preserving(tri.sq2):
-        return "second leg not remote preserving"
-    return None
+    """Composite preservation recovers the second leg."""
+    return _unless(is_f_remote_preserving(tri.sq2),
+                   "second leg not remote preserving")
 
 
-TRIANGLE_CHECKS: dict[str, Callable[[Triangle], Optional[str]]] = {
-    "tfg-1": check_tfg1,
-    "tfg-2": check_tfg2,
-    "tfg-3": check_tfg3,
+TRIANGLE_CHECKS: dict[str, tuple] = {
+    "tfg-1": ((lambda t: _both_legs(t, is_f_remote_preserving)
+               or _both_legs(t, is_f_star_remote_preserving),),
+              check_tfg1),
+    "tfg-2": ((lambda t: is_f_remote_preserving(t.sq3),
+               lambda t: g_skeletal(t.sq2)),
+              check_tfg2),
+    "tfg-3": ((lambda t: is_f_remote_preserving(t.sq3),
+               _middle_remote_in_first_image),
+              check_tfg3),
 }

@@ -49,6 +49,10 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
         if max_size < least:
             raise ValueError(f"{family} needs max_size of at least {least}, "
                              f"got {max_size}")
+        # the exhaustive corpus stops at 5 points; refuse what it skips
+        if family == "all-posets-up-to" and max_size > 5:
+            raise ValueError(f"all-posets-up-to builds at most 5 points, "
+                             f"got max_size {max_size}")
         return super().__new__(cls, family, max_size, seed, count)
 
     def to_json(self) -> dict:
@@ -159,7 +163,7 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
         out = []
         # size 0 contributes the one-element frame, the only finite frame
         # whose Booleanization is rare
-        for n in range(0, min(spec.max_size, 5) + 1):
+        for n in range(spec.max_size + 1):
             for idx, rel in enumerate(all_posets(n)):
                 f = downset_frame(n, rel, name=f"P{n}-{idx}")
                 if f.n <= ENUMERATION_CAP:
@@ -198,13 +202,9 @@ def gen_dense_sublocales(frame: FiniteFrame) -> list[Sublocale]:
 # Localic maps via backtracking over monotone meet-preserving tables
 # ---------------------------------------------------------------------------
 
-# Give up on a map search after this many backtracking nodes.
-SEARCH_BUDGET = 200_000
-
-
 def gen_maps(src: FiniteFrame, tgt: FiniteFrame,
              limit: int = 0, seed: Optional[int] = None) -> list[LocalicMap]:
-    """All localic maps src -> tgt (up to the search budget).
+    """All localic maps src -> tgt, the first ``limit`` when it is nonzero.
 
     Tables are grown along a linear extension of the source, pruning on
     meet preservation; the meet of any two assigned elements is already
@@ -216,11 +216,9 @@ def gen_maps(src: FiniteFrame, tgt: FiniteFrame,
     rng = random.Random(seed) if seed is not None else None
     results: list[LocalicMap] = []
     table: list[Optional[int]] = [None] * n
-    nodes = 0
 
     def rec(k: int) -> None:
-        nonlocal nodes
-        if (limit and len(results) >= limit) or nodes > SEARCH_BUDGET:
+        if limit and len(results) >= limit:
             return
         if k == n:
             try:
@@ -233,7 +231,6 @@ def gen_maps(src: FiniteFrame, tgt: FiniteFrame,
         if rng is not None:
             rng.shuffle(cands)
         for v in cands:
-            nodes += 1
             ok = True
             for j in range(k):
                 b = order[j]

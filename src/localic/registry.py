@@ -1,9 +1,11 @@
 """Registry of all theorem checks, keyed by stable id.
 
-A check function returns None when its statement holds,
-HYPOTHESES_NOT_MET when its hypotheses fail, and its witness string when
-it fails.  Each registered runner turns that into the report row, with
-the table key as its id and ``inst.subject()`` as its subject.
+Each check table maps an id to ``(hypotheses, conclusion)``.  The runner
+of a registered check alone decides its verdict: ``hypotheses-not-met``
+at the first hypothesis that is false on the instance, and otherwise
+``pass`` when the conclusion returns None or ``fail`` with the witness
+it returns.  The row carries the table key as its id and
+``inst.subject()`` as its subject.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ class TheoremCheck(NamedTuple):
     runner: Callable
 
 
-def _runner(check_id: str, check: Callable) -> Callable:
+def _runner(check_id: str, hypotheses: tuple,
+            conclusion: Callable) -> Callable:
     def run(inst) -> CheckResult:
-        out = check(inst)
-        if out is None:
-            return CheckResult(check_id, inst.subject(), PASS)
-        if out == HYPOTHESES_NOT_MET:
-            return CheckResult(check_id, inst.subject(), HYPOTHESES_NOT_MET)
-        return CheckResult(check_id, inst.subject(), FAIL, out)
+        for holds in hypotheses:
+            if not holds(inst):
+                return CheckResult(check_id, inst.subject(),
+                                   HYPOTHESES_NOT_MET)
+        witness = conclusion(inst)
+        return CheckResult(check_id, inst.subject(),
+                           PASS if witness is None else FAIL, witness)
     return run
 
 
@@ -40,11 +44,11 @@ def _build_registry() -> dict[str, TheoremCheck]:
     for scope, table in zip(SCOPES, (FRAME_CHECKS, CONTEXT_CHECKS,
                                      SQUARE_CHECKS, CHAIN_CHECKS,
                                      TRIANGLE_CHECKS), strict=True):
-        for check_id, fn in table.items():
+        for check_id, (hypotheses, conclusion) in table.items():
             if check_id in reg:
                 raise ValueError(f"duplicate check id {check_id}")
-            reg[check_id] = TheoremCheck(check_id, scope,
-                                         _runner(check_id, fn))
+            reg[check_id] = TheoremCheck(
+                check_id, scope, _runner(check_id, hypotheses, conclusion))
     return reg
 
 

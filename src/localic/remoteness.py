@@ -17,10 +17,9 @@ never assume it.  On the fast path the joins Rs and *Rs are spans of points.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .frame import FiniteFrame, bits
-from .result import HYPOTHESES_NOT_MET
 from .sublocale import (
     Sublocale, booleanization, closed_subl, enumerate_sublocales,
     is_dense_in_itself, is_rare, nd_join, nucleus_map, open_subl, span,
@@ -180,7 +179,7 @@ def sample_evenly(items: list, cap: int) -> list:
 
 # ---------------------------------------------------------------------------
 # Per-statement context checks (scope: one frame + one dense sublocale)
-# Each returns None, HYPOTHESES_NOT_MET or its witness; see localic.registry.
+# Each table entry is (hypotheses, conclusion); see localic.registry.
 # ---------------------------------------------------------------------------
 
 def check_opendensefrom(ctx: RemoteContext) -> Optional[str]:
@@ -274,8 +273,6 @@ def check_rmt_characterization(ctx: RemoteContext) -> Optional[str]:
 
 def check_rare_equality(ctx: RemoteContext) -> Optional[str]:
     """For dense and rare S the remote and *remote collections coincide."""
-    if not is_rare(ctx.frame, ctx.s):
-        return HYPOTHESES_NOT_MET
     plain = {t.mask for t in ctx.remote_set()}
     star = {t.mask for t in ctx.star().remote_set()}
     if plain != star:
@@ -328,21 +325,22 @@ def check_rs_nd(ctx: RemoteContext) -> Optional[str]:
     return None
 
 
-CONTEXT_CHECKS: dict[str, Callable[[RemoteContext], Optional[str]]] = {
-    "opendensefrom": check_opendensefrom,
-    "BLandL1": check_void_remote,
-    "BLandL4": check_downward_closure,
-    "NDSremotefrom": check_nd_remote,
-    "remotesets": check_star_subset,
-    "SRemandSRemLS": check_rem_l_subset,
-    "remS": check_rem_s_intersection,
-    "sublocale": check_rmt_characterization,
-    "rareequality": check_rare_equality,
-    "BLisremote": check_bl_remote,
-    "SisBL": check_s_is_bl,
-    "SRemLemma": check_srem_lemma,
-    "RsBL": check_rs_bl,
-    "RsNd": check_rs_nd,
+CONTEXT_CHECKS: dict[str, tuple] = {
+    "opendensefrom": ((), check_opendensefrom),
+    "BLandL1": ((), check_void_remote),
+    "BLandL4": ((), check_downward_closure),
+    "NDSremotefrom": ((), check_nd_remote),
+    "remotesets": ((), check_star_subset),
+    "SRemandSRemLS": ((), check_rem_l_subset),
+    "remS": ((), check_rem_s_intersection),
+    "sublocale": ((), check_rmt_characterization),
+    "rareequality": ((lambda ctx: is_rare(ctx.frame, ctx.s),),
+                     check_rare_equality),
+    "BLisremote": ((), check_bl_remote),
+    "SisBL": ((), check_s_is_bl),
+    "SRemLemma": ((), check_srem_lemma),
+    "RsBL": ((), check_rs_bl),
+    "RsNd": ((), check_rs_nd),
 }
 
 
@@ -404,11 +402,11 @@ def check_obs_remotefrom_star(frame: FiniteFrame) -> Optional[str]:
     return None
 
 
-FRAME_CHECKS: dict[str, Callable[[FiniteFrame], Optional[str]]] = {
-    "rempropBL": check_remprop_bl,
-    "rempropBLstar": check_remprop_bl_star,
-    "Lislarge": check_l_is_large,
-    "RsDense": check_rs_dense,
-    "obsremotefrom": check_obs_remotefrom,
-    "obsremotefromstar": check_obs_remotefrom_star,
+FRAME_CHECKS: dict[str, tuple] = {
+    "rempropBL": ((), check_remprop_bl),
+    "rempropBLstar": ((), check_remprop_bl_star),
+    "Lislarge": ((), check_l_is_large),
+    "RsDense": ((), check_rs_dense),
+    "obsremotefrom": ((), check_obs_remotefrom),
+    "obsremotefromstar": ((), check_obs_remotefrom_star),
 }

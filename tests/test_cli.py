@@ -329,6 +329,7 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     ["--family", "chain", "--max-size", "0"],
     ["--family", "boolean-algebra", "--max-size", "0"],
     ["--family", "chain", "--max-size", "3", "--jobs", "-5"],
+    ["--family", "all-posets-up-to", "--max-size", "7"],
 ])
 def test_suite_rejects_negative_sizes(flags, capsys):
     assert main(["suite", "--jobs", "1"] + flags) == 2

@@ -1,9 +1,9 @@
-"""Mutation table for the map layer: each broken map method must show.
+"""Mutation table for the map and remoteness layers: each break must show.
 
-Every row breaks one method of a localic map or square and runs the suite
-on all posets up to 3 points.  The listed check ids are the ones that
-must then report a fail row, so each of those methods is one that some
-report check can catch.
+Every row breaks one method of a localic map, a square or a remoteness
+context and runs the suite on all posets up to 3 points.  The listed
+check ids are the ones that must then report a fail row, so each of
+those methods is one that some report check can catch.
 """
 
 import pytest
@@ -12,12 +12,16 @@ from localic import InvalidSquare, cli
 from localic.diagrams import DenseSquare
 from localic.generators import GenSpec
 from localic.locmap import LocalicMap
+from localic.remoteness import RemoteContext
 from localic.result import FAIL
 from localic.sublocale import Sublocale, span, whole_subl
 
 SPEC = GenSpec("all-posets-up-to", 3)
 IMAGE = LocalicMap.image_subl
 PREIMAGE = LocalicMap.preimage_subl
+CONTEXT_INIT = RemoteContext.__init__
+ORACLE = RemoteContext.pred_nwd_oracle
+RMT = RemoteContext.rmt_elements
 
 
 def image_is_whole(f, a):
@@ -39,6 +43,51 @@ def always_true(self):
     return True
 
 
+def _points_above(ctx, dense):
+    """The points above the given dense elements, as the fast path masks."""
+    mask = 0
+    for x in dense:
+        mask |= ctx.frame.up[x]
+    return mask & ~(1 << ctx.frame.top)
+
+
+def miss_mask_ignores_w(self, frame, dense_subl, within=None):
+    CONTEXT_INIT(self, frame, dense_subl, within)
+    self._miss_mask = _points_above(self, self.s_dense)
+
+
+def miss_mask_from_dense_of_l(self, frame, dense_subl, within=None):
+    CONTEXT_INIT(self, frame, dense_subl, within)
+    dense = [x for x in range(frame.n) if frame.is_dense_element(x)]
+    self._miss_mask = (_points_above(self, dense)
+                       | frame.points_mask() & ~self.within.mask)
+
+
+def oracle_closes_all_of_s(self, t):
+    # fill the oracle's mask first, with no isolated points taken out
+    if self._oracle_mask is None:
+        f = self.frame
+        pts = f.points_mask()
+        cl = pts
+        for a in range(f.n):
+            if pts & self.s.mask & ~f.up[a] == 0:
+                cl &= f.up[a]
+        self._oracle_mask = cl | pts & ~self.within.mask
+    return ORACLE(self, t)
+
+
+def rmt_ignores_w(self, oracle=False):
+    if oracle:
+        return RMT(self, oracle=True)
+    f = self.frame
+    return {a for a in range(f.n)
+            if all(f.join_table[a][x] == f.top for x in self.s_dense)}
+
+
+def star_is_plain(self):
+    return self
+
+
 MUTATIONS = {
     "image-is-whole": (
         LocalicMap, "image_subl", image_is_whole,
@@ -57,6 +106,20 @@ MUTATIONS = {
         {"beta", "betastar", "for1", "for1star"}),
     "image-always-surjective": (
         LocalicMap, "image_is_surjective", always_true, {"for1"}),
+    "miss-mask-ignores-w": (
+        RemoteContext, "__init__", miss_mask_ignores_w,
+        {"obsremotefromstar"}),
+    "miss-mask-from-dense-of-l": (
+        RemoteContext, "__init__", miss_mask_from_dense_of_l,
+        {"RsNd", "SisBL", "beta1", "for", "opendensefrom", "rempropBL"}),
+    "oracle-closes-all-of-s": (
+        RemoteContext, "pred_nwd_oracle", oracle_closes_all_of_s,
+        {"BLisremote", "Lislarge", "NDSremotefrom", "RsDense",
+         "opendensefrom", "remS", "rempropBLstar", "sublocale"}),
+    "rmt-ignores-w": (
+        RemoteContext, "rmt_elements", rmt_ignores_w, {"sublocale"}),
+    "star-is-plain": (
+        RemoteContext, "star", star_is_plain, {"obsremotefromstar"}),
 }
 
 

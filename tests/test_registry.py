@@ -12,6 +12,12 @@ def test_registry_scopes_match_check_tables():
     for scope in SCOPES:
         assert {c.id for c in checks_in_scope(scope)} == set(tables[scope])
     assert len(REGISTRY) == 40
+    # every entry is (hypotheses, conclusion); 18 statements are conditional
+    entries = [e for table in tables.values() for e in table.values()]
+    for hypotheses, conclusion in entries:
+        assert isinstance(hypotheses, tuple)
+        assert all(map(callable, hypotheses)) and callable(conclusion)
+    assert sum(bool(hypotheses) for hypotheses, _ in entries) == 18
 
 
 def test_scopes_valid():
@@ -32,13 +38,29 @@ class _Instance:
 
 
 def test_runner_writes_the_row(monkeypatch):
-    # a check returns None, HYPOTHESES_NOT_MET or its witness; the runner
-    # adds the registry id and the instance's subject
+    # the runner alone decides the verdict: a false hypothesis stops it
+    # before the conclusion runs, and the conclusion's None or witness
+    # gives pass or fail; the row carries the registry id and the subject
     inst = _Instance()
-    for out, row in ((None, (PASS, None)),
-                     (HYPOTHESES_NOT_MET, (HYPOTHESES_NOT_MET, None)),
-                     ("T=['1']", (FAIL, "T=['1']"))):
+    ran = []
+
+    def conclusion(out):
+        return lambda i: ran.append(i) or out
+
+    def runner(hypotheses, out):
         monkeypatch.setitem(FRAME_CHECKS, "Lislarge",
-                            lambda i, out=out: out if i is inst else "wrong")
-        runner = registry._build_registry()["Lislarge"].runner
-        assert runner(inst) == CheckResult("Lislarge", "the instance", *row)
+                            (hypotheses, conclusion(out)))
+        return registry._build_registry()["Lislarge"].runner
+
+    def row(*rest):
+        return CheckResult("Lislarge", "the instance", *rest)
+
+    holds, fails = (lambda i: i is inst), (lambda i: False)
+    for hypotheses in ((fails,), (holds, fails), (fails, holds)):
+        assert runner(hypotheses, None)(inst) == row(HYPOTHESES_NOT_MET)
+        assert runner(hypotheses, "T=['1']")(inst) == row(HYPOTHESES_NOT_MET)
+    assert ran == []
+    for hypotheses in ((), (holds,), (holds, holds)):
+        assert runner(hypotheses, None)(inst) == row(PASS)
+        assert runner(hypotheses, "T=['1']")(inst) == row(FAIL, "T=['1']")
+    assert ran == [inst] * 6
