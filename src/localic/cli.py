@@ -18,42 +18,15 @@ from fnmatch import fnmatch
 
 from .errors import InvalidSublocale, LocalicError
 from .frame import FiniteFrame
-from .generators import (
-    FAMILIES, GenSpec, gen_chains, gen_dense_sublocales, gen_frames,
-    gen_squares, gen_triangles,
-)
+from .generators import FAMILIES, GenSpec, build_corpus
 from .jsonio import load_document
 from .registry import REGISTRY, SCOPES, checks_in_scope
-from .remoteness import RemoteContext, sample_evenly
+from .remoteness import RemoteContext
 from .result import FAIL, HYPOTHESES_NOT_MET, PASS
 from .sublocale import (
     Sublocale, booleanization, enumerate_sublocales, is_dense_in_itself,
     is_rare, nd_join, serialize_sublocale, whole_subl,
 )
-
-# Suite-level corpus budgets; deterministic truncation points.
-MAX_CONTEXTS_PER_FRAME = 16
-SQUARE_BUDGET = 400
-CHAIN_BUDGET = 240
-TRIANGLE_BUDGET = 240
-
-
-def build_corpus(spec: GenSpec) -> dict[str, list]:
-    """All suite instances for a spec, keyed by check scope."""
-    frames = gen_frames(spec)
-    contexts = []
-    for f in frames:
-        dense = gen_dense_sublocales(f)
-        keep = set(id(s) for s in sample_evenly(dense,
-                                                MAX_CONTEXTS_PER_FRAME))
-        bl = booleanization(f)
-        contexts += [RemoteContext(f, s) for s in dense
-                     if id(s) in keep or s.is_whole() or s == bl]
-    squares = gen_squares(frames, budget=SQUARE_BUDGET, seed=spec.seed)
-    chains = gen_chains(squares, budget=CHAIN_BUDGET)
-    triangles = gen_triangles(frames, budget=TRIANGLE_BUDGET, seed=spec.seed)
-    return {"frame": frames, "context": contexts, "square": squares,
-            "chain": chains, "triangle": triangles}
 
 
 def _run_shard(args: tuple) -> tuple[list[dict], dict[str, int]]:

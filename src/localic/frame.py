@@ -40,7 +40,7 @@ class FiniteFrame:
         "n", "up", "down", "meet_table", "join_table", "impl_table",
         "bottom", "top", "labels", "name",
         "_label_index", "_impl_req", "_dense_mask", "_bool_mask",
-        "_points", "_sublocales",
+        "_point_mask", "_sublocales",
     )
 
     def __init__(self, n, up, down, meet_table, join_table, impl_table,
@@ -65,7 +65,9 @@ class FiniteFrame:
             a for a in range(n) if impl_table[a][bottom] == bottom
         )
         self._bool_mask = _mask_of(impl_table[x][bottom] for x in range(n))
-        self._points = None         # lazy cache, see points_mask
+        ups = set(up)       # points: see points_mask
+        self._point_mask = _mask_of(
+            p for p in range(n) if up[p] & ~(1 << p) in ups)
         self._sublocales = None     # lazy cache, see sublocale.py
 
     # -- order and lattice operations ------------------------------------
@@ -111,17 +113,13 @@ class FiniteFrame:
         return self.join_table[a][self.pseudocomplement(a)] == self.top
 
     def points_mask(self) -> int:
-        """The points (primes) of the frame as a mask, cached.
+        """The points (primes) of the frame as a mask.
 
         In a finite distributive lattice the primes are the meet-irreducible
         elements p < 1: those whose strict up-set has a least element.
         :meth:`is_point` is the independent oracle.
         """
-        if self._points is None:
-            self._points = _mask_of(
-                p for p in range(self.n) if p != self.top
-                and self.meet_of(bits(self.up[p] & ~(1 << p))) != p)
-        return self._points
+        return self._point_mask
 
     def is_point(self, p: int) -> bool:
         """p < 1 and a /\\ b <= p forces a <= p or b <= p."""

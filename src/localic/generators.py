@@ -1,4 +1,4 @@
-"""Instance generators: frames, dense sublocales, maps, squares, chains.
+"""Instance generators, and :func:`build_corpus`, the suite's corpus.
 
 Everything here is deterministic given a :class:`GenSpec`: the exhaustive
 families enumerate in a fixed order and the random families derive all
@@ -21,13 +21,24 @@ from .frame import (
 )
 from .locmap import LocalicMap, build_map, identity_map
 from .diagrams import DenseSquare, SquareChain, Triangle
-from .sublocale import Sublocale, enumerate_sublocales, whole_subl
+from .remoteness import RemoteContext, sample_evenly
+from .sublocale import (
+    Sublocale, booleanization, enumerate_sublocales, whole_subl,
+)
 
 FAMILIES = ("all-posets-up-to", "random-poset", "chain",
             "boolean-algebra", "finite-topology")
 
 # Squares and triangles are built only over frames of at most this size.
 DIAGRAM_FRAME_CAP = 8
+# Searched maps per frame pair: for a square's f, and for each triangle leg.
+SQUARE_MAPS_PER_PAIR = 4
+TRIANGLE_MAPS_PER_PAIR = 2
+# The suite corpus: contexts per frame, and where each diagram list stops.
+MAX_CONTEXTS_PER_FRAME = 16
+SQUARE_BUDGET = 400
+CHAIN_BUDGET = 240
+TRIANGLE_BUDGET = 240
 
 
 class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
@@ -254,7 +265,7 @@ def inclusion_map(s: Sublocale) -> LocalicMap:
     Its derived adjoint is the nucleus of s, which preserves finite meets.
     """
     sub, elems = s.as_frame()
-    return build_map(sub, s.frame, elems, name="incl")
+    return build_map(sub, s.frame, elems)
 
 
 def restriction_map(f: LocalicMap, s: Sublocale, t: Sublocale
@@ -310,82 +321,96 @@ def _pair_maps(l: FiniteFrame, m: FiniteFrame, limit: int,
     return gen_maps(l, m, limit=limit, seed=seed)
 
 
-def gen_squares(frames: list[FiniteFrame], maps_per_pair: int = 4,
-                budget: int = 0, seed: int = 0) -> list[DenseSquare]:
-    """Squares over all pairs of frames of at most DIAGRAM_FRAME_CAP elements.
+def _squares_over(f: LocalicMap, ss: list[Sublocale], ts: list[Sublocale]
+                  ) -> Iterator[tuple[DenseSquare, Sublocale]]:
+    """(square, T) for each S in ss and T in ts that f restricts to."""
+    for s in ss:
+        for t in ts:
+            sq = square_from(f, s, t)
+            if sq is not None:
+                yield sq, t
 
-    Same-frame pairs come first with their full dense-sublocale grid;
-    cross pairs use searched maps, a few per pair.  The budget, when
-    nonzero, truncates deterministically.
-    """
+
+def gen_squares(frames: list[FiniteFrame], seed: int = 0
+                ) -> list[DenseSquare]:
+    """The first SQUARE_BUDGET squares over pairs of frames of at most
+    DIAGRAM_FRAME_CAP elements, in list order, each pair with a few searched
+    maps (the identity first on a same-frame pair)."""
     small = [f for f in frames if f.n <= DIAGRAM_FRAME_CAP]
+    dense = [gen_dense_sublocales(f) for f in small]
     out: list[DenseSquare] = []
-
-    def push(sq: Optional[DenseSquare]) -> bool:
-        if sq is not None:
-            out.append(sq)
-        return bool(budget) and len(out) >= budget
-
     for li, l in enumerate(small):
         for mi, m in enumerate(small):
-            maps = _pair_maps(l, m, maps_per_pair,
-                              seed + 7919 * li + mi)
-            for f in maps:
-                for s in gen_dense_sublocales(l):
-                    for t in gen_dense_sublocales(m):
-                        if push(square_from(f, s, t)):
-                            return out
+            for f in _pair_maps(l, m, SQUARE_MAPS_PER_PAIR,
+                                seed + 7919 * li + mi):
+                for sq, _ in _squares_over(f, dense[li], dense[mi]):
+                    out.append(sq)
+                    if len(out) >= SQUARE_BUDGET:
+                        return out
     return out
 
 
-def gen_chains(squares: list[DenseSquare], budget: int = 0
-               ) -> list[SquareChain]:
-    """Interpose dense middle layers R (S <= R <= L) and U (T <= U <= M)."""
+def gen_chains(squares: list[DenseSquare]) -> list[SquareChain]:
+    """The first CHAIN_BUDGET chains: dense middle layers R (S <= R <= L)
+    and U (T <= U <= M) interposed in each square, R's and U's maps built
+    once each."""
     out: list[SquareChain] = []
     for sq in squares:
-        mids_l = [r for r in gen_dense_sublocales(sq.l_frame)
-                  if sq.alpha_image.mask & ~r.mask == 0]
-        mids_m = [u for u in gen_dense_sublocales(sq.m_frame)
-                  if sq.omega_image.mask & ~u.mask == 0]
         s, t = whole_subl(sq.s_frame), whole_subl(sq.t_frame)
-        for r in mids_l:
-            theta = inclusion_map(r)
-            # i and k are never None: R holds alpha[S], U holds omega[T]
-            i = restriction_map(sq.alpha, s, r)
-            for u in mids_m:
+        # i and k are never None: R holds alpha[S], U holds omega[T]
+        uppers = [(r, inclusion_map(r), restriction_map(sq.alpha, s, r))
+                  for r in gen_dense_sublocales(sq.l_frame)
+                  if sq.alpha_image.mask & ~r.mask == 0]
+        lowers = [(u, inclusion_map(u), restriction_map(sq.omega, t, u))
+                  for u in gen_dense_sublocales(sq.m_frame)
+                  if sq.omega_image.mask & ~u.mask == 0]
+        for r, theta, i in uppers:
+            for u, sigma, k in lowers:
                 phi = restriction_map(sq.f, r, u)
                 if phi is None:
                     continue
-                k = restriction_map(sq.omega, t, u)
-                out.append(SquareChain(sq, i, k, phi, theta,
-                                       inclusion_map(u)))
-                if budget and len(out) >= budget:
+                out.append(SquareChain(sq, i, k, phi, theta, sigma))
+                if len(out) >= CHAIN_BUDGET:
                     return out
     return out
 
 
-def gen_triangles(frames: list[FiniteFrame], maps_per_pair: int = 2,
-                  budget: int = 0, seed: int = 0) -> list[Triangle]:
-    """Composable square pairs sharing the middle vertical."""
+def gen_triangles(frames: list[FiniteFrame], seed: int = 0
+                  ) -> list[Triangle]:
+    """The first TRIANGLE_BUDGET square pairs sharing the middle vertical,
+    over frame triples in list order; a first square is built once."""
     small = [f for f in frames if f.n <= DIAGRAM_FRAME_CAP]
+    dense = [gen_dense_sublocales(f) for f in small]
     out: list[Triangle] = []
     for li, l in enumerate(small):
         for mi, m in enumerate(small):
-            fs = _pair_maps(l, m, maps_per_pair, seed + 31 * li + mi)
+            fs = _pair_maps(l, m, TRIANGLE_MAPS_PER_PAIR, seed + 31 * li + mi)
+            firsts = [list(_squares_over(f, dense[li], dense[mi]))
+                      for f in fs]
             for ni, nf in enumerate(small):
-                ps = _pair_maps(m, nf, maps_per_pair, seed + 31 * mi + ni + 1)
-                for f in fs:
+                ps = _pair_maps(m, nf, TRIANGLE_MAPS_PER_PAIR,
+                                seed + 31 * mi + ni + 1)
+                for row in firsts:
                     for p in ps:
-                        for s in gen_dense_sublocales(l):
-                            for t in gen_dense_sublocales(m):
-                                sq1 = square_from(f, s, t)
-                                if sq1 is None:
-                                    continue
-                                for v in gen_dense_sublocales(nf):
-                                    sq2 = square_from(p, t, v)
-                                    if sq2 is None:
-                                        continue
-                                    out.append(Triangle(sq1, sq2))
-                                    if budget and len(out) >= budget:
-                                        return out
+                        for sq1, t in row:
+                            for sq2, _ in _squares_over(p, [t], dense[ni]):
+                                out.append(Triangle(sq1, sq2))
+                                if len(out) >= TRIANGLE_BUDGET:
+                                    return out
     return out
+
+
+def build_corpus(spec: GenSpec) -> dict[str, list]:
+    """All suite instances for a spec, keyed by check scope."""
+    frames = gen_frames(spec)
+    contexts = []
+    for f in frames:
+        dense = gen_dense_sublocales(f)
+        keep = sample_evenly(dense, MAX_CONTEXTS_PER_FRAME)
+        bl = booleanization(f)
+        contexts += [RemoteContext(f, s) for s in dense
+                     if s in keep or s.is_whole() or s == bl]
+    squares = gen_squares(frames, seed=spec.seed)
+    return {"frame": frames, "context": contexts, "square": squares,
+            "chain": gen_chains(squares),
+            "triangle": gen_triangles(frames, seed=spec.seed)}

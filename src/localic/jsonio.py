@@ -73,8 +73,7 @@ def frame_from_json(doc: dict) -> FiniteFrame:
     return build_frame(pairs, len(labels), labels=labels, name=name)
 
 
-def _map_from_body(body: dict, frames: dict[str, FiniteFrame],
-                   name: str = "") -> LocalicMap:
+def _map_from_body(body: dict, frames: dict[str, FiniteFrame]) -> LocalicMap:
     body = _object(body, "a map")
     src = _pick(frames, body.get("source"), "source frame")
     tgt = _pick(frames, body.get("target"), "target frame")
@@ -87,7 +86,7 @@ def _map_from_body(body: dict, frames: dict[str, FiniteFrame],
             table[src.index_of(a)] = tgt.index_of(b)
         except KeyError as e:
             raise InvalidDocument(f"unknown element label: {e}")
-    return build_map(src, tgt, table, name=name or None)
+    return build_map(src, tgt, table)
 
 
 def _frames_of(doc: dict) -> dict[str, FiniteFrame]:
@@ -105,7 +104,7 @@ def _frames_of(doc: dict) -> dict[str, FiniteFrame]:
 
 def _square_from_json(doc: dict) -> tuple[DenseSquare, dict[str, LocalicMap]]:
     frames = _frames_of(doc)
-    maps = {name: _map_from_body(body, frames, name)
+    maps = {name: _map_from_body(body, frames)
             for name, body in _object(doc.get("maps", {}), "'maps'").items()}
     sq = _names(doc.get("square"), "'square'")
     parts = [_pick(maps, sq.get(k), "map")

@@ -12,7 +12,7 @@ preimages all work on points.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import AdjointNotFrameHom, MixedFrames, NotMeetPreserving
 from .frame import FiniteFrame, bits
@@ -22,14 +22,13 @@ from .sublocale import Sublocale, span
 class LocalicMap:
     """A validated meet-preserving map with its derived adjoint."""
 
-    __slots__ = ("source", "target", "table", "adjoint_table", "name")
+    __slots__ = ("source", "target", "table", "adjoint_table")
 
-    def __init__(self, source, target, table, adjoint_table, name=None):
+    def __init__(self, source, target, table, adjoint_table):
         self.source = source
         self.target = target
         self.table = table
         self.adjoint_table = adjoint_table
-        self.name = name
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -103,8 +102,7 @@ class LocalicMap:
         return self.target.points_mask() & ~hit == 0
 
     def __repr__(self) -> str:
-        return (f"LocalicMap({self.name or '?'}: "
-                f"{self.source.name}->{self.target.name})")
+        return f"LocalicMap({self.source.name}->{self.target.name})"
 
 
 def table_is_skeletal(src: FiniteFrame, tgt: FiniteFrame,
@@ -115,7 +113,7 @@ def table_is_skeletal(src: FiniteFrame, tgt: FiniteFrame,
 
 
 def build_map(src: FiniteFrame, tgt: FiniteFrame,
-              table: Iterable[int], name: Optional[str] = None) -> LocalicMap:
+              table: Iterable[int]) -> LocalicMap:
     """Validate a table as a localic map and derive its adjoint.
 
     The points (primes) of the source decide both conditions:
@@ -150,20 +148,19 @@ def build_map(src: FiniteFrame, tgt: FiniteFrame,
                 f"which is not a point of {tgt.subject()}")
         for y in bits(tgt.down[fp]):
             adj[y] = src.meet_table[adj[y]][p]
-    return LocalicMap(src, tgt, table, tuple(adj), name=name)
+    return LocalicMap(src, tgt, table, tuple(adj))
 
 
 def identity_map(frame: FiniteFrame) -> LocalicMap:
     return LocalicMap(frame, frame, tuple(range(frame.n)),
-                      tuple(range(frame.n)), name="id")
+                      tuple(range(frame.n)))
 
 
-def compose(outer: LocalicMap, inner: LocalicMap,
-            name: Optional[str] = None) -> LocalicMap:
+def compose(outer: LocalicMap, inner: LocalicMap) -> LocalicMap:
     """outer after inner; composition of localic maps is localic."""
     if inner.target is not outer.source:
         raise MixedFrames("maps do not compose")
     table = tuple(outer.table[inner.table[x]] for x in range(inner.source.n))
     adj = tuple(inner.adjoint_table[outer.adjoint_table[y]]
                 for y in range(outer.target.n))
-    return LocalicMap(inner.source, outer.target, table, adj, name=name)
+    return LocalicMap(inner.source, outer.target, table, adj)

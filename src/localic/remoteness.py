@@ -358,13 +358,19 @@ def check_remprop_bl(frame: FiniteFrame) -> Optional[str]:
 
 
 def check_remprop_bl_star(frame: FiniteFrame) -> Optional[str]:
-    """*remote-from-BL sublocales are exactly those inside L \\ BL."""
+    """*remote-from-BL sublocales are exactly those inside L \\ BL.
+
+    L \\ BL comes from the frame, not from the context's W, and both
+    routes of the *remote context must give exactly its sublocales.
+    """
+    rest = supplement(frame, booleanization(frame))
+    expected = {t.mask for t in enumerate_sublocales(frame) if t <= rest}
     star = bl_context(frame).star()
-    expected = {t.mask for t in enumerate_sublocales(frame)
-                if t <= star.within}
-    actual = {t.mask for t in star.remote_set(oracle=True)}
-    if expected != actual:
-        return f"difference masks {sorted(expected ^ actual)}"
+    for oracle in (True, False):
+        actual = {t.mask for t in star.remote_set(oracle=oracle)}
+        if expected != actual:
+            return (f"{'oracle' if oracle else 'fast'} route: "
+                    f"difference masks {sorted(expected ^ actual)}")
     return None
 
 

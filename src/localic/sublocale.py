@@ -33,8 +33,9 @@ class Sublocale:
     def of(cls, frame: FiniteFrame, members: Iterable[int]) -> "Sublocale":
         mask = _mask_of(members)
         if not is_sublocale(frame, mask):
+            labels = ",".join(frame.labels[x] for x in bits(mask))
             raise InvalidSublocale(
-                f"{sorted(bits(mask))} is not a sublocale of {frame!r}")
+                f"{{{labels}}} is not a sublocale of {frame.subject()}")
         return cls(frame, mask)
 
     def members(self) -> Iterator[int]:

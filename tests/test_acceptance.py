@@ -17,8 +17,10 @@ from localic import (
     is_nowhere_dense, is_sublocale, nucleus_map, open_subl, subl_join,
     subl_meet, supplement, whole_context, whole_subl,
 )
-from localic.cli import build_corpus, main
-from localic.generators import gen_chains, gen_frames, gen_maps, gen_squares, gen_triangles
+from localic.cli import main
+from localic.generators import (
+    build_corpus, gen_chains, gen_frames, gen_maps, gen_squares, gen_triangles,
+)
 from localic.registry import REGISTRY, checks_in_scope
 from localic.result import FAIL, PASS
 from localic.sublocale import join_is_whole
@@ -120,9 +122,9 @@ def test_criterion_4_conditional_suite(tier1_frames):
     hypotheses hold, with a nonzero hypothesis-satisfying count each."""
     started = time.monotonic()
     small = [f for f in tier1_frames if f.n <= 8]
-    squares = gen_squares(small, budget=400)
-    chains = gen_chains(squares, budget=240)
-    triangles = gen_triangles(small, budget=240)
+    squares = gen_squares(small)
+    chains = gen_chains(squares)
+    triangles = gen_triangles(small)
     failures = []
     passes = {}
     for items, scope in ((squares, "square"), (chains, "chain"),

@@ -284,6 +284,13 @@ def test_query_unknown_label(tmp_path, capsys):
     assert _one_line(err) and "'x'" in err
 
 
+def test_query_names_a_bad_s_by_its_labels(tmp_path, capsys):
+    path = _write(tmp_path, "c3.json", C3_DOC)
+    assert main(["query", path, "rs", "S={m}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: {m} is not a sublocale of C3\n"
+
+
 @pytest.mark.parametrize("words", [
     ["rs", "s={m,1}"],                  # lower-case s is not S=
     ["rs", "S={m,1}", "S=L"],           # a second S=
@@ -459,3 +466,14 @@ def test_random_poset_report_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "710c7d8cc47aa156129c8c7fb8bbfca6fb905add9168b811af38d373920f9dba"
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (GenSpec("boolean-algebra", 16),
+     "b7efeaf59e148e003f4d5a1b3cac3c54a012375048522fc24f086bbc1836bb99"),
+    (GenSpec("all-posets-up-to", 5),
+     "2f385d96873abcdb1bba17334a735acd10f86291a1a95c2b7673a81b9b869207"),
+], ids=["boolean-algebra-16", "all-posets-up-to-5"])
+def test_report_is_pinned(spec, digest):
+    text = cli.render_report(cli.run_suite(spec, "*", 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

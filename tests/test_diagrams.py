@@ -23,7 +23,7 @@ def small_frames():
 
 @pytest.fixture(scope="module")
 def squares(small_frames):
-    return gen_squares(small_frames, maps_per_pair=2, budget=60)
+    return gen_squares(small_frames)[:60]
 
 
 def test_identity_square_passes_everything(c3):
@@ -91,7 +91,7 @@ def test_square_checks_sometimes_apply(squares):
 
 
 def test_chain_checks(squares):
-    chains = gen_chains(squares[:20], budget=40)
+    chains = gen_chains(squares[:20])[:40]
     assert chains
     for chain in chains:
         for check in checks_in_scope("chain"):
@@ -133,7 +133,7 @@ def test_preservation_bodies_are_not_vacuous(squares):
             assert r.verdict == FAIL and r.witness, (cid, r.subject)
             hits[cid] += 1
     assert all(hits.values()), hits
-    chains = gen_chains(squares[:20], budget=40)
+    chains = gen_chains(squares[:20])[:40]
     assert chains
     for c in chains:
         outer = _rejecting(c.outer, "l")
@@ -146,7 +146,7 @@ def test_preservation_bodies_are_not_vacuous(squares):
 
 def test_chain_inner_square(squares):
     # the upper square g over phi sits on the lower square phi over f
-    chains = gen_chains(squares[:10], budget=10)
+    chains = gen_chains(squares[:10])[:10]
     assert chains
     for chain in chains:
         assert chain.upper.g is chain.outer.g
@@ -173,7 +173,7 @@ def test_chain_rejects_each_broken_composite(c3, c4):
 
 
 def test_triangle_checks(small_frames):
-    tris = gen_triangles(small_frames[:4], maps_per_pair=2, budget=40)
+    tris = gen_triangles(small_frames[:4])[:40]
     assert tris
     for tri in tris:
         for check in checks_in_scope("triangle"):

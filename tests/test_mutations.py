@@ -108,10 +108,11 @@ MUTATIONS = {
         LocalicMap, "image_is_surjective", always_true, {"for1"}),
     "miss-mask-ignores-w": (
         RemoteContext, "__init__", miss_mask_ignores_w,
-        {"obsremotefromstar"}),
+        {"obsremotefromstar", "rempropBLstar"}),
     "miss-mask-from-dense-of-l": (
         RemoteContext, "__init__", miss_mask_from_dense_of_l,
-        {"RsNd", "SisBL", "beta1", "for", "opendensefrom", "rempropBL"}),
+        {"RsNd", "SisBL", "beta1", "for", "opendensefrom", "rempropBL",
+         "rempropBLstar"}),
     "oracle-closes-all-of-s": (
         RemoteContext, "pred_nwd_oracle", oracle_closes_all_of_s,
         {"BLisremote", "Lislarge", "NDSremotefrom", "RsDense",
@@ -119,7 +120,8 @@ MUTATIONS = {
     "rmt-ignores-w": (
         RemoteContext, "rmt_elements", rmt_ignores_w, {"sublocale"}),
     "star-is-plain": (
-        RemoteContext, "star", star_is_plain, {"obsremotefromstar"}),
+        RemoteContext, "star", star_is_plain,
+        {"obsremotefromstar", "rempropBLstar"}),
 }
 
 
