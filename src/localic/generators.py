@@ -378,7 +378,8 @@ def gen_chains(squares: list[DenseSquare]) -> list[SquareChain]:
 def gen_triangles(frames: list[FiniteFrame], seed: int = 0
                   ) -> list[Triangle]:
     """The first TRIANGLE_BUDGET square pairs sharing the middle vertical,
-    over frame triples in list order; a first square is built once."""
+    over frame triples in list order.  A first square is built once per
+    frame pair, and the second squares once per (p, T) in a frame triple."""
     small = [f for f in frames if f.n <= DIAGRAM_FRAME_CAP]
     dense = [gen_dense_sublocales(f) for f in small]
     out: list[Triangle] = []
@@ -390,10 +391,15 @@ def gen_triangles(frames: list[FiniteFrame], seed: int = 0
             for ni, nf in enumerate(small):
                 ps = _pair_maps(m, nf, TRIANGLE_MAPS_PER_PAIR,
                                 seed + 31 * mi + ni + 1)
+                seconds = [{} for _ in ps]    # per p: T's mask -> squares
                 for row in firsts:
-                    for p in ps:
+                    for p, after_p in zip(ps, seconds):
                         for sq1, t in row:
-                            for sq2, _ in _squares_over(p, [t], dense[ni]):
+                            if t.mask not in after_p:
+                                after_p[t.mask] = [
+                                    sq for sq, _ in
+                                    _squares_over(p, [t], dense[ni])]
+                            for sq2 in after_p[t.mask]:
                                 out.append(Triangle(sq1, sq2))
                                 if len(out) >= TRIANGLE_BUDGET:
                                     return out
@@ -406,10 +412,9 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
     contexts = []
     for f in frames:
         dense = gen_dense_sublocales(f)
-        keep = sample_evenly(dense, MAX_CONTEXTS_PER_FRAME)
-        bl = booleanization(f)
-        contexts += [RemoteContext(f, s) for s in dense
-                     if s in keep or s.is_whole() or s == bl]
+        keep = {s.mask for s in sample_evenly(dense, MAX_CONTEXTS_PER_FRAME)}
+        keep |= {whole_subl(f).mask, booleanization(f).mask}
+        contexts += [RemoteContext(f, s) for s in dense if s.mask in keep]
     squares = gen_squares(frames, seed=spec.seed)
     return {"frame": frames, "context": contexts, "square": squares,
             "chain": gen_chains(squares),

@@ -13,11 +13,18 @@ S iff T misses cl(S minus Iso(S)), Iso(S) being the isolated points of the
 subspace S (van Douwen's remote sets).  The fast path is the default; their
 agreement is itself one of the checked theorems, so the theorem checks
 never assume it.  On the fast path the joins Rs and *Rs are spans of points.
+
+On each route the remote family is one point mask M, ``miss_points``: T is
+remote iff it holds no point of M.  Points are meet-irreducible, so the
+points of span(Q) are exactly Q, and each single point spans a sublocale;
+hence family A lies inside family B iff M_B lies inside M_A.  The checks
+``remotesets``, ``SRemandSRemLS``, ``SRemLemma``, ``rareequality``,
+``rempropBL`` and ``rempropBLstar`` are such mask tests, run on both routes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .frame import FiniteFrame, bits
 from .sublocale import (
@@ -55,12 +62,10 @@ class RemoteContext:
         # the S-dense members of S are the ambient-dense members of S.
         self.s_dense = [x for x in bits(dense_subl.mask)
                         if frame.is_dense_element(x)]
-        mask = 0
+        mask = ~self.within.mask    # T <= W: T has no point outside W
         for x in self.s_dense:
             mask |= frame.up[x]
-        # T <= W exactly when T has no point outside W
-        self._miss_mask = (mask & ~(1 << frame.top)
-                           | frame.points_mask() & ~self.within.mask)
+        self._miss_mask = frame.points_mask() & mask
         self._open_mask = None
         self._oracle_mask = None
         self._star = None
@@ -117,11 +122,23 @@ class RemoteContext:
 
     # -- public operations --------------------------------------------------
 
+    def miss_points(self, oracle: bool = False) -> int:
+        """The mask of the points that no remote T holds on this route.
+
+        On the fast route they are the points above an S-dense member of S
+        (T /\\ c(x) = O) and the points outside W; on the oracle route,
+        cl(S minus Iso(S)) and the points outside W.
+        """
+        if not oracle:
+            return self._miss_mask
+        if self._oracle_mask is None:
+            # pred_nwd_oracle alone fills the oracle's mask, so a wrapper
+            # of it sees the whole oracle route
+            self.pred_nwd_oracle(void_subl(self.frame))
+        return self._oracle_mask
+
     def is_remote_from(self, t: Sublocale, oracle: bool = False) -> bool:
-        if oracle:
-            return self.pred_nwd_oracle(t)
-        # T /\ c(x) = O for every S-dense x in S and T <= W, as one mask test
-        return t.mask & self._miss_mask == 0
+        return t.mask & self.miss_points(oracle) == 0
 
     def remote_set(self, oracle: bool = False) -> list[Sublocale]:
         return [t for t in enumerate_sublocales(self.frame)
@@ -149,7 +166,7 @@ class RemoteContext:
         f = self.frame
         if oracle:
             return subl_join([void_subl(f)] + self.remote_set(oracle=True))
-        return Sublocale(f, span(f, f.points_mask() & ~self._miss_mask))
+        return Sublocale(f, span(f, f.points_mask() & ~self.miss_points()))
 
     def star_rs(self, oracle: bool = False) -> Sublocale:
         """*Rs, the largest sublocale *remote from S."""
@@ -167,6 +184,18 @@ def whole_context(frame: FiniteFrame) -> RemoteContext:
 
 def bl_context(frame: FiniteFrame) -> RemoteContext:
     return RemoteContext(frame, booleanization(frame))
+
+
+def _on_both_routes(frame: FiniteFrame,
+                    offending: Callable[[bool], int]) -> Optional[str]:
+    """The witness of a mask test: the first route whose offending point
+    mask is not empty, and those points by label."""
+    for oracle in (False, True):
+        bad = offending(oracle)
+        if bad:
+            labels = ",".join(frame.labels[p] for p in bits(bad))
+            return f"{'oracle' if oracle else 'fast'} route: {{{labels}}}"
+    return None
 
 
 def sample_evenly(items: list, cap: int) -> list:
@@ -227,21 +256,21 @@ def check_nd_remote(ctx: RemoteContext) -> Optional[str]:
 
 
 def check_star_subset(ctx: RemoteContext) -> Optional[str]:
-    """*remote sublocales are remote."""
-    remote = set(t.mask for t in ctx.remote_set())
-    for t in ctx.star().remote_set():
-        if t.mask not in remote:
-            return f"T={sorted(t.labels())}"
-    return None
+    """*remote sublocales are remote: the *remote mask holds the plain one.
+
+    A witness point is held by some *remote T that is not remote.
+    """
+    star = ctx.star()
+    return _on_both_routes(ctx.frame, lambda oracle: (
+        ctx.miss_points(oracle) & ~star.miss_points(oracle)))
 
 
 def check_rem_l_subset(ctx: RemoteContext) -> Optional[str]:
-    """Remote sublocales of L are remote from every dense S."""
+    """Remote sublocales of L are remote from every dense S: L's mask
+    holds the mask of S."""
     whole = whole_context(ctx.frame)
-    for t in whole.remote_set():
-        if not ctx.is_remote_from(t):
-            return f"T={sorted(t.labels())}"
-    return None
+    return _on_both_routes(ctx.frame, lambda oracle: (
+        ctx.miss_points(oracle) & ~whole.miss_points(oracle)))
 
 
 def check_rem_s_intersection(ctx: RemoteContext) -> Optional[str]:
@@ -272,12 +301,11 @@ def check_rmt_characterization(ctx: RemoteContext) -> Optional[str]:
 
 
 def check_rare_equality(ctx: RemoteContext) -> Optional[str]:
-    """For dense and rare S the remote and *remote collections coincide."""
-    plain = {t.mask for t in ctx.remote_set()}
-    star = {t.mask for t in ctx.star().remote_set()}
-    if plain != star:
-        return f"difference masks {sorted(plain ^ star)}"
-    return None
+    """For dense and rare S the remote and *remote collections coincide:
+    the two masks are equal."""
+    star = ctx.star()
+    return _on_both_routes(ctx.frame, lambda oracle: (
+        ctx.miss_points(oracle) ^ star.miss_points(oracle)))
 
 
 def check_bl_remote(ctx: RemoteContext) -> Optional[str]:
@@ -297,13 +325,17 @@ def check_s_is_bl(ctx: RemoteContext) -> Optional[str]:
 
 
 def check_srem_lemma(ctx: RemoteContext) -> Optional[str]:
-    """A remote from S implies A /\\ S remote in L."""
-    whole = whole_context(ctx.frame)
-    for a in ctx.remote_set():
-        cut = Sublocale(ctx.frame, a.mask & ctx.s.mask)
-        if not whole.is_remote_from(cut):
-            return f"A={sorted(a.labels())}"
-    return None
+    """A remote from S implies A /\\ S remote in L.
+
+    The points of A /\\ S are the points of A in S, and a remote A may
+    hold any point outside the mask of the context, so no point of S
+    outside that mask may lie in the mask of L.
+    """
+    f = ctx.frame
+    whole = whole_context(f)
+    return _on_both_routes(f, lambda oracle: (
+        f.points_mask() & ctx.s.mask & ~ctx.miss_points(oracle)
+        & whole.miss_points(oracle)))
 
 
 def check_rs_bl(ctx: RemoteContext) -> Optional[str]:
@@ -349,29 +381,21 @@ CONTEXT_CHECKS: dict[str, tuple] = {
 # ---------------------------------------------------------------------------
 
 def check_remprop_bl(frame: FiniteFrame) -> Optional[str]:
-    """Everything is remote from the Booleanization."""
-    ctx = bl_context(frame)
-    for t in enumerate_sublocales(frame):
-        if not ctx.is_remote_from(t):
-            return f"T={sorted(t.labels())}"
-    return None
+    """Everything is remote from the Booleanization: its mask is empty."""
+    return _on_both_routes(frame, bl_context(frame).miss_points)
 
 
 def check_remprop_bl_star(frame: FiniteFrame) -> Optional[str]:
     """*remote-from-BL sublocales are exactly those inside L \\ BL.
 
-    L \\ BL comes from the frame, not from the context's W, and both
-    routes of the *remote context must give exactly its sublocales.
+    T <= L \\ BL when T has no point outside it, and the points of
+    L \\ BL are the points not in BL, so the *remote mask must be the
+    points of BL.  This comes from the frame, not from the context's W.
     """
-    rest = supplement(frame, booleanization(frame))
-    expected = {t.mask for t in enumerate_sublocales(frame) if t <= rest}
+    bl = frame.points_mask() & booleanization(frame).mask
     star = bl_context(frame).star()
-    for oracle in (True, False):
-        actual = {t.mask for t in star.remote_set(oracle=oracle)}
-        if expected != actual:
-            return (f"{'oracle' if oracle else 'fast'} route: "
-                    f"difference masks {sorted(expected ^ actual)}")
-    return None
+    return _on_both_routes(frame, lambda oracle: (
+        star.miss_points(oracle) ^ bl))
 
 
 def check_l_is_large(frame: FiniteFrame) -> Optional[str]:

@@ -443,37 +443,33 @@ def test_suite_tallies_are_pinned():
     assert got == SIZE3_TALLIES
     assert all(set(t) == {PASS, HYPOTHESES_NOT_MET, FAIL} and t[FAIL] == 0
                for t in report["checks"].values())
-    # the whole report, byte for byte
-    assert hashlib.sha256(cli.render_report(report).encode()).hexdigest() \
-        == "1366972ef7839269a66a589cce598201f30d91edb9767b6b6054792a8dee287b"
 
 
-def test_finite_topology_report_is_pinned(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert main(["suite", "--family", "finite-topology", "--max-size", "16",
-                 "--count", "100", "--jobs", "1", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "2efd8413f8a5ae274c0c6f68cd853f147e6bb4cf9556d5e80ead7af59736ebde"
-
-
-def test_random_poset_report_is_pinned(tmp_path, capsys):
-    # its seeded map search hands build_map tables that it rejects
-    out = tmp_path / "report.json"
-    assert main(["suite", "--family", "random-poset", "--max-size", "12",
-                 "--count", "200", "--seed", "7", "--jobs", "1",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "710c7d8cc47aa156129c8c7fb8bbfca6fb905add9168b811af38d373920f9dba"
-
-
+# Each report byte for byte, written by `localic suite --jobs 1 --out`.
 @pytest.mark.parametrize("spec, digest", [
-    (GenSpec("boolean-algebra", 16),
-     "b7efeaf59e148e003f4d5a1b3cac3c54a012375048522fc24f086bbc1836bb99"),
+    (GenSpec("all-posets-up-to", 3),
+     "1366972ef7839269a66a589cce598201f30d91edb9767b6b6054792a8dee287b"),
+    (GenSpec("all-posets-up-to", 4),
+     "baddb1201fe7e734e6dd191b85394d8304df08ff4287309e57c07bfdd0b24675"),
     (GenSpec("all-posets-up-to", 5),
      "2f385d96873abcdb1bba17334a735acd10f86291a1a95c2b7673a81b9b869207"),
-], ids=["boolean-algebra-16", "all-posets-up-to-5"])
-def test_report_is_pinned(spec, digest):
-    text = cli.render_report(cli.run_suite(spec, "*", 1))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # its seeded map search hands build_map tables that it rejects
+    (GenSpec("random-poset", 12, seed=7, count=200),
+     "710c7d8cc47aa156129c8c7fb8bbfca6fb905add9168b811af38d373920f9dba"),
+    (GenSpec("finite-topology", 16, count=100),
+     "2efd8413f8a5ae274c0c6f68cd853f147e6bb4cf9556d5e80ead7af59736ebde"),
+    (GenSpec("chain", 16),
+     "84fa852b68ee3109dae47dd0eef252debd641dce48bd60e01e9993b1efb3919e"),
+    (GenSpec("boolean-algebra", 16),
+     "b7efeaf59e148e003f4d5a1b3cac3c54a012375048522fc24f086bbc1836bb99"),
+], ids=["all-posets-up-to-3", "all-posets-up-to-4", "all-posets-up-to-5",
+        "random-poset-12-200-7", "finite-topology-16-100", "chain-16",
+        "boolean-algebra-16"])
+def test_report_is_pinned(spec, digest, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["suite", "--family", spec.family,
+                 "--max-size", str(spec.max_size), "--seed", str(spec.seed),
+                 "--count", str(spec.count), "--jobs", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

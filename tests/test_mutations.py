@@ -48,7 +48,7 @@ def _points_above(ctx, dense):
     mask = 0
     for x in dense:
         mask |= ctx.frame.up[x]
-    return mask & ~(1 << ctx.frame.top)
+    return mask & ctx.frame.points_mask()
 
 
 def miss_mask_ignores_w(self, frame, dense_subl, within=None):
@@ -73,6 +73,12 @@ def oracle_closes_all_of_s(self, t):
             if pts & self.s.mask & ~f.up[a] == 0:
                 cl &= f.up[a]
         self._oracle_mask = cl | pts & ~self.within.mask
+    return ORACLE(self, t)
+
+
+def oracle_drops_points_outside_w(self, t):
+    ORACLE(self, t)    # fills the mask, then W is forgotten
+    self._oracle_mask &= self.within.mask
     return ORACLE(self, t)
 
 
@@ -116,7 +122,11 @@ MUTATIONS = {
     "oracle-closes-all-of-s": (
         RemoteContext, "pred_nwd_oracle", oracle_closes_all_of_s,
         {"BLisremote", "Lislarge", "NDSremotefrom", "RsDense",
-         "opendensefrom", "remS", "rempropBLstar", "sublocale"}),
+         "opendensefrom", "remS", "rempropBL", "rempropBLstar",
+         "sublocale"}),
+    "oracle-drops-points-outside-w": (
+        RemoteContext, "pred_nwd_oracle", oracle_drops_points_outside_w,
+        {"RsDense", "remotesets", "rempropBLstar", "sublocale"}),
     "rmt-ignores-w": (
         RemoteContext, "rmt_elements", rmt_ignores_w, {"sublocale"}),
     "star-is-plain": (

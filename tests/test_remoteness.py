@@ -80,6 +80,38 @@ def test_fast_and_oracle_agree(tier1_frames):
             assert star.rs() == star_rs == ctx.star_rs(oracle=True)
 
 
+def test_family_inclusion_is_mask_inclusion(tier1_frames):
+    # the reference for the mask tests of the checks: one remote family
+    # lies inside another iff the other's miss mask lies inside its own
+    for f in tier1_frames:
+        ctxs = [whole_context(f)] + [c for ctx in all_contexts(f)
+                                     for c in (ctx, ctx.star())]
+        for oracle in (False, True):
+            fams = [{t.mask for t in c.remote_set(oracle)} for c in ctxs]
+            masks = [c.miss_points(oracle) for c in ctxs]
+            for a, fam_a, m_a in zip(ctxs, fams, masks):
+                for b, fam_b, m_b in zip(ctxs, fams, masks):
+                    assert (fam_a <= fam_b) == (m_b & ~m_a == 0), \
+                        (a.subject(), a.within, b.subject(), b.within, oracle)
+
+
+def test_mask_checks_scan_no_sublocales(monkeypatch, tier1_frames):
+    # the six family statements are decided on point masks alone
+    insts = {"frame": tier1_frames,
+             "context": [c for f in tier1_frames for c in all_contexts(f)]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned S(L)")
+
+    monkeypatch.setattr(remoteness, "enumerate_sublocales", refuse)
+    monkeypatch.setattr(RemoteContext, "remote_set", refuse)
+    for cid in ("remotesets", "SRemandSRemLS", "SRemLemma", "rareequality",
+                "rempropBL", "rempropBLstar"):
+        check = REGISTRY[cid]
+        for inst in insts[check.scope]:
+            assert check.runner(inst).verdict != FAIL, (cid, inst.subject())
+
+
 def test_four_predicates_agree(tier1_frames):
     for f in tier1_frames:
         for ctx in all_contexts(f):
