@@ -13,6 +13,14 @@ that returns None when it holds or a witness string when it does not.
 The registry decides the verdict.  A hypothesis shared by several checks
 is one named predicate below; each calls the instance's methods at call
 time, so a method patched on its class is the one a check sees.
+
+A statement "for every sublocale A (remote from S), P(A)" is checked on O
+and the one-point sublocales {p, 1} alone, the remote ones when A must be
+remote.  S(L) is the powerset of the points, and images, preimages and
+remoteness act point by point: pts(f[A]) = f[pts(A)],
+pts(f^-1[B]) = f^-1[pts(B)], and A is remote iff none of its points is in
+the context's miss mask.  So each such P fails on some A only if it fails
+on O or on some {p, 1} with p in A: 1 + |pts| sublocales, not 2^|pts|.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .frame import FiniteFrame
 from .locmap import LocalicMap, compose
 from .remoteness import RemoteContext, whole_context
 from .sublocale import (
-    Sublocale, booleanization, enumerate_sublocales, supplement,
+    Sublocale, booleanization, point_sublocales, supplement,
     whole_subl as _whole,
 )
 
@@ -171,10 +179,15 @@ def takes_remainder(sq: DenseSquare) -> bool:
     return sq.f.image_subl(rem_l) <= rem_m
 
 
+def _remote_points(ctx: RemoteContext) -> list[Sublocale]:
+    """O and the one-point sublocales that are remote in ctx."""
+    return [a for a in point_sublocales(ctx.frame) if ctx.is_remote_from(a)]
+
+
 def _image_witness(f: LocalicMap, src: RemoteContext,
                    dst: RemoteContext) -> Optional[str]:
     """A sublocale remote in src whose image under f is not remote in dst."""
-    for a in src.remote_set():
+    for a in _remote_points(src):
         if not dst.is_remote_from(f.image_subl(a)):
             return f"A={sorted(a.labels())}"
     return None
@@ -277,7 +290,7 @@ def _beta(sq: DenseSquare, ctx_l: RemoteContext,
 def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
            ctx_m: RemoteContext) -> Optional[str]:
     """A remote image under f, or f(x) in Rmt of M, forces the same in L."""
-    for a in enumerate_sublocales(sq.l_frame):
+    for a in point_sublocales(sq.l_frame):
         if ctx_m.is_remote_from(sq.f.image_subl(a)) \
                 and not ctx_l.is_remote_from(a):
             return f"A={sorted(a.labels())}"
@@ -292,7 +305,7 @@ def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
 def _for(sq: DenseSquare, ctx_l: RemoteContext,
          ctx_m: RemoteContext) -> Optional[str]:
     """f pulls remote sublocales and Rmt elements of M back into L."""
-    for a in ctx_m.remote_set():
+    for a in _remote_points(ctx_m):
         if not ctx_l.is_remote_from(sq.f.preimage_subl(a)):
             return f"A={sorted(a.labels())}"
     rmt_l = ctx_l.rmt_elements()
@@ -305,7 +318,7 @@ def _for(sq: DenseSquare, ctx_l: RemoteContext,
 def _for1(sq: DenseSquare, ctx_l: RemoteContext,
           ctx_m: RemoteContext) -> Optional[str]:
     """A remote preimage under f forces a remote sublocale of M."""
-    for a in enumerate_sublocales(sq.m_frame):
+    for a in point_sublocales(sq.m_frame):
         if ctx_l.is_remote_from(sq.f.preimage_subl(a)) \
                 and not ctx_m.is_remote_from(a):
             return f"A={sorted(a.labels())}"
@@ -355,11 +368,11 @@ def check_gamma_preservation_lemma(sq: DenseSquare) -> Optional[str]:
     """Remoteness transfers along alpha between S and (L, alpha[S])."""
     s_ctx = whole_context(sq.s_frame)
     ctx_l = sq.ctx_l()
-    for a in enumerate_sublocales(sq.s_frame):
+    for a in point_sublocales(sq.s_frame):
         if s_ctx.is_remote_from(a) \
                 != ctx_l.is_remote_from(sq.alpha.image_subl(a)):
             return f"A={sorted(a.labels())} (part 1)"
-    for a in ctx_l.remote_set():
+    for a in _remote_points(ctx_l):
         if not s_ctx.is_remote_from(sq.alpha.preimage_subl(a)):
             return f"A={sorted(a.labels())} (part 2)"
     return None
@@ -481,9 +494,9 @@ def check_tfg2(tri: Triangle) -> Optional[str]:
 
 def _middle_remote_in_first_image(tri: Triangle) -> bool:
     """The middle context's remote sublocales all sit inside the image of
-    the first Booleanization."""
+    the first Booleanization: their join Rs does."""
     bound = tri.sq1.f.image_subl(booleanization(tri.sq1.l_frame))
-    return all(a <= bound for a in tri.sq2.ctx_l().remote_set())
+    return tri.sq2.ctx_l().rs() <= bound
 
 
 def check_tfg3(tri: Triangle) -> Optional[str]:

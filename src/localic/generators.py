@@ -21,7 +21,7 @@ from .frame import (
 )
 from .locmap import LocalicMap, build_map, identity_map
 from .diagrams import DenseSquare, SquareChain, Triangle
-from .remoteness import RemoteContext, sample_evenly
+from .remoteness import RemoteContext
 from .sublocale import (
     Sublocale, booleanization, enumerate_sublocales, whole_subl,
 )
@@ -202,6 +202,14 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
         if f is not None:
             out.append(f)
     return out
+
+
+def sample_evenly(items: list, cap: int) -> list:
+    """Deterministic evenly-spaced sample when a list exceeds the cap."""
+    if len(items) <= cap:
+        return items
+    step = len(items) / cap
+    return [items[int(i * step)] for i in range(cap)]
 
 
 def gen_dense_sublocales(frame: FiniteFrame) -> list[Sublocale]:

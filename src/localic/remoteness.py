@@ -19,23 +19,28 @@ remote iff it holds no point of M.  Points are meet-irreducible, so the
 points of span(Q) are exactly Q, and each single point spans a sublocale;
 hence family A lies inside family B iff M_B lies inside M_A.  The checks
 ``remotesets``, ``SRemandSRemLS``, ``SRemLemma``, ``rareequality``,
-``rempropBL`` and ``rempropBLstar`` are such mask tests, run on both routes.
+``rempropBL`` and ``rempropBLstar`` are such mask tests, run on both routes,
+and ``remS`` compares two such families by their free points.
+
+Every sublocale is the join of its one-point sublocales {p, 1}, and each
+of the four predicates of ``opendensefrom`` holds on T iff it holds on
+every {p, 1} with p in T (each is "T <= W and no point of T in some
+mask").  So two of them disagree on some T iff they disagree on O or on a
+one-point sublocale, and ``opendensefrom`` votes on those 1 + |pts|
+sublocales: exhaustive on every frame, with no sampling.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .frame import FiniteFrame, bits
+from .frame import FiniteFrame, _mask_of, bits
 from .sublocale import (
     Sublocale, booleanization, closed_subl, enumerate_sublocales,
-    is_dense_in_itself, is_rare, nd_join, nucleus_map, open_subl, span,
-    subl_join, supplement, void_subl, whole_subl,
+    is_dense_in_itself, is_rare, nd_join, nucleus_map, open_subl,
+    point_sublocales, span, subl_join, supplement, void_subl, whole_subl,
 )
 from .errors import InvalidSublocale, MixedFrames
-
-# Beyond this many sublocales `opendensefrom` votes on an even sample of T.
-SMALL_COFRAME = 256
 
 
 class RemoteContext:
@@ -198,24 +203,18 @@ def _on_both_routes(frame: FiniteFrame,
     return None
 
 
-def sample_evenly(items: list, cap: int) -> list:
-    """Deterministic evenly-spaced sample when a list exceeds the cap."""
-    if len(items) <= cap:
-        return items
-    step = len(items) / cap
-    return [items[int(i * step)] for i in range(cap)]
-
-
 # ---------------------------------------------------------------------------
 # Per-statement context checks (scope: one frame + one dense sublocale)
 # Each table entry is (hypotheses, conclusion); see localic.registry.
 # ---------------------------------------------------------------------------
 
 def check_opendensefrom(ctx: RemoteContext) -> Optional[str]:
-    """The oracle, fast-path, open-subset and nucleus predicates agree."""
-    # beyond the cap the nucleus votes dominate; sample T
-    subs = sample_evenly(enumerate_sublocales(ctx.frame), SMALL_COFRAME)
-    for t in subs:
+    """The oracle, fast-path, open-subset and nucleus predicates agree.
+
+    Each predicate acts point by point (module docstring), so they vote on
+    O and the one-point sublocales only.
+    """
+    for t in point_sublocales(ctx.frame):
         votes = (ctx.pred_nwd_oracle(t), ctx.is_remote_from(t),
                  ctx.pred_open_subset(t), ctx.pred_nucleus_top(t))
         if len(set(votes)) != 1:
@@ -274,19 +273,22 @@ def check_rem_l_subset(ctx: RemoteContext) -> Optional[str]:
 
 
 def check_rem_s_intersection(ctx: RemoteContext) -> Optional[str]:
-    """S(S) /\\ S_rem(L |x S) equals S_rem(S), computed in the induced frame."""
+    """S(S) /\\ S_rem(L |x S) equals S_rem(S), computed in the induced frame.
+
+    Each family is the sublocales of S spanned by a set of free points: on
+    the left the points of S outside this context's mask, on the right the
+    points of the induced frame outside its own oracle mask.  The induced
+    frame keeps exactly the points of L that lie in S, so the families are
+    equal iff those two point sets are.
+    """
+    f = ctx.frame
     sub, elems = ctx.s.as_frame()
-    sub_ctx = whole_context(sub)
-    rhs = set()
-    for t in sub_ctx.remote_set(oracle=True):
-        mask = 0
-        for i in t.members():
-            mask |= 1 << elems[i]
-        rhs.add(mask)
-    lhs = {t.mask for t in enumerate_sublocales(ctx.frame)
-           if t.mask & ~ctx.s.mask == 0 and ctx.is_remote_from(t)}
+    free = sub.points_mask() & ~whole_context(sub).miss_points(oracle=True)
+    rhs = _mask_of(elems[i] for i in bits(free))
+    lhs = f.points_mask() & ctx.s.mask & ~ctx.miss_points()
     if lhs != rhs:
-        return f"masks differ on {sorted(lhs ^ rhs)}"
+        labels = ",".join(f.labels[p] for p in bits(lhs ^ rhs))
+        return f"points differ: {{{labels}}}"
     return None
 
 

@@ -8,7 +8,8 @@ A finite frame is spatial and T_D, so S(L) is the powerset of its points
 (primes): every sublocale is the :func:`span` of the points it contains.
 The coframe operations are point-set arithmetic on that model; the
 subset filter :func:`enumerate_sublocales_oracle` and the induced-frame
-computations are the independent oracles.
+computations are the independent oracles.  Every sublocale is a join of
+the one-point sublocales {p, 1}, :func:`point_sublocales`.
 """
 
 from __future__ import annotations
@@ -227,6 +228,19 @@ def enumerate_sublocales(frame: FiniteFrame) -> list[Sublocale]:
         spans.sort()
         frame._sublocales = [Sublocale(frame, m) for m in spans]
     return list(frame._sublocales)
+
+
+def point_sublocales(frame: FiniteFrame) -> list[Sublocale]:
+    """O and the one-point sublocales {p, 1}, in order of p.
+
+    Every sublocale is the join of the one-point sublocales of its points.
+    So a statement "P(A) for every sublocale A", where P fails on some A
+    only if it fails on O or on some {p, 1} with p in A, needs only these
+    1 + |pts| sublocales, not all 2^|pts| of them.
+    """
+    top = 1 << frame.top
+    return [void_subl(frame)] + [Sublocale(frame, top | 1 << p)
+                                 for p in bits(frame.points_mask())]
 
 
 def enumerate_sublocales_oracle(frame: FiniteFrame) -> list[Sublocale]:

@@ -3,16 +3,19 @@ import pytest
 from localic import (
     REGISTRY, DenseSquare, GenSpec, InvalidSquare, RemoteContext,
     SquareChain, Triangle, booleanization, build_map, chain_frame,
-    checks_in_scope, identity_map, whole_subl,
+    checks_in_scope, diagrams, enumerate_sublocales, identity_map,
+    void_subl, whole_context, whole_subl,
 )
 from localic.diagrams import (
-    CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, is_complemented_subl,
-    is_f_remote_preserving, is_f_star_remote_preserving, takes_remainder,
+    CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, _plain, _plain_then_star,
+    _star, check_tfg3, is_complemented_subl, is_f_remote_preserving,
+    is_f_star_remote_preserving, takes_remainder,
 )
 from localic.generators import (
-    gen_chains, gen_frames, gen_squares, gen_triangles, identity_square,
-    inclusion_map, square_from,
+    build_corpus, gen_chains, gen_frames, gen_squares, gen_triangles,
+    identity_square, inclusion_map, square_from,
 )
+from localic.registry import _runner
 from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
 
 
@@ -105,6 +108,10 @@ class _RejectAll(RemoteContext):
     def is_remote_from(self, t, oracle=False):
         return False
 
+    def rs(self, oracle=False):
+        # the join of no remote sublocale
+        return void_subl(self.frame)
+
 
 def _rejecting(sq: DenseSquare, side: str) -> DenseSquare:
     """A copy of sq whose source ("l") or target ("m") context rejects all."""
@@ -115,9 +122,17 @@ def _rejecting(sq: DenseSquare, side: str) -> DenseSquare:
     return fresh
 
 
+def _rejecting_chain(c: SquareChain) -> SquareChain:
+    """A copy of c whose outer source context rejects every sublocale."""
+    return SquareChain(_rejecting(c.outer, "l"), c.upper.alpha,
+                       c.upper.omega, c.upper.f, c.lower.alpha,
+                       c.lower.omega)
+
+
 # the side whose context the conclusion of each check asks about
 _CONCLUSION_SIDE = {"beta": "m", "betastar": "m", "beta1": "l",
-                    "beta1star": "l", "for": "l", "forstar": "l"}
+                    "beta1star": "l", "for": "l", "forstar": "l",
+                    "for1": "m", "gammapreservationlemma": "l"}
 
 
 def test_preservation_bodies_are_not_vacuous(squares):
@@ -136,11 +151,8 @@ def test_preservation_bodies_are_not_vacuous(squares):
     chains = gen_chains(squares[:20])[:40]
     assert chains
     for c in chains:
-        outer = _rejecting(c.outer, "l")
-        rejecting = SquareChain(outer, c.upper.alpha, c.upper.omega,
-                                c.upper.f, c.lower.alpha, c.lower.omega)
         for cid in ("bvl", "starbvl"):
-            r = REGISTRY[cid].runner(rejecting)
+            r = REGISTRY[cid].runner(_rejecting_chain(c))
             assert r.verdict == FAIL and r.witness, r.subject
 
 
@@ -215,3 +227,114 @@ def test_check_id_sets():
     assert set(CHAIN_CHECKS) == {
         "bvl", "starbvl", "gfremote", "obsfremote", "starobsgfremote"}
     assert set(TRIANGLE_CHECKS) == {"tfg-1", "tfg-2", "tfg-3"}
+
+
+# -- S(L)-scanning references for the pointwise quantifiers -----------------
+# The bodies below scan every sublocale (or the whole remote set); the
+# checks, which try only O and the one-point sublocales, must agree.
+
+def _scan_image_witness(f, src, dst):
+    for a in src.remote_set():
+        if not dst.is_remote_from(f.image_subl(a)):
+            return f"A={sorted(a.labels())}"
+    return None
+
+
+def _scan_beta1(sq, ctx_l, ctx_m):
+    for a in enumerate_sublocales(sq.l_frame):
+        if ctx_m.is_remote_from(sq.f.image_subl(a)) \
+                and not ctx_l.is_remote_from(a):
+            return f"A={sorted(a.labels())}"
+    rmt_l = ctx_l.rmt_elements()
+    rmt_m = ctx_m.rmt_elements()
+    for x in range(sq.l_frame.n):
+        if sq.f(x) in rmt_m and x not in rmt_l:
+            return f"x={sq.l_frame.labels[x]} (Rmt part)"
+    return None
+
+
+def _scan_for(sq, ctx_l, ctx_m):
+    for a in ctx_m.remote_set():
+        if not ctx_l.is_remote_from(sq.f.preimage_subl(a)):
+            return f"A={sorted(a.labels())}"
+    rmt_l = ctx_l.rmt_elements()
+    for x in ctx_m.rmt_elements():
+        if sq.f.adjoint(x) not in rmt_l:
+            return f"x={sq.m_frame.labels[x]} (Rmt part)"
+    return None
+
+
+def _scan_for1(sq, ctx_l, ctx_m):
+    for a in enumerate_sublocales(sq.m_frame):
+        if ctx_l.is_remote_from(sq.f.preimage_subl(a)) \
+                and not ctx_m.is_remote_from(a):
+            return f"A={sorted(a.labels())}"
+    return None
+
+
+def _scan_gamma_preservation_lemma(sq):
+    s_ctx = whole_context(sq.s_frame)
+    ctx_l = sq.ctx_l()
+    for a in enumerate_sublocales(sq.s_frame):
+        if s_ctx.is_remote_from(a) \
+                != ctx_l.is_remote_from(sq.alpha.image_subl(a)):
+            return f"A={sorted(a.labels())} (part 1)"
+    for a in ctx_l.remote_set():
+        if not s_ctx.is_remote_from(sq.alpha.preimage_subl(a)):
+            return f"A={sorted(a.labels())} (part 2)"
+    return None
+
+
+def _scan_middle_remote_in_first_image(tri):
+    bound = tri.sq1.f.image_subl(booleanization(tri.sq1.l_frame))
+    return all(a <= bound for a in tri.sq2.ctx_l().remote_set())
+
+
+# every other diagram check reaches a scan through _image_witness
+_SCANNING = {
+    "beta1": (SQUARE_CHECKS["beta1"][0], _plain(_scan_beta1)),
+    "beta1star": (SQUARE_CHECKS["beta1star"][0], _star(_scan_beta1)),
+    "for": (SQUARE_CHECKS["for"][0], _plain(_scan_for)),
+    "forstar": (SQUARE_CHECKS["forstar"][0], _star(_scan_for)),
+    "for1": (SQUARE_CHECKS["for1"][0], _plain_then_star(_scan_for1)),
+    "gammapreservationlemma": ((), _scan_gamma_preservation_lemma),
+    "tfg-3": ((TRIANGLE_CHECKS["tfg-3"][0][0],
+               _scan_middle_remote_in_first_image), check_tfg3),
+}
+
+
+@pytest.fixture(scope="module")
+def posets3_diagrams():
+    """The posets3 suite diagrams, each also with rejecting contexts."""
+    corpus = build_corpus(GenSpec("all-posets-up-to", 3))
+    squares, chains, tris = (corpus["square"], corpus["chain"],
+                             corpus["triangle"])
+    return {
+        "square": squares + [_rejecting(sq, side)
+                             for sq in squares for side in "lm"],
+        "chain": chains + [_rejecting_chain(c) for c in chains],
+        "triangle": tris + [Triangle(_rejecting(t.sq1, side),
+                                     _rejecting(t.sq2, side))
+                            for t in tris for side in "lm"],
+    }
+
+
+def test_pointwise_quantifiers_match_scans(monkeypatch, posets3_diagrams):
+    # O and the one-point sublocales decide every "for all A" statement:
+    # the same verdict as scanning all of S(L), instance by instance
+    def verdicts(table):
+        return {(cid, i): _runner(cid, *table[cid])(inst).verdict
+                for scope, insts in posets3_diagrams.items()
+                for cid in (c.id for c in checks_in_scope(scope))
+                for i, inst in enumerate(insts)}
+
+    tables = {**SQUARE_CHECKS, **CHAIN_CHECKS, **TRIANGLE_CHECKS}
+    pointwise = verdicts(tables)
+    monkeypatch.setattr(diagrams, "_image_witness", _scan_image_witness)
+    scanned = verdicts({**tables, **_SCANNING})
+    assert pointwise == scanned, sorted(
+        k for k in pointwise if pointwise[k] != scanned[k])[:5]
+    # the rejecting copies make every checked statement fail somewhere
+    failed = {cid for (cid, _), v in pointwise.items() if v == FAIL}
+    assert failed >= set(_CONCLUSION_SIDE) | {"bvl", "starbvl"}, failed
+

@@ -1,7 +1,7 @@
 """Mutation table for the map and remoteness layers: each break must show.
 
-Every row breaks one method of a localic map, a square or a remoteness
-context and runs the suite on all posets up to 3 points.  The listed
+Every row breaks one method of a frame, a localic map, a square or a
+remoteness context and runs the suite on all posets up to 3 points.  The listed
 check ids are the ones that must then report a fail row, so each of
 those methods is one that some report check can catch.
 """
@@ -10,6 +10,7 @@ import pytest
 
 from localic import InvalidSquare, cli
 from localic.diagrams import DenseSquare
+from localic.frame import FiniteFrame
 from localic.generators import GenSpec
 from localic.locmap import LocalicMap
 from localic.remoteness import RemoteContext
@@ -41,6 +42,10 @@ def image_drops_lowest_point(f, a):
 
 def always_true(self):
     return True
+
+
+def always_false(self):
+    return False
 
 
 def _points_above(ctx, dense):
@@ -112,6 +117,10 @@ MUTATIONS = {
         {"beta", "betastar", "for1", "for1star"}),
     "image-always-surjective": (
         LocalicMap, "image_is_surjective", always_true, {"for1"}),
+    "always-surjective": (
+        LocalicMap, "is_surjective", always_true, {"for1star", "obsfremote"}),
+    "frame-never-boolean": (
+        FiniteFrame, "is_boolean", always_false, {"obsremotefrom"}),
     "miss-mask-ignores-w": (
         RemoteContext, "__init__", miss_mask_ignores_w,
         {"obsremotefromstar", "rempropBLstar"}),

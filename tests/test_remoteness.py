@@ -7,12 +7,13 @@ from localic import (
     whole_context, whole_subl,
 )
 from localic.frame import FiniteFrame, popcount
-from localic.generators import gen_frames
+from localic.generators import build_corpus, gen_frames
 from localic.remoteness import (
     CONTEXT_CHECKS, FRAME_CHECKS, check_downward_closure,
     check_rem_s_intersection,
 )
 from localic.result import FAIL, PASS
+from localic import sublocale
 from localic.sublocale import s_nowhere_dense_sublocales
 
 
@@ -96,17 +97,26 @@ def test_family_inclusion_is_mask_inclusion(tier1_frames):
 
 
 def test_mask_checks_scan_no_sublocales(monkeypatch, tier1_frames):
-    # the six family statements are decided on point masks alone
+    # the six family statements are decided on point masks alone, and
+    # opendensefrom, remS and every diagram check on O and the one-point
+    # sublocales; the instances are built before enumeration is refused
+    corpus = build_corpus(GenSpec("all-posets-up-to", 3))
     insts = {"frame": tier1_frames,
-             "context": [c for f in tier1_frames for c in all_contexts(f)]}
+             "context": [c for f in tier1_frames for c in all_contexts(f)],
+             **{scope: corpus[scope]
+                for scope in ("square", "chain", "triangle")}}
 
     def refuse(*args, **kwargs):
         raise AssertionError("scanned S(L)")
 
+    monkeypatch.setattr(sublocale, "enumerate_sublocales", refuse)
     monkeypatch.setattr(remoteness, "enumerate_sublocales", refuse)
     monkeypatch.setattr(RemoteContext, "remote_set", refuse)
-    for cid in ("remotesets", "SRemandSRemLS", "SRemLemma", "rareequality",
-                "rempropBL", "rempropBLstar"):
+    ids = ["remotesets", "SRemandSRemLS", "SRemLemma", "rareequality",
+           "rempropBL", "rempropBLstar", "opendensefrom", "remS"]
+    ids += [c.id for scope in ("square", "chain", "triangle")
+            for c in checks_in_scope(scope)]
+    for cid in ids:
         check = REGISTRY[cid]
         for inst in insts[check.scope]:
             assert check.runner(inst).verdict != FAIL, (cid, inst.subject())
@@ -141,17 +151,68 @@ def test_point_space_oracle_matches_induced_frame_enumeration():
                         (c.subject(), c.within, t)
 
 
-def test_rem_s_runs_beyond_256_sublocales():
-    ctx = whole_context(chain_frame(10))
-    assert len(enumerate_sublocales(ctx.frame)) == 512
-    assert check_rem_s_intersection(ctx) is None
-
-
 class _OnePointContext(RemoteContext):
     """'Remote' means exactly one point: not closed under going down."""
 
     def is_remote_from(self, t, oracle=False):
         return popcount(t.mask & self.frame.points_mask()) == 1
+
+
+def _scan_opendensefrom(ctx):
+    """opendensefrom voting on every sublocale, not only the points."""
+    for t in enumerate_sublocales(ctx.frame):
+        votes = (ctx.pred_nwd_oracle(t), ctx.is_remote_from(t),
+                 ctx.pred_open_subset(t), ctx.pred_nucleus_top(t))
+        if len(set(votes)) != 1:
+            return f"T={sorted(t.labels())} predicates={votes}"
+    return None
+
+
+def _scan_rem_s(ctx):
+    """remS comparing the two families as sets of sublocale masks."""
+    sub, elems = ctx.s.as_frame()
+    rhs = set()
+    for t in whole_context(sub).remote_set(oracle=True):
+        mask = 0
+        for i in t.members():
+            mask |= 1 << elems[i]
+        rhs.add(mask)
+    lhs = {t.mask for t in enumerate_sublocales(ctx.frame)
+           if t.mask & ~ctx.s.mask == 0 and ctx.is_remote_from(t)}
+    if lhs != rhs:
+        return f"masks differ on {sorted(lhs ^ rhs)}"
+    return None
+
+
+class _DenseOfLContext(RemoteContext):
+    """The fast route's mask taken as every dense point of L, not only those
+    above a dense member of S: still a point mask, but a wrong one."""
+
+    def __init__(self, frame, dense_subl, within=None):
+        super().__init__(frame, dense_subl, within)
+        self._miss_mask = frame.points_mask() & frame.dense_elements_mask()
+
+
+def test_pointwise_context_checks_match_scans(tier1_frames):
+    # on every tier-1 context, its *remote context and a copy with a wrong
+    # fast-route mask, the check fails iff its scan of S(L) does
+    outcomes = set()
+    for f in tier1_frames:
+        for ctx in all_contexts(f):
+            for c in (ctx, ctx.star(), _DenseOfLContext(f, ctx.s)):
+                for cid, scan in (("opendensefrom", _scan_opendensefrom),
+                                  ("remS", _scan_rem_s)):
+                    failed = REGISTRY[cid].runner(c).verdict == FAIL
+                    assert failed == (scan(c) is not None), \
+                        (cid, c.subject(), c.within)
+                    outcomes.add((cid, failed))
+    assert len(outcomes) == 4, outcomes
+
+
+def test_rem_s_runs_beyond_256_sublocales():
+    ctx = whole_context(chain_frame(10))
+    assert len(enumerate_sublocales(ctx.frame)) == 512
+    assert check_rem_s_intersection(ctx) is None
 
 
 def test_downward_closure_catches_non_down_closed_predicate(b2):
