@@ -15,7 +15,9 @@ from .sublocale import (
     nucleus_map, open_subl, subl_join, subl_meet, supplement, void_subl,
     whole_subl,
 )
-from .remoteness import RemoteContext, bl_context, whole_context
+from .remoteness import (
+    RemoteContext, bl_context, dense_context, whole_context,
+)
 from .locmap import LocalicMap, build_map, compose, identity_map
 from .diagrams import (
     DenseSquare, SquareChain, Triangle, is_f_remote_preserving,

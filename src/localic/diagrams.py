@@ -12,7 +12,11 @@ on the instance, empty for an unconditional statement, and a conclusion
 that returns None when it holds or a witness string when it does not.
 The registry decides the verdict.  A hypothesis shared by several checks
 is one named predicate below; each calls the instance's methods at call
-time, so a method patched on its class is the one a check sees.
+time, so a method patched on its class is the one a check sees.  What
+several checks derive from one instance is computed on first use and kept
+on it: its subject, its contexts (shared per frame and S, see
+:func:`~localic.remoteness.dense_context`), whether its adjoints commute
+and whether f is (*)remote preserving.
 
 A statement "for every sublocale A (remote from S), P(A)" is checked on O
 and the one-point sublocales {p, 1} alone, the remote ones when A must be
@@ -30,19 +34,21 @@ from typing import Optional
 from .errors import InvalidSquare
 from .frame import FiniteFrame
 from .locmap import LocalicMap, compose
-from .remoteness import RemoteContext, whole_context
+from .remoteness import RemoteContext, dense_context, whole_context
+from .result import KeepsSubject
 from .sublocale import (
     Sublocale, booleanization, point_sublocales, supplement,
     whole_subl as _whole,
 )
 
 
-class DenseSquare:
+class DenseSquare(KeepsSubject):
     """g : S -> T over f : L -> M, glued by injective dense verticals."""
 
     __slots__ = ("s_frame", "t_frame", "l_frame", "m_frame",
                  "g", "f", "alpha", "omega",
-                 "alpha_image", "omega_image", "_ctx_l", "_ctx_m")
+                 "alpha_image", "omega_image", "_ctx_l", "_ctx_m",
+                 "_commute", "_preserving", "_star_preserving", "_subject")
 
     def __init__(self, g: LocalicMap, f: LocalicMap,
                  alpha: LocalicMap, omega: LocalicMap):
@@ -70,25 +76,32 @@ class DenseSquare:
                     f"square does not commute at element {x}")
         self._ctx_l = None
         self._ctx_m = None
+        self._commute = None
+        # kept by is_f_remote_preserving and is_f_star_remote_preserving
+        self._preserving = None
+        self._star_preserving = None
+        self._subject = None
 
     def ctx_l(self) -> RemoteContext:
-        """The context (L, alpha[S]) on the source side."""
+        """The context (L, alpha[S]) on the source side, kept on L."""
         if self._ctx_l is None:
-            self._ctx_l = RemoteContext(self.l_frame, self.alpha_image)
+            self._ctx_l = dense_context(self.l_frame, self.alpha_image)
         return self._ctx_l
 
     def ctx_m(self) -> RemoteContext:
         if self._ctx_m is None:
-            self._ctx_m = RemoteContext(self.m_frame, self.omega_image)
+            self._ctx_m = dense_context(self.m_frame, self.omega_image)
         return self._ctx_m
 
     def adjoints_commute(self) -> bool:
         """f* after omega equals alpha after g* (elementwise on T)."""
-        return all(
-            self.f.adjoint(self.omega(t)) == self.alpha(self.g.adjoint(t))
-            for t in range(self.t_frame.n))
+        if self._commute is None:
+            self._commute = all(
+                self.f.adjoint(self.omega(t)) == self.alpha(self.g.adjoint(t))
+                for t in range(self.t_frame.n))
+        return self._commute
 
-    def subject(self) -> str:
+    def _format_subject(self) -> str:
         sig = ".".join(str(v) for v in self.f.table)
         return (f"{self.l_frame.name or 'L'}->{self.m_frame.name or 'M'} "
                 f"f={sig}; "
@@ -99,7 +112,7 @@ class DenseSquare:
         return f"DenseSquare({self.subject()})"
 
 
-class SquareChain:
+class SquareChain(KeepsSubject):
     """Two dense squares stacked vertically through a middle layer R -> U.
 
     ``upper`` is g : S -> T over phi : R -> U with verticals i and k;
@@ -107,7 +120,7 @@ class SquareChain:
     pasted square is ``outer``, so alpha = theta o i and omega = sigma o k.
     """
 
-    __slots__ = ("outer", "upper", "lower")
+    __slots__ = ("outer", "upper", "lower", "_subject")
 
     def __init__(self, outer: DenseSquare, i: LocalicMap, k: LocalicMap,
                  phi: LocalicMap, theta: LocalicMap, sigma: LocalicMap):
@@ -122,8 +135,9 @@ class SquareChain:
         for x in range(outer.t_frame.n):
             if sigma(k(x)) != outer.omega(x):
                 raise InvalidSquare(f"omega != sigma o k at element {x}")
+        self._subject = None
 
-    def subject(self) -> str:
+    def _format_subject(self) -> str:
         return (f"{self.outer.subject()} via "
                 f"R={{{','.join(sorted(self.lower.alpha_image.labels()))}}} "
                 f"U={{{','.join(sorted(self.lower.omega_image.labels()))}}}")
@@ -141,7 +155,7 @@ def _named_square(label: str, g: LocalicMap, f: LocalicMap,
         raise InvalidSquare(f"{label}: {e}") from None
 
 
-class Triangle:
+class Triangle(KeepsSubject):
     """Two horizontally composable squares plus their composite.
 
     sq1 carries a map between the first and second column, sq2 between
@@ -149,7 +163,7 @@ class Triangle:
     composite square whose bottom map is sq2.f after sq1.f.
     """
 
-    __slots__ = ("sq1", "sq2", "sq3")
+    __slots__ = ("sq1", "sq2", "sq3", "_subject")
 
     def __init__(self, sq1: DenseSquare, sq2: DenseSquare):
         if sq1.t_frame is not sq2.s_frame or sq1.m_frame is not sq2.l_frame:
@@ -160,8 +174,9 @@ class Triangle:
         self.sq2 = sq2
         self.sq3 = DenseSquare(compose(sq2.g, sq1.g), compose(sq2.f, sq1.f),
                                sq1.alpha, sq2.omega)
+        self._subject = None
 
-    def subject(self) -> str:
+    def _format_subject(self) -> str:
         return f"{self.sq1.subject()} | {self.sq2.subject()}"
 
     def __repr__(self) -> str:
@@ -194,11 +209,17 @@ def _image_witness(f: LocalicMap, src: RemoteContext,
 
 
 def is_f_remote_preserving(sq: DenseSquare) -> bool:
-    return _image_witness(sq.f, sq.ctx_l(), sq.ctx_m()) is None
+    """Kept on the square after the first call."""
+    if sq._preserving is None:
+        sq._preserving = _image_witness(sq.f, sq.ctx_l(), sq.ctx_m()) is None
+    return sq._preserving
 
 
 def is_f_star_remote_preserving(sq: DenseSquare) -> bool:
-    return _image_witness(sq.f, sq.ctx_l().star(), sq.ctx_m().star()) is None
+    if sq._star_preserving is None:
+        sq._star_preserving = _image_witness(
+            sq.f, sq.ctx_l().star(), sq.ctx_m().star()) is None
+    return sq._star_preserving
 
 
 def is_complemented_subl(frame: FiniteFrame, s: Sublocale) -> bool:

@@ -40,7 +40,8 @@ class FiniteFrame:
         "n", "up", "down", "meet_table", "join_table", "impl_table",
         "bottom", "top", "labels", "name",
         "_label_index", "_impl_req", "_dense_mask", "_bool_mask",
-        "_point_mask", "_sublocales",
+        "_point_mask", "_sublocales", "_min_pts", "_point_subls",
+        "_contexts",
     )
 
     def __init__(self, n, up, down, meet_table, join_table, impl_table,
@@ -68,7 +69,12 @@ class FiniteFrame:
         ups = set(up)       # points: see points_mask
         self._point_mask = _mask_of(
             p for p in range(n) if up[p] & ~(1 << p) in ups)
-        self._sublocales = None     # lazy cache, see sublocale.py
+        # kept on first use: sublocale.py fills the first three,
+        # remoteness.dense_context the contexts, keyed by S's mask
+        self._sublocales = None
+        self._min_pts = None
+        self._point_subls = None
+        self._contexts = None
 
     # -- order and lattice operations ------------------------------------
 

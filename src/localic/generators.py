@@ -21,7 +21,7 @@ from .frame import (
 )
 from .locmap import LocalicMap, build_map, identity_map
 from .diagrams import DenseSquare, SquareChain, Triangle
-from .remoteness import RemoteContext
+from .remoteness import dense_context
 from .sublocale import (
     Sublocale, booleanization, enumerate_sublocales, whole_subl,
 )
@@ -422,7 +422,7 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
         dense = gen_dense_sublocales(f)
         keep = {s.mask for s in sample_evenly(dense, MAX_CONTEXTS_PER_FRAME)}
         keep |= {whole_subl(f).mask, booleanization(f).mask}
-        contexts += [RemoteContext(f, s) for s in dense if s.mask in keep]
+        contexts += [dense_context(f, s) for s in dense if s.mask in keep]
     squares = gen_squares(frames, seed=spec.seed)
     return {"frame": frames, "context": contexts, "square": squares,
             "chain": gen_chains(squares),

@@ -28,6 +28,11 @@ every {p, 1} with p in T (each is "T <= W and no point of T in some
 mask").  So two of them disagree on some T iff they disagree on O or on a
 one-point sublocale, and ``opendensefrom`` votes on those 1 + |pts|
 sublocales: exhaustive on every frame, with no sampling.
+
+A frame keeps one ordinary context per dense S, built on first use by
+:func:`dense_context`; :func:`whole_context`, :func:`bl_context`, the
+corpus contexts and the contexts of every square over that frame and S
+are that one object, so each shares what the others have derived.
 """
 
 from __future__ import annotations
@@ -41,18 +46,22 @@ from .sublocale import (
     point_sublocales, span, subl_join, supplement, void_subl, whole_subl,
 )
 from .errors import InvalidSublocale, MixedFrames
+from .result import KeepsSubject
 
 
-class RemoteContext:
+class RemoteContext(KeepsSubject):
     """The pair (L, S) with S a dense sublocale of L, inside a sublocale W.
 
     Every operation asks for T remote from S and T <= W.  W is all of L for
     an ordinary context; :meth:`star` gives the *remote context, whose W
-    is L minus S.
+    is L minus S.  A context is immutable, and what it derives (its
+    masks, its *remote context, its Rmt sets per route, its fast Rs and
+    its subject) is computed on first use and kept.
     """
 
     __slots__ = ("frame", "s", "within", "s_dense", "_miss_mask",
-                 "_open_mask", "_oracle_mask", "_star")
+                 "_open_mask", "_oracle_mask", "_star", "_rmt_fast",
+                 "_rmt_oracle", "_rs", "_subject")
 
     def __init__(self, frame: FiniteFrame, dense_subl: Sublocale,
                  within: Optional[Sublocale] = None):
@@ -65,8 +74,8 @@ class RemoteContext:
         self.within = whole_subl(frame) if within is None else within
         # For dense S the S-pseudocomplement of x in S equals x* in L, so
         # the S-dense members of S are the ambient-dense members of S.
-        self.s_dense = [x for x in bits(dense_subl.mask)
-                        if frame.is_dense_element(x)]
+        self.s_dense = list(bits(dense_subl.mask
+                                 & frame.dense_elements_mask()))
         mask = ~self.within.mask    # T <= W: T has no point outside W
         for x in self.s_dense:
             mask |= frame.up[x]
@@ -74,6 +83,10 @@ class RemoteContext:
         self._open_mask = None
         self._oracle_mask = None
         self._star = None
+        self._rmt_fast = None
+        self._rmt_oracle = None
+        self._rs = None
+        self._subject = None
 
     def star(self) -> "RemoteContext":
         """The *remote context: the same S, inside its supplement L minus S."""
@@ -149,16 +162,22 @@ class RemoteContext:
         return [t for t in enumerate_sublocales(self.frame)
                 if self.is_remote_from(t, oracle=oracle)]
 
-    def rmt_elements(self, oracle: bool = False) -> set[int]:
-        """{a : c(a) is remote from S and c(a) <= W}."""
+    def rmt_elements(self, oracle: bool = False) -> frozenset[int]:
+        """{a : c(a) is remote from S and c(a) <= W}, kept per route."""
         f = self.frame
         if oracle:
-            return {a for a in range(f.n)
-                    if self.pred_nwd_oracle(closed_subl(f, a))}
-        # c(a) <= W, and a \/ x = 1 for every S-dense x in S
-        outside = self._outside()
-        return {a for a in range(f.n) if f.up[a] & outside == 0
-                and all(f.join_table[a][x] == f.top for x in self.s_dense)}
+            if self._rmt_oracle is None:
+                self._rmt_oracle = frozenset(
+                    a for a in range(f.n)
+                    if self.pred_nwd_oracle(closed_subl(f, a)))
+            return self._rmt_oracle
+        if self._rmt_fast is None:
+            # c(a) <= W, and a \/ x = 1 for every S-dense x in S
+            outside = self._outside()
+            self._rmt_fast = frozenset(
+                a for a in range(f.n) if f.up[a] & outside == 0
+                and all(f.join_table[a][x] == f.top for x in self.s_dense))
+        return self._rmt_fast
 
     def rs(self, oracle: bool = False) -> Sublocale:
         """The largest sublocale remote from S (join of all of them).
@@ -166,29 +185,43 @@ class RemoteContext:
         No remote T has a point in the miss mask, and the span of the points
         outside it is remote: the S-dense part of the mask is an up-set, so
         the span misses it, and W is closed under meets, so the span lies
-        in W.  Rs is that span.
+        in W.  Rs is that span, kept after the first call.
         """
         f = self.frame
         if oracle:
             return subl_join([void_subl(f)] + self.remote_set(oracle=True))
-        return Sublocale(f, span(f, f.points_mask() & ~self.miss_points()))
+        if self._rs is None:
+            self._rs = Sublocale(
+                f, span(f, f.points_mask() & ~self.miss_points()))
+        return self._rs
 
     def star_rs(self, oracle: bool = False) -> Sublocale:
         """*Rs, the largest sublocale *remote from S."""
         return self.star().rs(oracle)
 
-    def subject(self) -> str:
+    def _format_subject(self) -> str:
         return (f"{self.frame.name or 'frame'}; "
                 f"S={{{','.join(sorted(self.s.labels()))}}}")
 
 
+def dense_context(frame: FiniteFrame, s: Sublocale) -> RemoteContext:
+    """The context (L, S), built on the first call for S and kept on the
+    frame, so every instance over (L, S) shares it and what it derives."""
+    if frame._contexts is None:
+        frame._contexts = {}
+    ctx = frame._contexts.get(s.mask)
+    if ctx is None or s.frame is not frame:     # a foreign S: it raises
+        ctx = frame._contexts[s.mask] = RemoteContext(frame, s)
+    return ctx
+
+
 def whole_context(frame: FiniteFrame) -> RemoteContext:
     """The context (L, L); its remote set is the remote sublocales of L."""
-    return RemoteContext(frame, whole_subl(frame))
+    return dense_context(frame, whole_subl(frame))
 
 
 def bl_context(frame: FiniteFrame) -> RemoteContext:
-    return RemoteContext(frame, booleanization(frame))
+    return dense_context(frame, booleanization(frame))
 
 
 def _on_both_routes(frame: FiniteFrame,

@@ -21,3 +21,15 @@ class CheckResult(NamedTuple):
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+
+class KeepsSubject:
+    """For an immutable instance: :meth:`subject` formats its report
+    subject once, with ``_format_subject``, and keeps it in ``_subject``."""
+
+    __slots__ = ()
+
+    def subject(self) -> str:
+        if self._subject is None:
+            self._subject = self._format_subject()
+        return self._subject

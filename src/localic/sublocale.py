@@ -10,6 +10,14 @@ The coframe operations are point-set arithmetic on that model; the
 subset filter :func:`enumerate_sublocales_oracle` and the induced-frame
 computations are the independent oracles.  Every sublocale is a join of
 the one-point sublocales {p, 1}, :func:`point_sublocales`.
+
+An element a lies in span(Q) iff every minimal point above a is in Q
+(Davey & Priestley, ch. 5).  Proof: points are meet-prime, so the points
+above a meet of X are the union of the points above each x in X.  If
+a is the meet of some X inside Q, a minimal point above a lies above
+some x in X, itself a point above a, so it is x; conversely a is the
+meet of the minimal points above it.  :func:`span` reads a per-frame
+table of those minimal points, built on its first call.
 """
 
 from __future__ import annotations
@@ -172,12 +180,29 @@ def subl_meet(ss: list[Sublocale]) -> Sublocale:
 def span(frame: FiniteFrame, pts: int) -> int:
     """The sublocale spanned by a mask of points: all meets of its subsets.
 
-    An element belongs exactly when it is the meet of the given points
-    above it; the empty meet puts the top in every span.
+    An element belongs exactly when the minimal points above it all lie in
+    the mask (module docstring); no point lies above the top, so the top
+    is in every span.
     """
-    up = frame.up
-    return _mask_of(a for a in range(frame.n)
-                    if frame.meet_of(bits(pts & up[a])) == a)
+    table = frame._min_pts
+    if table is None:
+        # per element: the points above it, less every point strictly
+        # above another of them
+        points, up, rows = frame.points_mask(), frame.up, []
+        for u in up:
+            least = above = points & u
+            while above:
+                low = above & -above
+                least &= ~up[low.bit_length() - 1] | low
+                above ^= low
+            rows.append(least)
+        table = frame._min_pts = tuple(rows)
+    missing = ~pts
+    mask = 0
+    for a, need in enumerate(table):
+        if not need & missing:
+            mask |= 1 << a
+    return mask
 
 
 def subl_join(ss: list[Sublocale]) -> Sublocale:
@@ -230,17 +255,20 @@ def enumerate_sublocales(frame: FiniteFrame) -> list[Sublocale]:
     return list(frame._sublocales)
 
 
-def point_sublocales(frame: FiniteFrame) -> list[Sublocale]:
-    """O and the one-point sublocales {p, 1}, in order of p.
+def point_sublocales(frame: FiniteFrame) -> tuple[Sublocale, ...]:
+    """O and the one-point sublocales {p, 1}, in order of p; kept on the
+    frame after the first call.
 
     Every sublocale is the join of the one-point sublocales of its points.
     So a statement "P(A) for every sublocale A", where P fails on some A
     only if it fails on O or on some {p, 1} with p in A, needs only these
     1 + |pts| sublocales, not all 2^|pts| of them.
     """
-    top = 1 << frame.top
-    return [void_subl(frame)] + [Sublocale(frame, top | 1 << p)
-                                 for p in bits(frame.points_mask())]
+    if frame._point_subls is None:
+        top = 1 << frame.top
+        frame._point_subls = (void_subl(frame),) + tuple(
+            Sublocale(frame, top | 1 << p) for p in bits(frame.points_mask()))
+    return frame._point_subls
 
 
 def enumerate_sublocales_oracle(frame: FiniteFrame) -> list[Sublocale]:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localic import (
-    DenseSquare, FiniteFrame, LocalicError, LocalicMap, SquareChain, cli,
+    DenseSquare, FiniteFrame, LocalicError, LocalicMap, RemoteContext,
+    SquareChain, Triangle, cli,
 )
 from localic.cli import main
 from localic.generators import GenSpec
@@ -410,6 +411,35 @@ def test_serial_suite_imports_no_pool_or_dataclasses():
     assert "localic.cli" in loaded
     assert not loaded & {"concurrent.futures", "multiprocessing",
                          "dataclasses", "inspect"}
+
+
+def test_suite_formats_each_subject_once(monkeypatch):
+    # every row of an instance shares one subject string: each corpus
+    # instance, and each square inside a chain or triangle, is formatted
+    # exactly once in a serial run
+    formatted = {}
+    corpora = []
+    for cls in (RemoteContext, DenseSquare, SquareChain, Triangle):
+        fmt = vars(cls)["_format_subject"]
+
+        def counted(self, fmt=fmt):
+            n, _ = formatted.get(id(self), (0, self))
+            formatted[id(self)] = (n + 1, self)
+            return fmt(self)
+        monkeypatch.setattr(cls, "_format_subject", counted)
+    build = cli.build_corpus
+
+    def kept(spec):
+        corpora.append(build(spec))
+        return corpora[-1]
+    monkeypatch.setattr(cli, "build_corpus", kept)
+    cli.run_suite(GenSpec("all-posets-up-to", 3), "*", 1)
+    (corpus,) = corpora
+    insts = [i for scope in ("context", "square", "chain", "triangle")
+             for i in corpus[scope]]
+    assert insts
+    assert all(formatted.get(id(i), (0,))[0] == 1 for i in insts)
+    assert {n for n, _ in formatted.values()} == {1}
 
 
 # Per-check (pass, hypotheses-not-met) tallies of

@@ -156,6 +156,28 @@ def test_preservation_bodies_are_not_vacuous(squares):
             assert r.verdict == FAIL and r.witness, r.subject
 
 
+def test_kept_values_stay_on_their_instance(squares):
+    # a copy built from an instance's maps computes its own values, even
+    # after the original has kept its own
+    preserving = [sq for sq in squares if is_f_remote_preserving(sq)]
+    assert preserving
+    for sq in preserving:
+        assert not is_f_remote_preserving(_rejecting(sq, "m"))
+        assert is_f_remote_preserving(sq)
+    chains = gen_chains(squares[:20])[:40]
+    assert chains
+    for c in chains:
+        for check in checks_in_scope("chain"):
+            check.runner(c)
+        copy = _rejecting_chain(c)
+        # the copy's source context rejects all: nothing to map, so the
+        # outer square preserves, and bvl and starbvl fail on O
+        assert is_f_remote_preserving(copy.outer)
+        for cid in ("bvl", "starbvl"):
+            assert REGISTRY[cid].runner(c).verdict == PASS, c.subject()
+            assert REGISTRY[cid].runner(copy).verdict == FAIL, c.subject()
+
+
 def test_chain_inner_square(squares):
     # the upper square g over phi sits on the lower square phi over f
     chains = gen_chains(squares[:10])[:10]
@@ -303,8 +325,7 @@ _SCANNING = {
 }
 
 
-@pytest.fixture(scope="module")
-def posets3_diagrams():
+def _posets3_diagrams():
     """The posets3 suite diagrams, each also with rejecting contexts."""
     corpus = build_corpus(GenSpec("all-posets-up-to", 3))
     squares, chains, tris = (corpus["square"], corpus["chain"],
@@ -319,12 +340,14 @@ def posets3_diagrams():
     }
 
 
-def test_pointwise_quantifiers_match_scans(monkeypatch, posets3_diagrams):
+def test_pointwise_quantifiers_match_scans(monkeypatch):
     # O and the one-point sublocales decide every "for all A" statement:
-    # the same verdict as scanning all of S(L), instance by instance
+    # the same verdict as scanning all of S(L), instance by instance.  Each
+    # pass builds its own diagrams, so no value kept on an instance by the
+    # first pass answers for the second.
     def verdicts(table):
         return {(cid, i): _runner(cid, *table[cid])(inst).verdict
-                for scope, insts in posets3_diagrams.items()
+                for scope, insts in _posets3_diagrams().items()
                 for cid in (c.id for c in checks_in_scope(scope))
                 for i, inst in enumerate(insts)}
 

@@ -1,10 +1,10 @@
 import pytest
 
 from localic import (
-    REGISTRY, GenSpec, RemoteContext, Sublocale, bl_context, boolean_frame,
-    booleanization, chain_frame, checks_in_scope, closed_subl,
-    enumerate_sublocales, remoteness, subl_join, supplement, void_subl,
-    whole_context, whole_subl,
+    REGISTRY, GenSpec, MixedFrames, RemoteContext, Sublocale, bl_context,
+    boolean_frame, booleanization, chain_frame, checks_in_scope,
+    closed_subl, dense_context, enumerate_sublocales, remoteness, subl_join,
+    supplement, void_subl, whole_context, whole_subl,
 )
 from localic.frame import FiniteFrame, popcount
 from localic.generators import build_corpus, gen_frames
@@ -220,6 +220,19 @@ def test_downward_closure_catches_non_down_closed_predicate(b2):
     # O below one point
     assert check_downward_closure(ctx) == "A=['3'] B=['1', '3']"
     assert check_downward_closure(whole_context(b2)) is None
+
+
+def test_contexts_are_kept_per_frame_and_s():
+    # one context per frame and dense S, built on first use
+    f = chain_frame(3)
+    assert f._contexts is None
+    whole = whole_context(f)
+    assert whole is dense_context(f, whole_subl(f)) is whole_context(f)
+    assert bl_context(f) is dense_context(f, booleanization(f))
+    assert bl_context(f) is not whole
+    assert whole.rmt_elements() is whole.rmt_elements()
+    with pytest.raises(MixedFrames):
+        dense_context(f, whole_subl(chain_frame(3)))
 
 
 def test_rmt_c3(c3):

@@ -1,14 +1,17 @@
+import random
+
 import pytest
 
 from localic import (
-    InvalidSublocale, Sublocale, booleanization, chain_frame, closed_subl,
-    enumerate_sublocales, is_dense_in_itself, is_nowhere_dense, is_rare,
-    is_sublocale, nd_join, nucleus_map, open_subl, subl_join, subl_meet,
-    supplement, void_subl, whole_subl,
+    InvalidSublocale, Sublocale, boolean_frame, booleanization, chain_frame,
+    closed_subl, enumerate_sublocales, is_dense_in_itself, is_nowhere_dense,
+    is_rare, is_sublocale, nd_join, nucleus_map, open_subl, subl_join,
+    subl_meet, supplement, void_subl, whole_subl,
 )
+from localic.frame import bits
 from localic.sublocale import (
     enumerate_sublocales_oracle, join_is_whole, nd_join_oracle,
-    s_dense_elements, s_nowhere_dense_sublocales,
+    s_dense_elements, s_nowhere_dense_sublocales, span,
 )
 
 
@@ -38,6 +41,41 @@ def test_enumeration_matches_subset_filter(tier1_frames):
             sub, _ = s.as_frame()
             assert _masks(enumerate_sublocales(sub)) \
                 == _masks(enumerate_sublocales_oracle(sub)), sub
+
+
+def _span_by_meets(frame, pts):
+    """The meet rule: a is in span(Q) iff a is the meet of Q above a."""
+    return sum(1 << a for a in range(frame.n)
+               if frame.meet_of(bits(pts & frame.up[a])) == a)
+
+
+def _point_sets(frame, rng, draws):
+    """Every point set of the frame, or ``draws`` seeded ones if given."""
+    pts = list(bits(frame.points_mask()))
+    if draws is None:
+        for k in range(1 << len(pts)):
+            yield sum(1 << p for i, p in enumerate(pts) if k >> i & 1)
+        return
+    for _ in range(draws):
+        yield sum(1 << p for p in pts if rng.random() < 0.5)
+
+
+def test_span_by_minimal_points_matches_meet_rule(tier1_frames):
+    # the minimal-points table against the meet rule it replaced
+    rng = random.Random(0)
+    cases = [(f, None) for f in tier1_frames]
+    cases += [(chain_frame(16), 2000), (boolean_frame(4), 2000)]
+    for f, draws in cases:
+        for q in _point_sets(f, rng, draws):
+            assert span(f, q) == _span_by_meets(f, q), (f, q)
+
+
+def test_span_table_is_built_on_first_use():
+    # a frame is built without the table; the first span fills it
+    f = chain_frame(5)
+    assert f._min_pts is None
+    assert span(f, 0) == 1 << f.top
+    assert f._min_pts is not None
 
 
 def test_boolean_sublocales_are_closed(b2):
