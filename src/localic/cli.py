@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 at least one theorem check failed, 2 input or
 validation error.  Suite reports are byte-deterministic for a given spec,
 filter and corpus; wall time is written to stderr only so report files
-can be compared directly.
+can be compared directly.  Each suite shard tallies its rows by check and
+verdict and writes out, and so names the instance of, only failing rows.
 """
 
 from __future__ import annotations
@@ -14,41 +15,55 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from fnmatch import fnmatch
 
 from .errors import InvalidSublocale, LocalicError
-from .frame import FiniteFrame
+from .frame import FiniteFrame, popcount
 from .generators import FAMILIES, GenSpec, build_corpus
 from .jsonio import load_document
 from .registry import REGISTRY, SCOPES, checks_in_scope
 from .remoteness import RemoteContext
 from .result import FAIL, HYPOTHESES_NOT_MET, PASS
 from .sublocale import (
-    Sublocale, booleanization, enumerate_sublocales, is_dense_in_itself,
-    is_rare, nd_join, serialize_sublocale, whole_subl,
+    Sublocale, booleanization, is_dense_in_itself, is_rare, nd_join,
+    serialize_sublocale, whole_subl,
 )
 
 
-def _run_shard(args: tuple) -> tuple[list[dict], dict[str, int]]:
-    """Worker: regenerate the corpus and run its slice of the instances."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_shard(args: tuple) -> tuple[Counter, list[dict], dict[str, int]]:
+    """Worker: regenerate the corpus and run its slice of the instances;
+    return the (check id, verdict) tally, the fail rows and corpus counts."""
     spec, pattern, shard, nshards = args
     corpus = build_corpus(spec)
     counts = {scope: len(items) for scope, items in corpus.items()}
-    rows = []
+    tally = Counter()
+    failures = []
     idx = 0
     for scope in SCOPES:
         checks = [c for c in checks_in_scope(scope) if fnmatch(c.id, pattern)]
         for inst in corpus[scope]:
             if checks and idx % nshards == shard:
                 for c in checks:
-                    rows.append(c.runner(inst).to_json())
+                    row = c.runner(inst)
+                    tally[c.id, row.verdict] += 1
+                    if row.verdict == FAIL:
+                        failures.append(row.to_json())
             idx += 1
-    return rows, counts
+    return tally, failures, counts
 
 
 def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
-    # One worker process per shard, and never more shards than cores.
-    jobs = min(jobs, os.cpu_count() or 1)
+    # One worker process per shard, and never more shards than usable CPUs.
+    jobs = min(jobs, _usable_cpus())
     if jobs <= 1:
         shards = [_run_shard((spec, pattern, 0, 1))]
     else:
@@ -57,23 +72,20 @@ def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
         args = [(spec, pattern, k, jobs) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             shards = list(pool.map(_run_shard, args))
-    rows = [r for part, _ in shards for r in part]
-    counts = shards[0][1]
-    rows.sort(key=lambda r: (r["statement_id"], r["subject"],
-                             r["verdict"], r.get("witness", "")))
-    tallies: dict[str, dict[str, int]] = {}
+    tallies = {cid: {PASS: 0, HYPOTHESES_NOT_MET: 0, FAIL: 0}
+               for cid in sorted(c for c in REGISTRY if fnmatch(c, pattern))}
     failures = []
-    for cid in sorted(c for c in REGISTRY if fnmatch(c, pattern)):
-        tallies[cid] = {PASS: 0, HYPOTHESES_NOT_MET: 0, FAIL: 0}
-    for r in rows:
-        tallies[r["statement_id"]][r["verdict"]] += 1
-        if r["verdict"] == FAIL:
-            failures.append(r)
+    for tally, fails, _ in shards:
+        for (cid, verdict), n in tally.items():
+            tallies[cid][verdict] += n
+        failures += fails
+    failures.sort(key=lambda r: (r["statement_id"], r["subject"],
+                                 r["witness"]))
     return {
         "schema": 1,
         "genspec": spec.to_json(),
         "filter": pattern,
-        "corpus": counts,
+        "corpus": shards[0][2],
         "checks": tallies,
         "failures": failures,
     }
@@ -123,7 +135,8 @@ def answer_query(frame: FiniteFrame, words: list[str]):
     if question == "booleanization":
         return serialize_sublocale(booleanization(frame))
     if question == "sublocale-count":
-        return len(enumerate_sublocales(frame))
+        # S(L) is the powerset of the points
+        return 1 << popcount(frame.points_mask())
     if question == "dense-in-itself?":
         return is_dense_in_itself(frame)
     s = _parse_subl(frame, rest[0][2:]) if rest else whole_subl(frame)
@@ -163,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="instances for the random families")
     s.add_argument("--filter", default="*", help="check-id glob")
     s.add_argument("--jobs", type=int, default=0,
-                   help="parallel workers (default: available cores)")
+                   help="parallel workers (default: usable CPUs)")
     s.add_argument("--out", help="also write the report to this file")
 
     q = sub.add_parser("query", help="ask a question about a frame document")
@@ -194,7 +207,7 @@ def main(argv=None) -> int:
         except ValueError as e:
             print(str(e), file=sys.stderr)
             return 2
-        jobs = args.jobs or os.cpu_count() or 1
+        jobs = args.jobs or _usable_cpus()
         started = time.monotonic()
         report = run_suite(spec, args.filter, jobs)
         elapsed = time.monotonic() - started

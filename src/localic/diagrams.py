@@ -14,9 +14,10 @@ The registry decides the verdict.  A hypothesis shared by several checks
 is one named predicate below; each calls the instance's methods at call
 time, so a method patched on its class is the one a check sees.  What
 several checks derive from one instance is computed on first use and kept
-on it: its subject, its contexts (shared per frame and S, see
+on it: its contexts (shared per frame and S, see
 :func:`~localic.remoteness.dense_context`), whether its adjoints commute
-and whether f is (*)remote preserving.
+and whether f is (*)remote preserving.  An instance's ``subject()`` is
+formatted only for a failing row that the report writes out.
 
 A statement "for every sublocale A (remote from S), P(A)" is checked on O
 and the one-point sublocales {p, 1} alone, the remote ones when A must be
@@ -35,20 +36,19 @@ from .errors import InvalidSquare
 from .frame import FiniteFrame
 from .locmap import LocalicMap, compose
 from .remoteness import RemoteContext, dense_context, whole_context
-from .result import KeepsSubject
 from .sublocale import (
     Sublocale, booleanization, point_sublocales, supplement,
     whole_subl as _whole,
 )
 
 
-class DenseSquare(KeepsSubject):
+class DenseSquare:
     """g : S -> T over f : L -> M, glued by injective dense verticals."""
 
     __slots__ = ("s_frame", "t_frame", "l_frame", "m_frame",
                  "g", "f", "alpha", "omega",
                  "alpha_image", "omega_image", "_ctx_l", "_ctx_m",
-                 "_commute", "_preserving", "_star_preserving", "_subject")
+                 "_commute", "_preserving", "_star_preserving")
 
     def __init__(self, g: LocalicMap, f: LocalicMap,
                  alpha: LocalicMap, omega: LocalicMap):
@@ -80,7 +80,6 @@ class DenseSquare(KeepsSubject):
         # kept by is_f_remote_preserving and is_f_star_remote_preserving
         self._preserving = None
         self._star_preserving = None
-        self._subject = None
 
     def ctx_l(self) -> RemoteContext:
         """The context (L, alpha[S]) on the source side, kept on L."""
@@ -101,7 +100,7 @@ class DenseSquare(KeepsSubject):
                 for t in range(self.t_frame.n))
         return self._commute
 
-    def _format_subject(self) -> str:
+    def subject(self) -> str:
         sig = ".".join(str(v) for v in self.f.table)
         return (f"{self.l_frame.name or 'L'}->{self.m_frame.name or 'M'} "
                 f"f={sig}; "
@@ -112,7 +111,7 @@ class DenseSquare(KeepsSubject):
         return f"DenseSquare({self.subject()})"
 
 
-class SquareChain(KeepsSubject):
+class SquareChain:
     """Two dense squares stacked vertically through a middle layer R -> U.
 
     ``upper`` is g : S -> T over phi : R -> U with verticals i and k;
@@ -120,7 +119,7 @@ class SquareChain(KeepsSubject):
     pasted square is ``outer``, so alpha = theta o i and omega = sigma o k.
     """
 
-    __slots__ = ("outer", "upper", "lower", "_subject")
+    __slots__ = ("outer", "upper", "lower")
 
     def __init__(self, outer: DenseSquare, i: LocalicMap, k: LocalicMap,
                  phi: LocalicMap, theta: LocalicMap, sigma: LocalicMap):
@@ -135,9 +134,8 @@ class SquareChain(KeepsSubject):
         for x in range(outer.t_frame.n):
             if sigma(k(x)) != outer.omega(x):
                 raise InvalidSquare(f"omega != sigma o k at element {x}")
-        self._subject = None
 
-    def _format_subject(self) -> str:
+    def subject(self) -> str:
         return (f"{self.outer.subject()} via "
                 f"R={{{','.join(sorted(self.lower.alpha_image.labels()))}}} "
                 f"U={{{','.join(sorted(self.lower.omega_image.labels()))}}}")
@@ -155,7 +153,7 @@ def _named_square(label: str, g: LocalicMap, f: LocalicMap,
         raise InvalidSquare(f"{label}: {e}") from None
 
 
-class Triangle(KeepsSubject):
+class Triangle:
     """Two horizontally composable squares plus their composite.
 
     sq1 carries a map between the first and second column, sq2 between
@@ -163,7 +161,7 @@ class Triangle(KeepsSubject):
     composite square whose bottom map is sq2.f after sq1.f.
     """
 
-    __slots__ = ("sq1", "sq2", "sq3", "_subject")
+    __slots__ = ("sq1", "sq2", "sq3")
 
     def __init__(self, sq1: DenseSquare, sq2: DenseSquare):
         if sq1.t_frame is not sq2.s_frame or sq1.m_frame is not sq2.l_frame:
@@ -174,9 +172,8 @@ class Triangle(KeepsSubject):
         self.sq2 = sq2
         self.sq3 = DenseSquare(compose(sq2.g, sq1.g), compose(sq2.f, sq1.f),
                                sq1.alpha, sq2.omega)
-        self._subject = None
 
-    def _format_subject(self) -> str:
+    def subject(self) -> str:
         return f"{self.sq1.subject()} | {self.sq2.subject()}"
 
     def __repr__(self) -> str:

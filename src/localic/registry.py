@@ -4,8 +4,8 @@ Each check table maps an id to ``(hypotheses, conclusion)``.  The runner
 of a registered check alone decides its verdict: ``hypotheses-not-met``
 at the first hypothesis that is false on the instance, and otherwise
 ``pass`` when the conclusion returns None or ``fail`` with the witness
-it returns.  The row carries the table key as its id and
-``inst.subject()`` as its subject.
+it returns.  The row carries the table key as its id and the instance
+itself, which only a failing row written to the report names.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ def _runner(check_id: str, hypotheses: tuple,
     def run(inst) -> CheckResult:
         for holds in hypotheses:
             if not holds(inst):
-                return CheckResult(check_id, inst.subject(),
-                                   HYPOTHESES_NOT_MET)
+                return CheckResult(check_id, inst, HYPOTHESES_NOT_MET)
         witness = conclusion(inst)
-        return CheckResult(check_id, inst.subject(),
+        return CheckResult(check_id, inst,
                            PASS if witness is None else FAIL, witness)
     return run
 

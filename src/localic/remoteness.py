@@ -46,22 +46,21 @@ from .sublocale import (
     point_sublocales, span, subl_join, supplement, void_subl, whole_subl,
 )
 from .errors import InvalidSublocale, MixedFrames
-from .result import KeepsSubject
 
 
-class RemoteContext(KeepsSubject):
+class RemoteContext:
     """The pair (L, S) with S a dense sublocale of L, inside a sublocale W.
 
     Every operation asks for T remote from S and T <= W.  W is all of L for
     an ordinary context; :meth:`star` gives the *remote context, whose W
     is L minus S.  A context is immutable, and what it derives (its
     masks, its *remote context, its Rmt sets per route, its fast Rs and
-    its subject) is computed on first use and kept.
+    Nd(S) with its remainder) is computed on first use and kept.
     """
 
     __slots__ = ("frame", "s", "within", "s_dense", "_miss_mask",
                  "_open_mask", "_oracle_mask", "_star", "_rmt_fast",
-                 "_rmt_oracle", "_rs", "_subject")
+                 "_rmt_oracle", "_rs", "_nd")
 
     def __init__(self, frame: FiniteFrame, dense_subl: Sublocale,
                  within: Optional[Sublocale] = None):
@@ -86,7 +85,7 @@ class RemoteContext(KeepsSubject):
         self._rmt_fast = None
         self._rmt_oracle = None
         self._rs = None
-        self._subject = None
+        self._nd = None
 
     def star(self) -> "RemoteContext":
         """The *remote context: the same S, inside its supplement L minus S."""
@@ -199,7 +198,14 @@ class RemoteContext(KeepsSubject):
         """*Rs, the largest sublocale *remote from S."""
         return self.star().rs(oracle)
 
-    def _format_subject(self) -> str:
+    def nd_remainder(self) -> tuple[Sublocale, Sublocale]:
+        """Nd(S) and L minus its closure, kept after the first call."""
+        if self._nd is None:
+            nd = nd_join(self.frame, self.s)
+            self._nd = nd, supplement(self.frame, nd.closure())
+        return self._nd
+
+    def subject(self) -> str:
         return (f"{self.frame.name or 'frame'}; "
                 f"S={{{','.join(sorted(self.s.labels()))}}}")
 
@@ -280,8 +286,7 @@ def check_downward_closure(ctx: RemoteContext) -> Optional[str]:
 
 def check_nd_remote(ctx: RemoteContext) -> Optional[str]:
     """L minus the closure of Nd(S) is remote from S."""
-    nd = nd_join(ctx.frame, ctx.s)
-    rem = supplement(ctx.frame, nd.closure())
+    nd, rem = ctx.nd_remainder()
     if not ctx.is_remote_from(rem, oracle=True):
         return f"Nd(S)={sorted(nd.labels())}"
     return None
@@ -383,8 +388,8 @@ def check_rs_bl(ctx: RemoteContext) -> Optional[str]:
 
 def check_rs_nd(ctx: RemoteContext) -> Optional[str]:
     """Rs = L minus closure(Nd(S)) iff Nd(S) is S-nowhere dense."""
-    nd = nd_join(ctx.frame, ctx.s)
-    lhs = ctx.rs() == supplement(ctx.frame, nd.closure())
+    nd, rem = ctx.nd_remainder()
+    lhs = ctx.rs() == rem
     # Nd(S) <= S, and for dense S its S-pseudocomplements are ambient ones.
     rhs = ctx.frame.is_dense_element(nd.min_element())
     if lhs != rhs:

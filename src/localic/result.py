@@ -1,8 +1,9 @@
-"""Verdict rows produced by the theorem checks."""
+"""Verdict rows produced by the theorem checks.  A row holds its instance,
+which it names only when it is written out (only failing rows are)."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 PASS = "pass"
 HYPOTHESES_NOT_MET = "hypotheses-not-met"
@@ -11,9 +12,13 @@ FAIL = "fail"
 
 class CheckResult(NamedTuple):
     check_id: str
-    subject: str          # human-readable instance description
+    inst: Any             # the checked instance; it has a subject()
     verdict: str
     witness: Optional[str] = None
+
+    @property
+    def subject(self) -> str:
+        return self.inst.subject()
 
     def to_json(self) -> dict:
         out = {"statement_id": self.check_id, "subject": self.subject,
@@ -21,15 +26,3 @@ class CheckResult(NamedTuple):
         if self.witness is not None:
             out["witness"] = self.witness
         return out
-
-
-class KeepsSubject:
-    """For an immutable instance: :meth:`subject` formats its report
-    subject once, with ``_format_subject``, and keeps it in ``_subject``."""
-
-    __slots__ = ()
-
-    def subject(self) -> str:
-        if self._subject is None:
-            self._subject = self._format_subject()
-        return self._subject

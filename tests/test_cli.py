@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localic import (
-    DenseSquare, FiniteFrame, LocalicError, LocalicMap, RemoteContext,
-    SquareChain, Triangle, cli,
+    REGISTRY, DenseSquare, FiniteFrame, LocalicError, LocalicMap,
+    RemoteContext, SquareChain, Triangle, checks_in_scope, cli,
+    enumerate_sublocales,
 )
 from localic.cli import main
 from localic.generators import GenSpec
@@ -213,6 +214,21 @@ def test_query_sublocale_count(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == 4
 
 
+def test_sublocale_count_is_the_powerset_of_points(tier1_frames, tmp_path,
+                                                   capsys):
+    # S(L) is the powerset of the points: the count agrees with the
+    # enumeration, and needs none, so a frame above its cap is answered
+    for frame in tier1_frames:
+        assert cli.answer_query(frame, ["sublocale-count"]) \
+            == len(enumerate_sublocales(frame))
+    labels = [str(i) for i in range(20)]
+    path = _write(tmp_path, "c20.json", {
+        "type": "frame", "name": "C20", "elements": labels,
+        "order": [[a, b] for a, b in zip(labels, labels[1:])]})
+    assert main(["query", path, "sublocale-count"]) == 0
+    assert json.loads(capsys.readouterr().out) == 2 ** 19
+
+
 def test_query_remote_set_with_s(tmp_path, capsys):
     path = _write(tmp_path, "c3.json", C3_DOC)
     assert main(["query", path, "rs", "S=BL"]) == 0
@@ -366,8 +382,10 @@ def test_suite_rejects_unwritable_out(tmp_path, capsys):
     assert str(out) in captured.err
 
 
-def test_suite_clamps_workers_to_cores(monkeypatch):
-    # an in-process stand-in records the pool size; nothing is forked
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """An in-process stand-in for the worker pool; it records the pool
+    sizes asked for, and nothing is forked."""
     pools = []
 
     class InlinePool:
@@ -384,12 +402,66 @@ def test_suite_clamps_workers_to_cores(monkeypatch):
             return list(map(fn, args))
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    return pools
+
+
+def _usable(monkeypatch, cores, affinity):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: set(range(affinity)), raising=False)
+
+
+@pytest.fixture
+def corpora(monkeypatch):
+    """Every corpus the suite builds, in order of building."""
+    built = []
+    build = cli.build_corpus
+
+    def kept(spec):
+        built.append(build(spec))
+        return built[-1]
+    monkeypatch.setattr(cli, "build_corpus", kept)
+    return built
+
+
+def test_suite_clamps_workers_to_cores(monkeypatch, inline_pool):
+    _usable(monkeypatch, 3, 3)
     spec = GenSpec("chain", 3)
     serial = cli.render_report(cli.run_suite(spec, "*", 1))
     assert cli.render_report(cli.run_suite(spec, "*", 1000)) == serial
     assert cli.render_report(cli.run_suite(spec, "*", 2)) == serial
-    assert pools == [3, 2]
+    assert inline_pool == [3, 2]
+    # a process pinned to fewer CPUs than the host has gets no more
+    # workers than it may use, by default or when asked
+    _usable(monkeypatch, 4, 1)
+    assert cli.render_report(cli.run_suite(spec, "*", 4)) == serial
+    args = ["suite", "--family", "chain", "--max-size", "3"]
+    assert main(args) == 0
+    _usable(monkeypatch, 4, 2)
+    assert main(args) == 0
+    assert inline_pool == [3, 2, 2]
+
+
+def test_failing_suite_is_identical_across_jobs(monkeypatch, inline_pool,
+                                                corpora):
+    # adjoints that always commute make square checks fail on posets3;
+    # two in-process shards must write the serial report byte for byte
+    monkeypatch.setattr(DenseSquare, "adjoints_commute", lambda self: True)
+    _usable(monkeypatch, 2, 2)
+    spec = GenSpec("all-posets-up-to", 3)
+    serial = cli.run_suite(spec, "*", 1)
+    assert cli.render_report(cli.run_suite(spec, "*", 2)) \
+        == cli.render_report(serial)
+    assert inline_pool == [2]
+    fails = serial["failures"]
+    assert fails and fails == sorted(
+        fails, key=lambda r: (r["statement_id"], r["subject"], r["witness"]))
+    corpus = corpora[0]
+    for row in fails:
+        check = REGISTRY[row["statement_id"]]
+        assert any(check.runner(i).to_json() == row
+                   for i in corpus[check.scope]
+                   if i.subject() == row["subject"]), row
 
 
 def test_serial_suite_imports_no_pool_or_dataclasses():
@@ -413,33 +485,36 @@ def test_serial_suite_imports_no_pool_or_dataclasses():
                          "dataclasses", "inspect"}
 
 
-def test_suite_formats_each_subject_once(monkeypatch):
-    # every row of an instance shares one subject string: each corpus
-    # instance, and each square inside a chain or triangle, is formatted
-    # exactly once in a serial run
-    formatted = {}
-    corpora = []
+def test_suite_formats_only_failing_subjects(monkeypatch, corpora):
+    # a row is named only when it is written out: a passing suite formats
+    # no subject, and a failing one only those of the failing instances
+    # and of the squares that their subjects name
+    named = []
     for cls in (RemoteContext, DenseSquare, SquareChain, Triangle):
-        fmt = vars(cls)["_format_subject"]
+        def counted(self, plain=cls.subject):
+            named.append(self)
+            return plain(self)
+        monkeypatch.setattr(cls, "subject", counted)
+    spec = GenSpec("all-posets-up-to", 3)
+    assert cli.run_suite(spec, "*", 1)["failures"] == []
+    assert named == []
 
-        def counted(self, fmt=fmt):
-            n, _ = formatted.get(id(self), (0, self))
-            formatted[id(self)] = (n + 1, self)
-            return fmt(self)
-        monkeypatch.setattr(cls, "_format_subject", counted)
-    build = cli.build_corpus
-
-    def kept(spec):
-        corpora.append(build(spec))
-        return corpora[-1]
-    monkeypatch.setattr(cli, "build_corpus", kept)
-    cli.run_suite(GenSpec("all-posets-up-to", 3), "*", 1)
-    (corpus,) = corpora
-    insts = [i for scope in ("context", "square", "chain", "triangle")
-             for i in corpus[scope]]
-    assert insts
-    assert all(formatted.get(id(i), (0,))[0] == 1 for i in insts)
-    assert {n for n, _ in formatted.values()} == {1}
+    monkeypatch.setattr(DenseSquare, "adjoints_commute", lambda self: True)
+    failures = cli.run_suite(spec, "*", 1)["failures"]
+    seen = {id(i) for i in named}
+    corpus = corpora[-1]
+    failing = [i for scope in ("context", "square", "chain", "triangle")
+               for i in corpus[scope]
+               if any(c.runner(i).verdict == FAIL
+                      for c in checks_in_scope(scope))]
+    # a chain's subject names its outer square, a triangle's its two squares
+    parts = [sq for i in failing if isinstance(i, SquareChain)
+             for sq in [i.outer]]
+    parts += [sq for i in failing if isinstance(i, Triangle)
+              for sq in (i.sq1, i.sq2)]
+    assert failures and failing
+    assert {id(i) for i in failing} <= seen
+    assert seen <= {id(i) for i in failing + parts}
 
 
 # Per-check (pass, hypotheses-not-met) tallies of

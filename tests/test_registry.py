@@ -40,7 +40,8 @@ class _Instance:
 def test_runner_writes_the_row(monkeypatch):
     # the runner alone decides the verdict: a false hypothesis stops it
     # before the conclusion runs, and the conclusion's None or witness
-    # gives pass or fail; the row carries the registry id and the subject
+    # gives pass or fail; the row carries the registry id and the instance,
+    # which it names only when written out
     inst = _Instance()
     ran = []
 
@@ -53,7 +54,7 @@ def test_runner_writes_the_row(monkeypatch):
         return registry._build_registry()["Lislarge"].runner
 
     def row(*rest):
-        return CheckResult("Lislarge", "the instance", *rest)
+        return CheckResult("Lislarge", inst, *rest)
 
     holds, fails = (lambda i: i is inst), (lambda i: False)
     for hypotheses in ((fails,), (holds, fails), (fails, holds)):
@@ -64,3 +65,6 @@ def test_runner_writes_the_row(monkeypatch):
         assert runner(hypotheses, None)(inst) == row(PASS)
         assert runner(hypotheses, "T=['1']")(inst) == row(FAIL, "T=['1']")
     assert ran == [inst] * 6
+    assert runner((), "T=['1']")(inst).to_json() == {
+        "statement_id": "Lislarge", "subject": inst.subject(),
+        "verdict": FAIL, "witness": "T=['1']"}
