@@ -41,7 +41,7 @@ class FiniteFrame:
         "bottom", "top", "labels", "name",
         "_label_index", "_impl_req", "_dense_mask", "_bool_mask",
         "_point_mask", "_sublocales", "_min_pts", "_point_subls",
-        "_contexts",
+        "_dense_subls", "_contexts",
     )
 
     def __init__(self, n, up, down, meet_table, join_table, impl_table,
@@ -69,11 +69,12 @@ class FiniteFrame:
         ups = set(up)       # points: see points_mask
         self._point_mask = _mask_of(
             p for p in range(n) if up[p] & ~(1 << p) in ups)
-        # kept on first use: sublocale.py fills the first three,
+        # kept on first use: sublocale.py fills the first four,
         # remoteness.dense_context the contexts, keyed by S's mask
         self._sublocales = None
         self._min_pts = None
         self._point_subls = None
+        self._dense_subls = None
         self._contexts = None
 
     # -- order and lattice operations ------------------------------------

@@ -23,7 +23,7 @@ from .locmap import LocalicMap, build_map, identity_map
 from .diagrams import DenseSquare, SquareChain, Triangle
 from .remoteness import dense_context
 from .sublocale import (
-    Sublocale, booleanization, enumerate_sublocales, whole_subl,
+    Sublocale, booleanization, dense_sublocales, whole_subl,
 )
 
 FAMILIES = ("all-posets-up-to", "random-poset", "chain",
@@ -212,9 +212,16 @@ def sample_evenly(items: list, cap: int) -> list:
     return [items[int(i * step)] for i in range(cap)]
 
 
+def _free_points(frame: FiniteFrame) -> int:
+    """How many points lie outside BL: a dense S is one set Q of them."""
+    return popcount(frame.points_mask() & ~booleanization(frame).mask)
+
+
 def gen_dense_sublocales(frame: FiniteFrame) -> list[Sublocale]:
-    """All dense sublocales; always contains the Booleanization and L."""
-    return [s for s in enumerate_sublocales(frame) if s.is_dense()]
+    """All dense sublocales, BL first and L last: the spans of pts(BL)
+    and Q for every set Q of free points, in the order of Q (mask order
+    on every generated frame; see :func:`dense_sublocales`)."""
+    return dense_sublocales(frame, range(1 << _free_points(frame)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +275,15 @@ def gen_maps(src: FiniteFrame, tgt: FiniteFrame,
 
 
 def inclusion_map(s: Sublocale) -> LocalicMap:
-    """The induced frame of s included back into the ambient frame.
+    """The induced frame of s included back into the ambient frame, built
+    on the first call and kept with s's induced-frame view.
 
     Its derived adjoint is the nucleus of s, which preserves finite meets.
     """
-    sub, elems = s.as_frame()
-    return build_map(sub, s.frame, elems)
+    if s._inclusion is None:
+        sub, elems = s.as_frame()
+        s._inclusion = build_map(sub, s.frame, elems)
+    return s._inclusion
 
 
 def restriction_map(f: LocalicMap, s: Sublocale, t: Sublocale
@@ -419,10 +429,11 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
     frames = gen_frames(spec)
     contexts = []
     for f in frames:
-        dense = gen_dense_sublocales(f)
-        keep = {s.mask for s in sample_evenly(dense, MAX_CONTEXTS_PER_FRAME)}
-        keep |= {whole_subl(f).mask, booleanization(f).mask}
-        contexts += [dense_context(f, s) for s in dense if s.mask in keep]
+        # evenly spaced sets Q of free points (Q = 0 gives BL), and L
+        every = range(1 << _free_points(f))
+        qs = {*sample_evenly(every, MAX_CONTEXTS_PER_FRAME), every[-1]}
+        contexts += [dense_context(f, s)
+                     for s in dense_sublocales(f, sorted(qs))]
     squares = gen_squares(frames, seed=spec.seed)
     return {"frame": frames, "context": contexts, "square": squares,
             "chain": gen_chains(squares),

@@ -12,7 +12,7 @@ U_a = {p : a </= p}.  S(L) is the powerset of X, and there T is remote from
 S iff T misses cl(S minus Iso(S)), Iso(S) being the isolated points of the
 subspace S (van Douwen's remote sets).  The fast path is the default; their
 agreement is itself one of the checked theorems, so the theorem checks
-never assume it.  On the fast path the joins Rs and *Rs are spans of points.
+never assume it.  On both routes the joins Rs and *Rs are spans of points.
 
 On each route the remote family is one point mask M, ``miss_points``: T is
 remote iff it holds no point of M.  Points are meet-irreducible, so the
@@ -43,7 +43,7 @@ from .frame import FiniteFrame, _mask_of, bits
 from .sublocale import (
     Sublocale, booleanization, closed_subl, enumerate_sublocales,
     is_dense_in_itself, is_rare, nd_join, nucleus_map, open_subl,
-    point_sublocales, span, subl_join, supplement, void_subl, whole_subl,
+    point_sublocales, span, supplement, void_subl, whole_subl,
 )
 from .errors import InvalidSublocale, MixedFrames
 
@@ -54,8 +54,8 @@ class RemoteContext:
     Every operation asks for T remote from S and T <= W.  W is all of L for
     an ordinary context; :meth:`star` gives the *remote context, whose W
     is L minus S.  A context is immutable, and what it derives (its
-    masks, its *remote context, its Rmt sets per route, its fast Rs and
-    Nd(S) with its remainder) is computed on first use and kept.
+    masks, its *remote context, its Rmt sets and Rs per route, and Nd(S)
+    with its remainder) is computed on first use and kept.
     """
 
     __slots__ = ("frame", "s", "within", "s_dense", "_miss_mask",
@@ -84,7 +84,7 @@ class RemoteContext:
         self._star = None
         self._rmt_fast = None
         self._rmt_oracle = None
-        self._rs = None
+        self._rs = [None, None]     # per route: fast, oracle
         self._nd = None
 
     def star(self) -> "RemoteContext":
@@ -181,18 +181,17 @@ class RemoteContext:
     def rs(self, oracle: bool = False) -> Sublocale:
         """The largest sublocale remote from S (join of all of them).
 
-        No remote T has a point in the miss mask, and the span of the points
-        outside it is remote: the S-dense part of the mask is an up-set, so
-        the span misses it, and W is closed under meets, so the span lies
-        in W.  Rs is that span, kept after the first call.
+        On either route T is remote iff no point of T is in the miss mask.
+        The points of a span are exactly the points it is spanned by, so
+        the span of the points outside the mask is remote, and it holds
+        every remote T, which is the span of its own points.  Rs is that
+        span, kept per route after the first call.
         """
-        f = self.frame
-        if oracle:
-            return subl_join([void_subl(f)] + self.remote_set(oracle=True))
-        if self._rs is None:
-            self._rs = Sublocale(
-                f, span(f, f.points_mask() & ~self.miss_points()))
-        return self._rs
+        if self._rs[oracle] is None:
+            f = self.frame
+            self._rs[oracle] = Sublocale(
+                f, span(f, f.points_mask() & ~self.miss_points(oracle)))
+        return self._rs[oracle]
 
     def star_rs(self, oracle: bool = False) -> Sublocale:
         """*Rs, the largest sublocale *remote from S."""
@@ -439,14 +438,14 @@ def check_remprop_bl_star(frame: FiniteFrame) -> Optional[str]:
 
 
 def check_l_is_large(frame: FiniteFrame) -> Optional[str]:
-    """Rs(L |x BL), joined over the oracle's remote set, is L."""
+    """Rs(L |x BL), spanned on the oracle route, is L."""
     if not bl_context(frame).rs(oracle=True).is_whole():
         return "Rs(L|xBL) != L"
     return None
 
 
 def check_rs_dense(frame: FiniteFrame) -> Optional[str]:
-    """*Rs(L |x BL), joined over the oracle's *remote set, is L \\ BL."""
+    """*Rs(L |x BL), spanned on the oracle route, is L \\ BL."""
     star = bl_context(frame).star()
     rs = star.rs(oracle=True)
     if rs != star.within:

@@ -9,7 +9,9 @@ A finite frame is spatial and T_D, so S(L) is the powerset of its points
 The coframe operations are point-set arithmetic on that model; the
 subset filter :func:`enumerate_sublocales_oracle` and the induced-frame
 computations are the independent oracles.  Every sublocale is a join of
-the one-point sublocales {p, 1}, :func:`point_sublocales`.
+the one-point sublocales {p, 1}, :func:`point_sublocales`, and the dense
+ones are the spans of the points of BL and a set of the others,
+:func:`dense_sublocales`.
 
 An element a lies in span(Q) iff every minimal point above a is in Q
 (Davey & Priestley, ch. 5).  Proof: points are meet-prime, so the points
@@ -31,12 +33,15 @@ from .frame import FiniteFrame, _mask_of, frame_from_leq, bits, popcount
 class Sublocale:
     """An immutable member of the coframe S(L)."""
 
-    __slots__ = ("frame", "mask", "_frame_view")
+    # _inclusion: the induced frame's inclusion map, kept with its view by
+    # generators.inclusion_map
+    __slots__ = ("frame", "mask", "_frame_view", "_inclusion")
 
     def __init__(self, frame: FiniteFrame, mask: int):
         self.frame = frame
         self.mask = mask
         self._frame_view = None
+        self._inclusion = None
 
     @classmethod
     def of(cls, frame: FiniteFrame, members: Iterable[int]) -> "Sublocale":
@@ -269,6 +274,34 @@ def point_sublocales(frame: FiniteFrame) -> tuple[Sublocale, ...]:
         frame._point_subls = (void_subl(frame),) + tuple(
             Sublocale(frame, top | 1 << p) for p in bits(frame.points_mask()))
     return frame._point_subls
+
+
+def dense_sublocales(frame: FiniteFrame, qs: Iterable[int]
+                     ) -> list[Sublocale]:
+    """span(pts(BL) + Q) for each Q in ``qs``, bit i of Q standing for the
+    i-th point outside BL; one object per Q, kept on the frame.
+
+    BL is the least dense sublocale, so S is dense iff pts(S) holds
+    pts(BL), and each dense S is one of these spans.  Increasing Q gives
+    increasing masks wherever element indices extend the order, as in
+    every generated family: the highest element where two spans differ
+    is a point, since a non-point of one span is the meet of points above
+    it, which come later, so they and it lie in the other span too.
+    """
+    if frame._dense_subls is None:
+        frame._dense_subls = {}
+    store = frame._dense_subls
+    pts = frame.points_mask()
+    base = pts & frame._bool_mask
+    free = list(bits(pts & ~frame._bool_mask))
+    out = []
+    for q in qs:
+        s = store.get(q)
+        if s is None:
+            q_pts = _mask_of(free[i] for i in bits(q))
+            s = store[q] = Sublocale(frame, span(frame, base | q_pts))
+        out.append(s)
+    return out
 
 
 def enumerate_sublocales_oracle(frame: FiniteFrame) -> list[Sublocale]:

@@ -4,10 +4,13 @@ import pickle
 
 import pytest
 
-from localic import GenSpec, booleanization, chain_frame, whole_subl
+from localic import (
+    GenSpec, booleanization, chain_frame, enumerate_sublocales, whole_subl,
+)
 from localic.generators import (
-    all_posets, downset_frame, gen_dense_sublocales, gen_frames, gen_maps,
-    gen_squares, inclusion_map,
+    MAX_CONTEXTS_PER_FRAME, all_posets, build_corpus, downset_frame,
+    gen_dense_sublocales, gen_frames, gen_maps, gen_squares, inclusion_map,
+    sample_evenly,
 )
 
 
@@ -107,12 +110,27 @@ def test_tier1_contains_one_element_frame(tier1_frames):
     assert any(f.n == 1 for f in tier1_frames)
 
 
-def test_gen_dense_sublocales(c3):
-    dense = gen_dense_sublocales(c3)
-    masks = {s.mask for s in dense}
-    assert booleanization(c3).mask in masks
-    assert whole_subl(c3).mask in masks
-    assert all(s.is_dense() for s in dense)
+def test_gen_dense_sublocales(tier1_frames):
+    # the listing by point set against the filter of the whole enumeration
+    corpus = build_corpus(GenSpec("chain", 16))
+    chains = corpus["frame"]
+    for f in tier1_frames + chains:
+        dense = gen_dense_sublocales(f)
+        assert [s.mask for s in dense] == [
+            s.mask for s in enumerate_sublocales(f) if s.is_dense()], f.name
+        assert dense[0] == booleanization(f) and dense[-1] == whole_subl(f)
+        # one object per S, so all built over S share its induced frame
+        assert all(a is b for a, b in zip(dense, gen_dense_sublocales(f)))
+    # on C1 to C16 the corpus draws the contexts that it drew when it
+    # sampled the filtered enumeration
+    for f in chains:
+        dense = [s for s in enumerate_sublocales(f) if s.is_dense()]
+        keep = {s.mask for s in sample_evenly(dense, MAX_CONTEXTS_PER_FRAME)}
+        keep |= {whole_subl(f).mask, booleanization(f).mask}
+        drawn = [c.s for c in corpus["context"] if c.frame is f]
+        assert [s.mask for s in drawn] == sorted(keep), f.name
+        kept = {s.mask: s for s in gen_dense_sublocales(f)}
+        assert all(kept[s.mask] is s for s in drawn)
 
 
 def test_gen_maps_c2_c2():
@@ -140,6 +158,14 @@ def test_gen_maps_seeded_is_permutation(c3, b2):
 def test_inclusion_map_identity_on_whole(c3):
     inc = inclusion_map(whole_subl(c3))
     assert inc.table == tuple(range(c3.n))
+
+
+def test_inclusion_map_is_kept_with_the_view(c4):
+    for s in gen_dense_sublocales(c4):
+        inc = inclusion_map(s)
+        assert inc is inclusion_map(s)
+        sub, elems = s.as_frame()
+        assert inc.source is sub and inc.table == tuple(elems)
 
 
 def test_gen_squares_deterministic(tier1_frames):

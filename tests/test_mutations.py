@@ -2,8 +2,9 @@
 
 Every row breaks one method of a frame, a localic map, a square or a
 remoteness context and runs the suite on all posets up to 3 points.  The listed
-check ids are the ones that must then report a fail row, so each of
-those methods is one that some report check can catch.
+check ids are exactly the ones that then report a fail row, so each of
+those methods is one that some report check can catch, and a check that
+starts failing too shows.
 """
 
 import pytest
@@ -150,7 +151,8 @@ def test_mutation_fails_its_checks(name, monkeypatch):
     monkeypatch.setattr(cls, attr, mutant)
     report = cli.run_suite(SPEC, "*", 1)
     failed = {cid for cid, t in report["checks"].items() if t[FAIL]}
-    assert must_fail <= failed, sorted(must_fail - failed)
+    assert failed == must_fail, (sorted(must_fail - failed),
+                                 sorted(failed - must_fail))
 
 
 def test_image_that_is_no_sublocale_stops_the_corpus(monkeypatch):
