@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from .errors import LocalicError
 from .frame import (
-    ENUMERATION_CAP, FiniteFrame, _close_order, bits, boolean_frame,
+    ENUMERATION_CAP, FiniteFrame, bits, boolean_frame,
     chain_frame, frame_from_leq, popcount,
 )
 from .locmap import LocalicMap, build_map, identity_map
@@ -39,6 +39,9 @@ MAX_CONTEXTS_PER_FRAME = 16
 SQUARE_BUDGET = 400
 CHAIN_BUDGET = 240
 TRIANGLE_BUDGET = 240
+# The most instances a random family may ask for: a spec above it is
+# refused before anything is built.
+MAX_COUNT = 10_000
 
 
 class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
@@ -53,6 +56,9 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
         if max_size < 0 or count < 0:
             raise ValueError(f"max_size and count must be non-negative, "
                              f"got {max_size} and {count}")
+        if count > MAX_COUNT:
+            raise ValueError(f"count must be at most {MAX_COUNT}, "
+                             f"got {count}")
         # no random frame has under 2 elements, so gen_frames would loop;
         # a chain or Boolean corpus under cap 1 is empty and checks nothing
         least = {"random-poset": 2, "finite-topology": 2, "chain": 1,
@@ -74,38 +80,47 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
 # Posets and their downset lattices
 # ---------------------------------------------------------------------------
 
-def _transitive_closure(n: int, rel: frozenset) -> frozenset:
-    """The strict order generated by an acyclic relation."""
-    up = _close_order(n, rel)
-    return frozenset((i, j) for i in range(n) for j in bits(up[i] & ~(1 << i)))
+def _close_along_labels(up: list[int]) -> list[int]:
+    """Close strict up-masks, in place, whose pairs all have i < j.
 
-
-def _canonical_poset(n: int, rel: frozenset) -> tuple:
-    """Smallest relabeling of a strict order, for isomorphism dedup."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        enc = tuple(sorted((perm[i], perm[j]) for i, j in rel))
-        if best is None or enc < best:
-            best = enc
-    return best
+    Going down the labels, each point takes the up-sets of the points
+    above it, which are closed already.
+    """
+    for i in reversed(range(len(up))):
+        for j in bits(up[i]):
+            up[i] |= up[j]
+    return up
 
 
 def all_posets(n: int) -> list[frozenset]:
     """One strict-order relation per isomorphism class on n points.
 
     Pairs are drawn only with i < j, so every DAG listed has the identity
-    as a linear extension; every poset shows up under some labeling.
+    as a linear extension; every poset shows up under some labeling.  A
+    class is keyed by the least relabeling of its first-seen relation,
+    as a sorted tuple of codes i*n + j, and listed in key order.  Its
+    whole orbit is computed once, and the naturally labelled members,
+    the only ones the DAG walk reaches, are then skipped on sight.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    closed = set()
+    relabel = [tuple(p[c // n] * n + p[c % n] for c in range(n * n))
+               for p in itertools.permutations(range(n))]
+    upper = {i * n + j for i, j in pairs}
+    done = set()    # naturally labelled members of the classes keyed so far
     seen = {}
     for mask in range(1 << len(pairs)):
-        rel = _transitive_closure(
-            n, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
-        if rel not in closed:   # canonicalize each order once
-            closed.add(rel)
-            seen.setdefault(_canonical_poset(n, rel), rel)
-    return [seen[k] for k in sorted(seen)]
+        up = [0] * n
+        for k in bits(mask):
+            i, j = pairs[k]
+            up[i] |= 1 << j
+        rel = tuple(i * n + j for i, m in enumerate(_close_along_labels(up))
+                    for j in bits(m))
+        if rel in done:
+            continue
+        orbit = {tuple(sorted(map(p.__getitem__, rel))) for p in relabel}
+        seen[min(orbit)] = rel
+        done.update(enc for enc in orbit if upper.issuperset(enc))
+    return [frozenset(divmod(c, n) for c in seen[k]) for k in sorted(seen)]
 
 
 def _lattice_of_sets(sets, name: Optional[str]) -> FiniteFrame:
@@ -121,23 +136,30 @@ def _lattice_of_sets(sets, name: Optional[str]) -> FiniteFrame:
     return frame_from_leq(up, labels=labels, name=name)
 
 
-def downset_frame(n_points: int, rel: frozenset,
-                  name: Optional[str] = None) -> FiniteFrame:
-    """The Birkhoff frame of downsets of a poset, ordered by inclusion."""
+def _downsets(n_points: int, rel: frozenset) -> list[int]:
+    """The downsets of a poset as point masks, in mask order."""
     below = [0] * n_points
     for i, j in rel:
         below[j] |= 1 << i
-    return _lattice_of_sets(
-        (d for d in range(1 << n_points)
-         if all(below[j] & ~d == 0 for j in bits(d))), name)
+    return [d for d in range(1 << n_points)
+            if all(below[j] & ~d == 0 for j in bits(d))]
+
+
+def downset_frame(n_points: int, rel: frozenset,
+                  name: Optional[str] = None) -> FiniteFrame:
+    """The Birkhoff frame of downsets of a poset, ordered by inclusion."""
+    return _lattice_of_sets(_downsets(n_points, rel), name)
 
 
 def _random_poset(rng: random.Random, n_points: int) -> frozenset:
     p = rng.uniform(0.2, 0.7)
-    rel = frozenset((i, j)
-                    for i in range(n_points) for j in range(i + 1, n_points)
-                    if rng.random() < p)
-    return _transitive_closure(n_points, rel)
+    up = [0] * n_points
+    for i in range(n_points):
+        for j in range(i + 1, n_points):
+            if rng.random() < p:
+                up[i] |= 1 << j
+    return frozenset((i, j) for i, m in enumerate(_close_along_labels(up))
+                     for j in bits(m))
 
 
 def _random_topology_frame(rng: random.Random, size_cap: int,
@@ -176,9 +198,9 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
         # whose Booleanization is rare
         for n in range(spec.max_size + 1):
             for idx, rel in enumerate(all_posets(n)):
-                f = downset_frame(n, rel, name=f"P{n}-{idx}")
-                if f.n <= ENUMERATION_CAP:
-                    out.append(f)
+                downs = _downsets(n, rel)   # counted before any build
+                if len(downs) <= ENUMERATION_CAP:
+                    out.append(_lattice_of_sets(downs, f"P{n}-{idx}"))
         return out
     rng = random.Random(spec.seed)
     count = spec.count or 50
@@ -188,11 +210,10 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
         idx = 0
         while len(out) < count:
             n_points = rng.randint(1, 5)
-            rel = _random_poset(rng, n_points)
-            f = downset_frame(n_points, rel, name=f"R{idx}")
+            downs = _downsets(n_points, _random_poset(rng, n_points))
+            if len(downs) <= cap:
+                out.append(_lattice_of_sets(downs, f"R{idx}"))
             idx += 1
-            if f.n <= cap:
-                out.append(f)
         return out
     # finite-topology
     idx = 0

@@ -373,6 +373,18 @@ def test_suite_rejects_filter_matching_nothing(monkeypatch, capsys):
     assert "'zzz'" in captured.err
 
 
+def test_suite_rejects_unbounded_count(monkeypatch, capsys):
+    def no_corpus(spec):
+        raise AssertionError("corpus built for an unbounded count")
+
+    monkeypatch.setattr(cli, "build_corpus", no_corpus)
+    assert main(["suite", "--family", "random-poset", "--max-size", "3",
+                 "--jobs", "1", "--count", "99999999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+    assert "99999999999999" in captured.err
+
+
 def test_suite_rejects_unwritable_out(tmp_path, capsys):
     out = tmp_path / "missing" / "r.json"
     assert main(["suite", "--family", "chain", "--max-size", "3",

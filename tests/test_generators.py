@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import pickle
 
@@ -7,20 +8,61 @@ import pytest
 from localic import (
     GenSpec, booleanization, chain_frame, enumerate_sublocales, whole_subl,
 )
+from localic import generators
 from localic.generators import (
-    MAX_CONTEXTS_PER_FRAME, all_posets, build_corpus, downset_frame,
-    gen_dense_sublocales, gen_frames, gen_maps, gen_squares, inclusion_map,
-    sample_evenly,
+    MAX_CONTEXTS_PER_FRAME, MAX_COUNT, all_posets, build_corpus,
+    downset_frame, gen_dense_sublocales, gen_frames, gen_maps, gen_squares,
+    inclusion_map, sample_evenly,
 )
 
 
+def _canonical_poset(n: int, rel: frozenset) -> tuple:
+    """Smallest relabeling of a strict order, as a sorted pair tuple."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        enc = tuple(sorted((perm[i], perm[j]) for i, j in rel))
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def _reference_posets(n: int) -> list[frozenset]:
+    """The brute-force listing: close every DAG with pairs i < j, key each
+    closed order by its least relabeling, keep the first relation seen
+    per key, and list them in key order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    closed = set()
+    seen = {}
+    for mask in range(1 << len(pairs)):
+        rel = {p for k, p in enumerate(pairs) if mask >> k & 1}
+        while True:
+            more = {(i, l) for i, j in rel for k, l in rel if j == k} - rel
+            if not more:
+                break
+            rel |= more
+        rel = frozenset(rel)
+        if rel not in closed:
+            closed.add(rel)
+            seen.setdefault(_canonical_poset(n, rel), rel)
+    return [seen[k] for k in sorted(seen)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_all_posets_matches_brute_force(n):
+    # the same representatives in the same order, so no P{n}-{idx} moves
+    assert all_posets(n) == _reference_posets(n)
+
+
 def test_all_posets_counts():
-    assert len(all_posets(0)) == 1
-    assert len(all_posets(1)) == 1
-    assert len(all_posets(2)) == 2
-    assert len(all_posets(3)) == 5
-    assert len(all_posets(4)) == 16
-    assert len(all_posets(5)) == 63
+    # OEIS A000112
+    counts = [1, 1, 2, 5, 16, 63, 318]
+    for n, count in enumerate(counts):
+        posets = all_posets(n)
+        assert len(posets) == count
+        for rel in posets:
+            assert all(0 <= i < j < n for i, j in rel)
+            assert all((i, l) in rel
+                       for i, j in rel for k, l in rel if j == k)
 
 
 # sha256 of the (name, labels, up-masks) of every frame of a corpus, in
@@ -35,13 +77,36 @@ CORPUS_HASHES = [
 ]
 
 
+def _digest(frames) -> str:
+    enc = json.dumps([[f.name, list(f.labels), list(f.up)] for f in frames])
+    return hashlib.sha256(enc.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("spec,count,digest", CORPUS_HASHES,
                          ids=[spec.family for spec, _, _ in CORPUS_HASHES])
 def test_frame_corpora_are_pinned(spec, count, digest):
     frames = gen_frames(spec)
     assert len(frames) == count
-    enc = json.dumps([[f.name, list(f.labels), list(f.up)] for f in frames])
-    assert hashlib.sha256(enc.encode()).hexdigest() == digest
+    assert _digest(frames) == digest
+
+
+def test_all_posets_builds_only_kept_frames(monkeypatch):
+    # the 9 posets of at most 5 points with over ENUMERATION_CAP downsets
+    # are counted and dropped, never built as frames
+    built = []
+    real = generators.frame_from_leq
+
+    def counting(*args, **kwargs):
+        f = real(*args, **kwargs)
+        built.append(f.name)
+        return f
+
+    monkeypatch.setattr(generators, "frame_from_leq", counting)
+    spec, count, digest = CORPUS_HASHES[0]
+    frames = gen_frames(spec)
+    assert len(built) == count == 79
+    assert built == [f.name for f in frames]
+    assert _digest(frames) == digest
 
 
 def test_downset_frame_of_antichain():
@@ -74,6 +139,10 @@ def test_genspec_roundtrip():
                          ("boolean-algebra", 0)):
         with pytest.raises(ValueError):
             GenSpec(family, size)
+    # a count is bounded before anything is built
+    assert GenSpec("random-poset", 3, count=MAX_COUNT).count == MAX_COUNT
+    with pytest.raises(ValueError):
+        GenSpec("random-poset", 3, count=MAX_COUNT + 1)
     # the least exhaustive corpus is the one-element frame
     assert [f.n for f in gen_frames(GenSpec("all-posets-up-to", 0))] == [1]
 
