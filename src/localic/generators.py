@@ -14,7 +14,6 @@ import random
 from collections import namedtuple
 from typing import Iterator, Optional
 
-from .errors import LocalicError
 from .frame import (
     ENUMERATION_CAP, FiniteFrame, bits, boolean_frame,
     chain_frame, frame_from_leq, popcount,
@@ -31,7 +30,7 @@ FAMILIES = ("all-posets-up-to", "random-poset", "chain",
 
 # Squares and triangles are built only over frames of at most this size.
 DIAGRAM_FRAME_CAP = 8
-# Searched maps per frame pair: for a square's f, and for each triangle leg.
+# Maps drawn per frame pair: for a square's f, and for each triangle leg.
 SQUARE_MAPS_PER_PAIR = 4
 TRIANGLE_MAPS_PER_PAIR = 2
 # The suite corpus: contexts per frame, and where each diagram list stops.
@@ -59,6 +58,10 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
         if count > MAX_COUNT:
             raise ValueError(f"count must be at most {MAX_COUNT}, "
                              f"got {count}")
+        # only the random families draw a number of frames; a count
+        # elsewhere would change the report's genspec, not its corpus
+        if count and family not in ("random-poset", "finite-topology"):
+            raise ValueError(f"{family} takes no count, got {count}")
         # no random frame has under 2 elements, so gen_frames would loop;
         # a chain or Boolean corpus under cap 1 is empty and checks nothing
         least = {"random-poset": 2, "finite-topology": 2, "chain": 1,
@@ -246,48 +249,48 @@ def gen_dense_sublocales(frame: FiniteFrame) -> list[Sublocale]:
 
 
 # ---------------------------------------------------------------------------
-# Localic maps via backtracking over monotone meet-preserving tables
+# Localic maps as monotone maps of points
 # ---------------------------------------------------------------------------
 
 def gen_maps(src: FiniteFrame, tgt: FiniteFrame,
              limit: int = 0, seed: Optional[int] = None) -> list[LocalicMap]:
     """All localic maps src -> tgt, the first ``limit`` when it is nonzero.
 
-    Tables are grown along a linear extension of the source, pruning on
-    meet preservation; the meet of any two assigned elements is already
-    assigned, so partial tables are checked exactly.  A seed shuffles the
-    candidate order, trading exhaustiveness for variety under a limit.
+    Between finite frames a localic map is a monotone map of points, with
+    f(x) the meet of f(p) over the points p >= x (Picado & Pultr, ch. II).
+    Points are assigned along a linear extension of the source, each to a
+    target point above the images of the points below it, so every
+    complete assignment is a localic map.  A seed shuffles each point's
+    candidates, trading exhaustiveness for variety under a limit.
     """
-    n = src.n
-    order = sorted(range(n), key=lambda a: (popcount(src.down[a]), a))
+    pts = src.points_mask()
+    order = [p for p in sorted(range(src.n),
+                               key=lambda a: (popcount(src.down[a]), a))
+             if pts >> p & 1]
+    tgt_pts = list(bits(tgt.points_mask()))
     rng = random.Random(seed) if seed is not None else None
     results: list[LocalicMap] = []
-    table: list[Optional[int]] = [None] * n
+    image: list[int] = [tgt.top] * src.n    # f on the points assigned so far
 
     def rec(k: int) -> None:
         if limit and len(results) >= limit:
             return
-        if k == n:
-            try:
-                results.append(build_map(src, tgt, [v for v in table]))
-            except LocalicError:
-                pass
+        if k == len(order):
+            table = [tgt.meet_of(image[p] for p in bits(pts & src.up[x]))
+                     for x in range(src.n)]
+            results.append(build_map(src, tgt, table))
             return
-        a = order[k]
-        cands = [tgt.top] if a == src.top else list(range(tgt.n))
+        p = order[k]
+        above = (1 << tgt.n) - 1
+        for q in bits(pts & src.down[p] & ~(1 << p)):
+            above &= tgt.up[image[q]]
+        cands = list(tgt_pts)
         if rng is not None:
             rng.shuffle(cands)
         for v in cands:
-            ok = True
-            for j in range(k):
-                b = order[j]
-                if tgt.meet_table[v][table[b]] != table[src.meet_table[a][b]]:
-                    ok = False
-                    break
-            if ok:
-                table[a] = v
+            if above >> v & 1:
+                image[p] = v
                 rec(k + 1)
-                table[a] = None
 
     rec(0)
     if rng is None:
@@ -373,7 +376,7 @@ def _squares_over(f: LocalicMap, ss: list[Sublocale], ts: list[Sublocale]
 def gen_squares(frames: list[FiniteFrame], seed: int = 0
                 ) -> list[DenseSquare]:
     """The first SQUARE_BUDGET squares over pairs of frames of at most
-    DIAGRAM_FRAME_CAP elements, in list order, each pair with a few searched
+    DIAGRAM_FRAME_CAP elements, in list order, each pair with a few drawn
     maps (the identity first on a same-frame pair)."""
     small = [f for f in frames if f.n <= DIAGRAM_FRAME_CAP]
     dense = [gen_dense_sublocales(f) for f in small]

@@ -265,8 +265,8 @@ def test_criterion_7_suite_determinism(tmp_path):
     # the --jobs 1 report is pinned too, so a refactor that moves a verdict
     # or a count fails here
     digest = hashlib.sha256(a.read_bytes()).hexdigest()
-    pinned = digest == ("baddb1201fe7e734e6dd191b85394d83"
-                        "04df08ff4287309e57c07bfdd0b24675")
+    pinned = digest == ("975f1cf582c642db0468f1df1524f6f2"
+                        "bef4a62b3233ecd43780699e9973f3d7")
     _report("criterion-7 suite-determinism",
             rc1 == 0 and rc8 == 0 and same and pinned,
             f"exit codes {rc1}/{rc8}, byte-identical={same}, "

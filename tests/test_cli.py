@@ -354,6 +354,9 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     ["--family", "boolean-algebra", "--max-size", "0"],
     ["--family", "chain", "--max-size", "3", "--jobs", "-5"],
     ["--family", "all-posets-up-to", "--max-size", "7"],
+    ["--family", "chain", "--max-size", "3", "--count", "7"],
+    ["--family", "boolean-algebra", "--max-size", "4", "--count", "1"],
+    ["--family", "all-posets-up-to", "--max-size", "2", "--count", "3"],
 ])
 def test_suite_rejects_negative_sizes(flags, capsys):
     assert main(["suite", "--jobs", "1"] + flags) == 2
@@ -535,18 +538,18 @@ SIZE3_TALLIES = {
     "BLandL1": (18, 0), "BLandL4": (18, 0), "BLisremote": (18, 0),
     "Lislarge": (9, 0), "NDSremotefrom": (18, 0), "RsBL": (18, 0),
     "RsDense": (9, 0), "RsNd": (18, 0), "SRemLemma": (18, 0),
-    "SRemandSRemLS": (18, 0), "SisBL": (18, 0), "beta": (267, 133),
-    "beta1": (309, 91), "beta1star": (191, 209), "betastar": (178, 222),
-    "bvl": (240, 0), "for": (309, 91), "for1": (46, 354),
-    "for1star": (50, 350), "forstar": (191, 209),
-    "gammapreservationlemma": (400, 0), "gammaremotepreserving": (353, 47),
-    "gfremote": (177, 63), "obsfremote": (126, 114), "obsremotefrom": (9, 0),
+    "SRemandSRemLS": (18, 0), "SisBL": (18, 0), "beta": (274, 126),
+    "beta1": (307, 93), "beta1star": (197, 203), "betastar": (187, 213),
+    "bvl": (240, 0), "for": (307, 93), "for1": (39, 361),
+    "for1star": (43, 357), "forstar": (197, 203),
+    "gammapreservationlemma": (400, 0), "gammaremotepreserving": (358, 42),
+    "gfremote": (177, 63), "obsfremote": (120, 120), "obsremotefrom": (9, 0),
     "obsremotefromstar": (9, 0), "opendensefrom": (18, 0),
     "rareequality": (1, 17), "remS": (18, 0),
-    "remotepreservation": (353, 47), "remotesets": (18, 0),
+    "remotepreservation": (358, 42), "remotesets": (18, 0),
     "rempropBL": (9, 0), "rempropBLstar": (9, 0), "starbvl": (240, 0),
-    "stargammaremotepreserving": (353, 47), "starobsgfremote": (27, 213),
-    "sublocale": (18, 0), "tfg-1": (204, 36), "tfg-2": (184, 56),
+    "stargammaremotepreserving": (358, 42), "starobsgfremote": (29, 211),
+    "sublocale": (18, 0), "tfg-1": (198, 42), "tfg-2": (188, 52),
     "tfg-3": (18, 222),
 }
 
@@ -565,20 +568,19 @@ def test_suite_tallies_are_pinned():
 # Each report byte for byte, written by `localic suite --jobs 1 --out`.
 @pytest.mark.parametrize("spec, digest", [
     (GenSpec("all-posets-up-to", 3),
-     "1366972ef7839269a66a589cce598201f30d91edb9767b6b6054792a8dee287b"),
+     "8e2deb09adc790a152884159cd84f117e9186d80db4b39f598a590f224cbca66"),
     (GenSpec("all-posets-up-to", 4),
-     "baddb1201fe7e734e6dd191b85394d8304df08ff4287309e57c07bfdd0b24675"),
+     "975f1cf582c642db0468f1df1524f6f2bef4a62b3233ecd43780699e9973f3d7"),
     (GenSpec("all-posets-up-to", 5),
      "2f385d96873abcdb1bba17334a735acd10f86291a1a95c2b7673a81b9b869207"),
-    # its seeded map search hands build_map tables that it rejects
     (GenSpec("random-poset", 12, seed=7, count=200),
-     "710c7d8cc47aa156129c8c7fb8bbfca6fb905add9168b811af38d373920f9dba"),
+     "433a2e98a8a3c2ca78d05cad32a8e7e34825d8214e3fe6c92f43610e3f022873"),
     (GenSpec("finite-topology", 16, count=100),
-     "2efd8413f8a5ae274c0c6f68cd853f147e6bb4cf9556d5e80ead7af59736ebde"),
+     "a9a3aa181dd8e3cf775712fb622ecc82857cef59cc3959c2427c8fadc45c0913"),
     (GenSpec("chain", 16),
      "84fa852b68ee3109dae47dd0eef252debd641dce48bd60e01e9993b1efb3919e"),
     (GenSpec("boolean-algebra", 16),
-     "b7efeaf59e148e003f4d5a1b3cac3c54a012375048522fc24f086bbc1836bb99"),
+     "bd8522bce74b86309f1507802b67fc2357f54c424f895ce7a3659cc914509fb2"),
 ], ids=["all-posets-up-to-3", "all-posets-up-to-4", "all-posets-up-to-5",
         "random-poset-12-200-7", "finite-topology-16-100", "chain-16",
         "boolean-algebra-16"])

@@ -6,9 +6,11 @@ import pickle
 import pytest
 
 from localic import (
-    GenSpec, booleanization, chain_frame, enumerate_sublocales, whole_subl,
+    GenSpec, LocalicError, booleanization, build_map, chain_frame,
+    enumerate_sublocales, whole_subl,
 )
 from localic import generators
+from localic.frame import bits, popcount
 from localic.generators import (
     MAX_CONTEXTS_PER_FRAME, MAX_COUNT, all_posets, build_corpus,
     downset_frame, gen_dense_sublocales, gen_frames, gen_maps, gen_squares,
@@ -143,6 +145,11 @@ def test_genspec_roundtrip():
     assert GenSpec("random-poset", 3, count=MAX_COUNT).count == MAX_COUNT
     with pytest.raises(ValueError):
         GenSpec("random-poset", 3, count=MAX_COUNT + 1)
+    # only the random families take a count
+    for family in ("chain", "boolean-algebra", "all-posets-up-to"):
+        assert GenSpec(family, 3, count=0).count == 0
+        with pytest.raises(ValueError):
+            GenSpec(family, 3, count=1)
     # the least exhaustive corpus is the one-element frame
     assert [f.n for f in gen_frames(GenSpec("all-posets-up-to", 0))] == [1]
 
@@ -202,6 +209,67 @@ def test_gen_dense_sublocales(tier1_frames):
         assert all(kept[s.mask] is s for s in drawn)
 
 
+def _reference_maps(src, tgt):
+    """The element-table search: grow tables along a linear extension of
+    the source, prune on meet preservation, and keep the complete tables
+    that build_map accepts, sorted by table."""
+    n = src.n
+    order = sorted(range(n), key=lambda a: (popcount(src.down[a]), a))
+    results = []
+    table = [None] * n
+
+    def rec(k):
+        if k == n:
+            try:
+                results.append(build_map(src, tgt, table))
+            except LocalicError:
+                pass
+            return
+        a = order[k]
+        for v in [tgt.top] if a == src.top else range(tgt.n):
+            if all(tgt.meet_table[v][table[b]]
+                   == table[src.meet_table[a][b]] for b in order[:k]):
+                table[a] = v
+                rec(k + 1)
+                table[a] = None
+
+    rec(0)
+    return sorted(results, key=lambda m: m.table)
+
+
+def _monotone_point_maps(src, tgt) -> int:
+    """How many maps of points to points keep the order, by brute force."""
+    ps = list(bits(src.points_mask()))
+    return sum(all(tgt.leq(img[i], img[j]) for i, p in enumerate(ps)
+                   for j, q in enumerate(ps) if src.leq(p, q))
+               for img in itertools.product(bits(tgt.points_mask()),
+                                            repeat=len(ps)))
+
+
+def test_gen_maps_matches_table_search(monkeypatch):
+    # every pair of frames of posets with at most 3 points: the same
+    # tables in the same order as the element-table search, as many as
+    # the monotone point maps, and one build_map call per map emitted
+    frames = gen_frames(GenSpec("all-posets-up-to", 3))
+    calls = []
+    real = generators.build_map
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generators, "build_map", counting)
+    total = 0
+    for src in frames:
+        for tgt in frames:
+            got = [mp.table for mp in gen_maps(src, tgt)]
+            assert got == [mp.table for mp in _reference_maps(src, tgt)]
+            assert len(got) == _monotone_point_maps(src, tgt)
+            total += len(got)
+    assert len(frames) ** 2 == 81
+    assert total == len(calls) == 485
+
+
 def test_gen_maps_c2_c2():
     c2 = chain_frame(2)
     maps = gen_maps(c2, c2)
@@ -211,7 +279,6 @@ def test_gen_maps_c2_c2():
 
 def test_gen_maps_sound(c3, b2):
     # every emitted table revalidates through the public constructor
-    from localic import build_map
     for src, tgt in ((c3, b2), (b2, c3), (c3, c3)):
         for mp in gen_maps(src, tgt, limit=10):
             rebuilt = build_map(src, tgt, mp.table)

@@ -4,16 +4,22 @@ Every row breaks one method of a frame, a localic map, a square or a
 remoteness context and runs the suite on all posets up to 3 points.  The listed
 check ids are exactly the ones that then report a fail row, so each of
 those methods is one that some report check can catch, and a check that
-starts failing too shows.
+starts failing too shows.  A kill that the suite's budgeted squares miss
+is made on the whole square space of those frames instead.
 """
+
+from collections import Counter
 
 import pytest
 
 from localic import InvalidSquare, cli
 from localic.diagrams import DenseSquare
 from localic.frame import FiniteFrame
-from localic.generators import GenSpec
+from localic.generators import (
+    GenSpec, gen_dense_sublocales, gen_frames, gen_maps, square_from,
+)
 from localic.locmap import LocalicMap
+from localic.registry import checks_in_scope
 from localic.remoteness import RemoteContext
 from localic.result import FAIL
 from localic.sublocale import Sublocale, span, whole_subl
@@ -115,7 +121,7 @@ MUTATIONS = {
         LocalicMap, "is_skeletal", always_true, {"beta1", "for"}),
     "adjoint-always-skeletal": (
         LocalicMap, "adjoint_is_skeletal", always_true,
-        {"beta", "betastar", "for1", "for1star"}),
+        {"beta", "for1", "for1star"}),
     "image-always-surjective": (
         LocalicMap, "image_is_surjective", always_true, {"for1"}),
     "always-surjective": (
@@ -153,6 +159,43 @@ def test_mutation_fails_its_checks(name, monkeypatch):
     failed = {cid for cid, t in report["checks"].items() if t[FAIL]}
     assert failed == must_fail, (sorted(must_fail - failed),
                                  sorted(failed - must_fail))
+
+
+# Per row, the square checks that fail on the square space, with how many
+# squares each fails on.
+SQUARE_SPACE_KILLS = {
+    # posets3's squares make no betastar kill
+    "adjoint-always-skeletal": {"beta": 492, "betastar": 10, "for1": 50,
+                                "for1star": 50},
+}
+
+
+def _square_space() -> list[DenseSquare]:
+    """Every square over the frames of posets with at most 3 points: each
+    localic map f : L -> M with each pair of dense S of L and T of M."""
+    frames = gen_frames(SPEC)
+    dense = [gen_dense_sublocales(f) for f in frames]
+    out = []
+    for l, ss in zip(frames, dense):
+        for m, ts in zip(frames, dense):
+            for f in gen_maps(l, m):
+                out += filter(None, (square_from(f, s, t)
+                                     for s in ss for t in ts))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_SPACE_KILLS))
+def test_mutation_fails_on_the_square_space(name, monkeypatch):
+    def failures():
+        squares = _square_space()    # fresh, so no verdict part is kept
+        assert len(squares) == 1559
+        return Counter(c.id for c in checks_in_scope("square")
+                       for sq in squares if c.runner(sq).verdict == FAIL)
+
+    assert not failures()
+    cls, attr, mutant, _ = MUTATIONS[name]
+    monkeypatch.setattr(cls, attr, mutant)
+    assert failures() == SQUARE_SPACE_KILLS[name]
 
 
 def test_image_that_is_no_sublocale_stops_the_corpus(monkeypatch):

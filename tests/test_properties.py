@@ -107,3 +107,13 @@ def test_generated_maps_are_adjoint_pairs(src, tgt, seed):
         for x in range(src.n):
             for y in range(tgt.n):
                 assert src.leq(mp.adjoint(y), x) == tgt.leq(y, mp(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames, frames, st.integers(0, 10_000), st.integers(0, 40))
+def test_seeded_draw_is_distinct_maps_from_the_listing(src, tgt, seed, limit):
+    every = {mp.table for mp in gen_maps(src, tgt)}
+    drawn = [mp.table for mp in gen_maps(src, tgt, limit=limit, seed=seed)]
+    assert len(set(drawn)) == len(drawn) \
+        == (min(limit, len(every)) if limit else len(every))
+    assert set(drawn) <= every
