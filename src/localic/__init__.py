@@ -12,8 +12,8 @@ from .frame import (
 from .sublocale import (
     Sublocale, booleanization, closed_subl, enumerate_sublocales,
     is_dense_in_itself, is_nowhere_dense, is_rare, is_sublocale, nd_join,
-    nucleus_map, open_subl, subl_join, subl_meet, supplement, void_subl,
-    whole_subl,
+    nucleus_map, open_subl, subl_join, subl_meet, sublocales_below,
+    supplement, void_subl, whole_subl,
 )
 from .remoteness import (
     RemoteContext, bl_context, dense_context, whole_context,

@@ -33,7 +33,8 @@ DIAGRAM_FRAME_CAP = 8
 # Maps drawn per frame pair: for a square's f, and for each triangle leg.
 SQUARE_MAPS_PER_PAIR = 4
 TRIANGLE_MAPS_PER_PAIR = 2
-# The suite corpus: contexts per frame, and where each diagram list stops.
+# The suite corpus: the most dense sublocales of a frame that all become
+# contexts (build_corpus), and where each diagram list stops.
 MAX_CONTEXTS_PER_FRAME = 16
 SQUARE_BUDGET = 400
 CHAIN_BUDGET = 240
@@ -226,14 +227,6 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
         if f is not None:
             out.append(f)
     return out
-
-
-def sample_evenly(items: list, cap: int) -> list:
-    """Deterministic evenly-spaced sample when a list exceeds the cap."""
-    if len(items) <= cap:
-        return items
-    step = len(items) / cap
-    return [items[int(i * step)] for i in range(cap)]
 
 
 def _free_points(frame: FiniteFrame) -> int:
@@ -451,13 +444,17 @@ def gen_triangles(frames: list[FiniteFrame], seed: int = 0
 def build_corpus(spec: GenSpec) -> dict[str, list]:
     """All suite instances for a spec, keyed by check scope."""
     frames = gen_frames(spec)
+    rng = random.Random(spec.seed)
     contexts = []
     for f in frames:
-        # evenly spaced sets Q of free points (Q = 0 gives BL), and L
-        every = range(1 << _free_points(f))
-        qs = {*sample_evenly(every, MAX_CONTEXTS_PER_FRAME), every[-1]}
-        contexts += [dense_context(f, s)
-                     for s in dense_sublocales(f, sorted(qs))]
+        # every set Q of free points, or when there are too many, Q = 0
+        # (BL), Q = all of them (L) and distinct others drawn by the seed
+        full = (1 << _free_points(f)) - 1
+        qs = range(full + 1)
+        if len(qs) > MAX_CONTEXTS_PER_FRAME:
+            drawn = rng.sample(range(1, full), MAX_CONTEXTS_PER_FRAME - 1)
+            qs = [0, *sorted(drawn), full]
+        contexts += [dense_context(f, s) for s in dense_sublocales(f, qs)]
     squares = gen_squares(frames, seed=spec.seed)
     return {"frame": frames, "context": contexts, "square": squares,
             "chain": gen_chains(squares),

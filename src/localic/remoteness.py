@@ -43,7 +43,8 @@ from .frame import FiniteFrame, _mask_of, bits
 from .sublocale import (
     Sublocale, booleanization, closed_subl, enumerate_sublocales,
     is_dense_in_itself, is_rare, nd_join, nucleus_map, open_subl,
-    point_sublocales, span, supplement, void_subl, whole_subl,
+    point_sublocales, span, sublocales_below, supplement, void_subl,
+    whole_subl,
 )
 from .errors import InvalidSublocale, MixedFrames
 
@@ -158,8 +159,9 @@ class RemoteContext:
         return t.mask & self.miss_points(oracle) == 0
 
     def remote_set(self, oracle: bool = False) -> list[Sublocale]:
-        return [t for t in enumerate_sublocales(self.frame)
-                if self.is_remote_from(t, oracle=oracle)]
+        """Every T remote from S and inside W, ordered by mask: the
+        sublocales below Rs (see :meth:`rs`)."""
+        return sublocales_below(self.rs(oracle))
 
     def rmt_elements(self, oracle: bool = False) -> frozenset[int]:
         """{a : c(a) is remote from S and c(a) <= W}, kept per route."""

@@ -9,9 +9,10 @@ A finite frame is spatial and T_D, so S(L) is the powerset of its points
 The coframe operations are point-set arithmetic on that model; the
 subset filter :func:`enumerate_sublocales_oracle` and the induced-frame
 computations are the independent oracles.  Every sublocale is a join of
-the one-point sublocales {p, 1}, :func:`point_sublocales`, and the dense
-ones are the spans of the points of BL and a set of the others,
-:func:`dense_sublocales`.
+the one-point sublocales {p, 1}, :func:`point_sublocales`; the
+sublocales below S are the spans of the sets of S's points,
+:func:`sublocales_below`; and the dense ones are the spans of the points
+of BL and a set of the others, :func:`dense_sublocales`.
 
 An element a lies in span(Q) iff every minimal point above a is in Q
 (Davey & Priestley, ch. 5).  Proof: points are meet-prime, so the points
@@ -236,27 +237,37 @@ def join_is_whole(frame: FiniteFrame, mask_a: int, mask_b: int) -> bool:
     return True
 
 
+def sublocales_below(s: Sublocale) -> list[Sublocale]:
+    """Every sublocale T <= S, ordered by mask (deterministic).
+
+    S(L) is the powerset of the points, so these are the spans of the
+    sets of S's points, grown a point at a time.  Requires the
+    enumeration cap.
+    """
+    frame = s.frame
+    frame.require_enumerable()
+    qs = [0]
+    for p in bits(s.mask & frame.points_mask()):
+        qs += [q | 1 << p for q in qs]
+    return [Sublocale(frame, m) for m in sorted(span(frame, q) for q in qs)]
+
+
 def enumerate_sublocales(frame: FiniteFrame) -> list[Sublocale]:
     """All sublocales of the frame, ordered by mask (deterministic).
 
-    One span per set of points, grown a point at a time:
-    span(Q + p) = span(Q) | {p /\\ x : x in span(Q)}.  Each span passes
+    The sublocales below the whole frame.  Each passes
     :func:`is_sublocale` before the list is cached on the frame.  Requires
     the enumeration cap; :func:`enumerate_sublocales_oracle` is the
     independent oracle.
     """
     if frame._sublocales is None:
-        frame.require_enumerable()
-        spans = [1 << frame.top]
-        for p in bits(frame.points_mask()):
-            row = frame.meet_table[p]
-            spans += [m | _mask_of(row[x] for x in bits(m)) for m in spans]
-        for m in spans:
-            if not is_sublocale(frame, m):
+        subs = sublocales_below(whole_subl(frame))
+        for t in subs:
+            if not is_sublocale(frame, t.mask):
                 raise InvalidSublocale(
-                    f"span {sorted(bits(m))} is not a sublocale of {frame!r}")
-        spans.sort()
-        frame._sublocales = [Sublocale(frame, m) for m in spans]
+                    f"span {sorted(t.members())} is not a sublocale of "
+                    f"{frame!r}")
+        frame._sublocales = subs
     return list(frame._sublocales)
 
 

@@ -1,13 +1,47 @@
 import pytest
 
 from localic import GenSpec, chain_frame, boolean_frame
-from localic.generators import gen_frames
+from localic.generators import (
+    gen_dense_sublocales, gen_frames, gen_maps, square_from,
+)
+from localic.sublocale import enumerate_sublocales_oracle
+
+
+def remote_scan(ctx, oracle=False):
+    """The remote set of a context by scanning S(L): every sublocale the
+    subset filter finds that ``ctx.is_remote_from`` accepts, by mask.
+
+    The reference for ``RemoteContext.remote_set``, which spans the sets
+    of points of Rs instead; a fake context that overrides
+    ``is_remote_from`` is scanned by its own predicate.
+    """
+    return [t for t in enumerate_sublocales_oracle(ctx.frame)
+            if ctx.is_remote_from(t, oracle)]
 
 
 @pytest.fixture(scope="session")
 def tier1_frames():
     """Downset frames of all posets with at most 4 points."""
     return gen_frames(GenSpec("all-posets-up-to", 4))
+
+
+@pytest.fixture(scope="session")
+def square_space():
+    """A builder of every square over the frames of posets with at most 3
+    points: each localic map f : L -> M with each pair of dense S of L and
+    T of M (1,559 squares).  Each call builds fresh frames and squares, so
+    no value kept on an instance by one call answers for the next."""
+    def build():
+        frames = gen_frames(GenSpec("all-posets-up-to", 3))
+        dense = [gen_dense_sublocales(f) for f in frames]
+        out = []
+        for l, ss in zip(frames, dense):
+            for m, ts in zip(frames, dense):
+                for f in gen_maps(l, m):
+                    out += filter(None, (square_from(f, s, t)
+                                         for s in ss for t in ts))
+        return out
+    return build
 
 
 @pytest.fixture(scope="session")

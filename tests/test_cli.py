@@ -214,6 +214,12 @@ def test_query_sublocale_count(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == 4
 
 
+def _chain_doc(n):
+    labels = [str(i) for i in range(n)]
+    return {"type": "frame", "name": f"C{n}", "elements": labels,
+            "order": [[a, b] for a, b in zip(labels, labels[1:])]}
+
+
 def test_sublocale_count_is_the_powerset_of_points(tier1_frames, tmp_path,
                                                    capsys):
     # S(L) is the powerset of the points: the count agrees with the
@@ -221,10 +227,7 @@ def test_sublocale_count_is_the_powerset_of_points(tier1_frames, tmp_path,
     for frame in tier1_frames:
         assert cli.answer_query(frame, ["sublocale-count"]) \
             == len(enumerate_sublocales(frame))
-    labels = [str(i) for i in range(20)]
-    path = _write(tmp_path, "c20.json", {
-        "type": "frame", "name": "C20", "elements": labels,
-        "order": [[a, b] for a, b in zip(labels, labels[1:])]})
+    path = _write(tmp_path, "c20.json", _chain_doc(20))
     assert main(["query", path, "sublocale-count"]) == 0
     assert json.loads(capsys.readouterr().out) == 2 ** 19
 
@@ -323,6 +326,68 @@ def test_query_rejects_stray_words(tmp_path, capsys, words):
     assert main(["query", path] + words) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and _one_line(captured.err)
+
+
+def test_query_nd(tmp_path, capsys):
+    # Nd(L) of C3 spans its one dense point, m
+    path = _write(tmp_path, "c3.json", C3_DOC)
+    assert main(["query", path, "nd", "S=L"]) == 0
+    assert json.loads(capsys.readouterr().out) == ["1", "m"]
+
+
+@pytest.mark.parametrize("doc, words, message", [
+    (C3_DOC, ["nd", "S={m,1}"], "Nd(S) is defined for dense S"),
+    (C3_DOC, ["remote-set", "S={m,1}"],
+     "remoteness contexts need a dense sublocale"),
+    (_chain_doc(17), ["remote-set"],
+     "frame C17 has 17 elements; sublocale enumeration is capped at 16"),
+], ids=["nd-non-dense", "remote-set-non-dense", "remote-set-c17"])
+def test_query_refusals(doc, words, message, tmp_path, capsys):
+    path = _write(tmp_path, "frame.json", doc)
+    assert main(["query", path] + words) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_remote_set_answers_up_to_the_cap(tmp_path, capsys):
+    # C16's remote set from L is O and BL, found without listing S(L)
+    path = _write(tmp_path, "c16.json", _chain_doc(16))
+    assert main(["query", path, "remote-set"]) == 0
+    assert json.loads(capsys.readouterr().out) == [["0", "15"], ["15"]]
+
+
+# C3's maps: the identity, and the map sending both points to m
+C3_MAPS = {"id": SQUARE_DOC["maps"]["f"],
+           "collapse": dict(SQUARE_DOC["maps"]["f"],
+                            table={"0": "m", "m": "m", "1": "1"})}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(C3_DOC, order=[["0", "x"]]), "order references unknown element"),
+    (dict(SQUARE_DOC, frames=[C3_DOC, C3_DOC]), "duplicate frame name 'C3'"),
+    (dict(SQUARE_DOC, square=dict(SQUARE_DOC["square"], alpha="f")),
+     "alpha must run from the top-left frame down"),
+    (dict(SQUARE_DOC, frames=[C3_DOC], maps=C3_MAPS, square={
+        "g": "id", "f": "id", "alpha": "collapse", "omega": "id"}),
+     "alpha is not injective"),
+    (dict(SQUARE_DOC, frames=[C3_DOC], maps=C3_MAPS, square={
+        "g": "id", "f": "collapse", "alpha": "id", "omega": "id"}),
+     "square does not commute at element 0"),
+], ids=["unknown-element", "duplicate-frame", "alpha-wrong-way",
+        "vertical-not-injective", "not-commuting"])
+def test_validate_refusals(doc, message, tmp_path, capsys):
+    assert main(["validate", _write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err) and message in err, err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["query"]])
+def test_unreadable_path(command, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    words = ["booleanization"] if command == ["query"] else []
+    assert main(command + [missing] + words) == 2
+    err = capsys.readouterr().err
+    assert _one_line(err) and f"cannot read {missing}" in err
 
 
 def test_parser_reuse_leaks_nothing(tmp_path, capsys):

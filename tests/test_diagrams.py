@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from localic import (
@@ -18,6 +20,8 @@ from localic.generators import (
 from localic.registry import _runner
 from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
 
+from conftest import remote_scan
+
 
 @pytest.fixture(scope="module")
 def small_frames():
@@ -27,6 +31,34 @@ def small_frames():
 @pytest.fixture(scope="module")
 def squares(small_frames):
     return gen_squares(small_frames)[:60]
+
+
+# (pass, hypotheses-not-met, fail) of each square check on the 1,559
+# squares over the frames of posets with at most 3 points
+SQUARE_SPACE_TALLIES = {
+    "beta": (797, 762, 0), "beta1": (1206, 353, 0),
+    "beta1star": (628, 931, 0), "betastar": (490, 1069, 0),
+    "for": (1206, 353, 0), "for1": (85, 1474, 0), "for1star": (104, 1455, 0),
+    "forstar": (628, 931, 0), "gammapreservationlemma": (1559, 0, 0),
+    "gammaremotepreserving": (1289, 270, 0),
+    "remotepreservation": (1289, 270, 0),
+    "stargammaremotepreserving": (1289, 270, 0),
+}
+
+
+def test_square_space_tallies_are_pinned(square_space):
+    squares = square_space()
+    tally = Counter((c.id, c.runner(sq).verdict)
+                    for c in checks_in_scope("square") for sq in squares)
+    assert {cid: (tally[cid, PASS], tally[cid, HYPOTHESES_NOT_MET],
+                  tally[cid, FAIL])
+            for cid in SQUARE_CHECKS} == SQUARE_SPACE_TALLIES
+    # where the adjoints commute, f-remote and f-*remote preservation
+    # each hold on some squares and fail on others
+    commuting = [sq for sq in squares if sq.adjoints_commute()]
+    assert {is_f_remote_preserving(sq) for sq in commuting} == {True, False}
+    assert {is_f_star_remote_preserving(sq)
+            for sq in commuting} == {True, False}
 
 
 def test_identity_square_passes_everything(c3):
@@ -222,6 +254,19 @@ def test_triangle_rejects_mismatched_middle(c3):
         Triangle(sq1, sq2)
 
 
+def test_triangle_rejects_disagreeing_middle_vertical(c3, c4):
+    # the squares share the middle column's frames, C3 over C4, but the
+    # first's omega and the second's alpha are two embeddings
+    e1, e2 = build_map(c3, c4, [0, 1, 3]), build_map(c3, c4, [0, 2, 3])
+    id3, id4 = identity_map(c3), identity_map(c4)
+    sq1 = DenseSquare(id3, e1, id3, e1)
+    sq2 = DenseSquare(id3, id4, e2, e2)
+    with pytest.raises(InvalidSquare, match="disagree on the middle"):
+        Triangle(sq1, sq2)
+    # one embedding on both sides is accepted
+    assert Triangle(sq1, DenseSquare(id3, id4, e1, e1)).sq3.f.table == e1.table
+
+
 def test_triangle_composite(c3):
     sq = identity_square(c3, booleanization(c3))
     tri = Triangle(sq, sq)
@@ -256,7 +301,7 @@ def test_check_id_sets():
 # checks, which try only O and the one-point sublocales, must agree.
 
 def _scan_image_witness(f, src, dst):
-    for a in src.remote_set():
+    for a in remote_scan(src):
         if not dst.is_remote_from(f.image_subl(a)):
             return f"A={sorted(a.labels())}"
     return None
@@ -276,7 +321,7 @@ def _scan_beta1(sq, ctx_l, ctx_m):
 
 
 def _scan_for(sq, ctx_l, ctx_m):
-    for a in ctx_m.remote_set():
+    for a in remote_scan(ctx_m):
         if not ctx_l.is_remote_from(sq.f.preimage_subl(a)):
             return f"A={sorted(a.labels())}"
     rmt_l = ctx_l.rmt_elements()
@@ -301,7 +346,7 @@ def _scan_gamma_preservation_lemma(sq):
         if s_ctx.is_remote_from(a) \
                 != ctx_l.is_remote_from(sq.alpha.image_subl(a)):
             return f"A={sorted(a.labels())} (part 1)"
-    for a in ctx_l.remote_set():
+    for a in remote_scan(ctx_l):
         if not s_ctx.is_remote_from(sq.alpha.preimage_subl(a)):
             return f"A={sorted(a.labels())} (part 2)"
     return None
@@ -309,7 +354,7 @@ def _scan_gamma_preservation_lemma(sq):
 
 def _scan_middle_remote_in_first_image(tri):
     bound = tri.sq1.f.image_subl(booleanization(tri.sq1.l_frame))
-    return all(a <= bound for a in tri.sq2.ctx_l().remote_set())
+    return all(a <= bound for a in remote_scan(tri.sq2.ctx_l()))
 
 
 # every other diagram check reaches a scan through _image_witness

@@ -14,7 +14,7 @@ from localic.frame import bits, popcount
 from localic.generators import (
     MAX_CONTEXTS_PER_FRAME, MAX_COUNT, all_posets, build_corpus,
     downset_frame, gen_dense_sublocales, gen_frames, gen_maps, gen_squares,
-    inclusion_map, sample_evenly,
+    inclusion_map,
 )
 
 
@@ -197,16 +197,28 @@ def test_gen_dense_sublocales(tier1_frames):
         assert dense[0] == booleanization(f) and dense[-1] == whole_subl(f)
         # one object per S, so all built over S share its induced frame
         assert all(a is b for a, b in zip(dense, gen_dense_sublocales(f)))
-    # on C1 to C16 the corpus draws the contexts that it drew when it
-    # sampled the filtered enumeration
-    for f in chains:
-        dense = [s for s in enumerate_sublocales(f) if s.is_dense()]
-        keep = {s.mask for s in sample_evenly(dense, MAX_CONTEXTS_PER_FRAME)}
-        keep |= {whole_subl(f).mask, booleanization(f).mask}
-        drawn = [c.s for c in corpus["context"] if c.frame is f]
-        assert [s.mask for s in drawn] == sorted(keep), f.name
-        kept = {s.mask: s for s in gen_dense_sublocales(f)}
-        assert all(kept[s.mask] is s for s in drawn)
+    # C1 to C6 keep every dense S; C7 to C16 have more than the cap and
+    # keep BL, L and distinct others, drawn by the seed
+    drawn = {}
+    for seed in (0, 1):
+        if seed:    # seed 0's corpus is the one built above
+            corpus = build_corpus(GenSpec("chain", 16, seed=seed))
+        assert len(corpus["context"]) == 202
+        for f in corpus["frame"]:
+            dense = gen_dense_sublocales(f)
+            got = [c.s for c in corpus["context"] if c.frame is f]
+            kept = {s.mask: s for s in dense}
+            assert all(kept[s.mask] is s for s in got)
+            if len(dense) <= MAX_CONTEXTS_PER_FRAME:
+                assert got == dense, f.name
+                continue
+            masks = [s.mask for s in got]
+            assert len(got) == MAX_CONTEXTS_PER_FRAME + 1, f.name
+            assert masks == sorted(set(masks)), f.name
+            assert got[0] == booleanization(f) and got[-1] == whole_subl(f)
+        drawn[seed] = [c.s.mask for c in corpus["context"]
+                       if c.frame.n == 16]
+    assert drawn[0] != drawn[1] and len(drawn[0]) == len(drawn[1])
 
 
 def _reference_maps(src, tgt):

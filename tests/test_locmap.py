@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from localic import (
-    AdjointNotFrameHom, LocalicError, NotMeetPreserving, Sublocale,
+    AdjointNotFrameHom, LocalicError, MixedFrames, NotMeetPreserving,
+    Sublocale,
     booleanization, build_map, chain_frame, closed_subl, compose,
     enumerate_sublocales, identity_map, is_sublocale, open_subl, void_subl,
     whole_subl,
@@ -52,6 +53,26 @@ def test_build_map_rejects_non_meet_preserving(c3):
         build_map(c3, c2, [0, 1, 0])     # does not send top to top
     with pytest.raises(NotMeetPreserving):
         build_map(c3, c2, [1, 0, 1])
+
+
+def test_build_map_rejects_a_table_of_the_wrong_length(c3):
+    c2 = chain_frame(2)
+    for table in ([0, 1], [0, 0, 0, 1]):
+        with pytest.raises(NotMeetPreserving, match="wrong length"):
+            build_map(c3, c2, table)
+
+
+def test_maps_refuse_sublocales_and_maps_of_other_frames(c3, c4):
+    f = build_map(c3, c4, [0, 1, 3])
+    with pytest.raises(MixedFrames):
+        f.image_subl(whole_subl(c4))
+    with pytest.raises(MixedFrames):
+        f.preimage_subl(whole_subl(c3))
+    with pytest.raises(MixedFrames):
+        compose(f, f)
+    # a frame equal to the source, but another object, is another frame
+    with pytest.raises(MixedFrames):
+        f.image_subl(whole_subl(chain_frame(3)))
 
 
 def test_constant_top_rejected_on_c2():

@@ -12,12 +12,10 @@ from collections import Counter
 
 import pytest
 
-from localic import InvalidSquare, cli
+from localic import REGISTRY, InvalidSquare, cli
 from localic.diagrams import DenseSquare
 from localic.frame import FiniteFrame
-from localic.generators import (
-    GenSpec, gen_dense_sublocales, gen_frames, gen_maps, square_from,
-)
+from localic.generators import GenSpec
 from localic.locmap import LocalicMap
 from localic.registry import checks_in_scope
 from localic.remoteness import RemoteContext
@@ -30,6 +28,8 @@ PREIMAGE = LocalicMap.preimage_subl
 CONTEXT_INIT = RemoteContext.__init__
 ORACLE = RemoteContext.pred_nwd_oracle
 RMT = RemoteContext.rmt_elements
+RS = RemoteContext.rs
+SKELETAL = LocalicMap.is_skeletal
 
 
 def image_is_whole(f, a):
@@ -41,10 +41,18 @@ def preimage_drops_lowest_point(f, b):
     return Sublocale(f.source, span(f.source, pts & (pts - 1)))
 
 
+def preimage_is_whole(f, b):
+    return whole_subl(f.source)
+
+
 def image_drops_lowest_point(f, a):
     img = IMAGE(f, a)
     pts = img.mask & f.target.points_mask()
     return Sublocale(f.target, img.mask & ~(pts & -pts))
+
+
+def skeletal_negated(f):
+    return not SKELETAL(f)
 
 
 def always_true(self):
@@ -102,6 +110,11 @@ def rmt_ignores_w(self, oracle=False):
             if all(f.join_table[a][x] == f.top for x in self.s_dense)}
 
 
+def rs_drops_lowest_point(self, oracle=False):
+    pts = RS(self, oracle).mask & self.frame.points_mask()
+    return Sublocale(self.frame, span(self.frame, pts & (pts - 1)))
+
+
 def star_is_plain(self):
     return self
 
@@ -111,6 +124,9 @@ MUTATIONS = {
         LocalicMap, "image_subl", image_is_whole,
         {"beta", "beta1", "bvl", "for", "gammapreservationlemma",
          "remotepreservation"}),
+    "preimage-is-whole": (
+        LocalicMap, "preimage_subl", preimage_is_whole,
+        {"for", "forstar", "gammapreservationlemma"}),
     "preimage-drops-lowest-point": (
         LocalicMap, "preimage_subl", preimage_drops_lowest_point, {"for1"}),
     "adjoints-always-commute": (
@@ -119,6 +135,8 @@ MUTATIONS = {
          "remotepreservation"}),
     "always-skeletal": (
         LocalicMap, "is_skeletal", always_true, {"beta1", "for"}),
+    "skeletal-negated": (
+        LocalicMap, "is_skeletal", skeletal_negated, {"beta1", "for"}),
     "adjoint-always-skeletal": (
         LocalicMap, "adjoint_is_skeletal", always_true,
         {"beta", "for1", "for1star"}),
@@ -145,6 +163,10 @@ MUTATIONS = {
         {"RsDense", "remotesets", "rempropBLstar", "sublocale"}),
     "rmt-ignores-w": (
         RemoteContext, "rmt_elements", rmt_ignores_w, {"sublocale"}),
+    "rs-drops-lowest-point": (
+        RemoteContext, "rs", rs_drops_lowest_point,
+        {"Lislarge", "RsBL", "RsDense", "RsNd", "gammaremotepreserving",
+         "stargammaremotepreserving", "tfg-3"}),
     "star-is-plain": (
         RemoteContext, "star", star_is_plain,
         {"obsremotefromstar", "rempropBLstar"}),
@@ -167,27 +189,16 @@ SQUARE_SPACE_KILLS = {
     # posets3's squares make no betastar kill
     "adjoint-always-skeletal": {"beta": 492, "betastar": 10, "for1": 50,
                                 "for1star": 50},
+    # nor a beta1star or forstar kill
+    "skeletal-negated": {"beta1": 353, "beta1star": 11, "for": 353,
+                         "forstar": 11},
 }
 
 
-def _square_space() -> list[DenseSquare]:
-    """Every square over the frames of posets with at most 3 points: each
-    localic map f : L -> M with each pair of dense S of L and T of M."""
-    frames = gen_frames(SPEC)
-    dense = [gen_dense_sublocales(f) for f in frames]
-    out = []
-    for l, ss in zip(frames, dense):
-        for m, ts in zip(frames, dense):
-            for f in gen_maps(l, m):
-                out += filter(None, (square_from(f, s, t)
-                                     for s in ss for t in ts))
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(SQUARE_SPACE_KILLS))
-def test_mutation_fails_on_the_square_space(name, monkeypatch):
+def test_mutation_fails_on_the_square_space(name, monkeypatch, square_space):
     def failures():
-        squares = _square_space()    # fresh, so no verdict part is kept
+        squares = square_space()    # fresh, so no verdict part is kept
         assert len(squares) == 1559
         return Counter(c.id for c in checks_in_scope("square")
                        for sq in squares if c.runner(sq).verdict == FAIL)
@@ -196,6 +207,18 @@ def test_mutation_fails_on_the_square_space(name, monkeypatch):
     cls, attr, mutant, _ = MUTATIONS[name]
     monkeypatch.setattr(cls, attr, mutant)
     assert failures() == SQUARE_SPACE_KILLS[name]
+
+
+# The ids that no row makes fail; BLandL4 holds by construction.
+UNKILLED = {"BLandL1", "BLandL4", "SRemLemma", "SRemandSRemLS", "gfremote",
+            "rareequality", "starbvl", "starobsgfremote", "tfg-1", "tfg-2"}
+
+
+def test_rows_kill_all_but_the_listed_ids():
+    killed = set().union(*(row[3] for row in MUTATIONS.values()),
+                         *SQUARE_SPACE_KILLS.values())
+    assert set(REGISTRY) - killed == UNKILLED
+    assert len(killed) == 30
 
 
 def test_image_that_is_no_sublocale_stops_the_corpus(monkeypatch):

@@ -9,6 +9,8 @@ from localic import (
 )
 from localic.generators import gen_frames, gen_maps
 
+from conftest import remote_scan
+
 FRAME_POOL = gen_frames(GenSpec("random-poset", 10, seed=42, count=12)) \
     + gen_frames(GenSpec("all-posets-up-to", 3))
 
@@ -93,7 +95,7 @@ def test_booleanization_below_dense(data):
 @given(frames, st.integers(0, 10_000))
 def test_remote_set_downward_closed_under_remoteness(f, salt):
     ctx = RemoteContext(f, whole_subl(f))
-    rem = ctx.remote_set()
+    rem = remote_scan(ctx)
     pick = rem[salt % len(rem)]
     for t in enumerate_sublocales(f):
         if t <= pick:

@@ -7,14 +7,18 @@ from localic import (
     supplement, void_subl, whole_context, whole_subl,
 )
 from localic.frame import FiniteFrame, popcount
-from localic.generators import build_corpus, gen_frames
+from localic.generators import (
+    all_posets, build_corpus, downset_frame, gen_dense_sublocales, gen_frames,
+)
 from localic.remoteness import (
     CONTEXT_CHECKS, FRAME_CHECKS, check_downward_closure,
-    check_rem_s_intersection,
+    check_opendensefrom, check_rem_s_intersection,
 )
 from localic.result import FAIL, PASS
 from localic import sublocale
 from localic.sublocale import s_nowhere_dense_sublocales
+
+from conftest import remote_scan
 
 
 def all_contexts(frame):
@@ -75,9 +79,9 @@ def test_fast_and_oracle_agree(tier1_frames):
             for c in (ctx, star):
                 assert c.rs() == c.rs(oracle=True), ctx.subject()
                 assert c.rmt_elements() == c.rmt_elements(oracle=True)
-            # Rs is a span on both routes; the joins of the remote sets
-            # are its references
-            rs = subl_join([void_subl(f)] + ctx.remote_set(oracle=True))
+            # Rs is a span on both routes; the joins of the scanned remote
+            # sets are its references
+            rs = subl_join([void_subl(f)] + remote_scan(ctx, oracle=True))
             assert ctx.rs(oracle=True) == rs, ctx.subject()
             star_rs = subl_join([void_subl(f)] + [
                 t for t in enumerate_sublocales(f)
@@ -92,7 +96,7 @@ def test_family_inclusion_is_mask_inclusion(tier1_frames):
         ctxs = [whole_context(f)] + [c for ctx in all_contexts(f)
                                      for c in (ctx, ctx.star())]
         for oracle in (False, True):
-            fams = [{t.mask for t in c.remote_set(oracle)} for c in ctxs]
+            fams = [{t.mask for t in remote_scan(c, oracle)} for c in ctxs]
             masks = [c.miss_points(oracle) for c in ctxs]
             for a, fam_a, m_a in zip(ctxs, fams, masks):
                 for b, fam_b, m_b in zip(ctxs, fams, masks):
@@ -126,6 +130,26 @@ def test_mask_checks_scan_no_sublocales(monkeypatch, tier1_frames):
             assert check.runner(inst).verdict != FAIL, (cid, inst.subject())
 
 
+def test_remote_set_spans_points_of_rs(monkeypatch, tier1_frames):
+    # remote_set lists the sublocales below Rs by their point sets, so it
+    # equals the scan with the enumeration and the subset filter refused
+    contexts = [c for f in tier1_frames for ctx in all_contexts(f)
+                for c in (ctx, ctx.star())]
+    scans = [[[t.mask for t in remote_scan(c, oracle)]
+              for oracle in (False, True)] for c in contexts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned S(L)")
+
+    monkeypatch.setattr(sublocale, "enumerate_sublocales", refuse)
+    monkeypatch.setattr(sublocale, "is_sublocale", refuse)
+    monkeypatch.setattr(remoteness, "enumerate_sublocales", refuse)
+    for c, scan in zip(contexts, scans):
+        got = [[t.mask for t in c.remote_set(oracle)]
+               for oracle in (False, True)]
+        assert got == scan, (c.subject(), c.within)
+
+
 def test_four_predicates_agree(tier1_frames):
     for f in tier1_frames:
         for ctx in all_contexts(f):
@@ -155,6 +179,26 @@ def test_point_space_oracle_matches_induced_frame_enumeration():
                         (c.subject(), c.within, t)
 
 
+def test_routes_agree_above_the_enumeration_cap():
+    # every dense S of the 140 six-point posets' frames with 17 to 64
+    # elements, which the suite's families leave out: the two routes give
+    # one miss mask, and the four predicates agree on O and on every
+    # one-point sublocale, so on every sublocale
+    frames = [f for f in (downset_frame(6, rel) for rel in all_posets(6))
+              if f.n > 16]
+    assert len(frames) == 140 and max(f.n for f in frames) == 64
+    seen = 0
+    for f in frames:
+        for s in gen_dense_sublocales(f):
+            ctx = RemoteContext(f, s)
+            for c in (ctx, ctx.star()):
+                assert c.miss_points() == c.miss_points(oracle=True), \
+                    (c.subject(), c.within)
+                assert check_opendensefrom(c) is None, (c.subject(), c.within)
+                seen += 1
+    assert seen == 3102
+
+
 class _OnePointContext(RemoteContext):
     """'Remote' means exactly one point: not closed under going down."""
 
@@ -176,7 +220,7 @@ def _scan_rem_s(ctx):
     """remS comparing the two families as sets of sublocale masks."""
     sub, elems = ctx.s.as_frame()
     rhs = set()
-    for t in whole_context(sub).remote_set(oracle=True):
+    for t in remote_scan(whole_context(sub), oracle=True):
         mask = 0
         for i in t.members():
             mask |= 1 << elems[i]

@@ -11,7 +11,7 @@ from localic import (
 from localic.frame import bits
 from localic.sublocale import (
     enumerate_sublocales_oracle, join_is_whole, nd_join_oracle,
-    s_dense_elements, s_nowhere_dense_sublocales, span,
+    s_dense_elements, s_nowhere_dense_sublocales, span, sublocales_below,
 )
 
 
@@ -41,6 +41,15 @@ def test_enumeration_matches_subset_filter(tier1_frames):
             sub, _ = s.as_frame()
             assert _masks(enumerate_sublocales(sub)) \
                 == _masks(enumerate_sublocales_oracle(sub)), sub
+
+
+def test_sublocales_below_match_subset_filter(tier1_frames):
+    # the spans of S's point sets are the filtered subsets inside S
+    for f in tier1_frames:
+        every = enumerate_sublocales_oracle(f)
+        for s in every:
+            assert _masks(sublocales_below(s)) \
+                == _masks(t for t in every if t <= s), (f, s)
 
 
 def _span_by_meets(frame, pts):
