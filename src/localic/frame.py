@@ -1,8 +1,10 @@
-"""Finite frames (complete distributive lattices) with precomputed tables.
+"""Finite frames (complete distributive lattices) with bitmask tables.
 
 Elements are integers ``0..n-1``.  Sets of elements are carried around as
 int bitmasks throughout the package; ``bits(mask)`` iterates the indices.
-A frame is immutable after construction and safe to share between workers.
+The order, meet and join tables are built with the frame; the implication
+table is filled on first use.  No value of a frame changes once it is
+known, so a frame is safe to share between workers.
 """
 
 from __future__ import annotations
@@ -33,39 +35,44 @@ class FiniteFrame:
     """A finite bounded distributive lattice with Heyting implication.
 
     Do not call directly: use :func:`build_frame` or :func:`frame_from_leq`,
-    which validate the order and precompute all tables.
+    which validate the order and build the meet/join tables.  The Heyting
+    implication table is filled on its first read, from the
+    join-irreducibles.
     """
 
     __slots__ = (
-        "n", "up", "down", "meet_table", "join_table", "impl_table",
+        "n", "up", "down", "meet_table", "join_table",
         "bottom", "top", "labels", "name",
-        "_label_index", "_impl_req", "_dense_mask", "_bool_mask",
+        "_label_index", "_jm", "_by_jm", "_irr_ups", "_impl", "_req",
+        "_dense_mask", "_bool_mask",
         "_point_mask", "_sublocales", "_min_pts", "_point_subls",
         "_dense_subls", "_contexts",
     )
 
-    def __init__(self, n, up, down, meet_table, join_table, impl_table,
+    def __init__(self, n, up, down, meet_table, join_table, irr, jm,
                  bottom, top, labels, name):
         self.n = n
         self.up = up            # up[a] = bitmask of {x : a <= x}
         self.down = down        # down[a] = bitmask of {x : x <= a}
         self.meet_table = meet_table
         self.join_table = join_table
-        self.impl_table = impl_table
         self.bottom = bottom
         self.top = top
         self.labels = labels
         self.name = name
         self._label_index = {lab: i for i, lab in enumerate(labels)}
-        # For element s: the mask of elements {x -> s : x in L} that any
-        # sublocale containing s must also contain.
-        self._impl_req = tuple(
-            _mask_of(impl_table[x][s] for x in range(n)) for s in range(n)
-        )
+        # jm[x]: the join-irreducibles below x, as a mask; by_jm inverts it.
+        # a -> b is the element whose join-irreducibles are the j with
+        # j /\ a <= b: those above no join-irreducible below a but not b.
+        self._jm = jm
+        self._by_jm = {m: x for x, m in enumerate(jm)}
+        self._irr_ups = {1 << j: up[j] & irr for j in bits(irr)}
+        self._impl = None       # filled with _req by _fill_impl
+        self._req = None
+        pseudo = [self._by_jm[irr & ~self._up_closure(m)] for m in jm]
         self._dense_mask = _mask_of(
-            a for a in range(n) if impl_table[a][bottom] == bottom
-        )
-        self._bool_mask = _mask_of(impl_table[x][bottom] for x in range(n))
+            a for a in range(n) if pseudo[a] == bottom)
+        self._bool_mask = _mask_of(pseudo)
         ups = set(up)       # points: see points_mask
         self._point_mask = _mask_of(
             p for p in range(n) if up[p] & ~(1 << p) in ups)
@@ -76,6 +83,53 @@ class FiniteFrame:
         self._point_subls = None
         self._dense_subls = None
         self._contexts = None
+
+    def _up_closure(self, d: int) -> int:
+        """The join-irreducibles above some join-irreducible in mask d."""
+        ups = self._irr_ups
+        out = 0
+        while d:
+            low = d & -d
+            out |= ups[low]
+            d ^= low
+        return out
+
+    def _fill_impl(self) -> None:
+        """Fill the implication table and, in the same pass, ``_req``."""
+        jm, by_jm = self._jm, self._by_jm
+        irr = jm[self.top]
+        # a -> b depends only on d = jm[a] & ~jm[b]: one up-closure per d
+        by_diff = {}
+        rows = []
+        req = [0] * self.n
+        for ja in jm:
+            row = []
+            for b, jb in enumerate(jm):
+                d = ja & ~jb
+                x = by_diff.get(d)
+                if x is None:
+                    x = by_diff[d] = by_jm[irr & ~self._up_closure(d)]
+                row.append(x)
+                req[b] |= 1 << x
+            rows.append(tuple(row))
+        self._impl = tuple(rows)
+        self._req = tuple(req)
+
+    @property
+    def impl_table(self) -> tuple[tuple[int, ...], ...]:
+        """impl_table[a][b] = a -> b; filled on first read."""
+        if self._impl is None:
+            self._fill_impl()
+        return self._impl
+
+    @property
+    def _impl_req(self) -> tuple[int, ...]:
+        """For element s: the mask of elements {x -> s : x in L} that any
+        sublocale containing s must also contain; filled with
+        :attr:`impl_table`."""
+        if self._req is None:
+            self._fill_impl()
+        return self._req
 
     # -- order and lattice operations ------------------------------------
 
@@ -124,27 +178,13 @@ class FiniteFrame:
 
         In a finite distributive lattice the primes are the meet-irreducible
         elements p < 1: those whose strict up-set has a least element.
-        :meth:`is_point` is the independent oracle.
+        ``is_point`` in ``tests/oracles.py`` is the independent oracle.
         """
         return self._point_mask
 
-    def is_point(self, p: int) -> bool:
-        """p < 1 and a /\\ b <= p forces a <= p or b <= p."""
-        if p == self.top:
-            return False
-        below_p = self.down[p]
-        for a in range(self.n):
-            if below_p >> a & 1:
-                continue
-            for b in range(a, self.n):
-                if below_p >> b & 1:
-                    continue
-                if below_p >> self.meet_table[a][b] & 1:
-                    return False
-        return True
-
     def is_boolean(self) -> bool:
-        return all(self.is_complemented_element(a) for a in range(self.n))
+        """Every element is its double pseudocomplement: BL = L."""
+        return self._bool_mask == (1 << self.n) - 1
 
     def dense_elements_mask(self) -> int:
         return self._dense_mask
@@ -198,50 +238,76 @@ def frame_from_leq(up: Sequence[int],
                    name: Optional[str] = None) -> FiniteFrame:
     """Build a frame from a full partial order given as up-set bitmasks.
 
-    Validates antisymmetry, lattice structure and distributivity, then
-    precomputes the meet/join/implication tables.
+    Validates the order (reflexive, transitive, antisymmetric), lattice
+    structure and distributivity, and builds the meet/join tables; the
+    implication table is filled on first use.
     """
     n = len(up)
     if n == 0:
         raise NotALattice("a frame needs at least one element")
     if n > MAX_ELEMENTS:
         raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if up[a] >> b & 1 and up[b] >> a & 1:
+    # one pass over the bits of each up-set: transpose it into the
+    # down-sets, checking each b above a has its up-set inside a's
+    down = [0] * n
+    for a, ua in enumerate(up):
+        if ua >> n or not ua >> a & 1:
+            raise NotAPartialOrder(
+                f"the up-set of {a} must hold {a} and only elements "
+                f"below {n}")
+        bit = 1 << a
+        rest = ua
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            beyond = up[b] & ~ua
+            if beyond:
+                c = (beyond & -beyond).bit_length() - 1
                 raise NotAPartialOrder(
-                    f"elements {a} and {b} are in a cycle")
-    down = [_mask_of(x for x in range(n) if up[x] >> a & 1) for a in range(n)]
+                    f"{a} <= {b} and {b} <= {c} but not {a} <= {c}")
+            down[b] |= bit
+            rest ^= low
+    # the first a in a cycle is its least member
+    for a in range(n):
+        cycle = up[a] & down[a] & ~(1 << a)
+        if cycle:
+            b = (cycle & -cycle).bit_length() - 1
+            raise NotAPartialOrder(f"elements {a} and {b} are in a cycle")
 
     # a /\ b is the element whose down-set is down[a] & down[b], if any;
     # dually for joins.
     by_down = {d: x for x, d in enumerate(down)}
     by_up = {u: x for x, u in enumerate(up)}
-    meet_table = [[0] * n for _ in range(n)]
-    join_table = [[0] * n for _ in range(n)]
+    meet_of, join_of = by_down.get, by_up.get
+    meet_table = []
+    join_table = []
     for a in range(n):
-        for b in range(a, n):
-            m = by_down.get(down[a] & down[b])
-            if m is None:
-                raise NotALattice(f"elements {a} and {b} have no meet")
-            j = by_up.get(up[a] & up[b])
-            if j is None:
-                raise NotALattice(f"elements {a} and {b} have no join")
-            meet_table[a][b] = meet_table[b][a] = m
-            join_table[a][b] = join_table[b][a] = j
+        da, ua = down[a], up[a]
+        mrow = [meet_of(da & d) for d in down]
+        jrow = [join_of(ua & u) for u in up]
+        if None in mrow or None in jrow:
+            # a pair (b, a) with b < a would have failed at row b
+            for b in range(a, n):
+                if mrow[b] is None:
+                    raise NotALattice(f"elements {a} and {b} have no meet")
+                if jrow[b] is None:
+                    raise NotALattice(f"elements {a} and {b} have no join")
+        meet_table.append(tuple(mrow))
+        join_table.append(tuple(jrow))
 
-    bottom = next(a for a in range(n) if popcount(up[a]) == n)
-    top = next(a for a in range(n) if popcount(down[a]) == n)
+    full = (1 << n) - 1
+    bottom, top = by_up[full], by_down[full]
 
     # j is join-irreducible when its strict down-set has a largest element.
     # The lattice is distributive iff x -> jm[x], the join-irreducibles
     # below x, preserves binary joins (Birkhoff); then jm is a lattice
     # isomorphism onto the down-sets of the join-irreducibles.
     irr = _mask_of(j for j in range(n) if down[j] & ~(1 << j) in by_down)
-    jm = [d & irr for d in down]
+    jm = tuple(d & irr for d in down)
     for a in range(n):
+        ja, jrow = jm[a], join_table[a]
         for b in range(a + 1, n):
-            lost = jm[join_table[a][b]] & ~(jm[a] | jm[b])
+            lost = jm[jrow[b]] & ~(ja | jm[b])
             if lost:
                 # j <= a \/ b, but j /\ a and j /\ b lie below j's lower cover
                 j = (lost & -lost).bit_length() - 1
@@ -250,31 +316,14 @@ def frame_from_leq(up: Sequence[int],
                     f"witness triple ({j},{a},{b}): "
                     f"{j}/\\({a}\\/{b})={j} but ({j}/\\{a})\\/({j}/\\{b})={rhs}")
 
-    # a -> b is the element whose join-irreducibles are the j with
-    # j /\ a <= b.
-    by_jm = {m: x for x, m in enumerate(jm)}
-    irreducibles = [(1 << j, jm[j]) for j in bits(irr)]
-    impl_table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            outside = jm[a] & ~jm[b]
-            m = 0
-            for bit, below in irreducibles:
-                if not below & outside:
-                    m |= bit
-            impl_table[a][b] = by_jm[m]
-
     if labels is None:
         labels = tuple(str(i) for i in range(n))
     else:
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise NotALattice("labels must be distinct and one per element")
-    return FiniteFrame(n, tuple(up), tuple(down),
-                       tuple(tuple(r) for r in meet_table),
-                       tuple(tuple(r) for r in join_table),
-                       tuple(tuple(r) for r in impl_table),
-                       bottom, top, labels, name)
+    return FiniteFrame(n, tuple(up), tuple(down), tuple(meet_table),
+                       tuple(join_table), irr, jm, bottom, top, labels, name)
 
 
 def build_frame(order: Iterable[tuple[int, int]], n: int,

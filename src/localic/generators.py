@@ -337,12 +337,6 @@ def square_from(f: LocalicMap, s: Sublocale, t: Sublocale
     return DenseSquare(g, f, inclusion_map(s), inclusion_map(t))
 
 
-def identity_square(frame: FiniteFrame, s: Sublocale) -> DenseSquare:
-    sq = square_from(identity_map(frame), s, s)
-    assert sq is not None
-    return sq
-
-
 def _pair_maps(l: FiniteFrame, m: FiniteFrame, limit: int,
                seed: int) -> list[LocalicMap]:
     """Maps between a frame pair; same-frame pairs lead with the identity."""

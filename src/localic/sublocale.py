@@ -7,12 +7,13 @@ member ``s``.  Sublocales are stored as bitmasks over the owning frame.
 A finite frame is spatial and T_D, so S(L) is the powerset of its points
 (primes): every sublocale is the :func:`span` of the points it contains.
 The coframe operations are point-set arithmetic on that model; the
-subset filter :func:`enumerate_sublocales_oracle` and the induced-frame
-computations are the independent oracles.  Every sublocale is a join of
-the one-point sublocales {p, 1}, :func:`point_sublocales`; the
-sublocales below S are the spans of the sets of S's points,
-:func:`sublocales_below`; and the dense ones are the spans of the points
-of BL and a set of the others, :func:`dense_sublocales`.
+induced-frame computations here and the brute-force references in
+``tests/oracles.py`` (the subset filter among them) are the independent
+oracles.  Every sublocale is a join of the one-point sublocales {p, 1},
+:func:`point_sublocales`; the sublocales below S are the spans of the
+sets of S's points, :func:`sublocales_below`; and the dense ones are the
+spans of the points of BL and a set of the others,
+:func:`dense_sublocales`.
 
 An element a lies in span(Q) iff every minimal point above a is in Q
 (Davey & Priestley, ch. 5).  Proof: points are meet-prime, so the points
@@ -223,20 +224,6 @@ def subl_join(ss: list[Sublocale]) -> Sublocale:
     return Sublocale(frame, span(frame, mask & frame.points_mask()))
 
 
-def join_is_whole(frame: FiniteFrame, mask_a: int, mask_b: int) -> bool:
-    """Whether the coframe join of two member masks is all of L.
-
-    Works on all members, not points: the join is L iff every element is
-    the meet of the union's members above it.  The oracle for
-    :func:`supplement`.
-    """
-    union = mask_a | mask_b
-    for a in range(frame.n):
-        if frame.meet_of(bits(union & frame.up[a])) != a:
-            return False
-    return True
-
-
 def sublocales_below(s: Sublocale) -> list[Sublocale]:
     """Every sublocale T <= S, ordered by mask (deterministic).
 
@@ -257,8 +244,8 @@ def enumerate_sublocales(frame: FiniteFrame) -> list[Sublocale]:
 
     The sublocales below the whole frame.  Each passes
     :func:`is_sublocale` before the list is cached on the frame.  Requires
-    the enumeration cap; :func:`enumerate_sublocales_oracle` is the
-    independent oracle.
+    the enumeration cap; the subset filter ``enumerate_sublocales_oracle``
+    in ``tests/oracles.py`` is the independent oracle.
     """
     if frame._sublocales is None:
         subs = sublocales_below(whole_subl(frame))
@@ -315,34 +302,13 @@ def dense_sublocales(frame: FiniteFrame, qs: Iterable[int]
     return out
 
 
-def enumerate_sublocales_oracle(frame: FiniteFrame) -> list[Sublocale]:
-    """Brute-force oracle: filter every subset containing the top.
-
-    Uncached; requires the enumeration cap.  Ordered by mask like
-    :func:`enumerate_sublocales`.
-    """
-    frame.require_enumerable()
-    top_bit = 1 << frame.top
-    rest = [i for i in range(frame.n) if i != frame.top]
-    out = []
-    for sub in range(1 << len(rest)):
-        mask = top_bit
-        for j, e in enumerate(rest):
-            if sub >> j & 1:
-                mask |= 1 << e
-        if is_sublocale(frame, mask):
-            out.append(Sublocale(frame, mask))
-    out.sort(key=lambda t: t.mask)
-    return out
-
-
 def supplement(frame: FiniteFrame, s: Sublocale) -> Sublocale:
     """L \\ S: the least sublocale whose join with S is the whole frame.
 
     This is the co-Heyting difference in S(L) (not the join of sublocales
     disjoint from S).  Joins in S(L) are unions of point sets, so it is
     the span of the points outside S; the test suite checks it against
-    :func:`join_is_whole` over the enumeration.
+    ``join_is_whole`` (``tests/oracles.py``) over the enumeration.
     """
     return Sublocale(frame, span(frame, frame.points_mask() & ~s.mask))
 
@@ -373,13 +339,6 @@ def s_nowhere_dense_sublocales(s: Sublocale) -> list[Sublocale]:
                 mask |= 1 << elems[i]
             out.append(Sublocale(s.frame, mask))
     return out
-
-
-def s_dense_elements(s: Sublocale) -> list[int]:
-    """Ambient indices of the S-dense elements of S (pseudocomplement 0_S)."""
-    sub, elems = s.as_frame()
-    return [elems[i] for i in range(sub.n)
-            if sub.pseudocomplement(i) == sub.bottom]
 
 
 def nd_join(frame: FiniteFrame, s: Sublocale) -> Sublocale:

@@ -4,19 +4,6 @@ from localic import GenSpec, chain_frame, boolean_frame
 from localic.generators import (
     gen_dense_sublocales, gen_frames, gen_maps, square_from,
 )
-from localic.sublocale import enumerate_sublocales_oracle
-
-
-def remote_scan(ctx, oracle=False):
-    """The remote set of a context by scanning S(L): every sublocale the
-    subset filter finds that ``ctx.is_remote_from`` accepts, by mask.
-
-    The reference for ``RemoteContext.remote_set``, which spans the sets
-    of points of Rs instead; a fake context that overrides
-    ``is_remote_from`` is scanned by its own predicate.
-    """
-    return [t for t in enumerate_sublocales_oracle(ctx.frame)
-            if ctx.is_remote_from(t, oracle)]
 
 
 @pytest.fixture(scope="session")

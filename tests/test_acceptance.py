@@ -23,7 +23,8 @@ from localic.generators import (
 )
 from localic.registry import REGISTRY, checks_in_scope
 from localic.result import FAIL, PASS
-from localic.sublocale import join_is_whole
+
+from oracles import join_is_whole
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

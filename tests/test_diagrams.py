@@ -15,12 +15,12 @@ from localic.diagrams import (
 )
 from localic.generators import (
     build_corpus, gen_chains, gen_frames, gen_squares, gen_triangles,
-    identity_square, inclusion_map, square_from,
+    inclusion_map, square_from,
 )
 from localic.registry import _runner
 from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
 
-from conftest import remote_scan
+from oracles import identity_square, remote_scan
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,10 @@ from localic import (
     FrameTooLarge, NotALattice, NotAPartialOrder, NotDistributive,
     boolean_frame, build_frame, chain_frame,
 )
-from localic import frame
+from localic import booleanization, frame
 from localic.frame import frame_from_leq
+
+from oracles import is_point
 
 
 def test_chain_basics(c3):
@@ -48,10 +50,10 @@ def test_density_and_complementation(c3, b2):
 
 
 def test_points(c3, b2):
-    assert c3.is_point(1)
-    assert not c3.is_point(c3.top)
-    assert b2.is_point(b2.index_of("1"))
-    assert not b2.is_point(b2.bottom) or b2.n == 2
+    assert is_point(c3, 1)
+    assert not is_point(c3, c3.top)
+    assert is_point(b2, b2.index_of("1"))
+    assert not is_point(b2, b2.bottom) or b2.n == 2
 
 
 def test_is_boolean(c3, b2):
@@ -104,12 +106,12 @@ def test_boolean_frame_shape():
     b3 = boolean_frame(3)
     assert b3.n == 8
     assert b3.is_boolean()
-    assert sum(b3.is_point(p) for p in range(b3.n)) == 3
+    assert sum(is_point(b3, p) for p in range(b3.n)) == 3
 
 
 def test_points_mask_matches_is_point(tier1_frames):
     for f in tier1_frames:
-        oracle = sum(1 << p for p in range(f.n) if f.is_point(p))
+        oracle = sum(1 << p for p in range(f.n) if is_point(f, p))
         assert f.points_mask() == oracle, f
 
 
@@ -134,8 +136,9 @@ def _by_definition(leq):
     """(error class or None, meet, join, implication) by the definitions.
 
     Meets and joins are greatest lower and least upper bounds found by
-    scanning; distributivity is a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c)
-    for every triple; a -> b is the join of {x : x /\\ a <= b}.
+    scanning, None where there is none; distributivity is
+    a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c) for every triple; a -> b is
+    the join of {x : x /\\ a <= b}.
     """
     n = len(leq)
     if any(leq[a][b] and leq[b][a]
@@ -157,7 +160,7 @@ def _by_definition(leq):
     meet = [[glb(a, b) for b in range(n)] for a in range(n)]
     join = [[lub(a, b) for b in range(n)] for a in range(n)]
     if any(None in row for row in meet + join):
-        return NotALattice, None, None, None
+        return NotALattice, meet, join, None
     if any(meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]
            for a in range(n) for b in range(n) for c in range(n)):
         return NotDistributive, meet, join, None
@@ -204,16 +207,51 @@ def test_frame_from_leq_matches_definitions():
             f = frame_from_leq(up)
             assert [list(r) for r in f.meet_table] == meet, up
             assert [list(r) for r in f.join_table] == join, up
+            # the frame finds these masks without its implication table,
+            # which fills on first use: check them against the definition
+            bottom = f.bottom
+            pseudo = [impl[x][bottom] for x in range(n)]
+            assert f.dense_elements_mask() == sum(
+                1 << x for x in range(n) if pseudo[x] == bottom), up
+            assert booleanization(f).mask == sum(
+                1 << x for x in set(pseudo)), up
+            assert f.is_boolean() == all(
+                join[x][pseudo[x]] == f.top for x in range(n)), up
+            assert f._impl_req == tuple(
+                sum(1 << y for y in {impl[x][s] for x in range(n)})
+                for s in range(n)), up
             assert [list(r) for r in f.impl_table] == impl, up
             seen.add("frame")
             continue
         with pytest.raises(error) as info:
             frame_from_leq(up)
         seen.add(error.__name__)
-        if error is NotDistributive:
+        message = str(info.value)
+        if error is NotAPartialOrder:
+            a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                        if leq[a][b] and leq[b][a])
+            assert message == f"elements {a} and {b} are in a cycle", up
+        elif error is NotALattice:
+            a, b = next((a, b) for a in range(n) for b in range(a, n)
+                        if meet[a][b] is None or join[a][b] is None)
+            bound = "meet" if meet[a][b] is None else "join"
+            assert message == f"elements {a} and {b} have no {bound}", up
+        else:
             triple = re.match(r"witness triple \((\d+),(\d+),(\d+)\)",
-                              str(info.value))
+                              message)
             a, b, c = map(int, triple.groups())
             assert meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]], up
     assert seen == {"frame", "NotAPartialOrder", "NotALattice",
                     "NotDistributive"}
+
+
+@pytest.mark.parametrize("up, message", [
+    ([0b10, 0b10], "the up-set of 0 must hold 0 and only elements below 2"),
+    ([0b01, 0b110], "the up-set of 1 must hold 1 and only elements below 2"),
+    ([-1], "the up-set of 0 must hold 0 and only elements below 1"),
+    ([0b011, 0b110, 0b100], "0 <= 1 and 1 <= 2 but not 0 <= 2"),
+])
+def test_frame_from_leq_rejects_a_relation_that_is_not_an_order(up, message):
+    with pytest.raises(NotAPartialOrder) as info:
+        frame_from_leq(up)
+    assert str(info.value) == message

@@ -11,7 +11,9 @@ from localic import (
 )
 from localic.frame import bits
 from localic.generators import gen_maps, inclusion_map
-from localic.sublocale import enumerate_sublocales_oracle, span
+from localic.sublocale import span
+
+from oracles import enumerate_sublocales_oracle
 
 
 @pytest.fixture(scope="module")

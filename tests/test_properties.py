@@ -9,7 +9,7 @@ from localic import (
 )
 from localic.generators import gen_frames, gen_maps
 
-from conftest import remote_scan
+from oracles import remote_scan
 
 FRAME_POOL = gen_frames(GenSpec("random-poset", 10, seed=42, count=12)) \
     + gen_frames(GenSpec("all-posets-up-to", 3))

@@ -18,7 +18,7 @@ from localic.result import FAIL, PASS
 from localic import sublocale
 from localic.sublocale import s_nowhere_dense_sublocales
 
-from conftest import remote_scan
+from oracles import remote_scan
 
 
 def all_contexts(frame):

@@ -10,8 +10,11 @@ from localic import (
 )
 from localic.frame import bits
 from localic.sublocale import (
-    enumerate_sublocales_oracle, join_is_whole, nd_join_oracle,
-    s_dense_elements, s_nowhere_dense_sublocales, span, sublocales_below,
+    nd_join_oracle, s_nowhere_dense_sublocales, span, sublocales_below,
+)
+
+from oracles import (
+    enumerate_sublocales_oracle, join_is_whole, s_dense_elements,
 )
 
 
