@@ -12,12 +12,11 @@ on the instance, empty for an unconditional statement, and a conclusion
 that returns None when it holds or a witness string when it does not.
 The registry decides the verdict.  A hypothesis shared by several checks
 is one named predicate below; each calls the instance's methods at call
-time, so a method patched on its class is the one a check sees.  What
-several checks derive from one instance is computed on first use and kept
-on it: its contexts (shared per frame and S, see
-:func:`~localic.remoteness.dense_context`), whether its adjoints commute
-and whether f is (*)remote preserving.  An instance's ``subject()`` is
-formatted only for a failing row that the report writes out.
+time, so a method patched on its class is the one a check sees.  A
+square keeps one value, whether its adjoints commute, computed on first
+use; its contexts are the frames' own (see
+:func:`~localic.remoteness.dense_context`).  An instance's ``subject()``
+is formatted only for a failing row that the report writes out.
 
 A statement "for every sublocale A (remote from S), P(A)" is checked on O
 and the one-point sublocales {p, 1} alone, the remote ones when A must be
@@ -26,6 +25,10 @@ remoteness act point by point: pts(f[A]) = f[pts(A)],
 pts(f^-1[B]) = f^-1[pts(B)], and A is remote iff none of its points is in
 the context's miss mask.  So each such P fails on some A only if it fails
 on O or on some {p, 1} with p in A: 1 + |pts| sublocales, not 2^|pts|.
+So f is (*)remote preserving iff no point outside L's miss mask goes
+into M's, and f takes the remainder iff no point outside S goes into T,
+L minus S being the span of the points outside S.  Localic maps that
+agree on points agree everywhere, so commutation is checked on points.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvalidSquare
-from .frame import FiniteFrame
+from .frame import FiniteFrame, bits
 from .locmap import LocalicMap, compose
 from .remoteness import RemoteContext, dense_context, whole_context
 from .sublocale import (
@@ -47,8 +50,7 @@ class DenseSquare:
 
     __slots__ = ("s_frame", "t_frame", "l_frame", "m_frame",
                  "g", "f", "alpha", "omega",
-                 "alpha_image", "omega_image", "_ctx_l", "_ctx_m",
-                 "_commute", "_preserving", "_star_preserving")
+                 "alpha_image", "omega_image", "_commute")
 
     def __init__(self, g: LocalicMap, f: LocalicMap,
                  alpha: LocalicMap, omega: LocalicMap):
@@ -70,27 +72,18 @@ class DenseSquare:
                          (self.omega_image, "omega")):
             if not img.is_dense():
                 raise InvalidSquare(f"image of {lab} is not dense")
-        for x in range(self.s_frame.n):
+        for x in bits(self.s_frame.points_mask()):
             if f(alpha(x)) != omega(g(x)):
                 raise InvalidSquare(
                     f"square does not commute at element {x}")
-        self._ctx_l = None
-        self._ctx_m = None
         self._commute = None
-        # kept by is_f_remote_preserving and is_f_star_remote_preserving
-        self._preserving = None
-        self._star_preserving = None
 
     def ctx_l(self) -> RemoteContext:
         """The context (L, alpha[S]) on the source side, kept on L."""
-        if self._ctx_l is None:
-            self._ctx_l = dense_context(self.l_frame, self.alpha_image)
-        return self._ctx_l
+        return dense_context(self.l_frame, self.alpha_image)
 
     def ctx_m(self) -> RemoteContext:
-        if self._ctx_m is None:
-            self._ctx_m = dense_context(self.m_frame, self.omega_image)
-        return self._ctx_m
+        return dense_context(self.m_frame, self.omega_image)
 
     def adjoints_commute(self) -> bool:
         """f* after omega equals alpha after g* (elementwise on T)."""
@@ -128,10 +121,10 @@ class SquareChain:
                                    outer.g, phi, i, k)
         self.lower = _named_square("lower square (theta, sigma)",
                                    phi, outer.f, theta, sigma)
-        for x in range(outer.s_frame.n):
+        for x in bits(outer.s_frame.points_mask()):
             if theta(i(x)) != outer.alpha(x):
                 raise InvalidSquare(f"alpha != theta o i at element {x}")
-        for x in range(outer.t_frame.n):
+        for x in bits(outer.t_frame.points_mask()):
             if sigma(k(x)) != outer.omega(x):
                 raise InvalidSquare(f"omega != sigma o k at element {x}")
 
@@ -186,9 +179,8 @@ class Triangle:
 
 def takes_remainder(sq: DenseSquare) -> bool:
     """f[L minus alpha[S]] sits inside M minus omega[T]."""
-    rem_l = supplement(sq.l_frame, sq.alpha_image)
-    rem_m = supplement(sq.m_frame, sq.omega_image)
-    return sq.f.image_subl(rem_l) <= rem_m
+    outside = sq.l_frame.points_mask() & ~sq.alpha_image.mask
+    return sq.f.point_image(outside) & sq.omega_image.mask == 0
 
 
 def _remote_points(ctx: RemoteContext) -> list[Sublocale]:
@@ -205,18 +197,19 @@ def _image_witness(f: LocalicMap, src: RemoteContext,
     return None
 
 
+def _preserves(f: LocalicMap, src: RemoteContext,
+               dst: RemoteContext) -> bool:
+    """f maps the sublocales remote in src to ones remote in dst."""
+    free = f.source.points_mask() & ~src.miss_points()
+    return f.point_image(free) & dst.miss_points() == 0
+
+
 def is_f_remote_preserving(sq: DenseSquare) -> bool:
-    """Kept on the square after the first call."""
-    if sq._preserving is None:
-        sq._preserving = _image_witness(sq.f, sq.ctx_l(), sq.ctx_m()) is None
-    return sq._preserving
+    return _preserves(sq.f, sq.ctx_l(), sq.ctx_m())
 
 
 def is_f_star_remote_preserving(sq: DenseSquare) -> bool:
-    if sq._star_preserving is None:
-        sq._star_preserving = _image_witness(
-            sq.f, sq.ctx_l().star(), sq.ctx_m().star()) is None
-    return sq._star_preserving
+    return _preserves(sq.f, sq.ctx_l().star(), sq.ctx_m().star())
 
 
 def is_complemented_subl(frame: FiniteFrame, s: Sublocale) -> bool:
@@ -254,7 +247,7 @@ def pulls_omega_to_alpha(sq: DenseSquare) -> bool:
 
 
 def image_onto(sq: DenseSquare) -> bool:
-    return sq.f.image_is_surjective()
+    return sq.f.is_surjective()
 
 
 def closure_style(sq: DenseSquare) -> bool:

@@ -182,6 +182,13 @@ class FiniteFrame:
         """
         return self._point_mask
 
+    def min_points(self) -> int:
+        """The minimal points, which are the points of BL.  The opens of
+        pt(L) are its down-sets, so x is dense iff no minimal point is above
+        x.  So a point p that is not minimal is dense and p** = 1; a minimal
+        p is outside the up-closure of the points not above p: p** = p."""
+        return self._point_mask & self._bool_mask
+
     def is_boolean(self) -> bool:
         """Every element is its double pseudocomplement: BL = L."""
         return self._bool_mask == (1 << self.n) - 1

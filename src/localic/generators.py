@@ -21,9 +21,7 @@ from .frame import (
 from .locmap import LocalicMap, build_map, identity_map
 from .diagrams import DenseSquare, SquareChain, Triangle
 from .remoteness import dense_context
-from .sublocale import (
-    Sublocale, booleanization, dense_sublocales, whole_subl,
-)
+from .sublocale import Sublocale, dense_sublocales, whole_subl
 
 FAMILIES = ("all-posets-up-to", "random-poset", "chain",
             "boolean-algebra", "finite-topology")
@@ -231,7 +229,7 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
 
 def _free_points(frame: FiniteFrame) -> int:
     """How many points lie outside BL: a dense S is one set Q of them."""
-    return popcount(frame.points_mask() & ~booleanization(frame).mask)
+    return popcount(frame.points_mask() & ~frame.min_points())
 
 
 def gen_dense_sublocales(frame: FiniteFrame) -> list[Sublocale]:

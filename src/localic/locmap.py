@@ -6,13 +6,20 @@ supplied.  Image and preimage functions act on sublocales and form a
 Galois adjunction.
 
 Every element is the meet of the points (primes) above it, and a localic
-map sends points to points (finite duality), so validation, images and
-preimages all work on points.
+map sends points to points (finite duality), so validation, images,
+preimages and the map properties all work on points.  A point above a
+meet of points is above one of them, so the points above f(x) are those
+above f(p), p a point above x.  Hence f is onto iff every point of M is
+an f(p), which also makes f[-] onto S(M).  With Min the minimal points,
+x is dense iff no point of Min is above x, and a point is dense iff it
+is not in Min (:meth:`FiniteFrame.min_points`); so f is skeletal iff
+f[pts - Min(L)] misses Min(M), and as f*(y) <= p iff y <= f(p), f* is
+skeletal iff f[Min(L)] lies in Min(M).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import AdjointNotFrameHom, MixedFrames, NotMeetPreserving
 from .frame import FiniteFrame, bits
@@ -39,17 +46,30 @@ class LocalicMap:
     def is_injective(self) -> bool:
         return len(set(self.table)) == self.source.n
 
-    def is_surjective(self) -> bool:
-        return len(set(self.table)) == self.target.n
+    def point_image(self, mask: int) -> int:
+        """The mask of the f(x) for x in ``mask``: points for points."""
+        out = 0
+        for x in bits(mask):
+            out |= 1 << self.table[x]
+        return out
 
-    # -- map-level properties ---------------------------------------------
+    # -- map-level properties, on points (module docstring) ----------------
+
+    def is_surjective(self) -> bool:
+        """Every point of M is f(p) for some point p of L."""
+        hit = self.point_image(self.source.points_mask())
+        return self.target.points_mask() & ~hit == 0
 
     def is_skeletal(self) -> bool:
-        """Forward table sends dense elements to dense elements."""
-        return table_is_skeletal(self.source, self.target, self.table)
+        """Dense elements go to dense ones: f[pts - Min(L)] misses Min(M)."""
+        src = self.source
+        moved = self.point_image(src.points_mask() & ~src.min_points())
+        return moved & self.target.min_points() == 0
 
     def adjoint_is_skeletal(self) -> bool:
-        return table_is_skeletal(self.target, self.source, self.adjoint_table)
+        """f* keeps dense elements dense: f[Min(L)] lies in Min(M)."""
+        kept = self.point_image(self.source.min_points())
+        return kept & ~self.target.min_points() == 0
 
     def is_weakly_closed_adjoint(self) -> bool:
         """a \\/ f*(b) = 1 implies f(a) \\/ b = 1."""
@@ -89,27 +109,8 @@ class LocalicMap:
                 pts |= 1 << p
         return Sublocale(src, span(src, pts))
 
-    def image_is_surjective(self) -> bool:
-        """Whether f[-] : S(L) -> S(M) is onto.
-
-        The image of a span of points is the span of their images, and a
-        point of M is a meet of images only if it is one of them; so f[-]
-        is onto iff every point of M is f(p) for some point p of L.
-        """
-        hit = 0
-        for p in bits(self.source.points_mask()):
-            hit |= 1 << self.table[p]
-        return self.target.points_mask() & ~hit == 0
-
     def __repr__(self) -> str:
         return f"LocalicMap({self.source.name}->{self.target.name})"
-
-
-def table_is_skeletal(src: FiniteFrame, tgt: FiniteFrame,
-                      table: Sequence[int]) -> bool:
-    """Dense elements of the source land on dense elements of the target."""
-    return all(tgt.is_dense_element(table[a])
-               for a in range(src.n) if src.is_dense_element(a))
 
 
 def build_map(src: FiniteFrame, tgt: FiniteFrame,

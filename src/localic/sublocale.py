@@ -289,9 +289,8 @@ def dense_sublocales(frame: FiniteFrame, qs: Iterable[int]
     if frame._dense_subls is None:
         frame._dense_subls = {}
     store = frame._dense_subls
-    pts = frame.points_mask()
-    base = pts & frame._bool_mask
-    free = list(bits(pts & ~frame._bool_mask))
+    base = frame.min_points()
+    free = list(bits(frame.points_mask() & ~base))
     out = []
     for q in qs:
         s = store.get(q)

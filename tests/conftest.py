@@ -1,9 +1,9 @@
 import pytest
 
 from localic import GenSpec, chain_frame, boolean_frame
-from localic.generators import (
-    gen_dense_sublocales, gen_frames, gen_maps, square_from,
-)
+from localic.generators import gen_frames
+
+from oracles import iter_square_space
 
 
 @pytest.fixture(scope="session")
@@ -18,17 +18,7 @@ def square_space():
     points: each localic map f : L -> M with each pair of dense S of L and
     T of M (1,559 squares).  Each call builds fresh frames and squares, so
     no value kept on an instance by one call answers for the next."""
-    def build():
-        frames = gen_frames(GenSpec("all-posets-up-to", 3))
-        dense = [gen_dense_sublocales(f) for f in frames]
-        out = []
-        for l, ss in zip(frames, dense):
-            for m, ts in zip(frames, dense):
-                for f in gen_maps(l, m):
-                    out += filter(None, (square_from(f, s, t)
-                                         for s in ss for t in ts))
-        return out
-    return build
+    return lambda: list(iter_square_space(3))
 
 
 @pytest.fixture(scope="session")

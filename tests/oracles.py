@@ -3,13 +3,21 @@
 Each one decides its question from the definitions, sharing no logic with
 the library's fast path: points by the prime condition, sublocales by the
 subset filter, joins of sublocales through all of their members, S-dense
-elements through the induced frame of S.
+elements through the induced frame of S, map properties on element
+tables.  Where the library decides on element tables, the reference is a
+point form instead.
 """
 
-from localic import Sublocale, identity_map, is_sublocale
-from localic.diagrams import DenseSquare
+from localic import GenSpec, Sublocale, identity_map, is_sublocale
+from localic.diagrams import (
+    DenseSquare, _image_witness, is_f_remote_preserving,
+    is_f_star_remote_preserving, takes_remainder,
+)
 from localic.frame import FiniteFrame, bits
-from localic.generators import square_from
+from localic.generators import (
+    gen_dense_sublocales, gen_frames, gen_maps, square_from,
+)
+from localic.sublocale import supplement
 
 
 def is_point(frame: FiniteFrame, p: int) -> bool:
@@ -91,3 +99,119 @@ def identity_square(frame: FiniteFrame, s: Sublocale) -> DenseSquare:
     sq = square_from(identity_map(frame), s, s)
     assert sq is not None
     return sq
+
+
+# -- localic maps and squares -------------------------------------------------
+
+def table_is_skeletal(src: FiniteFrame, tgt: FiniteFrame, table) -> bool:
+    """Dense elements (x -> 0 = 0) of src land on dense elements of tgt.
+
+    The reference for ``is_skeletal`` on a map's table and for
+    ``adjoint_is_skeletal`` on its adjoint's.
+    """
+    return all(tgt.pseudocomplement(table[a]) == tgt.bottom
+               for a in range(src.n) if src.pseudocomplement(a) == src.bottom)
+
+
+def table_is_surjective(f) -> bool:
+    """The table hits every element.  The reference for ``is_surjective``."""
+    return len(set(f.table)) == f.target.n
+
+
+def weakly_closed_by_points(f) -> bool:
+    """Every point q >= f(p), p a point, lies below f(r) for a point r >= p.
+
+    The point form of ``is_weakly_closed_adjoint``: a \\/ f*(b) = 1 iff no
+    point r >= a has f(r) >= b, and f(a) \\/ b = 1 iff no point above f(a)
+    is above b; the points above f(a) are those above some f(p), p >= a.
+    """
+    src, tgt = f.source, f.target
+    pts = src.points_mask()
+    for p in bits(pts):
+        below = 0
+        for r in bits(pts & src.up[p]):
+            below |= tgt.down[f(r)]
+        if tgt.points_mask() & tgt.up[f(p)] & ~below:
+            return False
+    return True
+
+
+def commute_by_points(sq: DenseSquare) -> bool:
+    """For each point q of T, every point p of L with f(p) >= omega(q) lies
+    above a point p' of alpha[S] with f(p') >= omega(q).
+
+    The point form of ``adjoints_commute``: the points above f*(omega(t))
+    are the p with omega(t) <= f(p), and those above alpha(g*(t)) are the
+    points above such a p in alpha[S]; omega(t) is the meet of the
+    omega(q), q >= t, and f(p) is prime.
+    """
+    l_pts = sq.l_frame.points_mask()
+    s_pts = l_pts & sq.alpha_image.mask
+    up = sq.l_frame.up
+    for q in bits(sq.t_frame.points_mask()):
+        above = sq.m_frame.up[sq.omega(q)]
+        hit = 0
+        for p in bits(l_pts):
+            if above >> sq.f(p) & 1:
+                hit |= 1 << p
+        covered = 0
+        for p in bits(hit & s_pts):
+            covered |= up[p]
+        if hit & ~covered:
+            return False
+    return True
+
+
+def takes_remainder_by_supplement(sq: DenseSquare) -> bool:
+    """f[L minus alpha[S]] <= M minus omega[T], on sublocales."""
+    rem_l = supplement(sq.l_frame, sq.alpha_image)
+    rem_m = supplement(sq.m_frame, sq.omega_image)
+    return sq.f.image_subl(rem_l) <= rem_m
+
+
+def _preserving_by_scan(sq: DenseSquare, star: bool) -> bool:
+    """f maps each remote O or {p, 1} to a remote sublocale."""
+    ctx_l, ctx_m = sq.ctx_l(), sq.ctx_m()
+    if star:
+        ctx_l, ctx_m = ctx_l.star(), ctx_m.star()
+    return _image_witness(sq.f, ctx_l, ctx_m) is None
+
+
+def square_verdicts(sq: DenseSquare) -> dict[str, tuple[bool, bool]]:
+    """Each property of sq and of its four maps, as (library, reference)."""
+    out = {}
+    for name, f in (("g", sq.g), ("f", sq.f), ("alpha", sq.alpha),
+                    ("omega", sq.omega)):
+        out[f"{name}.is_skeletal"] = (
+            f.is_skeletal(), table_is_skeletal(f.source, f.target, f.table))
+        out[f"{name}.adjoint_is_skeletal"] = (
+            f.adjoint_is_skeletal(),
+            table_is_skeletal(f.target, f.source, f.adjoint_table))
+        out[f"{name}.is_surjective"] = (
+            f.is_surjective(), table_is_surjective(f))
+        out[f"{name}.is_weakly_closed_adjoint"] = (
+            f.is_weakly_closed_adjoint(), weakly_closed_by_points(f))
+    out["adjoints_commute"] = (sq.adjoints_commute(), commute_by_points(sq))
+    out["is_f_remote_preserving"] = (
+        is_f_remote_preserving(sq), _preserving_by_scan(sq, False))
+    out["is_f_star_remote_preserving"] = (
+        is_f_star_remote_preserving(sq), _preserving_by_scan(sq, True))
+    out["takes_remainder"] = (
+        takes_remainder(sq), takes_remainder_by_supplement(sq))
+    return out
+
+
+def iter_square_space(max_points: int):
+    """Every square over the frames of posets with at most ``max_points``
+    points: each localic map f : L -> M with each pair of dense S of L and
+    T of M that f restricts to, built on fresh frames."""
+    frames = gen_frames(GenSpec("all-posets-up-to", max_points))
+    dense = [gen_dense_sublocales(f) for f in frames]
+    for l, ss in zip(frames, dense):
+        for m, ts in zip(frames, dense):
+            for f in gen_maps(l, m):
+                for s in ss:
+                    for t in ts:
+                        sq = square_from(f, s, t)
+                        if sq is not None:
+                            yield sq

@@ -5,8 +5,8 @@ import pytest
 from localic import (
     REGISTRY, DenseSquare, GenSpec, InvalidSquare, RemoteContext,
     SquareChain, Triangle, booleanization, build_map, chain_frame,
-    checks_in_scope, diagrams, enumerate_sublocales, identity_map,
-    void_subl, whole_context, whole_subl,
+    checks_in_scope, dense_context, diagrams, enumerate_sublocales,
+    identity_map, void_subl, whole_context, whole_subl,
 )
 from localic.diagrams import (
     CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, _plain, _plain_then_star,
@@ -20,7 +20,7 @@ from localic.generators import (
 from localic.registry import _runner
 from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
 
-from oracles import identity_square, remote_scan
+from oracles import identity_square, remote_scan, square_verdicts
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,12 @@ def test_square_requires_commuting(c3):
     with pytest.raises(InvalidSquare):
         DenseSquare(identity_map(c3), identity_map(c3),
                     identity_map(c2), identity_map(c3))
+    # commutation is checked on every point: f sends both points of C3 to
+    # 0, so f o id and id o id agree at the point 0 and differ at m
+    f = build_map(c3, c3, [0, 0, 2])
+    id3 = identity_map(c3)
+    with pytest.raises(InvalidSquare, match="not commute at element 1$"):
+        DenseSquare(id3, f, id3, id3)
 
 
 def test_square_requires_injective_verticals(c3):
@@ -135,28 +141,43 @@ def test_chain_checks(squares):
 
 
 class _RejectAll(RemoteContext):
-    """A context in which nothing is remote; its star() is one too."""
+    """A context in which nothing is remote, by predicate and by miss mask;
+    its star() is one too."""
 
     def is_remote_from(self, t, oracle=False):
         return False
+
+    def miss_points(self, oracle=False):
+        return self.frame.points_mask()
 
     def rs(self, oracle=False):
         # the join of no remote sublocale
         return void_subl(self.frame)
 
 
-def _rejecting(sq: DenseSquare, side: str) -> DenseSquare:
-    """A copy of sq whose source ("l") or target ("m") context rejects all."""
-    fresh = DenseSquare(sq.g, sq.f, sq.alpha, sq.omega)
-    frame, s = ((sq.l_frame, sq.alpha_image) if side == "l"
-                else (sq.m_frame, sq.omega_image))
-    setattr(fresh, f"_ctx_{side}", _RejectAll(frame, s))
-    return fresh
+class _Rejecting(DenseSquare):
+    """A copy of a square whose source ("l") or target ("m") context
+    rejects all."""
+
+    __slots__ = ("_side", "_reject")
+
+    def __init__(self, sq: DenseSquare, side: str):
+        super().__init__(sq.g, sq.f, sq.alpha, sq.omega)
+        frame, s = ((sq.l_frame, sq.alpha_image) if side == "l"
+                    else (sq.m_frame, sq.omega_image))
+        self._side = side
+        self._reject = _RejectAll(frame, s)
+
+    def ctx_l(self):
+        return self._reject if self._side == "l" else super().ctx_l()
+
+    def ctx_m(self):
+        return self._reject if self._side == "m" else super().ctx_m()
 
 
 def _rejecting_chain(c: SquareChain) -> SquareChain:
     """A copy of c whose outer source context rejects every sublocale."""
-    return SquareChain(_rejecting(c.outer, "l"), c.upper.alpha,
+    return SquareChain(_Rejecting(c.outer, "l"), c.upper.alpha,
                        c.upper.omega, c.upper.f, c.lower.alpha,
                        c.lower.omega)
 
@@ -176,7 +197,7 @@ def test_preservation_bodies_are_not_vacuous(squares):
             fn = REGISTRY[cid].runner
             if fn(sq).verdict == HYPOTHESES_NOT_MET:
                 continue
-            r = fn(_rejecting(sq, side))
+            r = fn(_Rejecting(sq, side))
             assert r.verdict == FAIL and r.witness, (cid, r.subject)
             hits[cid] += 1
     assert all(hits.values()), hits
@@ -189,12 +210,25 @@ def test_preservation_bodies_are_not_vacuous(squares):
 
 
 def test_kept_values_stay_on_their_instance(squares):
-    # a copy built from an instance's maps computes its own values, even
-    # after the original has kept its own
-    preserving = [sq for sq in squares if is_f_remote_preserving(sq)]
+    # a square keeps one value, whether its adjoints commute; its contexts
+    # are its frames' own, one per (frame, S)
+    for sq in squares:
+        kept = sq.adjoints_commute()
+        copy = DenseSquare(sq.g, sq.f, sq.alpha, sq.omega)
+        assert copy._commute is None and copy.adjoints_commute() == kept
+        assert copy.ctx_l() is sq.ctx_l() is dense_context(
+            sq.l_frame, sq.alpha_image)
+        assert copy.ctx_m() is sq.ctx_m() is dense_context(
+            sq.m_frame, sq.omega_image)
+        assert (sq.ctx_l().frame, sq.ctx_l().s) == (sq.l_frame, sq.alpha_image)
+        assert (sq.ctx_m().frame, sq.ctx_m().s) == (sq.m_frame, sq.omega_image)
+    # a copy whose target context rejects all answers for itself alone:
+    # L's minimal points are remote, and no image is remote in the copy
+    preserving = [sq for sq in squares
+                  if is_f_remote_preserving(sq) and sq.l_frame.min_points()]
     assert preserving
     for sq in preserving:
-        assert not is_f_remote_preserving(_rejecting(sq, "m"))
+        assert not is_f_remote_preserving(_Rejecting(sq, "m"))
         assert is_f_remote_preserving(sq)
     chains = gen_chains(squares[:20])[:40]
     assert chains
@@ -307,6 +341,13 @@ def _scan_image_witness(f, src, dst):
     return None
 
 
+def _scan_preserves(f, src, dst):
+    # each image is judged by dst's miss mask, as _preserves judges it: a
+    # rejecting context refuses O only through is_remote_from
+    return all(f.image_subl(a).mask & dst.miss_points() == 0
+               for a in remote_scan(src))
+
+
 def _scan_beta1(sq, ctx_l, ctx_m):
     for a in enumerate_sublocales(sq.l_frame):
         if ctx_m.is_remote_from(sq.f.image_subl(a)) \
@@ -357,7 +398,8 @@ def _scan_middle_remote_in_first_image(tri):
     return all(a <= bound for a in remote_scan(tri.sq2.ctx_l()))
 
 
-# every other diagram check reaches a scan through _image_witness
+# every other diagram check reaches a scan through _image_witness or
+# _preserves
 _SCANNING = {
     "beta1": (SQUARE_CHECKS["beta1"][0], _plain(_scan_beta1)),
     "beta1star": (SQUARE_CHECKS["beta1star"][0], _star(_scan_beta1)),
@@ -376,11 +418,11 @@ def _posets3_diagrams():
     squares, chains, tris = (corpus["square"], corpus["chain"],
                              corpus["triangle"])
     return {
-        "square": squares + [_rejecting(sq, side)
+        "square": squares + [_Rejecting(sq, side)
                              for sq in squares for side in "lm"],
         "chain": chains + [_rejecting_chain(c) for c in chains],
-        "triangle": tris + [Triangle(_rejecting(t.sq1, side),
-                                     _rejecting(t.sq2, side))
+        "triangle": tris + [Triangle(_Rejecting(t.sq1, side),
+                                     _Rejecting(t.sq2, side))
                             for t in tris for side in "lm"],
     }
 
@@ -399,6 +441,7 @@ def test_pointwise_quantifiers_match_scans(monkeypatch):
     tables = {**SQUARE_CHECKS, **CHAIN_CHECKS, **TRIANGLE_CHECKS}
     pointwise = verdicts(tables)
     monkeypatch.setattr(diagrams, "_image_witness", _scan_image_witness)
+    monkeypatch.setattr(diagrams, "_preserves", _scan_preserves)
     scanned = verdicts({**tables, **_SCANNING})
     assert pointwise == scanned, sorted(
         k for k in pointwise if pointwise[k] != scanned[k])[:5]
@@ -406,3 +449,20 @@ def test_pointwise_quantifiers_match_scans(monkeypatch):
     failed = {cid for (cid, _), v in pointwise.items() if v == FAIL}
     assert failed >= set(_CONCLUSION_SIDE) | {"bvl", "starbvl"}, failed
 
+
+def test_square_space_properties_match_their_references(square_space):
+    # the map properties and square hypotheses decided by point masks, and
+    # the two kept on element tables, against their references in
+    # tests/oracles.py, on every square and all four of its maps
+    seen, wrong = set(), []
+    for sq in square_space():
+        for prop, (got, want) in square_verdicts(sq).items():
+            seen.add((prop, want))
+            if got != want:
+                wrong.append((prop, sq.subject()))
+    assert not wrong, wrong[:5]
+    # each reference answers both ways somewhere, except that a vertical,
+    # the inclusion of a dense sublocale, and its adjoint are skeletal
+    one_way = {prop for prop, want in seen if (prop, not want) not in seen}
+    assert one_way == {f"{v}.{prop}" for v in ("alpha", "omega")
+                       for prop in ("is_skeletal", "adjoint_is_skeletal")}

@@ -115,6 +115,19 @@ def test_points_mask_matches_is_point(tier1_frames):
         assert f.points_mask() == oracle, f
 
 
+def test_min_points_are_the_minimal_points_and_the_points_of_bl(
+        tier1_frames):
+    for f in tier1_frames:
+        pts = sum(1 << p for p in range(f.n) if is_point(f, p))
+        minimal = sum(1 << p for p in range(f.n)
+                      if pts >> p & 1 and f.down[p] & pts == 1 << p)
+        # BL = {x** : x in L}, from the implication table
+        bl = 0
+        for x in range(f.n):
+            bl |= 1 << f.pseudocomplement(f.pseudocomplement(x))
+        assert f.min_points() == minimal == pts & bl, f
+
+
 def test_labels_roundtrip(c3):
     for i in range(c3.n):
         assert c3.index_of(c3.label(i)) == i

@@ -13,7 +13,7 @@ from localic.frame import bits
 from localic.generators import gen_maps, inclusion_map
 from localic.sublocale import span
 
-from oracles import enumerate_sublocales_oracle
+from oracles import enumerate_sublocales_oracle, table_is_surjective
 
 
 @pytest.fixture(scope="module")
@@ -163,12 +163,6 @@ def test_injective_surjective(c3):
     assert inc.is_injective() and not inc.is_surjective()
 
 
-def test_image_is_surjective(c3):
-    assert identity_map(c3).image_is_surjective()
-    inc = inclusion_map(booleanization(c3))
-    assert not inc.image_is_surjective()
-
-
 def test_preimage_subl_matches_brute_force_join(small_maps):
     # the join of {A : f[A] <= B} is the least enumerated sublocale
     # containing all their members
@@ -189,13 +183,15 @@ def test_preimage_subl_matches_brute_force_join(small_maps):
             assert f.preimage_subl(b).mask == join, (f.table, b)
 
 
-def test_image_is_surjective_matches_image_sets(small_maps):
+def test_is_surjective_matches_image_sets(small_maps):
+    # f is onto iff f[-] is onto S(M), and iff its table hits every element
     verdicts = set()
     for f in small_maps:
         images = {f.image_subl(a).mask
                   for a in enumerate_sublocales_oracle(f.source)}
         targets = {t.mask for t in enumerate_sublocales_oracle(f.target)}
-        assert f.image_is_surjective() == (images == targets), f.table
+        assert f.is_surjective() == (images == targets), f.table
+        assert f.is_surjective() == table_is_surjective(f), f.table
         verdicts.add(images == targets)
     assert verdicts == {True, False}
 

@@ -25,6 +25,7 @@ from localic.sublocale import Sublocale, span, whole_subl
 SPEC = GenSpec("all-posets-up-to", 3)
 IMAGE = LocalicMap.image_subl
 PREIMAGE = LocalicMap.preimage_subl
+POINT_IMAGE = LocalicMap.point_image
 CONTEXT_INIT = RemoteContext.__init__
 ORACLE = RemoteContext.pred_nwd_oracle
 RMT = RemoteContext.rmt_elements
@@ -49,6 +50,11 @@ def image_drops_lowest_point(f, a):
     img = IMAGE(f, a)
     pts = img.mask & f.target.points_mask()
     return Sublocale(f.target, img.mask & ~(pts & -pts))
+
+
+def point_image_drops_lowest_point(f, mask):
+    img = POINT_IMAGE(f, mask)
+    return img & (img - 1)
 
 
 def skeletal_negated(f):
@@ -123,7 +129,7 @@ MUTATIONS = {
     "image-is-whole": (
         LocalicMap, "image_subl", image_is_whole,
         {"beta", "beta1", "bvl", "for", "gammapreservationlemma",
-         "remotepreservation"}),
+         "gammaremotepreserving", "remotepreservation"}),
     "preimage-is-whole": (
         LocalicMap, "preimage_subl", preimage_is_whole,
         {"for", "forstar", "gammapreservationlemma"}),
@@ -140,10 +146,13 @@ MUTATIONS = {
     "adjoint-always-skeletal": (
         LocalicMap, "adjoint_is_skeletal", always_true,
         {"beta", "for1", "for1star"}),
-    "image-always-surjective": (
-        LocalicMap, "image_is_surjective", always_true, {"for1"}),
+    "point-image-drops-lowest-point": (
+        LocalicMap, "point_image", point_image_drops_lowest_point,
+        {"beta", "beta1", "betastar", "for", "gammaremotepreserving",
+         "remotepreservation", "stargammaremotepreserving"}),
     "always-surjective": (
-        LocalicMap, "is_surjective", always_true, {"for1star", "obsfremote"}),
+        LocalicMap, "is_surjective", always_true,
+        {"for1", "for1star", "obsfremote"}),
     "frame-never-boolean": (
         FiniteFrame, "is_boolean", always_false, {"obsremotefrom"}),
     "miss-mask-ignores-w": (
