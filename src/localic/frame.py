@@ -2,9 +2,9 @@
 
 Elements are integers ``0..n-1``.  Sets of elements are carried around as
 int bitmasks throughout the package; ``bits(mask)`` iterates the indices.
-The order, meet and join tables are built with the frame; the implication
-table is filled on first use.  No value of a frame changes once it is
-known, so a frame is safe to share between workers.
+The order is kept with the frame; the meet, join and implication tables
+are filled on first use.  No value of a frame changes once it is known,
+so a frame is safe to share between workers.
 """
 
 from __future__ import annotations
@@ -35,27 +35,24 @@ class FiniteFrame:
     """A finite bounded distributive lattice with Heyting implication.
 
     Do not call directly: use :func:`build_frame` or :func:`frame_from_leq`,
-    which validate the order and build the meet/join tables.  The Heyting
-    implication table is filled on its first read, from the
-    join-irreducibles.
+    which validate the order.  The meet, join and Heyting implication
+    tables are each filled on their first read, from the join-irreducibles.
     """
 
     __slots__ = (
-        "n", "up", "down", "meet_table", "join_table",
-        "bottom", "top", "labels", "name",
-        "_label_index", "_jm", "_by_jm", "_irr_ups", "_impl", "_req",
+        "n", "up", "down", "bottom", "top", "labels", "name",
+        "_label_index", "_jm", "_by_jm", "_irr_ups",
+        "_meet", "_join", "_impl", "_req",
         "_dense_mask", "_bool_mask",
         "_point_mask", "_sublocales", "_min_pts", "_point_subls",
         "_dense_subls", "_contexts",
     )
 
-    def __init__(self, n, up, down, meet_table, join_table, irr, jm,
-                 bottom, top, labels, name):
+    def __init__(self, n, up, down, irr, jm, by_jm, bottom, top, labels,
+                 name):
         self.n = n
         self.up = up            # up[a] = bitmask of {x : a <= x}
         self.down = down        # down[a] = bitmask of {x : x <= a}
-        self.meet_table = meet_table
-        self.join_table = join_table
         self.bottom = bottom
         self.top = top
         self.labels = labels
@@ -65,8 +62,9 @@ class FiniteFrame:
         # a -> b is the element whose join-irreducibles are the j with
         # j /\ a <= b: those above no join-irreducible below a but not b.
         self._jm = jm
-        self._by_jm = {m: x for x, m in enumerate(jm)}
+        self._by_jm = by_jm
         self._irr_ups = {1 << j: up[j] & irr for j in bits(irr)}
+        self._meet = self._join = None
         self._impl = None       # filled with _req by _fill_impl
         self._req = None
         pseudo = [self._by_jm[irr & ~self._up_closure(m)] for m in jm]
@@ -114,6 +112,22 @@ class FiniteFrame:
             rows.append(tuple(row))
         self._impl = tuple(rows)
         self._req = tuple(req)
+
+    @property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        """[a][b] = a /\\ b, by_jm[jm[a] & jm[b]]; filled on first read."""
+        if self._meet is None:
+            jm, by_jm = self._jm, self._by_jm
+            self._meet = tuple(tuple([by_jm[a & b] for b in jm]) for a in jm)
+        return self._meet
+
+    @property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        """[a][b] = a \\/ b, by_jm[jm[a] | jm[b]]; filled on first read."""
+        if self._join is None:
+            jm, by_jm = self._jm, self._by_jm
+            self._join = tuple(tuple([by_jm[a | b] for b in jm]) for a in jm)
+        return self._join
 
     @property
     def impl_table(self) -> tuple[tuple[int, ...], ...]:
@@ -225,18 +239,30 @@ def _mask_of(xs: Iterable[int]) -> int:
     return out
 
 
+def _sweep_down(up: list[int]) -> bool:
+    """Down the labels, let each up[i] take the up-sets of the j in it, in
+    place; say if a mask grew.  One sweep closes pairs that all have i < j."""
+    grew = False
+    for i in reversed(range(len(up))):
+        old = mask = up[i]
+        for j in bits(old):
+            mask |= up[j]
+        if mask != old:
+            up[i], grew = mask, True
+    return grew
+
+
 def _close_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Reflexive-transitive closure of a generating relation, as up-masks."""
+    """Reflexive-transitive closure of a generating relation, as up-masks:
+    sweeps run until one changes nothing.  After sweep k, up[i] holds all
+    within 2^k steps of i, so at most ceil(log2 n) + 1 sweeps run."""
     up = [1 << i for i in range(n)]
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise NotAPartialOrder(f"pair ({a},{b}) out of range for n={n}")
         up[a] |= 1 << b
-    for k in range(n):
-        upk = up[k]
-        for i in range(n):
-            if up[i] >> k & 1:
-                up[i] |= upk
+    while _sweep_down(up):
+        pass
     return up
 
 
@@ -245,9 +271,17 @@ def frame_from_leq(up: Sequence[int],
                    name: Optional[str] = None) -> FiniteFrame:
     """Build a frame from a full partial order given as up-set bitmasks.
 
-    Validates the order (reflexive, transitive, antisymmetric), lattice
-    structure and distributivity, and builds the meet/join tables; the
-    implication table is filled on first use.
+    Validates the order (reflexive, transitive, antisymmetric) and that it
+    is a distributive lattice; the tables are filled on first use.  With J
+    the j whose strict down-set has a largest element and jm[x] = down[x]
+    & J, it is one iff for every x (b) up[x] is the AND of up[j], j in
+    jm[x] (all of L if jm[x] = 0), and (c) each jm[x] | jm[j], j in J, is
+    some jm[y].  Only if: x is the join of jm[x], and jm[x \\/ j] = jm[x] |
+    jm[j] by distributivity.  If: by (b), jm[x] <= jm[y] puts y in up[x],
+    so jm reflects the order and, by antisymmetry, is one to one.  Also
+    jm[x] = 0 for a minimal x, and a down-set D of J is the union of the
+    jm[j], j in D, so by (c) jm is onto the down-sets of J.  So it is an
+    order isomorphism onto a distributive lattice under & and |.
     """
     n = len(up)
     if n == 0:
@@ -281,56 +315,45 @@ def frame_from_leq(up: Sequence[int],
             b = (cycle & -cycle).bit_length() - 1
             raise NotAPartialOrder(f"elements {a} and {b} are in a cycle")
 
-    # a /\ b is the element whose down-set is down[a] & down[b], if any;
-    # dually for joins.
-    by_down = {d: x for x, d in enumerate(down)}
-    by_up = {u: x for x, u in enumerate(up)}
-    meet_of, join_of = by_down.get, by_up.get
-    meet_table = []
-    join_table = []
-    for a in range(n):
-        da, ua = down[a], up[a]
-        mrow = [meet_of(da & d) for d in down]
-        jrow = [join_of(ua & u) for u in up]
-        if None in mrow or None in jrow:
-            # a pair (b, a) with b < a would have failed at row b
-            for b in range(a, n):
-                if mrow[b] is None:
-                    raise NotALattice(f"elements {a} and {b} have no meet")
-                if jrow[b] is None:
-                    raise NotALattice(f"elements {a} and {b} have no join")
-        meet_table.append(tuple(mrow))
-        join_table.append(tuple(jrow))
-
-    full = (1 << n) - 1
-    bottom, top = by_up[full], by_down[full]
-
-    # j is join-irreducible when its strict down-set has a largest element.
-    # The lattice is distributive iff x -> jm[x], the join-irreducibles
-    # below x, preserves binary joins (Birkhoff); then jm is a lattice
-    # isomorphism onto the down-sets of the join-irreducibles.
-    irr = _mask_of(j for j in range(n) if down[j] & ~(1 << j) in by_down)
+    downs = set(down)
+    irr = _mask_of(j for j in range(n) if down[j] & ~(1 << j) in downs)
     jm = tuple(d & irr for d in down)
-    for a in range(n):
-        ja, jrow = jm[a], join_table[a]
-        for b in range(a + 1, n):
-            lost = jm[jrow[b]] & ~(ja | jm[b])
+    by_jm = {m: x for x, m in enumerate(jm)}
+    above = [(1 << n) - 1] * n      # (b): x >= j exactly when j is in jm[x]
+    unions = set()                  # (c)
+    for j in bits(irr):
+        uj, mj = up[j], jm[j]
+        for x in bits(uj):
+            above[x] &= uj
+        unions.update([m | mj for m in jm])
+    if above != list(up) or not unions <= by_jm.keys():
+        # no distributive lattice: name the first pair or triple to show it
+        by_down = {d: x for x, d in enumerate(down)}
+        by_up = {u: x for x, u in enumerate(up)}
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        for a, b in pairs:
+            if down[a] & down[b] not in by_down:
+                raise NotALattice(f"elements {a} and {b} have no meet")
+            if up[a] & up[b] not in by_up:
+                raise NotALattice(f"elements {a} and {b} have no join")
+        meet = lambda a, b: by_down[down[a] & down[b]]
+        join = lambda a, b: by_up[up[a] & up[b]]
+        for a, b in pairs:
+            lost = jm[join(a, b)] & ~(jm[a] | jm[b])
             if lost:
                 # j <= a \/ b, but j /\ a and j /\ b lie below j's lower cover
                 j = (lost & -lost).bit_length() - 1
-                rhs = join_table[meet_table[j][a]][meet_table[j][b]]
                 raise NotDistributive(
-                    f"witness triple ({j},{a},{b}): "
-                    f"{j}/\\({a}\\/{b})={j} but ({j}/\\{a})\\/({j}/\\{b})={rhs}")
+                    f"witness triple ({j},{a},{b}): {j}/\\({a}\\/{b})={j} "
+                    f"but ({j}/\\{a})\\/({j}/\\{b})="
+                    f"{join(meet(j, a), meet(j, b))}")
+        raise AssertionError("a distributive lattice passes (b) and (c)")
 
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    else:
-        labels = tuple(labels)
-        if len(labels) != n or len(set(labels)) != n:
-            raise NotALattice("labels must be distinct and one per element")
-    return FiniteFrame(n, tuple(up), tuple(down), tuple(meet_table),
-                       tuple(join_table), irr, jm, bottom, top, labels, name)
+    labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
+    if len(labels) != n or len(set(labels)) != n:
+        raise NotALattice("labels must be distinct and one per element")
+    return FiniteFrame(n, tuple(up), tuple(down), irr, jm, by_jm, by_jm[0],
+                       by_jm[irr], labels, name)
 
 
 def build_frame(order: Iterable[tuple[int, int]], n: int,
@@ -344,7 +367,7 @@ def build_frame(order: Iterable[tuple[int, int]], n: int,
     """
     if n <= 0:
         raise NotALattice("element count must be positive")
-    if n > MAX_ELEMENTS:    # before the closure, which is cubic in n
+    if n > MAX_ELEMENTS:    # before the closure builds n masks
         raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
     up = _close_order(n, order)
     return frame_from_leq(up, labels=labels, name=name)

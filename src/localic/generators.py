@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from .frame import (
     ENUMERATION_CAP, FiniteFrame, bits, boolean_frame,
-    chain_frame, frame_from_leq, popcount,
+    _mask_of, _sweep_down, chain_frame, frame_from_leq, popcount,
 )
 from .locmap import LocalicMap, build_map, identity_map
 from .diagrams import DenseSquare, SquareChain, Triangle
@@ -82,18 +82,6 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
 # Posets and their downset lattices
 # ---------------------------------------------------------------------------
 
-def _close_along_labels(up: list[int]) -> list[int]:
-    """Close strict up-masks, in place, whose pairs all have i < j.
-
-    Going down the labels, each point takes the up-sets of the points
-    above it, which are closed already.
-    """
-    for i in reversed(range(len(up))):
-        for j in bits(up[i]):
-            up[i] |= up[j]
-    return up
-
-
 def all_posets(n: int) -> list[frozenset]:
     """One strict-order relation per isomorphism class on n points.
 
@@ -115,8 +103,8 @@ def all_posets(n: int) -> list[frozenset]:
         for k in bits(mask):
             i, j = pairs[k]
             up[i] |= 1 << j
-        rel = tuple(i * n + j for i, m in enumerate(_close_along_labels(up))
-                    for j in bits(m))
+        _sweep_down(up)
+        rel = tuple(i * n + j for i, m in enumerate(up) for j in bits(m))
         if rel in done:
             continue
         orbit = {tuple(sorted(map(p.__getitem__, rel))) for p in relabel}
@@ -128,11 +116,8 @@ def all_posets(n: int) -> list[frozenset]:
 def _lattice_of_sets(sets, name: Optional[str]) -> FiniteFrame:
     """A union- and intersection-closed family of point sets as a frame."""
     elems = sorted(sets, key=lambda d: (popcount(d), d))
-    up = [0] * len(elems)
-    for i, d in enumerate(elems):
-        for j, e in enumerate(elems):
-            if d & ~e == 0:
-                up[i] |= 1 << j
+    up = [_mask_of(j for j, e in enumerate(elems) if d & ~e == 0)
+          for d in elems]
     labels = ["o" if d == 0 else "".join(str(p) for p in bits(d))
               for d in elems]
     return frame_from_leq(up, labels=labels, name=name)
@@ -155,13 +140,10 @@ def downset_frame(n_points: int, rel: frozenset,
 
 def _random_poset(rng: random.Random, n_points: int) -> frozenset:
     p = rng.uniform(0.2, 0.7)
-    up = [0] * n_points
-    for i in range(n_points):
-        for j in range(i + 1, n_points):
-            if rng.random() < p:
-                up[i] |= 1 << j
-    return frozenset((i, j) for i, m in enumerate(_close_along_labels(up))
-                     for j in bits(m))
+    up = [_mask_of(j for j in range(i + 1, n_points) if rng.random() < p)
+          for i in range(n_points)]
+    _sweep_down(up)
+    return frozenset((i, j) for i, m in enumerate(up) for j in bits(m))
 
 
 def _random_topology_frame(rng: random.Random, size_cap: int,

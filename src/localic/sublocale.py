@@ -156,11 +156,7 @@ def closed_subl(frame: FiniteFrame, a: int) -> Sublocale:
 
 def open_subl(frame: FiniteFrame, a: int) -> Sublocale:
     """o(a): the image of a -> (-); the complement of c(a) in S(L)."""
-    mask = 0
-    row = frame.impl_table[a]
-    for x in range(frame.n):
-        mask |= 1 << row[x]
-    return Sublocale(frame, mask)
+    return Sublocale(frame, _mask_of(frame.impl_table[a]))
 
 
 def booleanization(frame: FiniteFrame) -> Sublocale:
@@ -333,10 +329,8 @@ def s_nowhere_dense_sublocales(s: Sublocale) -> list[Sublocale]:
     out = []
     for n_sub in enumerate_sublocales(sub):
         if is_nowhere_dense(sub, n_sub):
-            mask = 0
-            for i in n_sub.members():
-                mask |= 1 << elems[i]
-            out.append(Sublocale(s.frame, mask))
+            out.append(Sublocale(
+                s.frame, _mask_of(elems[i] for i in n_sub.members())))
     return out
 
 

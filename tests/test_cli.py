@@ -14,7 +14,8 @@ from localic import (
     enumerate_sublocales,
 )
 from localic.cli import main
-from localic.generators import GenSpec
+from localic.frame import frame_from_leq
+from localic.generators import GenSpec, gen_frames
 from localic.jsonio import document_from_json
 from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
 
@@ -333,6 +334,21 @@ def test_query_nd(tmp_path, capsys):
     path = _write(tmp_path, "c3.json", C3_DOC)
     assert main(["query", path, "nd", "S=L"]) == 0
     assert json.loads(capsys.readouterr().out) == ["1", "m"]
+
+
+def test_query_answers_fill_no_table():
+    # each query loads a fresh frame: its answer reads the order and the
+    # masks found with it, and never fills a meet, join or implication table
+    questions = [["booleanization"], ["sublocale-count"],
+                 ["dense-in-itself?"]] + [
+        [q, s] for q in ("remote-set", "rs", "star-rs", "nd", "rare?")
+        for s in ("S=L", "S=BL")]
+    for f in gen_frames(GenSpec("finite-topology", 16)):
+        for words in questions:
+            fresh = frame_from_leq(f.up, labels=f.labels, name=f.name)
+            cli.answer_query(fresh, words)
+            assert (fresh._meet, fresh._join, fresh._impl) \
+                == (None, None, None), (f, words)
 
 
 @pytest.mark.parametrize("doc, words, message", [

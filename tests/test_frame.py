@@ -268,3 +268,56 @@ def test_frame_from_leq_rejects_a_relation_that_is_not_an_order(up, message):
     with pytest.raises(NotAPartialOrder) as info:
         frame_from_leq(up)
     assert str(info.value) == message
+
+
+# Orders that fail just one of frame_from_leq's tests (b) and (c), so
+# dropping either test lets one of them through.
+@pytest.mark.parametrize("up, error, message", [
+    # the V 1 > 0 < 2, the least order failing (c) alone: jm[1] | jm[2]
+    # is no jm[y]
+    ([0b111, 0b010, 0b100], NotALattice, "elements 1 and 2 have no join"),
+    # the least order failing (b) alone: jm[0] = jm[1] = 0, so it cannot
+    # be both up[0] and up[1]
+    ([0b01, 0b10], NotALattice, "elements 0 and 1 have no meet"),
+    # with a bottom, 5 elements are the least that fail (b) alone:
+    # jm[3] = jm[4] = {1, 2}, and up[1] & up[2] = {3, 4}
+    ([31, 26, 28, 8, 16], NotALattice, "elements 1 and 2 have no join"),
+    # jm is onto the down-sets of J = {1, 2, 3}, but jm[5] = {1, 2} while
+    # up[1] & up[2] = {4, 5}: only (b) fails
+    ([63, 58, 52, 24, 16, 32], NotALattice, "elements 1 and 2 have no join"),
+    # M3 and N5 fail (c)
+    ([31, 18, 20, 24, 16], NotDistributive,
+     "witness triple (3,1,2): 3/\\(1\\/2)=3 but (3/\\1)\\/(3/\\2)=0"),
+    ([31, 18, 28, 24, 16], NotDistributive,
+     "witness triple (3,1,2): 3/\\(1\\/2)=3 but (3/\\1)\\/(3/\\2)=2"),
+], ids=["V-fails-c", "antichain-fails-b", "fails-b-with-bottom",
+        "fails-b-onto", "M3", "N5"])
+def test_frame_from_leq_names_why_the_birkhoff_tests_fail(up, error, message):
+    with pytest.raises(error) as info:
+        frame_from_leq(up)
+    assert str(info.value) == message
+
+
+def test_close_order_matches_the_closure(monkeypatch):
+    sweeps = []
+    real = frame._sweep_down
+    monkeypatch.setattr(frame, "_sweep_down",
+                        lambda up: sweeps.append(1) or real(up))
+
+    def check(n, pairs):
+        leq = _closure(n, pairs)
+        sweeps.clear()
+        up = frame._close_order(n, pairs)
+        assert up == [sum(1 << b for b in range(n) if leq[a][b])
+                      for a in range(n)], (n, pairs)
+        return len(sweeps)
+
+    for n, pairs in _orders():
+        # at most ceil(log2 n) + 1 sweeps
+        assert check(n, pairs) <= (n - 1).bit_length() + 1, (n, pairs)
+    # labelled against the sweeps, 63 < 62 < ... < 0 doubles its reach
+    # per sweep, so ceil(log2 64) + 1 sweeps run; once closed, it takes one
+    chain = {(i + 1, i) for i in range(63)}
+    assert check(64, chain) == 7
+    closed = {(a, b) for a in range(64) for b in range(a + 1)}
+    assert check(64, closed) == 1
