@@ -1,34 +1,45 @@
 """Command line front end: validate documents, run the suite, query frames.
 
 Exit codes: 0 success, 1 at least one theorem check failed, 2 input or
-validation error.  Suite reports are byte-deterministic for a given spec,
-filter and corpus; wall time is written to stderr only so report files
-can be compared directly.  Each suite shard tallies its rows by check and
-verdict and writes out, and so names the instance of, only failing rows.
+validation error.  The arguments are parsed by hand: a usage error is
+one line on stderr and exit 2, and ``-h``/``--help`` prints ``_USAGE``
+and exits 0.  Suite options take their value as ``--opt VALUE`` or
+``--opt=VALUE``, spelled out in full.
+
+Each command imports only what it runs: ``validate`` and ``query`` of a
+frame load the frame, sublocale, remoteness and jsonio modules; a map,
+square or chain document adds ``locmap`` or ``diagrams``; only ``suite``
+loads ``generators`` and ``registry``.
+
+Suite reports are byte-deterministic for a given spec, filter and corpus;
+wall time is written to stderr only so report files can be compared
+directly.  Each suite shard tallies its rows by check and verdict and
+writes out, and so names the instance of, only failing rows.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
 import time
 from collections import Counter
 from fnmatch import fnmatch
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .errors import InvalidSublocale, LocalicError
 from .frame import FiniteFrame, popcount
-from .generators import FAMILIES, GenSpec, build_corpus
 from .jsonio import load_document
-from .registry import REGISTRY, SCOPES, checks_in_scope
 from .remoteness import RemoteContext
 from .result import FAIL, HYPOTHESES_NOT_MET, PASS
 from .sublocale import (
     Sublocale, booleanization, is_dense_in_itself, is_rare, nd_join,
     serialize_sublocale, whole_subl,
 )
+
+if TYPE_CHECKING:
+    from .generators import GenSpec
 
 
 def _usable_cpus() -> int:
@@ -39,9 +50,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def build_corpus(spec: GenSpec) -> dict[str, list]:
+    """The suite corpus of ``spec``: :func:`localic.generators.build_corpus`,
+    imported on the first call so that no other command loads it."""
+    from .generators import build_corpus
+    return build_corpus(spec)
+
+
 def _run_shard(args: tuple) -> tuple[Counter, list[dict], dict[str, int]]:
     """Worker: regenerate the corpus and run its slice of the instances;
     return the (check id, verdict) tally, the fail rows and corpus counts."""
+    from .registry import SCOPES, checks_in_scope
     spec, pattern, shard, nshards = args
     corpus = build_corpus(spec)
     counts = {scope: len(items) for scope, items in corpus.items()}
@@ -62,6 +81,7 @@ def _run_shard(args: tuple) -> tuple[Counter, list[dict], dict[str, int]]:
 
 
 def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
+    from .registry import REGISTRY
     # One worker process per shard, and never more shards than usable CPUs.
     jobs = min(jobs, _usable_cpus())
     if jobs <= 1:
@@ -156,37 +176,95 @@ def answer_query(frame: FiniteFrame, words: list[str]):
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built on the first call, not at import; parse_args returns a fresh
-    # namespace each time, so one parser serves every call of main.
-    p = argparse.ArgumentParser(
-        prog="localic",
-        description="finite-locale computations and theorem suite")
-    sub = p.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: localic validate FILE
+       localic query FILE QUESTION [S=L | S=BL | S={labels}]
+       localic suite --family FAMILY --max-size N [--seed N] [--count N]
+                     [--filter GLOB] [--jobs N] [--out FILE]
 
-    v = sub.add_parser("validate", help="validate a JSON document")
-    v.add_argument("file")
+validate  check a frame, map, square or chain document
+query     ask about a frame document: booleanization, sublocale-count,
+          dense-in-itself?, or, of one dense S (default S=L), remote-set,
+          rs, star-rs, nd, rare?
+suite     run the theorem suite over a generated corpus; FAMILY is one of
+          all-posets-up-to, random-poset, chain, boolean-algebra,
+          finite-topology; --count is for the random families, --filter
+          a check-id glob, --jobs 0 (the default) the usable CPUs, and
+          --out a file that also receives the report
 
-    s = sub.add_parser("suite", help="run the theorem suite over a corpus")
-    s.add_argument("--family", required=True, choices=FAMILIES)
-    s.add_argument("--max-size", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--count", type=int, default=0,
-                   help="instances for the random families")
-    s.add_argument("--filter", default="*", help="check-id glob")
-    s.add_argument("--jobs", type=int, default=0,
-                   help="parallel workers (default: usable CPUs)")
-    s.add_argument("--out", help="also write the report to this file")
+An option takes its value as --opt VALUE or --opt=VALUE.
+"""
 
-    q = sub.add_parser("query", help="ask a question about a frame document")
-    q.add_argument("file")
-    q.add_argument("question", nargs="+")
-    return p
+# suite option -> (field of the parsed namespace, value type)
+_SUITE_OPTIONS = {
+    "--family": ("family", str), "--max-size": ("max_size", int),
+    "--seed": ("seed", int), "--count": ("count", int),
+    "--filter": ("filter", str), "--jobs": ("jobs", int),
+    "--out": ("out", str),
+}
+_SUITE_DEFAULTS = {"seed": 0, "count": 0, "filter": "*", "jobs": 0,
+                   "out": None}
+
+
+class _UsageError(Exception):
+    """argv that names no command, or a command with the wrong words."""
+
+
+def _parse_suite(words: list[str]) -> SimpleNamespace:
+    opts = dict(_SUITE_DEFAULTS)
+    words = iter(words)
+    for word in words:
+        name, eq, value = word.partition("=")
+        if name not in _SUITE_OPTIONS:
+            raise _UsageError(f"unknown suite option {name!r}")
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"{name} needs a value")
+        field, kind = _SUITE_OPTIONS[name]
+        try:
+            opts[field] = kind(value)
+        except ValueError:
+            raise _UsageError(f"{name} takes an integer, got {value!r}") \
+                from None
+    missing = [name for name, (field, _) in _SUITE_OPTIONS.items()
+               if field not in opts]
+    if missing:
+        raise _UsageError(f"suite needs {' and '.join(missing)}")
+    return SimpleNamespace(command="suite", **opts)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its fields: ``file`` and ``question``, or the suite
+    options, each under its name without ``--`` and with ``_`` for ``-``."""
+    if not argv:
+        raise _UsageError("no command given")
+    command, *rest = argv
+    if command == "suite":
+        return _parse_suite(rest)
+    if command == "validate":
+        if len(rest) != 1:
+            raise _UsageError(f"validate takes one FILE, got {len(rest)}")
+        return SimpleNamespace(command=command, file=rest[0])
+    if command == "query":
+        if len(rest) < 2:
+            raise _UsageError("query takes a FILE and a question")
+        return SimpleNamespace(command=command, file=rest[0],
+                               question=rest[1:])
+    raise _UsageError(f"unknown command {command!r}")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        return 0
+    try:
+        args = _parse_args(argv)
+    except _UsageError as e:
+        print(f"localic: {e} (localic --help shows the usage)",
+              file=sys.stderr)
+        return 2
 
     if args.command == "validate":
         try:
@@ -198,6 +276,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "suite":
+        from .generators import GenSpec
+        from .registry import REGISTRY
         try:
             spec = GenSpec(args.family, args.max_size, args.seed, args.count)
             if args.jobs < 0:

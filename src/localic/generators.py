@@ -68,10 +68,15 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
         if max_size < least:
             raise ValueError(f"{family} needs max_size of at least {least}, "
                              f"got {max_size}")
-        # the exhaustive corpus stops at 5 points; refuse what it skips
+        # the exhaustive corpus stops at 5 points, and every other family
+        # at ENUMERATION_CAP elements; refuse what gen_frames would skip
         if family == "all-posets-up-to" and max_size > 5:
             raise ValueError(f"all-posets-up-to builds at most 5 points, "
                              f"got max_size {max_size}")
+        if family != "all-posets-up-to" and max_size > ENUMERATION_CAP:
+            raise ValueError(f"{family} builds frames of at most "
+                             f"{ENUMERATION_CAP} elements, got max_size "
+                             f"{max_size}")
         return super().__new__(cls, family, max_size, seed, count)
 
     def to_json(self) -> dict:
@@ -171,11 +176,10 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
     """The frame corpus for a spec, in a fixed deterministic order."""
     fam = spec.family
     if fam == "chain":
-        return [chain_frame(n)
-                for n in range(1, min(spec.max_size, ENUMERATION_CAP) + 1)]
+        return [chain_frame(n) for n in range(1, spec.max_size + 1)]
     if fam == "boolean-algebra":
         return [boolean_frame(k) for k in range(0, 5)
-                if 1 << k <= min(spec.max_size, ENUMERATION_CAP)]
+                if 1 << k <= spec.max_size]
     if fam == "all-posets-up-to":
         out = []
         # size 0 contributes the one-element frame, the only finite frame
@@ -188,21 +192,20 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
         return out
     rng = random.Random(spec.seed)
     count = spec.count or 50
-    cap = min(spec.max_size, ENUMERATION_CAP)
     out = []
     if fam == "random-poset":
         idx = 0
         while len(out) < count:
             n_points = rng.randint(1, 5)
             downs = _downsets(n_points, _random_poset(rng, n_points))
-            if len(downs) <= cap:
+            if len(downs) <= spec.max_size:
                 out.append(_lattice_of_sets(downs, f"R{idx}"))
             idx += 1
         return out
     # finite-topology
     idx = 0
     while len(out) < count:
-        f = _random_topology_frame(rng, cap, name=f"T{idx}")
+        f = _random_topology_frame(rng, spec.max_size, name=f"T{idx}")
         idx += 1
         if f is not None:
             out.append(f)

@@ -19,14 +19,18 @@ field of any other shape raises InvalidDocument.
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .errors import InvalidDocument, LocalicError
+from .errors import InvalidDocument
 from .frame import FiniteFrame, build_frame
-from .locmap import LocalicMap, build_map
-from .diagrams import DenseSquare, SquareChain
 
-Document = Union[FiniteFrame, LocalicMap, DenseSquare, SquareChain]
+if TYPE_CHECKING:
+    # imported at run time by the branches that build them, so reading a
+    # frame document loads neither module
+    from .diagrams import DenseSquare, SquareChain
+    from .locmap import LocalicMap
+
+Document = Union["FiniteFrame", "LocalicMap", "DenseSquare", "SquareChain"]
 
 
 def _object(value, what: str) -> dict:
@@ -74,6 +78,7 @@ def frame_from_json(doc: dict) -> FiniteFrame:
 
 
 def _map_from_body(body: dict, frames: dict[str, FiniteFrame]) -> LocalicMap:
+    from .locmap import build_map
     body = _object(body, "a map")
     src = _pick(frames, body.get("source"), "source frame")
     tgt = _pick(frames, body.get("target"), "target frame")
@@ -103,6 +108,7 @@ def _frames_of(doc: dict) -> dict[str, FiniteFrame]:
 
 
 def _square_from_json(doc: dict) -> tuple[DenseSquare, dict[str, LocalicMap]]:
+    from .diagrams import DenseSquare
     frames = _frames_of(doc)
     maps = {name: _map_from_body(body, frames)
             for name, body in _object(doc.get("maps", {}), "'maps'").items()}
@@ -123,6 +129,7 @@ def document_from_json(doc: dict) -> Document:
     if kind == "square":
         return _square_from_json(doc)[0]
     if kind == "chain":
+        from .diagrams import SquareChain
         outer, maps = _square_from_json(doc)
         ch = _names(doc.get("chain"), "'chain'")
         parts = [_pick(maps, ch.get(k), "map")

@@ -146,6 +146,16 @@ class RemoteContext:
         On the fast route they are the points above an S-dense member of S
         (T /\\ c(x) = O) and the points outside W; on the oracle route,
         cl(S minus Iso(S)) and the points outside W.
+
+        On both routes this is (up(pts(S) minus Min) /\\ pts) \\/ (pts minus
+        pts(W)), Min the minimal points and up(Q) the points above some
+        point of Q.  Oracle route: the opens of pt(L) are its down-sets, so
+        closures are up-closures; a dense S holds every minimal point, so a
+        point of S is isolated in S iff it is minimal.  Fast route: a point
+        that is not minimal is dense, so each one in S is an S-dense member
+        of S; an S-dense x in S has no minimal point above it and is the
+        meet of the points of S above x, and a point above that meet is
+        above one of them, since points are prime.
         """
         if not oracle:
             return self._miss_mask

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import localic
 from localic import (
     REGISTRY, DenseSquare, FiniteFrame, LocalicError, LocalicMap,
     RemoteContext, SquareChain, Triangle, checks_in_scope, cli,
@@ -15,7 +17,7 @@ from localic import (
 )
 from localic.cli import main
 from localic.frame import frame_from_leq
-from localic.generators import GenSpec, gen_frames
+from localic.generators import FAMILIES, GenSpec, gen_frames
 from localic.jsonio import document_from_json
 from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
 
@@ -294,8 +296,10 @@ def test_suite_byte_determinism(tmp_path):
 
 
 def test_suite_rejects_bad_family(capsys):
-    with pytest.raises(SystemExit):
-        main(["suite", "--family", "nope", "--max-size", "3"])
+    # GenSpec alone checks the family
+    assert main(["suite", "--family", "nope", "--max-size", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "unknown family 'nope'\n"
 
 
 def test_query_unknown_label(tmp_path, capsys):
@@ -416,10 +420,8 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     report = json.loads(b.read_text())
     assert report["filter"] == "*" and len(report["checks"]) == 40
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["query"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert main(["query"]) == 2
+    assert _one_line(capsys.readouterr().err)
     path = _write(tmp_path, "c3.json", C3_DOC)
     assert main(["query", path, "booleanization"]) == 0
     assert json.loads(capsys.readouterr().out) == ["0", "1"]
@@ -438,11 +440,62 @@ def test_parser_reuse_leaks_nothing(tmp_path, capsys):
     ["--family", "chain", "--max-size", "3", "--count", "7"],
     ["--family", "boolean-algebra", "--max-size", "4", "--count", "1"],
     ["--family", "all-posets-up-to", "--max-size", "2", "--count", "3"],
+    ["--family", "chain", "--max-size", "100"],
 ])
 def test_suite_rejects_negative_sizes(flags, capsys):
     assert main(["suite", "--jobs", "1"] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and _one_line(captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["query"],
+    ["query", "FILE"],
+    ["validate"],
+    ["validate", "FILE", "FILE"],
+    ["suite", "--max-size", "3"],
+    ["suite", "--family", "chain"],
+    ["suite", "--family", "chain", "--max-size"],
+    ["suite", "--family", "--max-size", "3"],
+    ["suite", "--family", "chain", "--max-size", "3", "--jobs", "two"],
+    ["suite", "--family", "chain", "--max-size", "3", "--verbose"],
+    ["suite", "--family", "chain", "--max", "3"],     # no abbreviations
+    ["suite", "--family", "nope", "--max-size", "3"],
+], ids=["none", "unknown-command", "query-no-file", "query-no-question",
+        "validate-no-file", "validate-two-files", "no-family",
+        "no-max-size", "no-value-at-end", "option-as-value",
+        "non-integer-jobs", "unknown-option", "abbreviated-option",
+        "unknown-family"])
+def test_bad_argv_is_one_line(argv, tmp_path, capsys):
+    path = _write(tmp_path, "c3.json", C3_DOC)
+    argv = [path if w == "FILE" else w for w in argv]
+    if argv[:1] == ["suite"]:
+        argv[1:1] = ["--jobs=1"]    # no worker pool, should one slip by
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+
+
+def test_help_prints_the_usage(capsys):
+    for argv in (["--help"], ["-h"], ["suite", "--help"], ["query", "-h"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: localic validate FILE\n")
+        assert captured.err == ""
+        assert all(family in captured.out for family in FAMILIES)
+
+
+def test_option_value_after_equals_sign(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["suite", "--family", "chain", "--max-size", "3",
+                 "--jobs", "1", "--out", str(a)]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["suite", "--family=chain", "--max-size=3", "--jobs=1",
+                 f"--out={b}"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert a.read_bytes() == b.read_bytes() == spaced.encode()
 
 
 def test_suite_rejects_filter_matching_nothing(monkeypatch, capsys):
@@ -560,8 +613,18 @@ def test_failing_suite_is_identical_across_jobs(monkeypatch, inline_pool,
                    if i.subject() == row["subject"]), row
 
 
+def _run_child(child: str, *args: str) -> list[str]:
+    """Run ``child`` in a fresh interpreter, so that modules loaded by
+    other tests don't count; the lines that it prints."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
 def test_serial_suite_imports_no_pool_or_dataclasses():
-    # a fresh interpreter, so modules loaded by other tests don't count
     child = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -570,15 +633,49 @@ def test_serial_suite_imports_no_pool_or_dataclasses():
         " '--jobs', '1'])\n"
         "print(' '.join(set(sys.modules) - before))\n"
         "sys.exit(rc)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", child], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.splitlines()[-1].split())
+    loaded = set(_run_child(child)[-1].split())
     assert "localic.cli" in loaded
     assert not loaded & {"concurrent.futures", "multiprocessing",
                          "dataclasses", "inspect"}
+
+
+def test_query_and_validate_import_no_suite_module(tmp_path):
+    # a frame's query and validate leave the suite's modules unloaded; a
+    # map document loads locmap, and only that
+    child = (
+        "import sys\n"
+        "from localic.cli import main\n"
+        "frame, map_doc = sys.argv[1:]\n"
+        "assert main(['validate', frame]) == 0\n"
+        "assert main(['query', frame, 'booleanization']) == 0\n"
+        "for q in ('remote-set', 'rs', 'star-rs', 'nd', 'rare?'):\n"
+        "    assert main(['query', frame, q, 'S=BL']) == 0\n"
+        "print('loaded', *sys.modules)\n"
+        "assert main(['validate', map_doc]) == 0\n"
+        "print('loaded', *sys.modules)\n")
+    frame = _write(tmp_path, "c3.json", C3_DOC)
+    map_doc = _write(tmp_path, "map.json", MAP_DOC)
+    frame_run, map_run = (set(line.split()) for line in
+                          _run_child(child, frame, map_doc)
+                          if line.startswith("loaded "))
+    suite_only = {"localic.generators", "localic.diagrams",
+                  "localic.locmap", "localic.registry"}
+    assert "localic.remoteness" in frame_run
+    assert not frame_run & suite_only
+    assert map_run & suite_only == {"localic.locmap"}
+
+
+def test_package_names_are_their_modules_objects():
+    # each name is the object of the module that defines it; a constant
+    # has no __module__, and comes from the module the package names
+    for name in localic.__all__:
+        obj = getattr(localic, name)
+        home = (getattr(obj, "__module__", None)
+                or f"localic.{localic._MODULE_OF[name]}")
+        assert getattr(importlib.import_module(home), name) is obj, name
+    assert set(localic.__all__) <= set(dir(localic))
+    with pytest.raises(AttributeError):
+        localic.no_such_name
 
 
 def test_suite_formats_only_failing_subjects(monkeypatch, corpora):

@@ -10,7 +10,7 @@ from localic import (
     enumerate_sublocales, whole_subl,
 )
 from localic import generators
-from localic.frame import bits, popcount
+from localic.frame import ENUMERATION_CAP, bits, popcount
 from localic.generators import (
     MAX_CONTEXTS_PER_FRAME, MAX_COUNT, all_posets, build_corpus,
     downset_frame, gen_dense_sublocales, gen_frames, gen_maps, gen_squares,
@@ -152,6 +152,13 @@ def test_genspec_roundtrip():
             GenSpec(family, 3, count=1)
     # the least exhaustive corpus is the one-element frame
     assert [f.n for f in gen_frames(GenSpec("all-posets-up-to", 0))] == [1]
+    # no family builds a frame over ENUMERATION_CAP, so a larger max_size
+    # would change the report's genspec and not its corpus
+    for family in ("chain", "boolean-algebra", "random-poset",
+                   "finite-topology"):
+        assert GenSpec(family, ENUMERATION_CAP).max_size == ENUMERATION_CAP
+        with pytest.raises(ValueError, match=f"at most {ENUMERATION_CAP} elements"):
+            GenSpec(family, ENUMERATION_CAP + 1)
 
 
 def test_gen_frames_deterministic():

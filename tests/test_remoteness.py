@@ -6,7 +6,7 @@ from localic import (
     closed_subl, dense_context, enumerate_sublocales, remoteness, subl_join,
     supplement, void_subl, whole_context, whole_subl,
 )
-from localic.frame import FiniteFrame, popcount
+from localic.frame import FiniteFrame, bits, popcount
 from localic.generators import (
     all_posets, build_corpus, downset_frame, gen_dense_sublocales, gen_frames,
 )
@@ -197,6 +197,27 @@ def test_routes_agree_above_the_enumeration_cap():
                 assert check_opendensefrom(c) is None, (c.subject(), c.within)
                 seen += 1
     assert seen == 3102
+
+
+def test_miss_mask_closed_form():
+    # on every dense S of every frame of all posets up to 5 points, plain
+    # and *remote, on both routes: the miss mask is the points above a
+    # non-minimal point of S, and the points outside W
+    seen = 0
+    for f in gen_frames(GenSpec("all-posets-up-to", 5)):
+        pts = f.points_mask()
+        for s in gen_dense_sublocales(f):
+            above = 0
+            for p in bits(s.mask & pts & ~f.min_points()):
+                above |= f.up[p]
+            ctx = RemoteContext(f, s)
+            for c in (ctx, ctx.star()):
+                want = above & pts | pts & ~c.within.mask
+                for oracle in (False, True):
+                    assert c.miss_points(oracle) == want, \
+                        (c.subject(), c.within, oracle)
+                    seen += 1
+    assert seen == 4 * 593
 
 
 class _OnePointContext(RemoteContext):
