@@ -37,8 +37,7 @@ _EXPORTS = {
         "GenSpec", "gen_chains", "gen_dense_sublocales", "gen_frames",
         "gen_maps", "gen_squares", "gen_triangles", "inclusion_map",
     ),
-    "registry": ("REGISTRY", "TheoremCheck", "checks_in_scope"),
-    "result": ("CheckResult",),
+    "registry": ("REGISTRY", "CheckResult", "TheoremCheck", "checks_in_scope"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from collections import Counter
-from fnmatch import fnmatch
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -32,10 +31,8 @@ from .errors import InvalidSublocale, LocalicError
 from .frame import FiniteFrame, popcount
 from .jsonio import load_document
 from .remoteness import RemoteContext
-from .result import FAIL, HYPOTHESES_NOT_MET, PASS
 from .sublocale import (
-    Sublocale, booleanization, is_dense_in_itself, is_rare, nd_join,
-    serialize_sublocale, whole_subl,
+    Sublocale, booleanization, is_dense_in_itself, is_rare, nd_join, whole_subl,
 )
 
 if TYPE_CHECKING:
@@ -60,15 +57,16 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
 def _run_shard(args: tuple) -> tuple[Counter, list[dict], dict[str, int]]:
     """Worker: regenerate the corpus and run its slice of the instances;
     return the (check id, verdict) tally, the fail rows and corpus counts."""
-    from .registry import SCOPES, checks_in_scope
+    from .registry import FAIL, SCOPES, select
     spec, pattern, shard, nshards = args
     corpus = build_corpus(spec)
     counts = {scope: len(items) for scope, items in corpus.items()}
+    selected = select(pattern)
     tally = Counter()
     failures = []
     idx = 0
     for scope in SCOPES:
-        checks = [c for c in checks_in_scope(scope) if fnmatch(c.id, pattern)]
+        checks = [c for c in selected if c.scope == scope]
         for inst in corpus[scope]:
             if checks and idx % nshards == shard:
                 for c in checks:
@@ -81,7 +79,7 @@ def _run_shard(args: tuple) -> tuple[Counter, list[dict], dict[str, int]]:
 
 
 def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
-    from .registry import REGISTRY
+    from .registry import FAIL, HYPOTHESES_NOT_MET, PASS, select
     # One worker process per shard, and never more shards than usable CPUs.
     jobs = min(jobs, _usable_cpus())
     if jobs <= 1:
@@ -92,8 +90,8 @@ def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
         args = [(spec, pattern, k, jobs) for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             shards = list(pool.map(_run_shard, args))
-    tallies = {cid: {PASS: 0, HYPOTHESES_NOT_MET: 0, FAIL: 0}
-               for cid in sorted(c for c in REGISTRY if fnmatch(c, pattern))}
+    tallies = {c.id: {PASS: 0, HYPOTHESES_NOT_MET: 0, FAIL: 0}
+               for c in select(pattern)}
     failures = []
     for tally, fails, _ in shards:
         for (cid, verdict), n in tally.items():
@@ -153,7 +151,7 @@ def answer_query(frame: FiniteFrame, words: list[str]):
     if len(rest) > 1:
         raise LocalicError("S= given more than once")
     if question == "booleanization":
-        return serialize_sublocale(booleanization(frame))
+        return booleanization(frame).labels()
     if question == "sublocale-count":
         # S(L) is the powerset of the points
         return 1 << popcount(frame.points_mask())
@@ -162,13 +160,13 @@ def answer_query(frame: FiniteFrame, words: list[str]):
     s = _parse_subl(frame, rest[0][2:]) if rest else whole_subl(frame)
     if question == "remote-set":
         ctx = RemoteContext(frame, s)
-        return sorted(serialize_sublocale(t) for t in ctx.remote_set())
+        return sorted(t.labels() for t in ctx.remote_set())
     if question == "rs":
-        return serialize_sublocale(RemoteContext(frame, s).rs())
+        return RemoteContext(frame, s).rs().labels()
     if question == "star-rs":
-        return serialize_sublocale(RemoteContext(frame, s).star().rs())
+        return RemoteContext(frame, s).star().rs().labels()
     if question == "nd":
-        return serialize_sublocale(nd_join(frame, s))
+        return nd_join(frame, s).labels()
     return is_rare(frame, s)
 
 
@@ -277,12 +275,12 @@ def main(argv=None) -> int:
 
     if args.command == "suite":
         from .generators import GenSpec
-        from .registry import REGISTRY
+        from .registry import FAIL, select
         try:
             spec = GenSpec(args.family, args.max_size, args.seed, args.count)
             if args.jobs < 0:
                 raise ValueError(f"--jobs must be at least 0, got {args.jobs}")
-            if not any(fnmatch(c, args.filter) for c in REGISTRY):
+            if not select(args.filter):
                 raise ValueError(f"--filter {args.filter!r} matches no check")
         except ValueError as e:
             print(str(e), file=sys.stderr)

@@ -97,8 +97,8 @@ class DenseSquare:
         sig = ".".join(str(v) for v in self.f.table)
         return (f"{self.l_frame.name or 'L'}->{self.m_frame.name or 'M'} "
                 f"f={sig}; "
-                f"S={{{','.join(sorted(self.alpha_image.labels()))}}} "
-                f"T={{{','.join(sorted(self.omega_image.labels()))}}}")
+                f"S={{{','.join(self.alpha_image.labels())}}} "
+                f"T={{{','.join(self.omega_image.labels())}}}")
 
     def __repr__(self) -> str:
         return f"DenseSquare({self.subject()})"
@@ -130,8 +130,8 @@ class SquareChain:
 
     def subject(self) -> str:
         return (f"{self.outer.subject()} via "
-                f"R={{{','.join(sorted(self.lower.alpha_image.labels()))}}} "
-                f"U={{{','.join(sorted(self.lower.omega_image.labels()))}}}")
+                f"R={{{','.join(self.lower.alpha_image.labels())}}} "
+                f"U={{{','.join(self.lower.omega_image.labels())}}}")
 
     def __repr__(self) -> str:
         return f"SquareChain({self.subject()})"
@@ -193,7 +193,7 @@ def _image_witness(f: LocalicMap, src: RemoteContext,
     """A sublocale remote in src whose image under f is not remote in dst."""
     for a in _remote_points(src):
         if not dst.is_remote_from(f.image_subl(a)):
-            return f"A={sorted(a.labels())}"
+            return f"A={a.labels()}"
     return None
 
 
@@ -304,7 +304,7 @@ def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
     for a in point_sublocales(sq.l_frame):
         if ctx_m.is_remote_from(sq.f.image_subl(a)) \
                 and not ctx_l.is_remote_from(a):
-            return f"A={sorted(a.labels())}"
+            return f"A={a.labels()}"
     rmt_l = ctx_l.rmt_elements()
     rmt_m = ctx_m.rmt_elements()
     for x in range(sq.l_frame.n):
@@ -318,7 +318,7 @@ def _for(sq: DenseSquare, ctx_l: RemoteContext,
     """f pulls remote sublocales and Rmt elements of M back into L."""
     for a in _remote_points(ctx_m):
         if not ctx_l.is_remote_from(sq.f.preimage_subl(a)):
-            return f"A={sorted(a.labels())}"
+            return f"A={a.labels()}"
     rmt_l = ctx_l.rmt_elements()
     for x in ctx_m.rmt_elements():
         if sq.f.adjoint(x) not in rmt_l:
@@ -332,7 +332,7 @@ def _for1(sq: DenseSquare, ctx_l: RemoteContext,
     for a in point_sublocales(sq.m_frame):
         if ctx_l.is_remote_from(sq.f.preimage_subl(a)) \
                 and not ctx_m.is_remote_from(a):
-            return f"A={sorted(a.labels())}"
+            return f"A={a.labels()}"
     return None
 
 
@@ -382,10 +382,10 @@ def check_gamma_preservation_lemma(sq: DenseSquare) -> Optional[str]:
     for a in point_sublocales(sq.s_frame):
         if s_ctx.is_remote_from(a) \
                 != ctx_l.is_remote_from(sq.alpha.image_subl(a)):
-            return f"A={sorted(a.labels())} (part 1)"
+            return f"A={a.labels()} (part 1)"
     for a in _remote_points(ctx_l):
         if not s_ctx.is_remote_from(sq.alpha.preimage_subl(a)):
-            return f"A={sorted(a.labels())} (part 2)"
+            return f"A={a.labels()} (part 2)"
     return None
 
 

@@ -41,10 +41,9 @@ from typing import Callable, Optional
 
 from .frame import FiniteFrame, _mask_of, bits
 from .sublocale import (
-    Sublocale, booleanization, closed_subl, enumerate_sublocales,
-    is_dense_in_itself, is_rare, nd_join, nucleus_map, open_subl,
-    point_sublocales, span, sublocales_below, supplement, void_subl,
-    whole_subl,
+    Sublocale, booleanization, enumerate_sublocales, is_dense_in_itself,
+    is_rare, nd_join, nucleus_map, open_subl, point_sublocales, span,
+    sublocales_below, supplement, void_subl, whole_subl,
 )
 from .errors import InvalidSublocale, MixedFrames
 
@@ -54,14 +53,14 @@ class RemoteContext:
 
     Every operation asks for T remote from S and T <= W.  W is all of L for
     an ordinary context; :meth:`star` gives the *remote context, whose W
-    is L minus S.  A context is immutable, and what it derives (its
-    masks, its *remote context, its Rmt sets and Rs per route, and Nd(S)
-    with its remainder) is computed on first use and kept.
+    is L minus S.  A context is immutable.  It keeps its fast miss mask,
+    and computes on first use and keeps its open and oracle masks, its
+    *remote context and its fast Rmt set; Rs, the oracle Rmt set and
+    Nd(S) are computed on each call.
     """
 
     __slots__ = ("frame", "s", "within", "s_dense", "_miss_mask",
-                 "_open_mask", "_oracle_mask", "_star", "_rmt_fast",
-                 "_rmt_oracle", "_rs", "_nd")
+                 "_open_mask", "_oracle_mask", "_star", "_rmt_fast")
 
     def __init__(self, frame: FiniteFrame, dense_subl: Sublocale,
                  within: Optional[Sublocale] = None):
@@ -84,9 +83,6 @@ class RemoteContext:
         self._oracle_mask = None
         self._star = None
         self._rmt_fast = None
-        self._rmt_oracle = None
-        self._rs = [None, None]     # per route: fast, oracle
-        self._nd = None
 
     def star(self) -> "RemoteContext":
         """The *remote context: the same S, inside its supplement L minus S."""
@@ -174,14 +170,12 @@ class RemoteContext:
         return sublocales_below(self.rs(oracle))
 
     def rmt_elements(self, oracle: bool = False) -> frozenset[int]:
-        """{a : c(a) is remote from S and c(a) <= W}, kept per route."""
+        """{a : c(a) is remote from S and c(a) <= W}; the fast set is kept.
+        On the oracle route no point above a is in the oracle mask."""
         f = self.frame
         if oracle:
-            if self._rmt_oracle is None:
-                self._rmt_oracle = frozenset(
-                    a for a in range(f.n)
-                    if self.pred_nwd_oracle(closed_subl(f, a)))
-            return self._rmt_oracle
+            miss = self.miss_points(oracle=True)
+            return frozenset(a for a in range(f.n) if f.up[a] & miss == 0)
         if self._rmt_fast is None:
             # c(a) <= W, and a \/ x = 1 for every S-dense x in S
             outside = self._outside()
@@ -196,29 +190,24 @@ class RemoteContext:
         On either route T is remote iff no point of T is in the miss mask.
         The points of a span are exactly the points it is spanned by, so
         the span of the points outside the mask is remote, and it holds
-        every remote T, which is the span of its own points.  Rs is that
-        span, kept per route after the first call.
+        every remote T, which is the span of its own points: it is Rs.
         """
-        if self._rs[oracle] is None:
-            f = self.frame
-            self._rs[oracle] = Sublocale(
-                f, span(f, f.points_mask() & ~self.miss_points(oracle)))
-        return self._rs[oracle]
+        f = self.frame
+        free = f.points_mask() & ~self.miss_points(oracle)
+        return Sublocale(f, span(f, free))
 
     def star_rs(self, oracle: bool = False) -> Sublocale:
         """*Rs, the largest sublocale *remote from S."""
         return self.star().rs(oracle)
 
     def nd_remainder(self) -> tuple[Sublocale, Sublocale]:
-        """Nd(S) and L minus its closure, kept after the first call."""
-        if self._nd is None:
-            nd = nd_join(self.frame, self.s)
-            self._nd = nd, supplement(self.frame, nd.closure())
-        return self._nd
+        """Nd(S) and L minus its closure."""
+        nd = nd_join(self.frame, self.s)
+        return nd, supplement(self.frame, nd.closure())
 
     def subject(self) -> str:
         return (f"{self.frame.name or 'frame'}; "
-                f"S={{{','.join(sorted(self.s.labels()))}}}")
+                f"S={{{','.join(self.s.labels())}}}")
 
 
 def dense_context(frame: FiniteFrame, s: Sublocale) -> RemoteContext:
@@ -268,7 +257,7 @@ def check_opendensefrom(ctx: RemoteContext) -> Optional[str]:
         votes = (ctx.pred_nwd_oracle(t), ctx.is_remote_from(t),
                  ctx.pred_open_subset(t), ctx.pred_nucleus_top(t))
         if len(set(votes)) != 1:
-            return f"T={sorted(t.labels())} predicates={votes}"
+            return f"T={t.labels()} predicates={votes}"
     return None
 
 
@@ -291,7 +280,7 @@ def check_downward_closure(ctx: RemoteContext) -> Optional[str]:
         for p in bits(q):
             if q & ~(1 << p) not in remote:
                 a, b = by_pts[q & ~(1 << p)], by_pts[q]
-                return f"A={sorted(a.labels())} B={sorted(b.labels())}"
+                return f"A={a.labels()} B={b.labels()}"
     return None
 
 
@@ -299,7 +288,7 @@ def check_nd_remote(ctx: RemoteContext) -> Optional[str]:
     """L minus the closure of Nd(S) is remote from S."""
     nd, rem = ctx.nd_remainder()
     if not ctx.is_remote_from(rem, oracle=True):
-        return f"Nd(S)={sorted(nd.labels())}"
+        return f"Nd(S)={nd.labels()}"
     return None
 
 
@@ -461,7 +450,7 @@ def check_rs_dense(frame: FiniteFrame) -> Optional[str]:
     star = bl_context(frame).star()
     rs = star.rs(oracle=True)
     if rs != star.within:
-        return f"*Rs={sorted(rs.labels())}"
+        return f"*Rs={rs.labels()}"
     return None
 
 

@@ -58,7 +58,8 @@ class Sublocale:
         return bits(self.mask)
 
     def labels(self) -> list[str]:
-        return [self.frame.labels[i] for i in self.members()]
+        """The labels of the members, sorted: how a sublocale is named."""
+        return sorted(self.frame.labels[i] for i in self.members())
 
     def __contains__(self, a: int) -> bool:
         return bool(self.mask >> a & 1)
@@ -115,7 +116,7 @@ class Sublocale:
                   for e in elems]
             sub = frame_from_leq(
                 up, labels=[f.labels[e] for e in elems],
-                name=f"{f.name or 'frame'}|{''.join(sorted(self.labels()))}")
+                name=f"{f.name or 'frame'}|{''.join(self.labels())}")
             self._frame_view = (sub, elems)
         return self._frame_view
 
@@ -367,4 +368,4 @@ def is_dense_in_itself(frame: FiniteFrame) -> bool:
 
 
 def serialize_sublocale(s: Sublocale) -> list[str]:
-    return sorted(s.labels())
+    return s.labels()

@@ -10,7 +10,7 @@ point form instead.
 
 from localic import GenSpec, Sublocale, identity_map, is_sublocale
 from localic.diagrams import (
-    DenseSquare, _image_witness, is_f_remote_preserving,
+    SQUARE_CHECKS, DenseSquare, _image_witness, is_f_remote_preserving,
     is_f_star_remote_preserving, takes_remainder,
 )
 from localic.frame import FiniteFrame, bits
@@ -215,3 +215,29 @@ def iter_square_space(max_points: int):
                         sq = square_from(f, s, t)
                         if sq is not None:
                             yield sq
+
+
+def dropped_hypotheses(squares) -> dict[tuple[str, str], tuple]:
+    """What each hypothesis of each square check is for.
+
+    Per (check id, hypothesis name): how many of ``squares`` make that
+    hypothesis false and the check's others true, and the subject and
+    witness of the first of them on which the conclusion fails, or None.
+    The predicates are read from ``SQUARE_CHECKS``, so the table follows
+    the registry.
+    """
+    out = {(cid, h.__name__): [0, None]
+           for cid, (hypotheses, _) in SQUARE_CHECKS.items()
+           for h in hypotheses}
+    for sq in squares:
+        for cid, (hypotheses, conclusion) in SQUARE_CHECKS.items():
+            holds = [h(sq) for h in hypotheses]
+            if holds.count(False) != 1:
+                continue
+            row = out[cid, hypotheses[holds.index(False)].__name__]
+            row[0] += 1
+            if row[1] is None:
+                witness = conclusion(sq)
+                if witness is not None:
+                    row[1] = (sq.subject(), witness)
+    return {key: tuple(row) for key, row in out.items()}

@@ -22,7 +22,7 @@ from localic.generators import (
     build_corpus, gen_chains, gen_frames, gen_maps, gen_squares, gen_triangles,
 )
 from localic.registry import REGISTRY, checks_in_scope
-from localic.result import FAIL, PASS
+from localic.registry import FAIL, PASS
 
 from oracles import join_is_whole
 

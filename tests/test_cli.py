@@ -19,7 +19,7 @@ from localic.cli import main
 from localic.frame import frame_from_leq
 from localic.generators import FAMILIES, GenSpec, gen_frames
 from localic.jsonio import document_from_json
-from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
+from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS
 
 C3_DOC = {
     "type": "frame",
@@ -741,6 +741,19 @@ def test_suite_tallies_are_pinned():
     assert got == SIZE3_TALLIES
     assert all(set(t) == {PASS, HYPOTHESES_NOT_MET, FAIL} and t[FAIL] == 0
                for t in report["checks"].values())
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_each_check_alone_matches_the_full_run(max_size):
+    # run alone, on a corpus of its own, a check sees no value that another
+    # check kept; it must give the tally and fail rows of the full run
+    spec = GenSpec("all-posets-up-to", max_size)
+    full = cli.run_suite(spec, "*", 1)
+    for cid in REGISTRY:
+        alone = cli.run_suite(spec, cid, 1)
+        assert alone["checks"] == {cid: full["checks"][cid]}, cid
+        assert alone["failures"] == [row for row in full["failures"]
+                                     if row["statement_id"] == cid], cid
 
 
 # Each report byte for byte, written by `localic suite --jobs 1 --out`.

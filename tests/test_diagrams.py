@@ -18,9 +18,11 @@ from localic.generators import (
     inclusion_map, square_from,
 )
 from localic.registry import _runner
-from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS
+from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS
 
-from oracles import identity_square, remote_scan, square_verdicts
+from oracles import (
+    dropped_hypotheses, identity_square, remote_scan, square_verdicts,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,56 @@ def test_square_space_tallies_are_pinned(square_space):
     assert {is_f_remote_preserving(sq) for sq in commuting} == {True, False}
     assert {is_f_star_remote_preserving(sq)
             for sq in commuting} == {True, False}
+
+
+# Per (square check, hypothesis): on the 1,559 squares, how many make that
+# hypothesis false and the others true, and the first of them on which the
+# conclusion fails, by subject and witness (None where none fails).
+_P21 = "P2-1->P2-1 f=0.1.2; S={01,o} T={0,01,o}"
+_P33 = "P3-3->P2-1 f=0.0.1.2; S={0,012,o} T={01,o}"
+_P20 = "P2-0->P2-1 f=0.0.1.2; S={0,01,1,o} T={0,01,o}"
+DROPPED_HYPOTHESES = {
+    ("beta", "g_star_skeletal"):
+        (492, ("P1-0->P2-1 f=1.2; S={0,o} T={0,01,o}", "A=['0', 'o']")),
+    ("beta", "commuting_adjoints"): (235, (_P21, "A=['0', '01']")),
+    ("betastar", "g_star_skeletal"):
+        (330, ("P2-1->P3-3 f=1.2.3; S={01,o} T={0,012,o}", "A=['0', '01']")),
+    ("betastar", "commuting_adjoints"):
+        (28, ("P2-1->P3-3 f=0.2.3; S={01,o} T={0,012,o}", "A=['0', '01']")),
+    ("betastar", "takes_remainder"):
+        (307, ("P2-1->P1-0 f=0.0.1; S={01,o} T={0,o}", "A=['0', '01']")),
+    ("beta1", "g_skeletal"):
+        (353, ("P2-1->P1-0 f=0.0.1; S={0,01,o} T={0,o}", "A=['0', '01']")),
+    ("beta1star", "g_skeletal"): (221, (_P33, "A=['01', '012']")),
+    # S(M) is Boolean, so omega[T] always has a complement
+    ("beta1star", "omega_complemented"): (0, None),
+    ("beta1star", "pulls_omega_to_alpha"): (578, None),
+    ("for", "g_skeletal"):
+        (353, ("P2-1->P1-0 f=0.0.1; S={0,01,o} T={0,o}", "A=['0', 'o']")),
+    ("forstar", "g_skeletal"): (221, (_P33, "A=['0', '01']")),
+    ("forstar", "omega_complemented"): (0, None),
+    ("forstar", "pulls_omega_to_alpha"): (578, None),
+    ("for1", "g_star_skeletal"): (54, (_P20, "A=['0', '01']")),
+    ("for1", "commuting_adjoints"): (48, (_P21, "A=['0', '01']")),
+    ("for1", "image_onto"):
+        (712, ("P0-0->P1-0 f=1; S={o} T={0,o}", "A=['0', 'o'] (star part)")),
+    ("for1star", "g_star_skeletal"): (61, (_P20, "x=o")),
+    ("for1star", "closure_style"):
+        (928, ("P0-0->P1-0 f=1; S={o} T={0,o}", "x=o (star part)")),
+    ("gammaremotepreserving", "commuting_adjoints"):
+        (270, (_P21, "faces=(False, True, False, False)")),
+    ("stargammaremotepreserving", "commuting_adjoints"): (270, None),
+    ("remotepreservation", "commuting_adjoints"):
+        (270, (_P21, "f-remote-preserving=False g-preserves-remote=True")),
+}
+
+
+def test_each_square_hypothesis_is_pinned(square_space):
+    # 16 of the 21 hypotheses are needed on 3-point squares; of the other
+    # five, two are never false and three fail on no square (README)
+    assert dropped_hypotheses(square_space()) == DROPPED_HYPOTHESES
+    assert sum(first is not None
+               for _, first in DROPPED_HYPOTHESES.values()) == 16
 
 
 def test_identity_square_passes_everything(c3):

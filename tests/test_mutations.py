@@ -5,7 +5,8 @@ remoteness context and runs the suite on all posets up to 3 points.  The listed
 check ids are exactly the ones that then report a fail row, so each of
 those methods is one that some report check can catch, and a check that
 starts failing too shows.  A kill that the suite's budgeted squares miss
-is made on the whole square space of those frames instead.
+is made on the whole square space of those frames instead, and one that
+its triangles miss on the triangles over one frame triple.
 """
 
 from collections import Counter
@@ -13,13 +14,15 @@ from collections import Counter
 import pytest
 
 from localic import REGISTRY, InvalidSquare, cli
-from localic.diagrams import DenseSquare
+from localic.diagrams import DenseSquare, Triangle
 from localic.frame import FiniteFrame
-from localic.generators import GenSpec
+from localic.generators import (
+    GenSpec, gen_dense_sublocales, gen_frames, gen_maps, square_from,
+)
 from localic.locmap import LocalicMap
 from localic.registry import checks_in_scope
 from localic.remoteness import RemoteContext
-from localic.result import FAIL
+from localic.registry import FAIL
 from localic.sublocale import Sublocale, span, whole_subl
 
 SPEC = GenSpec("all-posets-up-to", 3)
@@ -218,16 +221,67 @@ def test_mutation_fails_on_the_square_space(name, monkeypatch, square_space):
     assert failures() == SQUARE_SPACE_KILLS[name]
 
 
+def triangle_slice() -> list[Triangle]:
+    """The triangles over the frames P3-2 -> P2-1 -> P2-1 of posets3, on
+    fresh frames: each square over P3-2 -> P2-1 with every square that
+    starts at its (M, T) and ends at P2-1 (125 triangles)."""
+    frames = {f.name: f for f in gen_frames(SPEC)}
+    l, m = frames["P3-2"], frames["P2-1"]
+    ss, ts = gen_dense_sublocales(l), gen_dense_sublocales(m)
+    seconds = gen_maps(m, m)
+    out = []
+    for f in gen_maps(l, m):
+        for s in ss:
+            for t in ts:
+                sq1 = square_from(f, s, t)
+                if sq1 is None:
+                    continue
+                for p in seconds:
+                    for u in ts:
+                        sq2 = square_from(p, t, u)
+                        if sq2 is not None:
+                            out.append(Triangle(sq1, sq2))
+    return out
+
+
+def triangle_slice_failures() -> Counter:
+    triangles = triangle_slice()    # fresh, so no verdict part is kept
+    assert len(triangles) == 125
+    return Counter(c.id for c in checks_in_scope("triangle")
+                   for tri in triangles if c.runner(tri).verdict == FAIL)
+
+
+# Per row, the triangle checks that fail on the triangle slice, with how
+# many triangles each fails on; the other rows make none fail there.
+TRIANGLE_SLICE_KILLS = {
+    "always-skeletal": {"tfg-2": 22},
+    "point-image-drops-lowest-point": {"tfg-1": 2, "tfg-2": 21},
+    "skeletal-negated": {"tfg-2": 22},
+}
+
+
+def test_triangle_slice_passes():
+    assert not triangle_slice_failures()
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutation_fails_on_the_triangle_slice(name, monkeypatch):
+    cls, attr, mutant, _ = MUTATIONS[name]
+    monkeypatch.setattr(cls, attr, mutant)
+    assert triangle_slice_failures() == TRIANGLE_SLICE_KILLS.get(name, {})
+
+
 # The ids that no row makes fail; BLandL4 holds by construction.
 UNKILLED = {"BLandL1", "BLandL4", "SRemLemma", "SRemandSRemLS", "gfremote",
-            "rareequality", "starbvl", "starobsgfremote", "tfg-1", "tfg-2"}
+            "rareequality", "starbvl", "starobsgfremote"}
 
 
 def test_rows_kill_all_but_the_listed_ids():
     killed = set().union(*(row[3] for row in MUTATIONS.values()),
-                         *SQUARE_SPACE_KILLS.values())
+                         *SQUARE_SPACE_KILLS.values(),
+                         *TRIANGLE_SLICE_KILLS.values())
     assert set(REGISTRY) - killed == UNKILLED
-    assert len(killed) == 30
+    assert len(killed) == 32
 
 
 def test_image_that_is_no_sublocale_stops_the_corpus(monkeypatch):

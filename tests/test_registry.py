@@ -2,7 +2,7 @@ from localic import registry
 from localic.diagrams import CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS
 from localic.registry import REGISTRY, SCOPES, checks_in_scope
 from localic.remoteness import CONTEXT_CHECKS, FRAME_CHECKS
-from localic.result import FAIL, HYPOTHESES_NOT_MET, PASS, CheckResult
+from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS, CheckResult
 
 
 def test_registry_scopes_match_check_tables():

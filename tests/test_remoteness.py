@@ -14,7 +14,7 @@ from localic.remoteness import (
     CONTEXT_CHECKS, FRAME_CHECKS, check_downward_closure,
     check_opendensefrom, check_rem_s_intersection,
 )
-from localic.result import FAIL, PASS
+from localic.registry import FAIL, PASS
 from localic import sublocale
 from localic.sublocale import s_nowhere_dense_sublocales
 
@@ -302,6 +302,24 @@ def test_contexts_are_kept_per_frame_and_s():
     assert whole.rmt_elements() is whole.rmt_elements()
     with pytest.raises(MixedFrames):
         dense_context(f, whole_subl(chain_frame(3)))
+
+
+def test_unkept_values_match_their_old_forms(tier1_frames):
+    # the oracle Rmt set read off the oracle mask is the set of a with
+    # c(a) remote by the oracle predicate; Rs and Nd(S), computed on each
+    # call, are the values of a fresh context
+    for f in tier1_frames:
+        for s in gen_dense_sublocales(f):
+            ctx = dense_context(f, s)
+            for c in (ctx, ctx.star()):
+                assert c.rmt_elements(oracle=True) == {
+                    a for a in range(f.n)
+                    if c.pred_nwd_oracle(closed_subl(f, a))}
+            fresh = RemoteContext(f, s)
+            for oracle in (False, True):
+                assert ctx.rs(oracle) == fresh.rs(oracle)
+                assert ctx.star_rs(oracle) == fresh.star_rs(oracle)
+            assert ctx.nd_remainder() == fresh.nd_remainder()
 
 
 def test_rmt_c3(c3):
