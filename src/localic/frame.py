@@ -45,7 +45,7 @@ class FiniteFrame:
         "_meet", "_join", "_impl", "_req",
         "_dense_mask", "_bool_mask",
         "_point_mask", "_sublocales", "_min_pts", "_point_subls",
-        "_dense_subls", "_contexts",
+        "_views", "_inclusions", "_contexts",
     )
 
     def __init__(self, n, up, down, irr, jm, by_jm, bottom, top, labels,
@@ -74,12 +74,12 @@ class FiniteFrame:
         ups = set(up)       # points: see points_mask
         self._point_mask = _mask_of(
             p for p in range(n) if up[p] & ~(1 << p) in ups)
-        # kept on first use: sublocale.py fills the first four,
-        # remoteness.dense_context the contexts, keyed by S's mask
+        # kept on first use: sublocale.py fills the first four; views,
+        # inclusion maps and contexts are keyed by a sublocale's mask
         self._sublocales = None
         self._min_pts = None
         self._point_subls = None
-        self._dense_subls = None
+        self._views = self._inclusions = None
         self._contexts = None
 
     def _up_closure(self, d: int) -> int:

@@ -9,6 +9,7 @@ raises, since a generated diagram that fails validation is a bug.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import namedtuple
@@ -276,14 +277,18 @@ def gen_maps(src: FiniteFrame, tgt: FiniteFrame,
 
 def inclusion_map(s: Sublocale) -> LocalicMap:
     """The induced frame of s included back into the ambient frame, built
-    on the first call and kept with s's induced-frame view.
+    on the first call for s's mask and kept on the frame, like its view.
 
     Its derived adjoint is the nucleus of s, which preserves finite meets.
     """
-    if s._inclusion is None:
+    frame = s.frame
+    if frame._inclusions is None:
+        frame._inclusions = {}
+    inc = frame._inclusions.get(s.mask)
+    if inc is None:
         sub, elems = s.as_frame()
-        s._inclusion = build_map(sub, s.frame, elems)
-    return s._inclusion
+        inc = frame._inclusions[s.mask] = build_map(sub, frame, elems)
+    return inc
 
 
 def restriction_map(f: LocalicMap, s: Sublocale, t: Sublocale
@@ -364,17 +369,18 @@ def gen_squares(frames: list[FiniteFrame], seed: int = 0
 
 def gen_chains(squares: list[DenseSquare]) -> list[SquareChain]:
     """The first CHAIN_BUDGET chains: dense middle layers R (S <= R <= L)
-    and U (T <= U <= M) interposed in each square, R's and U's maps built
-    once each."""
+    and U (T <= U <= M) interposed in each square, each frame's dense
+    sublocales listed once per call."""
     out: list[SquareChain] = []
+    dense = functools.cache(gen_dense_sublocales)
     for sq in squares:
         s, t = whole_subl(sq.s_frame), whole_subl(sq.t_frame)
         # i and k are never None: R holds alpha[S], U holds omega[T]
         uppers = [(r, inclusion_map(r), restriction_map(sq.alpha, s, r))
-                  for r in gen_dense_sublocales(sq.l_frame)
+                  for r in dense(sq.l_frame)
                   if sq.alpha_image.mask & ~r.mask == 0]
         lowers = [(u, inclusion_map(u), restriction_map(sq.omega, t, u))
-                  for u in gen_dense_sublocales(sq.m_frame)
+                  for u in dense(sq.m_frame)
                   if sq.omega_image.mask & ~u.mask == 0]
         for r, theta, i in uppers:
             for u, sigma, k in lowers:

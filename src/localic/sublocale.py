@@ -2,7 +2,8 @@
 
 A sublocale is a subset of frame elements containing the top, closed under
 binary meets, and closed under ``x -> s`` for every frame element ``x`` and
-member ``s``.  Sublocales are stored as bitmasks over the owning frame.
+member ``s``.  A :class:`Sublocale` is its frame and a bitmask, no more;
+its induced frame and inclusion map are kept on the frame by mask.
 
 A finite frame is spatial and T_D, so S(L) is the powerset of its points
 (primes): every sublocale is the :func:`span` of the points it contains.
@@ -33,17 +34,15 @@ from .frame import FiniteFrame, _mask_of, frame_from_leq, bits, popcount
 
 
 class Sublocale:
-    """An immutable member of the coframe S(L)."""
+    """An immutable member of the coframe S(L): a frame and a mask, and no
+    more.  What is derived from it is kept on the frame, keyed by the mask,
+    so equal sublocales share it."""
 
-    # _inclusion: the induced frame's inclusion map, kept with its view by
-    # generators.inclusion_map
-    __slots__ = ("frame", "mask", "_frame_view", "_inclusion")
+    __slots__ = ("frame", "mask")
 
     def __init__(self, frame: FiniteFrame, mask: int):
         self.frame = frame
         self.mask = mask
-        self._frame_view = None
-        self._inclusion = None
 
     @classmethod
     def of(cls, frame: FiniteFrame, members: Iterable[int]) -> "Sublocale":
@@ -89,8 +88,10 @@ class Sublocale:
         return popcount(self.mask) == self.frame.n
 
     def min_element(self) -> int:
-        """The meet of all members (the bottom of the induced frame)."""
-        return self.frame.meet_of(self.members())
+        """The meet of all members (the bottom of the induced frame): that
+        of S's points, as they are members and every member is a meet of
+        them (module docstring), the top the empty one."""
+        return self.frame.meet_of(bits(self.mask & self.frame.points_mask()))
 
     def closure(self) -> "Sublocale":
         return closed_subl(self.frame, self.min_element())
@@ -104,21 +105,23 @@ class Sublocale:
         Returns ``(frame, elems)`` where ``elems[i]`` is the ambient element
         index of subframe element ``i``.  Order is inherited; meets coincide
         with the ambient meets, joins and implication are recomputed inside.
-        The induced frame of the whole sublocale is the frame itself.
+        The induced frame of the whole sublocale is the frame itself.  The
+        view is kept on the frame by mask, so equal sublocales share it.
         """
-        if self._frame_view is None and self.is_whole():
-            self._frame_view = (self.frame, list(range(self.frame.n)))
-        elif self._frame_view is None:
-            f = self.frame
+        f = self.frame
+        if f._views is None:
+            f._views = {}
+        view = f._views.get(self.mask)
+        if view is None:
             elems = list(self.members())
             pos = {e: i for i, e in enumerate(elems)}
             up = [_mask_of(pos[x] for x in bits(f.up[e] & self.mask))
                   for e in elems]
-            sub = frame_from_leq(
+            sub = f if self.is_whole() else frame_from_leq(
                 up, labels=[f.labels[e] for e in elems],
                 name=f"{f.name or 'frame'}|{''.join(self.labels())}")
-            self._frame_view = (sub, elems)
-        return self._frame_view
+            view = f._views[self.mask] = (sub, elems)
+        return view
 
     def __repr__(self) -> str:
         return f"Sublocale({self.frame.name or '?'}:{{{','.join(self.labels())}}})"
@@ -274,7 +277,7 @@ def point_sublocales(frame: FiniteFrame) -> tuple[Sublocale, ...]:
 def dense_sublocales(frame: FiniteFrame, qs: Iterable[int]
                      ) -> list[Sublocale]:
     """span(pts(BL) + Q) for each Q in ``qs``, bit i of Q standing for the
-    i-th point outside BL; one object per Q, kept on the frame.
+    i-th point outside BL.
 
     BL is the least dense sublocale, so S is dense iff pts(S) holds
     pts(BL), and each dense S is one of these spans.  Increasing Q gives
@@ -283,19 +286,10 @@ def dense_sublocales(frame: FiniteFrame, qs: Iterable[int]
     is a point, since a non-point of one span is the meet of points above
     it, which come later, so they and it lie in the other span too.
     """
-    if frame._dense_subls is None:
-        frame._dense_subls = {}
-    store = frame._dense_subls
     base = frame.min_points()
     free = list(bits(frame.points_mask() & ~base))
-    out = []
-    for q in qs:
-        s = store.get(q)
-        if s is None:
-            q_pts = _mask_of(free[i] for i in bits(q))
-            s = store[q] = Sublocale(frame, span(frame, base | q_pts))
-        out.append(s)
-    return out
+    return [Sublocale(frame, span(frame, base | _mask_of(
+        free[i] for i in bits(q)))) for q in qs]
 
 
 def supplement(frame: FiniteFrame, s: Sublocale) -> Sublocale:

@@ -4,7 +4,7 @@ import pytest
 
 from localic import (
     REGISTRY, DenseSquare, GenSpec, InvalidSquare, RemoteContext,
-    SquareChain, Triangle, booleanization, build_map, chain_frame,
+    SquareChain, Sublocale, Triangle, booleanization, build_map, chain_frame,
     checks_in_scope, dense_context, diagrams, enumerate_sublocales,
     identity_map, void_subl, whole_context, whole_subl,
 )
@@ -15,7 +15,7 @@ from localic.diagrams import (
 )
 from localic.generators import (
     build_corpus, gen_chains, gen_frames, gen_squares, gen_triangles,
-    inclusion_map, square_from,
+    inclusion_map, restriction_map, square_from,
 )
 from localic.registry import _runner
 from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS
@@ -360,6 +360,49 @@ def test_triangle_composite(c3):
     assert tri.sq3.l_frame is c3
 
 
+def test_equal_sublocales_build_the_same_diagrams(c3, c4):
+    # a sublocale is its frame and mask: copies of S give the same induced
+    # frame and inclusion, so diagrams built from them fit together
+    ident = identity_map(c3)
+    tri = Triangle(square_from(ident, booleanization(c3), booleanization(c3)),
+                   square_from(ident, booleanization(c3), booleanization(c3)))
+    assert tri.sq3.s_frame is tri.sq1.s_frame
+    s = booleanization(c3)
+    sq = DenseSquare(restriction_map(ident, s, s), ident,
+                     inclusion_map(booleanization(c3)), inclusion_map(s))
+    assert sq.alpha_image == s
+    # a chain whose middle layer R = U = {0,1,3} of C4 is built anew for
+    # each of its five maps
+    ident = identity_map(c4)
+    bl = booleanization(c4)
+    outer = square_from(ident, Sublocale(c4, bl.mask), Sublocale(c4, bl.mask))
+
+    def r():
+        return Sublocale(c4, 0b1011)
+
+    chain = SquareChain(
+        outer, restriction_map(outer.alpha, whole_subl(outer.s_frame), r()),
+        restriction_map(outer.omega, whole_subl(outer.t_frame), r()),
+        restriction_map(ident, r(), r()), inclusion_map(r()),
+        inclusion_map(r()))
+    assert chain.lower.alpha_image == chain.lower.omega_image == r()
+
+
+def test_square_space_rebuilds_from_copies(square_space):
+    # every 3-point square, rebuilt over fresh Sublocale objects for S and
+    # T, builds and gets the same 12 square-check rows
+    checks = checks_in_scope("square")
+    assert len(checks) == 12
+    for sq in square_space():
+        copy = square_from(sq.f, Sublocale(sq.l_frame, sq.alpha_image.mask),
+                           Sublocale(sq.m_frame, sq.omega_image.mask))
+        assert copy is not None, sq.subject()
+        assert [(c.runner(copy).verdict, c.runner(copy).witness)
+                for c in checks] == [(c.runner(sq).verdict,
+                                      c.runner(sq).witness)
+                                     for c in checks], sq.subject()
+
+
 def test_square_from_rejects_non_dense(c3):
     from localic import closed_subl
     assert square_from(identity_map(c3), closed_subl(c3, 1),
@@ -518,3 +561,13 @@ def test_square_space_properties_match_their_references(square_space):
     one_way = {prop for prop, want in seen if (prop, not want) not in seen}
     assert one_way == {f"{v}.{prop}" for v in ("alpha", "omega")
                        for prop in ("is_skeletal", "adjoint_is_skeletal")}
+
+
+def test_square_space_runner_on_two_points(capsys):
+    # the offline runner of tests/square_space.py, on the 36 squares over
+    # the frames of posets with at most 2 points
+    import square_space as runner
+    assert runner.main(["2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("36 squares, 0 disagreements in ")
+    assert len(out) == 1 + len(DROPPED_HYPOTHESES)

@@ -6,8 +6,8 @@ import pickle
 import pytest
 
 from localic import (
-    GenSpec, LocalicError, booleanization, build_map, chain_frame,
-    enumerate_sublocales, whole_subl,
+    GenSpec, LocalicError, Sublocale, booleanization, build_map,
+    chain_frame, enumerate_sublocales, whole_subl,
 )
 from localic import generators
 from localic.frame import ENUMERATION_CAP, bits, popcount
@@ -202,8 +202,9 @@ def test_gen_dense_sublocales(tier1_frames):
         assert [s.mask for s in dense] == [
             s.mask for s in enumerate_sublocales(f) if s.is_dense()], f.name
         assert dense[0] == booleanization(f) and dense[-1] == whole_subl(f)
-        # one object per S, so all built over S share its induced frame
-        assert all(a is b for a, b in zip(dense, gen_dense_sublocales(f)))
+        # equal sublocales, so all built over S share its induced frame
+        assert all(a == b and a.as_frame() is b.as_frame()
+                   for a, b in zip(dense, gen_dense_sublocales(f)))
     # C1 to C6 keep every dense S; C7 to C16 have more than the cap and
     # keep BL, L and distinct others, drawn by the seed
     drawn = {}
@@ -215,7 +216,8 @@ def test_gen_dense_sublocales(tier1_frames):
             dense = gen_dense_sublocales(f)
             got = [c.s for c in corpus["context"] if c.frame is f]
             kept = {s.mask: s for s in dense}
-            assert all(kept[s.mask] is s for s in got)
+            assert all(kept[s.mask] == s and
+                       kept[s.mask].as_frame() is s.as_frame() for s in got)
             if len(dense) <= MAX_CONTEXTS_PER_FRAME:
                 assert got == dense, f.name
                 continue
@@ -321,6 +323,17 @@ def test_inclusion_map_is_kept_with_the_view(c4):
         assert inc is inclusion_map(s)
         sub, elems = s.as_frame()
         assert inc.source is sub and inc.table == tuple(elems)
+
+
+def test_equal_sublocales_share_view_and_inclusion(tier1_frames):
+    # a sublocale is its frame and mask; what is derived from it is kept
+    # on the frame by mask, so a copy gets the very same objects
+    assert Sublocale.__slots__ == ("frame", "mask")
+    for f in tier1_frames:
+        for s in enumerate_sublocales(f):
+            copy = Sublocale(f, s.mask)
+            assert copy == s and copy.as_frame() is s.as_frame()
+            assert inclusion_map(copy) is inclusion_map(s)
 
 
 def test_gen_squares_deterministic(tier1_frames):

@@ -1,4 +1,10 @@
-from localic import registry
+import pytest
+
+from localic import (
+    DenseSquare, GenSpec, RemoteContext, SquareChain, Triangle, chain_frame,
+    diagrams, generators, registry, remoteness,
+)
+from localic.frame import FiniteFrame
 from localic.diagrams import CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS
 from localic.registry import REGISTRY, SCOPES, checks_in_scope
 from localic.remoteness import CONTEXT_CHECKS, FRAME_CHECKS
@@ -68,3 +74,84 @@ def test_runner_writes_the_row(monkeypatch):
     assert runner((), "T=['1']")(inst).to_json() == {
         "statement_id": "Lislarge", "subject": inst.subject(),
         "verdict": FAIL, "witness": "T=['1']"}
+
+
+# -- verdicts do not depend on what is kept ------------------------------------
+
+def _kept_frame_slots() -> list[str]:
+    """The FiniteFrame slots that a freshly built frame leaves None: every
+    value a frame keeps once it is first asked for."""
+    fresh = chain_frame(2)
+    return [slot for slot in FiniteFrame.__slots__
+            if getattr(fresh, slot) is None]
+
+
+def _squares_of(inst) -> list[DenseSquare]:
+    if isinstance(inst, DenseSquare):
+        return [inst]
+    if isinstance(inst, SquareChain):
+        return [inst.outer, inst.upper, inst.lower]
+    if isinstance(inst, Triangle):
+        return [inst.sq1, inst.sq2, inst.sq3]
+    return []
+
+
+def _unkept(inst, slots: list[str]):
+    """inst with every value it can reach reset: the kept slots of its
+    frames, its squares' adjoint verdicts, and for a context a new one."""
+    squares = _squares_of(inst)
+    if isinstance(inst, FiniteFrame):
+        frames = [inst]
+    elif isinstance(inst, RemoteContext):
+        frames = [inst.frame]
+        inst = RemoteContext(inst.frame, inst.s)
+    else:
+        frames = [frame for sq in squares for frame in
+                  (sq.s_frame, sq.t_frame, sq.l_frame, sq.m_frame)]
+    for frame in frames:
+        for slot in slots:
+            setattr(frame, slot, None)
+    for sq in squares:
+        sq._commute = None
+    return inst
+
+
+def _replay_differences(spec: GenSpec) -> tuple[int, list]:
+    """Run every check on every instance as the suite does, then replay
+    each row with nothing kept; the replays and the rows that differ."""
+    corpus = generators.build_corpus(spec)
+    rows = [(c, inst, c.runner(inst)) for scope in SCOPES
+            for inst in corpus[scope] for c in checks_in_scope(scope)]
+    slots = _kept_frame_slots()
+    wrong = []
+    for c, inst, row in rows:
+        again = c.runner(_unkept(inst, slots))
+        if (again.verdict, again.witness) != (row.verdict, row.witness):
+            wrong.append((c.id, row.subject, row.verdict, again.verdict))
+    return len(rows), wrong
+
+
+@pytest.mark.parametrize("max_size, replays", [(3, 7026), (4, 8172)])
+def test_replay_with_nothing_kept(max_size, replays):
+    # each row, replayed with every value it could read from an earlier
+    # check reset, gives the same verdict and witness
+    assert {"_meet", "_views", "_inclusions", "_contexts"} \
+        <= set(_kept_frame_slots())
+    spec = GenSpec("all-posets-up-to", max_size)
+    assert _replay_differences(spec) == (replays, [])
+
+
+def test_replay_catches_a_kept_context_keyed_by_frame(monkeypatch):
+    # a dense_context keyed by the frame alone hands every S the first
+    # context built on L; the replay sees rows that change
+    def by_frame(frame, s):
+        if frame._contexts is None:
+            frame._contexts = {}
+        if 0 not in frame._contexts:
+            frame._contexts[0] = RemoteContext(frame, s)
+        return frame._contexts[0]
+
+    for module in (remoteness, diagrams, generators):
+        monkeypatch.setattr(module, "dense_context", by_frame)
+    _, wrong = _replay_differences(GenSpec("all-posets-up-to", 3))
+    assert wrong

@@ -164,6 +164,13 @@ def test_nowhere_dense_iff_min_dense(tier1_frames):
             assert is_nowhere_dense(f, s) == f.is_dense_element(s.min_element())
 
 
+def test_min_element_is_the_meet_of_the_points(tier1_frames):
+    # against the meet of every member, on every sublocale
+    for f in tier1_frames:
+        for s in enumerate_sublocales(f):
+            assert s.min_element() == f.meet_of(s.members()), (f, s)
+
+
 def test_nucleus_map(c3):
     s = booleanization(c3)
     assert nucleus_map(s, 0) == 0
