@@ -282,6 +282,12 @@ def main(argv=None) -> int:
                 raise ValueError(f"--jobs must be at least 0, got {args.jobs}")
             if not select(args.filter):
                 raise ValueError(f"--filter {args.filter!r} matches no check")
+            # refuse --out now where the write at the end would fail
+            out = args.out
+            if out and os.path.isdir(out):
+                raise ValueError(f"cannot write {out}: it is a directory")
+            if out and not os.path.isdir(os.path.dirname(out) or "."):
+                raise ValueError(f"cannot write {out}: no such directory")
         except ValueError as e:
             print(str(e), file=sys.stderr)
             return 2

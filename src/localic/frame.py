@@ -2,9 +2,9 @@
 
 Elements are integers ``0..n-1``.  Sets of elements are carried around as
 int bitmasks throughout the package; ``bits(mask)`` iterates the indices.
-The order is kept with the frame; the meet, join and implication tables
-are filled on first use.  No value of a frame changes once it is known,
-so a frame is safe to share between workers.
+Meets and joins come from the join-irreducible masks kept with the order;
+the meet and implication tables fill on first use.  No value of a frame
+changes once it is known, so a frame is safe to share between workers.
 """
 
 from __future__ import annotations
@@ -35,15 +35,14 @@ class FiniteFrame:
     """A finite bounded distributive lattice with Heyting implication.
 
     Do not call directly: use :func:`build_frame` or :func:`frame_from_leq`,
-    which validate the order.  The meet, join and Heyting implication
-    tables are each filled on their first read, from the join-irreducibles.
+    which validate the order.  Meets and joins AND or OR the join-irreducible
+    masks; the meet and Heyting implication tables fill on first read.
     """
 
     __slots__ = (
         "n", "up", "down", "bottom", "top", "labels", "name",
-        "_label_index", "_jm", "_by_jm", "_irr_ups",
-        "_meet", "_join", "_impl", "_req",
-        "_dense_mask", "_bool_mask",
+        "_label_index", "_jm", "_by_jm", "_irr_ups", "_pseudo",
+        "_meet", "_impl", "_req", "_dense_mask", "_bool_mask",
         "_point_mask", "_sublocales", "_min_pts", "_point_subls",
         "_views", "_inclusions", "_contexts",
     )
@@ -64,10 +63,10 @@ class FiniteFrame:
         self._jm = jm
         self._by_jm = by_jm
         self._irr_ups = {1 << j: up[j] & irr for j in bits(irr)}
-        self._meet = self._join = None
+        self._meet = None
         self._impl = None       # filled with _req by _fill_impl
         self._req = None
-        pseudo = [self._by_jm[irr & ~self._up_closure(m)] for m in jm]
+        self._pseudo = pseudo = [by_jm[irr & ~self._up_closure(m)] for m in jm]
         self._dense_mask = _mask_of(
             a for a in range(n) if pseudo[a] == bottom)
         self._bool_mask = _mask_of(pseudo)
@@ -122,14 +121,6 @@ class FiniteFrame:
         return self._meet
 
     @property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        """[a][b] = a \\/ b, by_jm[jm[a] | jm[b]]; filled on first read."""
-        if self._join is None:
-            jm, by_jm = self._jm, self._by_jm
-            self._join = tuple(tuple([by_jm[a | b] for b in jm]) for a in jm)
-        return self._join
-
-    @property
     def impl_table(self) -> tuple[tuple[int, ...], ...]:
         """impl_table[a][b] = a -> b; filled on first read."""
         if self._impl is None:
@@ -151,33 +142,33 @@ class FiniteFrame:
         return bool(self.up[a] >> b & 1)
 
     def meet(self, a: int, b: int) -> int:
-        return self.meet_table[a][b]
+        return self._by_jm[self._jm[a] & self._jm[b]]
 
     def join(self, a: int, b: int) -> int:
-        return self.join_table[a][b]
+        return self._by_jm[self._jm[a] | self._jm[b]]
 
     def heyting(self, a: int, b: int) -> int:
         """Largest x with x /\\ a <= b."""
         return self.impl_table[a][b]
 
     def pseudocomplement(self, a: int) -> int:
-        return self.impl_table[a][self.bottom]
+        return self._pseudo[a]
 
     def meet_of(self, xs: Iterable[int]) -> int:
         """Meet of a finite element set; the empty meet is top."""
-        out = self.top
-        row = self.meet_table
+        jm = self._jm
+        out = jm[self.top]
         for x in xs:
-            out = row[out][x]
-        return out
+            out &= jm[x]
+        return self._by_jm[out]
 
     def join_of(self, xs: Iterable[int]) -> int:
         """Join of a finite element set; the empty join is bottom."""
-        out = self.bottom
-        row = self.join_table
+        jm = self._jm
+        out = 0
         for x in xs:
-            out = row[out][x]
-        return out
+            out |= jm[x]
+        return self._by_jm[out]
 
     # -- element predicates -----------------------------------------------
 
@@ -185,7 +176,7 @@ class FiniteFrame:
         return bool(self._dense_mask >> a & 1)
 
     def is_complemented_element(self, a: int) -> bool:
-        return self.join_table[a][self.pseudocomplement(a)] == self.top
+        return self.join(a, self._pseudo[a]) == self.top
 
     def points_mask(self) -> int:
         """The points (primes) of the frame as a mask.

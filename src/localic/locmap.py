@@ -72,13 +72,14 @@ class LocalicMap:
         return kept & ~self.target.min_points() == 0
 
     def is_weakly_closed_adjoint(self) -> bool:
-        """a \\/ f*(b) = 1 implies f(a) \\/ b = 1."""
-        src, tgt = self.source, self.target
-        for a in range(src.n):
-            fa = self.table[a]
-            for b in range(tgt.n):
-                if src.join_table[a][self.adjoint_table[b]] == src.top \
-                        and tgt.join_table[fa][b] != tgt.top:
+        """a \\/ f*(b) = 1 implies f(a) \\/ b = 1, on the masks."""
+        src_jm, tgt_jm = self.source._jm, self.target._jm
+        src_top, tgt_top = src_jm[self.source.top], tgt_jm[self.target.top]
+        adj = [src_jm[y] for y in self.adjoint_table]
+        for a, fa in enumerate(self.table):
+            ja, jfa = src_jm[a], tgt_jm[fa]
+            for b, jb in enumerate(tgt_jm):
+                if ja | adj[b] == src_top and jfa | jb != tgt_top:
                     return False
         return True
 
@@ -129,18 +130,16 @@ def build_map(src: FiniteFrame, tgt: FiniteFrame,
     if len(table) != src.n or any(not 0 <= v < tgt.n for v in table):
         raise NotMeetPreserving("table has wrong length or out-of-range values")
     pts = src.points_mask()
-    meet = tgt.meet_table
     for x in range(src.n):
-        want = tgt.top
-        for p in bits(pts & src.up[x]):
-            want = meet[want][table[p]]
+        want = tgt.meet_of(table[p] for p in bits(pts & src.up[x]))
         if table[x] != want:
             raise NotMeetPreserving(
                 f"f({src.labels[x]}) = {tgt.labels[table[x]]}, but the "
                 f"images of the points above {src.labels[x]} meet in "
                 f"{tgt.labels[want]}")
     tgt_pts = tgt.points_mask()
-    adj = [src.top] * tgt.n
+    jm = src._jm
+    adj = [jm[src.top]] * tgt.n
     for p in bits(pts):
         fp = table[p]
         if not tgt_pts >> fp & 1:
@@ -148,8 +147,8 @@ def build_map(src: FiniteFrame, tgt: FiniteFrame,
                 f"point {src.labels[p]} goes to {tgt.labels[fp]}, "
                 f"which is not a point of {tgt.subject()}")
         for y in bits(tgt.down[fp]):
-            adj[y] = src.meet_table[adj[y]][p]
-    return LocalicMap(src, tgt, table, tuple(adj))
+            adj[y] &= jm[p]
+    return LocalicMap(src, tgt, table, tuple([src._by_jm[m] for m in adj]))
 
 
 def identity_map(frame: FiniteFrame) -> LocalicMap:

@@ -177,11 +177,12 @@ class RemoteContext:
             miss = self.miss_points(oracle=True)
             return frozenset(a for a in range(f.n) if f.up[a] & miss == 0)
         if self._rmt_fast is None:
-            # c(a) <= W, and a \/ x = 1 for every S-dense x in S
+            # c(a) <= W, and a \/ x = 1 for every S-dense x in S, on masks
             outside = self._outside()
+            jm, irr = f._jm, f._jm[f.top]
             self._rmt_fast = frozenset(
                 a for a in range(f.n) if f.up[a] & outside == 0
-                and all(f.join_table[a][x] == f.top for x in self.s_dense))
+                and all(jm[a] | jm[x] == irr for x in self.s_dense))
         return self._rmt_fast
 
     def rs(self, oracle: bool = False) -> Sublocale:

@@ -118,6 +118,20 @@ def table_is_surjective(f) -> bool:
     return len(set(f.table)) == f.target.n
 
 
+def adjoint_by_order(f) -> tuple[int, ...]:
+    """f*(y), the least x with y <= f(x), for each y, from the order alone.
+
+    The reference for ``adjoint_table``.
+    """
+    src, tgt = f.source, f.target
+    out = []
+    for y in range(tgt.n):
+        above = [x for x in range(src.n) if tgt.leq(y, f(x))]
+        out.append(next(m for m in above
+                        if all(src.leq(m, x) for x in above)))
+    return tuple(out)
+
+
 def weakly_closed_by_points(f) -> bool:
     """Every point q >= f(p), p a point, lies below f(r) for a point r >= p.
 
@@ -177,11 +191,18 @@ def _preserving_by_scan(sq: DenseSquare, star: bool) -> bool:
     return _image_witness(sq.f, ctx_l, ctx_m) is None
 
 
-def square_verdicts(sq: DenseSquare) -> dict[str, tuple[bool, bool]]:
-    """Each property of sq and of its four maps, as (library, reference)."""
+def square_verdicts(sq: DenseSquare) -> dict[str, tuple]:
+    """Each property of sq and of its four maps, as (library, reference).
+
+    Each map's ``adjoint_table`` is compared with ``adjoint_by_order`` too,
+    and is listed, as the pair of tables, only where the two differ.
+    """
     out = {}
     for name, f in (("g", sq.g), ("f", sq.f), ("alpha", sq.alpha),
                     ("omega", sq.omega)):
+        adjoint = adjoint_by_order(f)
+        if f.adjoint_table != adjoint:
+            out[f"{name}.adjoint_table"] = (f.adjoint_table, adjoint)
         out[f"{name}.is_skeletal"] = (
             f.is_skeletal(), table_is_skeletal(f.source, f.target, f.table))
         out[f"{name}.adjoint_is_skeletal"] = (

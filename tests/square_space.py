@@ -5,7 +5,8 @@ Usage: PYTHONPATH=src python tests/square_space.py N
 Builds every square over the frames of posets with at most N points, one
 at a time (N = 2: 36 squares; N = 3: 1,559; N = 4: 156,317).  On each it
 compares every property in ``oracles.square_verdicts`` with its
-reference, and it tallies what each hypothesis of each square check is
+reference, each map's adjoint table with the one found from the order
+included, and it tallies what each hypothesis of each square check is
 for (``oracles.dropped_hypotheses``).  Prints the square count and the
 number of disagreements, with the first few, then, for each hypothesis,
 how many squares make it alone false and the first of them on which the

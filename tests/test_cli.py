@@ -351,8 +351,7 @@ def test_query_answers_fill_no_table():
         for words in questions:
             fresh = frame_from_leq(f.up, labels=f.labels, name=f.name)
             cli.answer_query(fresh, words)
-            assert (fresh._meet, fresh._join, fresh._impl) \
-                == (None, None, None), (f, words)
+            assert (fresh._meet, fresh._impl) == (None, None), (f, words)
 
 
 @pytest.mark.parametrize("doc, words, message", [
@@ -522,13 +521,28 @@ def test_suite_rejects_unbounded_count(monkeypatch, capsys):
     assert "99999999999999" in captured.err
 
 
-def test_suite_rejects_unwritable_out(tmp_path, capsys):
-    out = tmp_path / "missing" / "r.json"
+def _refuses_out_before_the_run(out, monkeypatch, capsys):
+    def no_corpus(spec):
+        raise AssertionError("corpus built for an unwritable --out")
+
+    monkeypatch.setattr(cli, "build_corpus", no_corpus)
     assert main(["suite", "--family", "chain", "--max-size", "3",
                  "--jobs", "1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and _one_line(captured.err)
     assert str(out) in captured.err
+
+
+def test_suite_rejects_unwritable_out(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "missing" / "r.json"
+    _refuses_out_before_the_run(out, monkeypatch, capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_suite_rejects_out_that_is_a_directory(tmp_path, monkeypatch,
+                                               capsys):
+    _refuses_out_before_the_run(tmp_path, monkeypatch, capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture

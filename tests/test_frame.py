@@ -190,6 +190,16 @@ def _by_definition(leq):
     return None, meet, join, impl
 
 
+def _set_bounds(leq, xs):
+    """The greatest lower and least upper bound of the elements xs, found
+    by scanning; the empty set has the top and the bottom."""
+    n = len(leq)
+    lower = [m for m in range(n) if all(leq[m][x] for x in xs)]
+    upper = [m for m in range(n) if all(leq[x][m] for x in xs)]
+    return (next(m for m in lower if all(leq[x][m] for x in lower)),
+            next(m for m in upper if all(leq[m][x] for x in upper)))
+
+
 def _orders():
     """Every relation on <= 4 elements, then 2,000 seeded random DAGs on
     5 to 8 elements, half of them given a bottom and a top."""
@@ -218,12 +228,22 @@ def test_frame_from_leq_matches_definitions():
         error, meet, join, impl = _by_definition(leq)
         if error is None:
             f = frame_from_leq(up)
-            assert [list(r) for r in f.meet_table] == meet, up
-            assert [list(r) for r in f.join_table] == join, up
-            # the frame finds these masks without its implication table,
-            # which fills on first use: check them against the definition
+            pairs = list(itertools.product(range(n), repeat=2))
+            assert [f.meet(a, b) for a, b in pairs] \
+                == [meet[a][b] for a, b in pairs], up
+            assert [f.join(a, b) for a, b in pairs] \
+                == [join[a][b] for a, b in pairs], up
+            if n <= 4:
+                for k in range(1 << n):
+                    xs = [x for x in range(n) if k >> x & 1]
+                    assert (f.meet_of(xs), f.join_of(xs)) \
+                        == _set_bounds(leq, xs), (up, xs)
+            # the frame finds these without its implication table, which
+            # fills on first use: check them against the definition
             bottom = f.bottom
             pseudo = [impl[x][bottom] for x in range(n)]
+            assert [f.pseudocomplement(x) for x in range(n)] == pseudo, up
+            assert f._impl is None, up
             assert f.dense_elements_mask() == sum(
                 1 << x for x in range(n) if pseudo[x] == bottom), up
             assert booleanization(f).mask == sum(
@@ -234,6 +254,7 @@ def test_frame_from_leq_matches_definitions():
                 sum(1 << y for y in {impl[x][s] for x in range(n)})
                 for s in range(n)), up
             assert [list(r) for r in f.impl_table] == impl, up
+            assert [list(r) for r in f.meet_table] == meet, up
             seen.add("frame")
             continue
         with pytest.raises(error) as info:

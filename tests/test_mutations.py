@@ -116,7 +116,7 @@ def rmt_ignores_w(self, oracle=False):
         return RMT(self, oracle=True)
     f = self.frame
     return {a for a in range(f.n)
-            if all(f.join_table[a][x] == f.top for x in self.s_dense)}
+            if all(f.join(a, x) == f.top for x in self.s_dense)}
 
 
 def rs_drops_lowest_point(self, oracle=False):

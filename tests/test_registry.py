@@ -141,6 +141,35 @@ def test_replay_with_nothing_kept(max_size, replays):
     assert _replay_differences(spec) == (replays, [])
 
 
+def test_induced_frames_fill_no_lattice_table(monkeypatch):
+    # meets and joins come from the join-irreducible masks: every check
+    # run on the posets4 corpus leaves the induced-frame views without a
+    # meet or implication table, and only BLandL4's enumeration, through
+    # is_sublocale, fills a meet table
+    built = []
+    init = FiniteFrame.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+    monkeypatch.setattr(FiniteFrame, "__init__", recorded)
+    corpus = generators.build_corpus(GenSpec("all-posets-up-to", 4))
+    for scope in SCOPES:
+        for inst in corpus[scope]:
+            for c in checks_in_scope(scope):
+                c.runner(inst)
+    frames = {id(f) for f in corpus["frame"]}
+    views = [f for f in built if id(f) not in frames]
+    assert [f for f in views
+            if f._meet is not None or f._impl is not None] == []
+    assert {id(f) for f in built if f._meet is not None} \
+        == {id(f) for f in corpus["frame"] if f._sublocales is not None}
+    assert not hasattr(FiniteFrame, "join_table")
+    assert (len(built), len(frames), len(views)) == (93, 25, 68)
+    assert (sum(f._meet is not None for f in built),
+            sum(f._impl is not None for f in built)) == (25, 25)
+
+
 def test_replay_catches_a_kept_context_keyed_by_frame(monkeypatch):
     # a dense_context keyed by the frame alone hands every S the first
     # context built on L; the replay sees rows that change
