@@ -41,14 +41,13 @@ class FiniteFrame:
 
     __slots__ = (
         "n", "up", "down", "bottom", "top", "labels", "name",
-        "_label_index", "_jm", "_by_jm", "_irr_ups", "_pseudo",
+        "_label_index", "_jm", "_by_jm", "_pseudo",
         "_meet", "_impl", "_req", "_dense_mask", "_bool_mask",
         "_point_mask", "_sublocales", "_min_pts", "_point_subls",
         "_views", "_inclusions", "_contexts",
     )
 
-    def __init__(self, n, up, down, irr, jm, by_jm, bottom, top, labels,
-                 name):
+    def __init__(self, n, up, down, jm, by_jm, bottom, top, labels, name):
         self.n = n
         self.up = up            # up[a] = bitmask of {x : a <= x}
         self.down = down        # down[a] = bitmask of {x : x <= a}
@@ -56,23 +55,31 @@ class FiniteFrame:
         self.top = top
         self.labels = labels
         self.name = name
-        self._label_index = {lab: i for i, lab in enumerate(labels)}
+        self._label_index = None    # filled by the first index_of
         # jm[x]: the join-irreducibles below x, as a mask; by_jm inverts it.
         # a -> b is the element whose join-irreducibles are the j with
         # j /\ a <= b: those above no join-irreducible below a but not b.
         self._jm = jm
         self._by_jm = by_jm
-        self._irr_ups = {1 << j: up[j] & irr for j in bits(irr)}
         self._meet = None
         self._impl = None       # filled with _req by _fill_impl
         self._req = None
-        self._pseudo = pseudo = [by_jm[irr & ~self._up_closure(m)] for m in jm]
-        self._dense_mask = _mask_of(
-            a for a in range(n) if pseudo[a] == bottom)
-        self._bool_mask = _mask_of(pseudo)
-        ups = set(up)       # points: see points_mask
-        self._point_mask = _mask_of(
-            p for p in range(n) if up[p] & ~(1 << p) in ups)
+        # one pass: a* (whose join-irreducibles are above none below a),
+        # the dense a (a* = 0), BL = {a*} and the points (see points_mask)
+        irr, ups, pseudo = jm[top], set(up), []
+        dense = boolean = points = 0
+        for a, m in enumerate(jm):
+            x = by_jm[irr & ~self._up_closure(m)]
+            pseudo.append(x)
+            boolean |= 1 << x
+            if x == bottom:
+                dense |= 1 << a
+            if up[a] & ~(1 << a) in ups:
+                points |= 1 << a
+        self._pseudo = pseudo
+        self._dense_mask = dense
+        self._bool_mask = boolean
+        self._point_mask = points
         # kept on first use: sublocale.py fills the first four; views,
         # inclusion maps and contexts are keyed by a sublocale's mask
         self._sublocales = None
@@ -82,12 +89,11 @@ class FiniteFrame:
         self._contexts = None
 
     def _up_closure(self, d: int) -> int:
-        """The join-irreducibles above some join-irreducible in mask d."""
-        ups = self._irr_ups
-        out = 0
+        """The elements above some element in mask d."""
+        up, out = self.up, 0
         while d:
             low = d & -d
-            out |= ups[low]
+            out |= up[low.bit_length() - 1]
             d ^= low
         return out
 
@@ -214,6 +220,8 @@ class FiniteFrame:
         return self.labels[a]
 
     def index_of(self, label: str) -> int:
+        if self._label_index is None:
+            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         return self._label_index[label]
 
     def subject(self) -> str:
@@ -232,27 +240,28 @@ def _mask_of(xs: Iterable[int]) -> int:
 
 def _sweep_down(up: list[int]) -> bool:
     """Down the labels, let each up[i] take the up-sets of the j in it, in
-    place; say if a mask grew.  One sweep closes pairs that all have i < j."""
+    place; say if a mask grew.  One sweep closes pairs that all have i < j:
+    each up[j], j > i, is closed before up[i] takes it."""
     grew = False
     for i in reversed(range(len(up))):
         old = mask = up[i]
-        for j in bits(old):
-            mask |= up[j]
+        rest = old & ~(1 << i)
+        while rest:
+            low = rest & -rest
+            mask |= up[low.bit_length() - 1]
+            rest ^= low
         if mask != old:
             up[i], grew = mask, True
     return grew
 
 
-def _close_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Reflexive-transitive closure of a generating relation, as up-masks:
-    sweeps run until one changes nothing.  After sweep k, up[i] holds all
-    within 2^k steps of i, so at most ceil(log2 n) + 1 sweeps run."""
-    up = [1 << i for i in range(n)]
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise NotAPartialOrder(f"pair ({a},{b}) out of range for n={n}")
-        up[a] |= 1 << b
-    while _sweep_down(up):
+def _close_order(up: list[int]) -> list[int]:
+    """Close, in place, up-masks holding each element and the pairs (a, b)
+    of a generating relation.  If every pair runs up the labels (a <= b),
+    one sweep does; else sweeps run until one changes nothing, and after
+    sweep k up[i] holds all within 2^k steps of i: ceil(log2 n) + 1 run."""
+    upward = all(u >> i << i == u for i, u in enumerate(up))
+    while _sweep_down(up) and not upward:
         pass
     return up
 
@@ -299,24 +308,30 @@ def frame_from_leq(up: Sequence[int],
                     f"{a} <= {b} and {b} <= {c} but not {a} <= {c}")
             down[b] |= bit
             rest ^= low
-    # the first a in a cycle is its least member
+    # the first a in a cycle is its least member; J is the j whose strict
+    # down-set is some down[x]
+    downs, irr = set(down), 0
     for a in range(n):
-        cycle = up[a] & down[a] & ~(1 << a)
+        strict = down[a] & ~(1 << a)
+        cycle = up[a] & strict
         if cycle:
             b = (cycle & -cycle).bit_length() - 1
             raise NotAPartialOrder(f"elements {a} and {b} are in a cycle")
+        if strict in downs:
+            irr |= 1 << a
 
-    downs = set(down)
-    irr = _mask_of(j for j in range(n) if down[j] & ~(1 << j) in downs)
     jm = tuple(d & irr for d in down)
     by_jm = {m: x for x, m in enumerate(jm)}
     above = [(1 << n) - 1] * n      # (b): x >= j exactly when j is in jm[x]
     unions = set()                  # (c)
     for j in bits(irr):
         uj, mj = up[j], jm[j]
-        for x in bits(uj):
-            above[x] &= uj
-        unions.update([m | mj for m in jm])
+        rest = uj
+        while rest:
+            x = rest & -rest
+            above[x.bit_length() - 1] &= uj
+            rest ^= x
+        unions.update(map(mj.__or__, jm))
     if above != list(up) or not unions <= by_jm.keys():
         # no distributive lattice: name the first pair or triple to show it
         by_down = {d: x for x, d in enumerate(down)}
@@ -343,7 +358,7 @@ def frame_from_leq(up: Sequence[int],
     labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
     if len(labels) != n or len(set(labels)) != n:
         raise NotALattice("labels must be distinct and one per element")
-    return FiniteFrame(n, tuple(up), tuple(down), irr, jm, by_jm, by_jm[0],
+    return FiniteFrame(n, tuple(up), tuple(down), jm, by_jm, by_jm[0],
                        by_jm[irr], labels, name)
 
 
@@ -358,10 +373,14 @@ def build_frame(order: Iterable[tuple[int, int]], n: int,
     """
     if n <= 0:
         raise NotALattice("element count must be positive")
-    if n > MAX_ELEMENTS:    # before the closure builds n masks
+    if n > MAX_ELEMENTS:    # before n masks are built
         raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
-    up = _close_order(n, order)
-    return frame_from_leq(up, labels=labels, name=name)
+    up = [1 << i for i in range(n)]
+    for a, b in order:
+        if not (0 <= a < n and 0 <= b < n):
+            raise NotAPartialOrder(f"pair ({a},{b}) out of range for n={n}")
+        up[a] |= 1 << b
+    return frame_from_leq(_close_order(up), labels=labels, name=name)
 
 
 # -- stock frames used all over the tests and docs ---------------------------

@@ -202,9 +202,13 @@ class RemoteContext:
         return self.star().rs(oracle)
 
     def nd_remainder(self) -> tuple[Sublocale, Sublocale]:
-        """Nd(S) and L minus its closure."""
-        nd = nd_join(self.frame, self.s)
-        return nd, supplement(self.frame, nd.closure())
+        """Nd(S) and L minus its closure.  The closure is c(m), m the meet
+        of Nd(S)'s points, which are S's dense points (``nd_join``), and
+        L minus c(m) is the span of the points not above m."""
+        f = self.frame
+        nd = nd_join(f, self.s)
+        m = nd.min_element()
+        return nd, Sublocale(f, span(f, f.points_mask() & ~f.up[m]))
 
     def subject(self) -> str:
         return (f"{self.frame.name or 'frame'}; "

@@ -191,27 +191,23 @@ def _preserving_by_scan(sq: DenseSquare, star: bool) -> bool:
     return _image_witness(sq.f, ctx_l, ctx_m) is None
 
 
-def square_verdicts(sq: DenseSquare) -> dict[str, tuple]:
+def square_verdicts(sq: DenseSquare, seen=None) -> dict[str, tuple]:
     """Each property of sq and of its four maps, as (library, reference).
 
     Each map's ``adjoint_table`` is compared with ``adjoint_by_order`` too,
     and is listed, as the pair of tables, only where the two differ.
+    ``seen``, a dict kept across calls, holds each map's verdicts by its
+    frames and table, so a map that recurs is compared once per run.
     """
+    seen = {} if seen is None else seen
     out = {}
     for name, f in (("g", sq.g), ("f", sq.f), ("alpha", sq.alpha),
                     ("omega", sq.omega)):
-        adjoint = adjoint_by_order(f)
-        if f.adjoint_table != adjoint:
-            out[f"{name}.adjoint_table"] = (f.adjoint_table, adjoint)
-        out[f"{name}.is_skeletal"] = (
-            f.is_skeletal(), table_is_skeletal(f.source, f.target, f.table))
-        out[f"{name}.adjoint_is_skeletal"] = (
-            f.adjoint_is_skeletal(),
-            table_is_skeletal(f.target, f.source, f.adjoint_table))
-        out[f"{name}.is_surjective"] = (
-            f.is_surjective(), table_is_surjective(f))
-        out[f"{name}.is_weakly_closed_adjoint"] = (
-            f.is_weakly_closed_adjoint(), weakly_closed_by_points(f))
+        key = (f.source, f.target, tuple(f.table))
+        if key not in seen:
+            seen[key] = _map_verdicts(f)
+        out.update((f"{name}.{prop}", pair)
+                   for prop, pair in seen[key].items())
     out["adjoints_commute"] = (sq.adjoints_commute(), commute_by_points(sq))
     out["is_f_remote_preserving"] = (
         is_f_remote_preserving(sq), _preserving_by_scan(sq, False))
@@ -219,6 +215,23 @@ def square_verdicts(sq: DenseSquare) -> dict[str, tuple]:
         is_f_star_remote_preserving(sq), _preserving_by_scan(sq, True))
     out["takes_remainder"] = (
         takes_remainder(sq), takes_remainder_by_supplement(sq))
+    return out
+
+
+def _map_verdicts(f) -> dict[str, tuple]:
+    """Each property of one map, as (library, reference)."""
+    out = {}
+    adjoint = adjoint_by_order(f)
+    if f.adjoint_table != adjoint:
+        out["adjoint_table"] = (f.adjoint_table, adjoint)
+    out["is_skeletal"] = (
+        f.is_skeletal(), table_is_skeletal(f.source, f.target, f.table))
+    out["adjoint_is_skeletal"] = (
+        f.adjoint_is_skeletal(),
+        table_is_skeletal(f.target, f.source, f.adjoint_table))
+    out["is_surjective"] = (f.is_surjective(), table_is_surjective(f))
+    out["is_weakly_closed_adjoint"] = (
+        f.is_weakly_closed_adjoint(), weakly_closed_by_points(f))
     return out
 
 

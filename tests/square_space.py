@@ -6,13 +6,13 @@ Builds every square over the frames of posets with at most N points, one
 at a time (N = 2: 36 squares; N = 3: 1,559; N = 4: 156,317).  On each it
 compares every property in ``oracles.square_verdicts`` with its
 reference, each map's adjoint table with the one found from the order
-included, and it tallies what each hypothesis of each square check is
-for (``oracles.dropped_hypotheses``).  Prints the square count and the
-number of disagreements, with the first few, then, for each hypothesis,
-how many squares make it alone false and the first of them on which the
-conclusion fails, by subject and witness.  A hypothesis with no such
-failure is one that these squares do not show to be needed.  Exits 1 on
-any disagreement.
+included, each distinct map once, and it tallies what each hypothesis of
+each square check is for (``oracles.dropped_hypotheses``).  Prints the
+square count and the number of disagreements, with the first few, then,
+for each hypothesis, how many squares make it alone false and the first
+of them on which the conclusion fails, by subject and witness.  A
+hypothesis with no such failure is one that these squares do not show to
+be needed.  Exits 1 on any disagreement.
 """
 
 import sys
@@ -28,13 +28,15 @@ def main(argv: list[str]) -> int:
     start = time.perf_counter()
     squares = 0
     wrong = []
+    seen = {}   # each distinct map's verdicts, compared once
 
     def compared():
         nonlocal squares
         for sq in iter_square_space(int(argv[0])):
             squares += 1
+            verdicts = square_verdicts(sq, seen)
             wrong.extend((prop, sq.subject(), got, want)
-                         for prop, (got, want) in square_verdicts(sq).items()
+                         for prop, (got, want) in verdicts.items()
                          if got != want)
             yield sq
 

@@ -15,7 +15,9 @@ from localic import (
     RemoteContext, SquareChain, Triangle, checks_in_scope, cli,
     enumerate_sublocales,
 )
+from localic import frame, jsonio
 from localic.cli import main
+from localic.errors import FrameTooLarge, InvalidDocument, NotALattice
 from localic.frame import frame_from_leq
 from localic.generators import FAMILIES, GenSpec, gen_frames
 from localic.jsonio import document_from_json
@@ -398,6 +400,87 @@ def test_validate_refusals(doc, message, tmp_path, capsys):
     assert main(["validate", _write(tmp_path, "bad.json", doc)]) == 2
     err = capsys.readouterr().err
     assert _one_line(err) and message in err, err
+
+
+def _elements(n: int) -> list[str]:
+    return [f"e{i}" for i in range(n)]
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    # every pair's shape is checked before any label
+    ({"elements": ["a", "b"], "order": [["a", "x"], ["a"]]},
+     InvalidDocument, "'order' must be a list of [a, b] pairs"),
+    ({"elements": ["a", "b"], "order": [["a", ["x"]], "ab"]},
+     InvalidDocument, "'order' must be a list of [a, b] pairs"),
+    # the first unknown label, by pair and then by side
+    ({"elements": ["a", "b"], "order": [["a", "b"], ["y", "x"], ["z", "a"]]},
+     InvalidDocument, "order references unknown element: 'y'"),
+    ({"elements": ["a", "b"], "order": [["a", ["x"]]]},
+     InvalidDocument, "order references unknown element: unhashable type: "
+     "'list'"),
+    # labels are checked before the size cap
+    ({"elements": _elements(70), "order": [["e0", "e1"], ["e1", "zz"]]},
+     InvalidDocument, "order references unknown element: 'zz'"),
+    ({"elements": [], "order": [["a", "b"]]},
+     InvalidDocument, "order references unknown element: 'a'"),
+    ({"elements": [], "order": []},
+     NotALattice, "element count must be positive"),
+    ({"elements": _elements(70), "order": [["e0", "e1"]]},
+     FrameTooLarge, "70 elements exceeds the cap of 64"),
+    # pair shape before the size cap
+    ({"elements": _elements(70), "order": [["e0"]]},
+     InvalidDocument, "'order' must be a list of [a, b] pairs"),
+    ({"elements": ["a", "b"], "order": {"a": "b"}},
+     InvalidDocument, "'order' must be a list of [a, b] pairs"),
+], ids=["shape-after-unknown", "shape-after-unhashable", "first-unknown",
+        "unhashable", "unknown-in-70", "unknown-in-empty", "empty",
+        "cap", "shape-in-70", "order-not-a-list"])
+def test_frame_document_errors_fire_in_order(doc, error, message):
+    with pytest.raises(error) as info:
+        document_from_json({"type": "frame", **doc})
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_frame_document_cap_before_masks(monkeypatch):
+    # a 10,000-element document is refused before the order is closed or
+    # any mask is built: its pairs go through no closure and no frame build
+    monkeypatch.setattr(frame, "_close_order", None)
+    monkeypatch.setattr(jsonio, "_close_order", None)
+    monkeypatch.setattr(jsonio, "frame_from_leq", None)
+    labels = _elements(10_000)
+    doc = {"type": "frame", "elements": labels,
+           "order": [[a, b] for a, b in zip(labels, labels[1:])]}
+    with pytest.raises(FrameTooLarge) as info:
+        document_from_json(doc)
+    assert str(info.value) == "10000 elements exceeds the cap of 64"
+
+
+def test_non_ascii_labels_round_trip(tmp_path, capsys):
+    doc = {"type": "frame", "name": "Ç3",
+           "elements": ["∅", "é", "全"], "order": [["∅", "é"], ["é", "全"]]}
+    path = tmp_path / "c3.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: FiniteFrame\n"
+    assert main(["query", str(path), "booleanization"]) == 0
+    assert json.loads(capsys.readouterr().out) == ["∅", "全"]
+    assert main(["query", str(path), "nd", "S={∅,é,全}"]) == 0
+    assert json.loads(capsys.readouterr().out) == ["é", "全"]
+
+
+@pytest.mark.parametrize("encode", [
+    lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+    lambda text: text.encode("utf-16"),
+], ids=["utf-8-bom", "utf-16"])
+def test_frame_document_must_be_plain_utf8(encode, tmp_path, capsys):
+    path = tmp_path / "c3.json"
+    path.write_bytes(encode(json.dumps(C3_DOC)))
+    for words in ([], ["booleanization"]):
+        command = "query" if words else "validate"
+        assert main([command, str(path)] + words) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_line(captured.err)
+        assert "not valid JSON" in captured.err
 
 
 @pytest.mark.parametrize("command", [["validate"], ["query"]])

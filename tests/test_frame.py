@@ -10,6 +10,7 @@ from localic import (
 )
 from localic import booleanization, frame
 from localic.frame import frame_from_leq
+from localic.jsonio import frame_from_json
 
 from oracles import is_point
 
@@ -328,17 +329,77 @@ def test_close_order_matches_the_closure(monkeypatch):
     def check(n, pairs):
         leq = _closure(n, pairs)
         sweeps.clear()
-        up = frame._close_order(n, pairs)
+        up = [1 << a for a in range(n)]
+        for a, b in pairs:
+            up[a] |= 1 << b
+        up = frame._close_order(up)
         assert up == [sum(1 << b for b in range(n) if leq[a][b])
                       for a in range(n)], (n, pairs)
         return len(sweeps)
 
     for n, pairs in _orders():
-        # at most ceil(log2 n) + 1 sweeps
-        assert check(n, pairs) <= (n - 1).bit_length() + 1, (n, pairs)
+        # at most ceil(log2 n) + 1 sweeps, and exactly one when every pair
+        # runs up the labels
+        sweeps_run = check(n, pairs)
+        assert sweeps_run <= (n - 1).bit_length() + 1, (n, pairs)
+        if all(a <= b for a, b in pairs):
+            assert sweeps_run == 1, (n, pairs)
     # labelled against the sweeps, 63 < 62 < ... < 0 doubles its reach
     # per sweep, so ceil(log2 64) + 1 sweeps run; once closed, it takes one
     chain = {(i + 1, i) for i in range(63)}
     assert check(64, chain) == 7
     closed = {(a, b) for a in range(64) for b in range(a + 1)}
     assert check(64, closed) == 1
+    # labelled with the sweeps, the chain's covers close in one sweep, with
+    # none after it to see that nothing changes
+    assert check(64, {(i, i + 1) for i in range(63)}) == 1
+
+
+_SLOTS = ("n", "up", "down", "_jm", "_by_jm", "_pseudo", "_dense_mask",
+          "_bool_mask", "_point_mask", "bottom", "top", "labels", "name")
+
+
+def _outcome(build):
+    """Every slot of the frame that ``build()`` returns, or the class and
+    message of what it raises."""
+    try:
+        f = build()
+    except (NotAPartialOrder, NotALattice, NotDistributive) as e:
+        return type(e), str(e)
+    return [getattr(f, slot) for slot in _SLOTS]
+
+
+def test_three_routes_build_the_same_frame():
+    # a relation given as a frame document, to build_frame, and to
+    # frame_from_leq as its closure, under three labellings and as covers
+    # (the relation itself where its closure has a cycle) and as the full
+    # order: every route builds the same frame or raises the same error
+    rng = random.Random(33)
+    seen = set()
+    for n, pairs in _orders():
+        for perm in (list(range(n)), list(range(n))[::-1],
+                     rng.sample(range(n), n)):
+            rel = {(perm[a], perm[b]) for a, b in pairs}
+            leq = _closure(n, rel)
+            full = {(a, b) for a in range(n) for b in range(n)
+                    if a != b and leq[a][b]}
+            if any(leq[b][a] for a, b in full):
+                covers = rel
+            else:
+                covers = {(a, b) for a, b in full if not any(
+                    leq[a][c] and leq[c][b] for c in range(n)
+                    if c != a and c != b)}
+            labels = [""] * n
+            for i, p in enumerate(perm):
+                labels[p] = f"e{i}"
+            up = [sum(1 << b for b in range(n) if leq[a][b])
+                  for a in range(n)]
+            want = _outcome(lambda: frame_from_leq(up, labels, "F"))
+            seen.add(want[0] if isinstance(want, tuple) else "frame")
+            for given in (covers, full):
+                order = [[labels[a], labels[b]] for a, b in sorted(given)]
+                doc = {"name": "F", "elements": labels, "order": order}
+                assert _outcome(lambda: frame_from_json(doc)) == want, doc
+                assert _outcome(lambda: build_frame(
+                    sorted(given), n, labels, "F")) == want, (n, given)
+    assert seen == {"frame", NotAPartialOrder, NotALattice, NotDistributive}
