@@ -51,19 +51,14 @@ class FiniteFrame:
         self.n = n
         self.up = up            # up[a] = bitmask of {x : a <= x}
         self.down = down        # down[a] = bitmask of {x : x <= a}
-        self.bottom = bottom
-        self.top = top
-        self.labels = labels
-        self.name = name
+        self.bottom, self.top = bottom, top
+        self.labels, self.name = labels, name
         self._label_index = None    # filled by the first index_of
         # jm[x]: the join-irreducibles below x, as a mask; by_jm inverts it.
         # a -> b is the element whose join-irreducibles are the j with
         # j /\ a <= b: those above no join-irreducible below a but not b.
-        self._jm = jm
-        self._by_jm = by_jm
-        self._meet = None
-        self._impl = None       # filled with _req by _fill_impl
-        self._req = None
+        self._jm, self._by_jm = jm, by_jm
+        self._meet = self._impl = self._req = None  # _impl, _req: _fill_impl
         # one pass: a* (whose join-irreducibles are above none below a),
         # the dense a (a* = 0), BL = {a*} and the points (see points_mask)
         irr, ups, pseudo = jm[top], set(up), []
@@ -72,21 +67,14 @@ class FiniteFrame:
             x = by_jm[irr & ~self._up_closure(m)]
             pseudo.append(x)
             boolean |= 1 << x
-            if x == bottom:
-                dense |= 1 << a
-            if up[a] & ~(1 << a) in ups:
-                points |= 1 << a
-        self._pseudo = pseudo
-        self._dense_mask = dense
-        self._bool_mask = boolean
-        self._point_mask = points
+            dense |= (x == bottom) << a
+            points |= (up[a] & ~(1 << a) in ups) << a
+        self._pseudo, self._dense_mask = pseudo, dense
+        self._bool_mask, self._point_mask = boolean, points
         # kept on first use: sublocale.py fills the first four; views,
         # inclusion maps and contexts are keyed by a sublocale's mask
-        self._sublocales = None
-        self._min_pts = None
-        self._point_subls = None
-        self._views = self._inclusions = None
-        self._contexts = None
+        self._sublocales = self._min_pts = self._point_subls = None
+        self._views = self._inclusions = self._contexts = None
 
     def _up_closure(self, d: int) -> int:
         """The elements above some element in mask d."""
@@ -99,12 +87,9 @@ class FiniteFrame:
 
     def _fill_impl(self) -> None:
         """Fill the implication table and, in the same pass, ``_req``."""
-        jm, by_jm = self._jm, self._by_jm
-        irr = jm[self.top]
+        jm, by_jm, irr = self._jm, self._by_jm, self._jm[self.top]
         # a -> b depends only on d = jm[a] & ~jm[b]: one up-closure per d
-        by_diff = {}
-        rows = []
-        req = [0] * self.n
+        by_diff, rows, req = {}, [], [0] * self.n
         for ja in jm:
             row = []
             for b, jb in enumerate(jm):
@@ -240,8 +225,7 @@ def _mask_of(xs: Iterable[int]) -> int:
 
 def _sweep_down(up: list[int]) -> bool:
     """Down the labels, let each up[i] take the up-sets of the j in it, in
-    place; say if a mask grew.  One sweep closes pairs that all have i < j:
-    each up[j], j > i, is closed before up[i] takes it."""
+    place; say if a mask grew.  One sweep closes pairs that all have i < j."""
     grew = False
     for i in reversed(range(len(up))):
         old = mask = up[i]
@@ -255,13 +239,16 @@ def _sweep_down(up: list[int]) -> bool:
     return grew
 
 
-def _close_order(up: list[int]) -> list[int]:
-    """Close, in place, up-masks holding each element and the pairs (a, b)
-    of a generating relation.  If every pair runs up the labels (a <= b),
-    one sweep does; else sweeps run until one changes nothing, and after
-    sweep k up[i] holds all within 2^k steps of i: ceil(log2 n) + 1 run."""
-    upward = all(u >> i << i == u for i, u in enumerate(up))
-    while _sweep_down(up) and not upward:
+def _close_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Reflexive-transitive closure of a generating relation, as up-masks:
+    sweeps run until one changes nothing.  After sweep k, up[i] holds all
+    within 2^k steps of i, so at most ceil(log2 n) + 1 sweeps run."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise NotAPartialOrder(f"pair ({a},{b}) out of range for n={n}")
+        up[a] |= 1 << b
+    while _sweep_down(up):
         pass
     return up
 
@@ -296,8 +283,7 @@ def frame_from_leq(up: Sequence[int],
             raise NotAPartialOrder(
                 f"the up-set of {a} must hold {a} and only elements "
                 f"below {n}")
-        bit = 1 << a
-        rest = ua
+        bit, rest = 1 << a, ua
         while rest:
             low = rest & -rest
             b = low.bit_length() - 1
@@ -317,21 +303,18 @@ def frame_from_leq(up: Sequence[int],
         if cycle:
             b = (cycle & -cycle).bit_length() - 1
             raise NotAPartialOrder(f"elements {a} and {b} are in a cycle")
-        if strict in downs:
-            irr |= 1 << a
-
+        irr |= (strict in downs) << a
     jm = tuple(d & irr for d in down)
     by_jm = {m: x for x, m in enumerate(jm)}
     above = [(1 << n) - 1] * n      # (b): x >= j exactly when j is in jm[x]
     unions = set()                  # (c)
     for j in bits(irr):
-        uj, mj = up[j], jm[j]
-        rest = uj
+        rest = uj = up[j]
         while rest:
             x = rest & -rest
             above[x.bit_length() - 1] &= uj
             rest ^= x
-        unions.update(map(mj.__or__, jm))
+        unions.update(map(jm[j].__or__, jm))
     if above != list(up) or not unions <= by_jm.keys():
         # no distributive lattice: name the first pair or triple to show it
         by_down = {d: x for x, d in enumerate(down)}
@@ -373,14 +356,9 @@ def build_frame(order: Iterable[tuple[int, int]], n: int,
     """
     if n <= 0:
         raise NotALattice("element count must be positive")
-    if n > MAX_ELEMENTS:    # before n masks are built
+    if n > MAX_ELEMENTS:    # before the closure builds n masks
         raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
-    up = [1 << i for i in range(n)]
-    for a, b in order:
-        if not (0 <= a < n and 0 <= b < n):
-            raise NotAPartialOrder(f"pair ({a},{b}) out of range for n={n}")
-        up[a] |= 1 << b
-    return frame_from_leq(_close_order(up), labels=labels, name=name)
+    return frame_from_leq(_close_order(n, order), labels=labels, name=name)
 
 
 # -- stock frames used all over the tests and docs ---------------------------

@@ -22,8 +22,7 @@ import json
 from typing import TYPE_CHECKING, Union
 
 from .errors import InvalidDocument
-from .frame import MAX_ELEMENTS, FiniteFrame, build_frame, frame_from_leq
-from .frame import _close_order
+from .frame import FiniteFrame, build_frame
 
 if TYPE_CHECKING:
     # imported at run time by the branches that build them, so reading a
@@ -68,26 +67,17 @@ def frame_from_json(doc: dict) -> FiniteFrame:
     if name is not None and not isinstance(name, str):
         raise InvalidDocument("a frame name must be a string")
     order = doc.get("order")
-    if not isinstance(order, list):
-        order = [None]      # fails the shape test below
-    # each pair goes straight into the up-masks, built only for a size that
-    # build_frame accepts: it refuses any other once the pairs are checked
-    n, unknown = len(labels), None
-    up = [1 << i for i in range(n)] if 0 < n <= MAX_ELEMENTS else None
-    for p in order:
+    pairs, unknown = [], None
+    for p in order if isinstance(order, list) else [None]:  # None: bad shape
         if not isinstance(p, list) or len(p) != 2:
             raise InvalidDocument("'order' must be a list of [a, b] pairs")
         try:
-            a, b = index[p[0]], index[p[1]]
-            if up:
-                up[a] |= 1 << b
+            pairs.append((index[p[0]], index[p[1]]))
         except (KeyError, TypeError) as e:  # TypeError: an unhashable label
             unknown = unknown or e  # raised once every pair's shape passes
     if unknown:
         raise InvalidDocument(f"order references unknown element: {unknown}")
-    if up is None:
-        return build_frame((), n)
-    return frame_from_leq(_close_order(up), labels=labels, name=name)
+    return build_frame(pairs, len(labels), labels=labels, name=name)
 
 
 def _map_from_body(body: dict, frames: dict[str, FiniteFrame]) -> LocalicMap:

@@ -15,7 +15,7 @@ from localic import (
     RemoteContext, SquareChain, Triangle, checks_in_scope, cli,
     enumerate_sublocales,
 )
-from localic import frame, jsonio
+from localic import frame
 from localic.cli import main
 from localic.errors import FrameTooLarge, InvalidDocument, NotALattice
 from localic.frame import frame_from_leq
@@ -445,8 +445,7 @@ def test_frame_document_cap_before_masks(monkeypatch):
     # a 10,000-element document is refused before the order is closed or
     # any mask is built: its pairs go through no closure and no frame build
     monkeypatch.setattr(frame, "_close_order", None)
-    monkeypatch.setattr(jsonio, "_close_order", None)
-    monkeypatch.setattr(jsonio, "frame_from_leq", None)
+    monkeypatch.setattr(frame, "frame_from_leq", None)
     labels = _elements(10_000)
     doc = {"type": "frame", "elements": labels,
            "order": [[a, b] for a, b in zip(labels, labels[1:])]}

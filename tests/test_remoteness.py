@@ -3,8 +3,8 @@ import pytest
 from localic import (
     REGISTRY, GenSpec, MixedFrames, RemoteContext, Sublocale, bl_context,
     boolean_frame, booleanization, chain_frame, checks_in_scope,
-    closed_subl, dense_context, enumerate_sublocales, remoteness, subl_join,
-    supplement, void_subl, whole_context, whole_subl,
+    closed_subl, dense_context, enumerate_sublocales, nd_join, remoteness,
+    subl_join, supplement, void_subl, whole_context, whole_subl,
 )
 from localic.frame import FiniteFrame, bits, popcount
 from localic.generators import (
@@ -307,7 +307,9 @@ def test_contexts_are_kept_per_frame_and_s():
 def test_unkept_values_match_their_old_forms(tier1_frames):
     # the oracle Rmt set read off the oracle mask is the set of a with
     # c(a) remote by the oracle predicate; Rs and Nd(S), computed on each
-    # call, are the values of a fresh context
+    # call, are the values of a fresh context; L minus cl(Nd(S)), spanned
+    # by the points not above the meet of Nd(S)'s points, is the
+    # supplement of Nd(S)'s closure
     for f in tier1_frames:
         for s in gen_dense_sublocales(f):
             ctx = dense_context(f, s)
@@ -315,6 +317,8 @@ def test_unkept_values_match_their_old_forms(tier1_frames):
                 assert c.rmt_elements(oracle=True) == {
                     a for a in range(f.n)
                     if c.pred_nwd_oracle(closed_subl(f, a))}
+                assert c.nd_remainder()[1] == supplement(
+                    f, nd_join(f, c.s).closure())
             fresh = RemoteContext(f, s)
             for oracle in (False, True):
                 assert ctx.rs(oracle) == fresh.rs(oracle)
