@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 at least one theorem check failed, 2 input or
 validation error.  The arguments are parsed by hand: a usage error is
 one line on stderr and exit 2, and ``-h``/``--help`` prints ``_USAGE``
 and exits 0.  Suite options take their value as ``--opt VALUE`` or
-``--opt=VALUE``, spelled out in full.
+``--opt=VALUE``, spelled out in full; each is given at most once, and
+an empty value is a missing one.
 
 Each command imports only what it runs: ``validate`` and ``query`` of a
 frame load the frame, sublocale, remoteness and jsonio modules; a map,
@@ -190,7 +191,8 @@ suite     run the theorem suite over a generated corpus; FAMILY is one of
           a check-id glob, --jobs 0 (the default) the usable CPUs, and
           --out a file that also receives the report
 
-An option takes its value as --opt VALUE or --opt=VALUE.
+An option takes its value as --opt VALUE or --opt=VALUE, and is given
+at most once.
 """
 
 # suite option -> (field of the parsed namespace, value type)
@@ -209,22 +211,27 @@ class _UsageError(Exception):
 
 
 def _parse_suite(words: list[str]) -> SimpleNamespace:
-    opts = dict(_SUITE_DEFAULTS)
+    given = {}
     words = iter(words)
     for word in words:
         name, eq, value = word.partition("=")
         if name not in _SUITE_OPTIONS:
             raise _UsageError(f"unknown suite option {name!r}")
-        if not eq:
-            value = next(words, None)
-            if value is None or value.startswith("--"):
-                raise _UsageError(f"{name} needs a value")
         field, kind = _SUITE_OPTIONS[name]
+        if field in given:
+            raise _UsageError(f"{name} given more than once")
+        if not eq:
+            value = next(words, "")
+            if value.startswith("--"):  # the next option, not a value
+                value = ""
+        if not value:
+            raise _UsageError(f"{name} needs a value")
         try:
-            opts[field] = kind(value)
+            given[field] = kind(value)
         except ValueError:
             raise _UsageError(f"{name} takes an integer, got {value!r}") \
                 from None
+    opts = {**_SUITE_DEFAULTS, **given}
     missing = [name for name, (field, _) in _SUITE_OPTIONS.items()
                if field not in opts]
     if missing:

@@ -1,4 +1,4 @@
-"""Remoteness from a dense sublocale, and the structure theorems about it.
+"""Remoteness from a dense sublocale.
 
 A :class:`RemoteContext` fixes a frame L and a dense sublocale S.  A
 sublocale T is remote from S when it misses the ambient closure of every
@@ -14,21 +14,6 @@ subspace S (van Douwen's remote sets).  The fast path is the default; their
 agreement is itself one of the checked theorems, so the theorem checks
 never assume it.  On both routes the joins Rs and *Rs are spans of points.
 
-On each route the remote family is one point mask M, ``miss_points``: T is
-remote iff it holds no point of M.  Points are meet-irreducible, so the
-points of span(Q) are exactly Q, and each single point spans a sublocale;
-hence family A lies inside family B iff M_B lies inside M_A.  The checks
-``remotesets``, ``SRemandSRemLS``, ``SRemLemma``, ``rareequality``,
-``rempropBL`` and ``rempropBLstar`` are such mask tests, run on both routes,
-and ``remS`` compares two such families by their free points.
-
-Every sublocale is the join of its one-point sublocales {p, 1}, and each
-of the four predicates of ``opendensefrom`` holds on T iff it holds on
-every {p, 1} with p in T (each is "T <= W and no point of T in some
-mask").  So two of them disagree on some T iff they disagree on O or on a
-one-point sublocale, and ``opendensefrom`` votes on those 1 + |pts|
-sublocales: exhaustive on every frame, with no sampling.
-
 A frame keeps one ordinary context per dense S, built on first use by
 :func:`dense_context`; :func:`whole_context`, :func:`bl_context`, the
 corpus contexts and the contexts of every square over that frame and S
@@ -37,12 +22,11 @@ are that one object, so each shares what the others have derived.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from .frame import FiniteFrame, _mask_of, bits
+from .frame import FiniteFrame, bits
 from .sublocale import (
-    Sublocale, booleanization, enumerate_sublocales, is_dense_in_itself,
-    is_rare, nd_join, nucleus_map, open_subl, point_sublocales, span,
+    Sublocale, booleanization, nd_join, nucleus_map, open_subl, span,
     sublocales_below, supplement, void_subl, whole_subl,
 )
 from .errors import InvalidSublocale, MixedFrames
@@ -233,255 +217,3 @@ def whole_context(frame: FiniteFrame) -> RemoteContext:
 
 def bl_context(frame: FiniteFrame) -> RemoteContext:
     return dense_context(frame, booleanization(frame))
-
-
-def _on_both_routes(frame: FiniteFrame,
-                    offending: Callable[[bool], int]) -> Optional[str]:
-    """The witness of a mask test: the first route whose offending point
-    mask is not empty, and those points by label."""
-    for oracle in (False, True):
-        bad = offending(oracle)
-        if bad:
-            labels = ",".join(frame.labels[p] for p in bits(bad))
-            return f"{'oracle' if oracle else 'fast'} route: {{{labels}}}"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Per-statement context checks (scope: one frame + one dense sublocale)
-# Each table entry is (hypotheses, conclusion); see localic.registry.
-# ---------------------------------------------------------------------------
-
-def check_opendensefrom(ctx: RemoteContext) -> Optional[str]:
-    """The oracle, fast-path, open-subset and nucleus predicates agree.
-
-    Each predicate acts point by point (module docstring), so they vote on
-    O and the one-point sublocales only.
-    """
-    for t in point_sublocales(ctx.frame):
-        votes = (ctx.pred_nwd_oracle(t), ctx.is_remote_from(t),
-                 ctx.pred_open_subset(t), ctx.pred_nucleus_top(t))
-        if len(set(votes)) != 1:
-            return f"T={t.labels()} predicates={votes}"
-    return None
-
-
-def check_void_remote(ctx: RemoteContext) -> Optional[str]:
-    if not ctx.is_remote_from(void_subl(ctx.frame), oracle=True):
-        return "O not remote"
-    return None
-
-
-def check_downward_closure(ctx: RemoteContext) -> Optional[str]:
-    """A <= B and B remote from S imply A remote from S.
-
-    Sublocales are keyed by their point sets, and a family of point sets is
-    down-closed iff dropping one point from a member always gives a member.
-    """
-    pts = ctx.frame.points_mask()
-    by_pts = {t.mask & pts: t for t in enumerate_sublocales(ctx.frame)}
-    remote = {q for q, t in by_pts.items() if ctx.is_remote_from(t)}
-    for q in sorted(remote):
-        for p in bits(q):
-            if q & ~(1 << p) not in remote:
-                a, b = by_pts[q & ~(1 << p)], by_pts[q]
-                return f"A={a.labels()} B={b.labels()}"
-    return None
-
-
-def check_nd_remote(ctx: RemoteContext) -> Optional[str]:
-    """L minus the closure of Nd(S) is remote from S."""
-    nd, rem = ctx.nd_remainder()
-    if not ctx.is_remote_from(rem, oracle=True):
-        return f"Nd(S)={nd.labels()}"
-    return None
-
-
-def check_star_subset(ctx: RemoteContext) -> Optional[str]:
-    """*remote sublocales are remote: the *remote mask holds the plain one.
-
-    A witness point is held by some *remote T that is not remote.
-    """
-    star = ctx.star()
-    return _on_both_routes(ctx.frame, lambda oracle: (
-        ctx.miss_points(oracle) & ~star.miss_points(oracle)))
-
-
-def check_rem_l_subset(ctx: RemoteContext) -> Optional[str]:
-    """Remote sublocales of L are remote from every dense S: L's mask
-    holds the mask of S."""
-    whole = whole_context(ctx.frame)
-    return _on_both_routes(ctx.frame, lambda oracle: (
-        ctx.miss_points(oracle) & ~whole.miss_points(oracle)))
-
-
-def check_rem_s_intersection(ctx: RemoteContext) -> Optional[str]:
-    """S(S) /\\ S_rem(L |x S) equals S_rem(S), computed in the induced frame.
-
-    Each family is the sublocales of S spanned by a set of free points: on
-    the left the points of S outside this context's mask, on the right the
-    points of the induced frame outside its own oracle mask.  The induced
-    frame keeps exactly the points of L that lie in S, so the families are
-    equal iff those two point sets are.
-    """
-    f = ctx.frame
-    sub, elems = ctx.s.as_frame()
-    free = sub.points_mask() & ~whole_context(sub).miss_points(oracle=True)
-    rhs = _mask_of(elems[i] for i in bits(free))
-    lhs = f.points_mask() & ctx.s.mask & ~ctx.miss_points()
-    if lhs != rhs:
-        labels = ",".join(f.labels[p] for p in bits(lhs ^ rhs))
-        return f"points differ: {{{labels}}}"
-    return None
-
-
-def check_rmt_characterization(ctx: RemoteContext) -> Optional[str]:
-    """Rmt via the join condition agrees with remoteness of c(a); *Rmt too."""
-    for c in (ctx, ctx.star()):
-        fast = c.rmt_elements()
-        slow = c.rmt_elements(oracle=True)
-        if fast != slow:
-            return f"join-rule={sorted(fast)} oracle={sorted(slow)}"
-    return None
-
-
-def check_rare_equality(ctx: RemoteContext) -> Optional[str]:
-    """For dense and rare S the remote and *remote collections coincide:
-    the two masks are equal."""
-    star = ctx.star()
-    return _on_both_routes(ctx.frame, lambda oracle: (
-        ctx.miss_points(oracle) ^ star.miss_points(oracle)))
-
-
-def check_bl_remote(ctx: RemoteContext) -> Optional[str]:
-    if not ctx.is_remote_from(booleanization(ctx.frame), oracle=True):
-        return "BL not remote from S"
-    return None
-
-
-def check_s_is_bl(ctx: RemoteContext) -> Optional[str]:
-    """S remote from itself iff S = BL iff L remote from S."""
-    a = ctx.is_remote_from(ctx.s)
-    b = ctx.s == booleanization(ctx.frame)
-    c = ctx.is_remote_from(whole_subl(ctx.frame))
-    if not a == b == c:
-        return f"(S rem, S=BL, L rem)={(a, b, c)}"
-    return None
-
-
-def check_srem_lemma(ctx: RemoteContext) -> Optional[str]:
-    """A remote from S implies A /\\ S remote in L.
-
-    The points of A /\\ S are the points of A in S, and a remote A may
-    hold any point outside the mask of the context, so no point of S
-    outside that mask may lie in the mask of L.
-    """
-    f = ctx.frame
-    whole = whole_context(f)
-    return _on_both_routes(f, lambda oracle: (
-        f.points_mask() & ctx.s.mask & ~ctx.miss_points(oracle)
-        & whole.miss_points(oracle)))
-
-
-def check_rs_bl(ctx: RemoteContext) -> Optional[str]:
-    """Rs(L |x S) /\\ S = BL."""
-    cut = ctx.rs().mask & ctx.s.mask
-    if cut != booleanization(ctx.frame).mask:
-        return f"Rs/\\S mask={cut:#x}"
-    return None
-
-
-def check_rs_nd(ctx: RemoteContext) -> Optional[str]:
-    """Rs = L minus closure(Nd(S)) iff Nd(S) is S-nowhere dense."""
-    nd, rem = ctx.nd_remainder()
-    lhs = ctx.rs() == rem
-    # Nd(S) <= S, and for dense S its S-pseudocomplements are ambient ones.
-    rhs = ctx.frame.is_dense_element(nd.min_element())
-    if lhs != rhs:
-        return f"equality={lhs} nd-nowhere-dense={rhs}"
-    return None
-
-
-CONTEXT_CHECKS: dict[str, tuple] = {
-    "opendensefrom": ((), check_opendensefrom),
-    "BLandL1": ((), check_void_remote),
-    "BLandL4": ((), check_downward_closure),
-    "NDSremotefrom": ((), check_nd_remote),
-    "remotesets": ((), check_star_subset),
-    "SRemandSRemLS": ((), check_rem_l_subset),
-    "remS": ((), check_rem_s_intersection),
-    "sublocale": ((), check_rmt_characterization),
-    "rareequality": ((lambda ctx: is_rare(ctx.frame, ctx.s),),
-                     check_rare_equality),
-    "BLisremote": ((), check_bl_remote),
-    "SisBL": ((), check_s_is_bl),
-    "SRemLemma": ((), check_srem_lemma),
-    "RsBL": ((), check_rs_bl),
-    "RsNd": ((), check_rs_nd),
-}
-
-
-# ---------------------------------------------------------------------------
-# Frame-scoped checks (statements about S = BL specifically)
-# ---------------------------------------------------------------------------
-
-def check_remprop_bl(frame: FiniteFrame) -> Optional[str]:
-    """Everything is remote from the Booleanization: its mask is empty."""
-    return _on_both_routes(frame, bl_context(frame).miss_points)
-
-
-def check_remprop_bl_star(frame: FiniteFrame) -> Optional[str]:
-    """*remote-from-BL sublocales are exactly those inside L \\ BL.
-
-    T <= L \\ BL when T has no point outside it, and the points of
-    L \\ BL are the points not in BL, so the *remote mask must be the
-    points of BL.  This comes from the frame, not from the context's W.
-    """
-    bl = frame.points_mask() & booleanization(frame).mask
-    star = bl_context(frame).star()
-    return _on_both_routes(frame, lambda oracle: (
-        star.miss_points(oracle) ^ bl))
-
-
-def check_l_is_large(frame: FiniteFrame) -> Optional[str]:
-    """Rs(L |x BL), spanned on the oracle route, is L."""
-    if not bl_context(frame).rs(oracle=True).is_whole():
-        return "Rs(L|xBL) != L"
-    return None
-
-
-def check_rs_dense(frame: FiniteFrame) -> Optional[str]:
-    """*Rs(L |x BL), spanned on the oracle route, is L \\ BL."""
-    star = bl_context(frame).star()
-    rs = star.rs(oracle=True)
-    if rs != star.within:
-        return f"*Rs={rs.labels()}"
-    return None
-
-
-def check_obs_remotefrom(frame: FiniteFrame) -> Optional[str]:
-    """L is remote in itself exactly when L is Boolean."""
-    a = whole_context(frame).is_remote_from(whole_subl(frame))
-    b = frame.is_boolean()
-    if a != b:
-        return f"(L rem in L, L Boolean)={(a, b)}"
-    return None
-
-
-def check_obs_remotefrom_star(frame: FiniteFrame) -> Optional[str]:
-    """L dense in itself iff L is *remote from its Booleanization."""
-    a = is_dense_in_itself(frame)
-    b = bl_context(frame).star().is_remote_from(whole_subl(frame))
-    if a != b:
-        return f"(L dense in itself, L *rem from BL)={(a, b)}"
-    return None
-
-
-FRAME_CHECKS: dict[str, tuple] = {
-    "rempropBL": ((), check_remprop_bl),
-    "rempropBLstar": ((), check_remprop_bl_star),
-    "Lislarge": ((), check_l_is_large),
-    "RsDense": ((), check_rs_dense),
-    "obsremotefrom": ((), check_obs_remotefrom),
-    "obsremotefromstar": ((), check_obs_remotefrom_star),
-}

@@ -10,13 +10,14 @@ point form instead.
 
 from localic import GenSpec, Sublocale, identity_map, is_sublocale
 from localic.diagrams import (
-    SQUARE_CHECKS, DenseSquare, _image_witness, is_f_remote_preserving,
-    is_f_star_remote_preserving, takes_remainder,
+    DenseSquare, is_f_remote_preserving, is_f_star_remote_preserving,
+    takes_remainder,
 )
 from localic.frame import FiniteFrame, bits
 from localic.generators import (
     gen_dense_sublocales, gen_frames, gen_maps, square_from,
 )
+from localic.registry import CHECKS, _image_witness
 from localic.sublocale import supplement
 
 
@@ -257,14 +258,14 @@ def dropped_hypotheses(squares) -> dict[tuple[str, str], tuple]:
     Per (check id, hypothesis name): how many of ``squares`` make that
     hypothesis false and the check's others true, and the subject and
     witness of the first of them on which the conclusion fails, or None.
-    The predicates are read from ``SQUARE_CHECKS``, so the table follows
-    the registry.
+    The predicates are read from the registry's square table, so the
+    table follows the registry.
     """
     out = {(cid, h.__name__): [0, None]
-           for cid, (hypotheses, _) in SQUARE_CHECKS.items()
+           for cid, (hypotheses, _) in CHECKS["square"].items()
            for h in hypotheses}
     for sq in squares:
-        for cid, (hypotheses, conclusion) in SQUARE_CHECKS.items():
+        for cid, (hypotheses, conclusion) in CHECKS["square"].items():
             holds = [h(sq) for h in hypotheses]
             if holds.count(False) != 1:
                 continue

@@ -544,15 +544,24 @@ def test_suite_rejects_negative_sizes(flags, capsys):
     ["suite", "--family", "chain", "--max-size", "3", "--verbose"],
     ["suite", "--family", "chain", "--max", "3"],     # no abbreviations
     ["suite", "--family", "nope", "--max-size", "3"],
+    ["suite", "--family", "chain", "--max-size", "2", "--out="],
+    ["suite", "--family", "chain", "--max-size", "2", "--out", ""],
+    ["suite", "--family=", "--max-size", "2"],
+    ["suite", "--family", "chain", "--max-size", "2", "--family",
+     "boolean-algebra"],
+    ["suite", "--family", "chain", "--max-size", "2", "--jobs", "1",
+     "--jobs=1"],
 ], ids=["none", "unknown-command", "query-no-file", "query-no-question",
         "validate-no-file", "validate-two-files", "no-family",
         "no-max-size", "no-value-at-end", "option-as-value",
         "non-integer-jobs", "unknown-option", "abbreviated-option",
-        "unknown-family"])
+        "unknown-family", "empty-out-after-equals", "empty-out",
+        "empty-family", "repeated-family", "repeated-jobs"])
 def test_bad_argv_is_one_line(argv, tmp_path, capsys):
     path = _write(tmp_path, "c3.json", C3_DOC)
     argv = [path if w == "FILE" else w for w in argv]
-    if argv[:1] == ["suite"]:
+    if argv[:1] == ["suite"] and not any(
+            w.partition("=")[0] == "--jobs" for w in argv):
         argv[1:1] = ["--jobs=1"]    # no worker pool, should one slip by
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -736,8 +745,9 @@ def test_serial_suite_imports_no_pool_or_dataclasses():
 
 
 def test_query_and_validate_import_no_suite_module(tmp_path):
-    # a frame's query and validate leave the suite's modules unloaded; a
-    # map document loads locmap, and only that
+    # a frame's query and validate leave the suite's modules unloaded, and
+    # no loaded module defines a check or a check table; a map document
+    # loads locmap, and only that
     child = (
         "import sys\n"
         "from localic.cli import main\n"
@@ -747,12 +757,16 @@ def test_query_and_validate_import_no_suite_module(tmp_path):
         "for q in ('remote-set', 'rs', 'star-rs', 'nd', 'rare?'):\n"
         "    assert main(['query', frame, q, 'S=BL']) == 0\n"
         "print('loaded', *sys.modules)\n"
+        "print('checks', *(f'{m}.{n}' for m in list(sys.modules)\n"
+        "      if m.split('.')[0] == 'localic' for n in vars(sys.modules[m])\n"
+        "      if n.startswith('check_') or n.endswith('_CHECKS')))\n"
         "assert main(['validate', map_doc]) == 0\n"
         "print('loaded', *sys.modules)\n")
     frame = _write(tmp_path, "c3.json", C3_DOC)
     map_doc = _write(tmp_path, "map.json", MAP_DOC)
-    frame_run, map_run = (set(line.split()) for line in
-                          _run_child(child, frame, map_doc)
+    lines = _run_child(child, frame, map_doc)
+    assert [line for line in lines if line.startswith("checks")] == ["checks"]
+    frame_run, map_run = (set(line.split()) for line in lines
                           if line.startswith("loaded "))
     suite_only = {"localic.generators", "localic.diagrams",
                   "localic.locmap", "localic.registry"}

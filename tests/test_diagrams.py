@@ -6,19 +6,20 @@ from localic import (
     REGISTRY, DenseSquare, GenSpec, InvalidSquare, RemoteContext,
     SquareChain, Sublocale, Triangle, booleanization, build_map, chain_frame,
     checks_in_scope, dense_context, diagrams, enumerate_sublocales,
-    identity_map, void_subl, whole_context, whole_subl,
+    identity_map, registry, void_subl, whole_context, whole_subl,
 )
 from localic.diagrams import (
-    CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS, _plain, _plain_then_star,
-    _star, check_tfg3, is_complemented_subl, is_f_remote_preserving,
+    is_complemented_subl, is_f_remote_preserving,
     is_f_star_remote_preserving, takes_remainder,
 )
 from localic.generators import (
     build_corpus, gen_chains, gen_frames, gen_squares, gen_triangles,
     inclusion_map, restriction_map, square_from,
 )
-from localic.registry import _runner
-from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS
+from localic.registry import (
+    CHECKS, FAIL, HYPOTHESES_NOT_MET, PASS, _plain, _plain_then_star,
+    _runner, _star, check_tfg3,
+)
 
 from oracles import (
     dropped_hypotheses, identity_square, remote_scan, square_verdicts,
@@ -54,7 +55,7 @@ def test_square_space_tallies_are_pinned(square_space):
                     for c in checks_in_scope("square") for sq in squares)
     assert {cid: (tally[cid, PASS], tally[cid, HYPOTHESES_NOT_MET],
                   tally[cid, FAIL])
-            for cid in SQUARE_CHECKS} == SQUARE_SPACE_TALLIES
+            for cid in CHECKS["square"]} == SQUARE_SPACE_TALLIES
     # where the adjoints commute, f-remote and f-*remote preservation
     # each hold on some squares and fail on others
     commuting = [sq for sq in squares if sq.adjoints_commute()]
@@ -175,9 +176,9 @@ def test_square_checks_never_fail(squares):
 
 
 def test_square_checks_sometimes_apply(squares):
-    seen = {cid: 0 for cid in SQUARE_CHECKS}
+    seen = {cid: 0 for cid in CHECKS["square"]}
     for sq in squares:
-        for cid in SQUARE_CHECKS:
+        for cid in CHECKS["square"]:
             if REGISTRY[cid].runner(sq).verdict == PASS:
                 seen[cid] += 1
     assert all(v > 0 for v in seen.values()), seen
@@ -415,14 +416,14 @@ def test_subjects_distinct(squares):
 
 
 def test_check_id_sets():
-    assert set(SQUARE_CHECKS) == {
+    assert set(CHECKS["square"]) == {
         "beta", "betastar", "beta1", "beta1star", "for", "forstar",
         "for1", "for1star", "gammaremotepreserving",
         "stargammaremotepreserving", "gammapreservationlemma",
         "remotepreservation"}
-    assert set(CHAIN_CHECKS) == {
+    assert set(CHECKS["chain"]) == {
         "bvl", "starbvl", "gfremote", "obsfremote", "starobsgfremote"}
-    assert set(TRIANGLE_CHECKS) == {"tfg-1", "tfg-2", "tfg-3"}
+    assert set(CHECKS["triangle"]) == {"tfg-1", "tfg-2", "tfg-3"}
 
 
 # -- S(L)-scanning references for the pointwise quantifiers -----------------
@@ -496,13 +497,13 @@ def _scan_middle_remote_in_first_image(tri):
 # every other diagram check reaches a scan through _image_witness or
 # _preserves
 _SCANNING = {
-    "beta1": (SQUARE_CHECKS["beta1"][0], _plain(_scan_beta1)),
-    "beta1star": (SQUARE_CHECKS["beta1star"][0], _star(_scan_beta1)),
-    "for": (SQUARE_CHECKS["for"][0], _plain(_scan_for)),
-    "forstar": (SQUARE_CHECKS["forstar"][0], _star(_scan_for)),
-    "for1": (SQUARE_CHECKS["for1"][0], _plain_then_star(_scan_for1)),
+    "beta1": (CHECKS["square"]["beta1"][0], _plain(_scan_beta1)),
+    "beta1star": (CHECKS["square"]["beta1star"][0], _star(_scan_beta1)),
+    "for": (CHECKS["square"]["for"][0], _plain(_scan_for)),
+    "forstar": (CHECKS["square"]["forstar"][0], _star(_scan_for)),
+    "for1": (CHECKS["square"]["for1"][0], _plain_then_star(_scan_for1)),
     "gammapreservationlemma": ((), _scan_gamma_preservation_lemma),
-    "tfg-3": ((TRIANGLE_CHECKS["tfg-3"][0][0],
+    "tfg-3": ((CHECKS["triangle"]["tfg-3"][0][0],
                _scan_middle_remote_in_first_image), check_tfg3),
 }
 
@@ -533,9 +534,9 @@ def test_pointwise_quantifiers_match_scans(monkeypatch):
                 for cid in (c.id for c in checks_in_scope(scope))
                 for i, inst in enumerate(insts)}
 
-    tables = {**SQUARE_CHECKS, **CHAIN_CHECKS, **TRIANGLE_CHECKS}
+    tables = {**CHECKS["square"], **CHECKS["chain"], **CHECKS["triangle"]}
     pointwise = verdicts(tables)
-    monkeypatch.setattr(diagrams, "_image_witness", _scan_image_witness)
+    monkeypatch.setattr(registry, "_image_witness", _scan_image_witness)
     monkeypatch.setattr(diagrams, "_preserves", _scan_preserves)
     scanned = verdicts({**tables, **_SCANNING})
     assert pointwise == scanned, sorted(

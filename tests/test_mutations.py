@@ -111,6 +111,12 @@ def oracle_drops_points_outside_w(self, t):
     return ORACLE(self, t)
 
 
+def oracle_holds_the_top(self, t):
+    ORACLE(self, t)    # fills the mask, then the top joins it
+    self._oracle_mask |= 1 << self.frame.top
+    return ORACLE(self, t)
+
+
 def rmt_ignores_w(self, oracle=False):
     if oracle:
         return RMT(self, oracle=True)
@@ -173,6 +179,10 @@ MUTATIONS = {
     "oracle-drops-points-outside-w": (
         RemoteContext, "pred_nwd_oracle", oracle_drops_points_outside_w,
         {"RsDense", "remotesets", "rempropBLstar", "sublocale"}),
+    "oracle-holds-the-top": (
+        RemoteContext, "pred_nwd_oracle", oracle_holds_the_top,
+        {"BLandL1", "BLisremote", "NDSremotefrom", "opendensefrom",
+         "rempropBL", "rempropBLstar", "sublocale"}),
     "rmt-ignores-w": (
         RemoteContext, "rmt_elements", rmt_ignores_w, {"sublocale"}),
     "rs-drops-lowest-point": (
@@ -272,7 +282,7 @@ def test_mutation_fails_on_the_triangle_slice(name, monkeypatch):
 
 
 # The ids that no row makes fail; BLandL4 holds by construction.
-UNKILLED = {"BLandL1", "BLandL4", "SRemLemma", "SRemandSRemLS", "gfremote",
+UNKILLED = {"BLandL4", "SRemLemma", "SRemandSRemLS", "gfremote",
             "rareequality", "starbvl", "starobsgfremote"}
 
 
@@ -281,7 +291,7 @@ def test_rows_kill_all_but_the_listed_ids():
                          *SQUARE_SPACE_KILLS.values(),
                          *TRIANGLE_SLICE_KILLS.values())
     assert set(REGISTRY) - killed == UNKILLED
-    assert len(killed) == 32
+    assert len(killed) == 33
 
 
 def test_image_that_is_no_sublocale_stops_the_corpus(monkeypatch):

@@ -5,24 +5,26 @@ from localic import (
     diagrams, generators, registry, remoteness,
 )
 from localic.frame import FiniteFrame
-from localic.diagrams import CHAIN_CHECKS, SQUARE_CHECKS, TRIANGLE_CHECKS
-from localic.registry import REGISTRY, SCOPES, checks_in_scope
-from localic.remoteness import CONTEXT_CHECKS, FRAME_CHECKS
+from localic.registry import CHECKS, REGISTRY, SCOPES, checks_in_scope
 from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS, CheckResult
 
 
 def test_registry_scopes_match_check_tables():
-    tables = {"frame": FRAME_CHECKS, "context": CONTEXT_CHECKS,
-              "square": SQUARE_CHECKS, "chain": CHAIN_CHECKS,
-              "triangle": TRIANGLE_CHECKS}
+    # one table keyed by scope holds every check, and the registry reads
+    # its scopes and ids from it
+    assert SCOPES == tuple(CHECKS)
     for scope in SCOPES:
-        assert {c.id for c in checks_in_scope(scope)} == set(tables[scope])
+        assert {c.id for c in checks_in_scope(scope)} == set(CHECKS[scope])
     assert len(REGISTRY) == 40
     # every entry is (hypotheses, conclusion); 18 statements are conditional
-    entries = [e for table in tables.values() for e in table.values()]
+    entries = [e for table in CHECKS.values() for e in table.values()]
     for hypotheses, conclusion in entries:
         assert isinstance(hypotheses, tuple)
         assert all(map(callable, hypotheses)) and callable(conclusion)
+        # hypotheses are told apart by name (oracles.dropped_hypotheses),
+        # so none is a lambda and no check has two of one name
+        names = [h.__name__ for h in hypotheses]
+        assert "<lambda>" not in names and len(set(names)) == len(names)
     assert sum(bool(hypotheses) for hypotheses, _ in entries) == 18
 
 
@@ -55,7 +57,7 @@ def test_runner_writes_the_row(monkeypatch):
         return lambda i: ran.append(i) or out
 
     def runner(hypotheses, out):
-        monkeypatch.setitem(FRAME_CHECKS, "Lislarge",
+        monkeypatch.setitem(CHECKS["frame"], "Lislarge",
                             (hypotheses, conclusion(out)))
         return registry._build_registry()["Lislarge"].runner
 

@@ -3,18 +3,17 @@ import pytest
 from localic import (
     REGISTRY, GenSpec, MixedFrames, RemoteContext, Sublocale, bl_context,
     boolean_frame, booleanization, chain_frame, checks_in_scope,
-    closed_subl, dense_context, enumerate_sublocales, nd_join, remoteness,
+    closed_subl, dense_context, enumerate_sublocales, nd_join, registry,
     subl_join, supplement, void_subl, whole_context, whole_subl,
 )
 from localic.frame import FiniteFrame, bits, popcount
 from localic.generators import (
     all_posets, build_corpus, downset_frame, gen_dense_sublocales, gen_frames,
 )
-from localic.remoteness import (
-    CONTEXT_CHECKS, FRAME_CHECKS, check_downward_closure,
-    check_opendensefrom, check_rem_s_intersection,
+from localic.registry import (
+    CHECKS, FAIL, PASS, check_downward_closure, check_opendensefrom,
+    check_rem_s_intersection,
 )
-from localic.registry import FAIL, PASS
 from localic import sublocale
 from localic.sublocale import s_nowhere_dense_sublocales
 
@@ -117,7 +116,7 @@ def test_mask_checks_scan_no_sublocales(monkeypatch, tier1_frames):
 
     monkeypatch.setattr(sublocale, "enumerate_sublocales", refuse)
     monkeypatch.setattr(sublocale, "is_sublocale", refuse)
-    monkeypatch.setattr(remoteness, "enumerate_sublocales", refuse)
+    monkeypatch.setattr(registry, "enumerate_sublocales", refuse)
     monkeypatch.setattr(RemoteContext, "remote_set", refuse)
     corpus = build_corpus(GenSpec("all-posets-up-to", 3))
     insts = {"frame": tier1_frames, "context": contexts,
@@ -143,7 +142,6 @@ def test_remote_set_spans_points_of_rs(monkeypatch, tier1_frames):
 
     monkeypatch.setattr(sublocale, "enumerate_sublocales", refuse)
     monkeypatch.setattr(sublocale, "is_sublocale", refuse)
-    monkeypatch.setattr(remoteness, "enumerate_sublocales", refuse)
     for c, scan in zip(contexts, scans):
         got = [[t.mask for t in c.remote_set(oracle)]
                for oracle in (False, True)]
@@ -365,7 +363,7 @@ def test_frame_checks_pass_on_tier1(tier1_frames):
 
 @pytest.mark.parametrize("cid, owner, name", [
     ("obsremotefrom", FiniteFrame, "is_boolean"),
-    ("obsremotefromstar", remoteness, "is_dense_in_itself"),
+    ("obsremotefromstar", registry, "is_dense_in_itself"),
 ])
 def test_frame_equivalences_fail_with_a_witness(monkeypatch, c3, b2,
                                                 cid, owner, name):
@@ -397,10 +395,10 @@ def test_remote_from_l_means_remote_everywhere(tier1_frames):
 
 
 def test_check_ids_cover_registry_scopes():
-    assert set(CONTEXT_CHECKS) == {
+    assert set(CHECKS["context"]) == {
         "opendensefrom", "BLandL1", "BLandL4", "NDSremotefrom", "remotesets",
         "SRemandSRemLS", "remS", "sublocale", "rareequality", "BLisremote",
         "SisBL", "SRemLemma", "RsBL", "RsNd"}
-    assert set(FRAME_CHECKS) == {
+    assert set(CHECKS["frame"]) == {
         "rempropBL", "rempropBLstar", "Lislarge", "RsDense",
         "obsremotefrom", "obsremotefromstar"}
