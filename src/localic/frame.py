@@ -42,7 +42,7 @@ class FiniteFrame:
     __slots__ = (
         "n", "up", "down", "bottom", "top", "labels", "name",
         "_label_index", "_jm", "_by_jm", "_pseudo",
-        "_meet", "_impl", "_req", "_dense_mask", "_bool_mask",
+        "_meet", "_impl", "_dense_mask", "_bool_mask",
         "_point_mask", "_sublocales", "_min_pts", "_point_subls",
         "_views", "_inclusions", "_contexts",
     )
@@ -58,7 +58,7 @@ class FiniteFrame:
         # a -> b is the element whose join-irreducibles are the j with
         # j /\ a <= b: those above no join-irreducible below a but not b.
         self._jm, self._by_jm = jm, by_jm
-        self._meet = self._impl = self._req = None  # _impl, _req: _fill_impl
+        self._meet = self._impl = None      # the tables, on first read
         # one pass: a* (whose join-irreducibles are above none below a),
         # the dense a (a* = 0), BL = {a*} and the points (see points_mask)
         irr, ups, pseudo = jm[top], set(up), []
@@ -85,27 +85,11 @@ class FiniteFrame:
             d ^= low
         return out
 
-    def _fill_impl(self) -> None:
-        """Fill the implication table and, in the same pass, ``_req``."""
-        jm, by_jm, irr = self._jm, self._by_jm, self._jm[self.top]
-        # a -> b depends only on d = jm[a] & ~jm[b]: one up-closure per d
-        by_diff, rows, req = {}, [], [0] * self.n
-        for ja in jm:
-            row = []
-            for b, jb in enumerate(jm):
-                d = ja & ~jb
-                x = by_diff.get(d)
-                if x is None:
-                    x = by_diff[d] = by_jm[irr & ~self._up_closure(d)]
-                row.append(x)
-                req[b] |= 1 << x
-            rows.append(tuple(row))
-        self._impl = tuple(rows)
-        self._req = tuple(req)
-
     @property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        """[a][b] = a /\\ b, by_jm[jm[a] & jm[b]]; filled on first read."""
+        """[a][b] = a /\\ b, by_jm[jm[a] & jm[b]]; filled on first read.  No
+        library code reads it: the references in ``tests/oracles.py`` and
+        ``perfbench/gate.py`` check meets by table."""
         if self._meet is None:
             jm, by_jm = self._jm, self._by_jm
             self._meet = tuple(tuple([by_jm[a & b] for b in jm]) for a in jm)
@@ -113,19 +97,23 @@ class FiniteFrame:
 
     @property
     def impl_table(self) -> tuple[tuple[int, ...], ...]:
-        """impl_table[a][b] = a -> b; filled on first read."""
+        """impl_table[a][b] = a -> b; filled on first read, for
+        :meth:`heyting` and ``open_subl``."""
         if self._impl is None:
-            self._fill_impl()
+            jm, by_jm, irr = self._jm, self._by_jm, self._jm[self.top]
+            # a -> b depends only on d = jm[a] & ~jm[b]: one up-closure per d
+            by_diff, rows = {}, []
+            for ja in jm:
+                row = []
+                for jb in jm:
+                    d = ja & ~jb
+                    x = by_diff.get(d)
+                    if x is None:
+                        x = by_diff[d] = by_jm[irr & ~self._up_closure(d)]
+                    row.append(x)
+                rows.append(tuple(row))
+            self._impl = tuple(rows)
         return self._impl
-
-    @property
-    def _impl_req(self) -> tuple[int, ...]:
-        """For element s: the mask of elements {x -> s : x in L} that any
-        sublocale containing s must also contain; filled with
-        :attr:`impl_table`."""
-        if self._req is None:
-            self._fill_impl()
-        return self._req
 
     # -- order and lattice operations ------------------------------------
 

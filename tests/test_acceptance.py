@@ -9,22 +9,20 @@ compared against the fast paths.
 import hashlib
 import time
 
-import pytest
-
 from localic import (
     GenSpec, RemoteContext, Sublocale, bl_context, booleanization,
     boolean_frame, chain_frame, closed_subl, enumerate_sublocales,
-    is_nowhere_dense, is_sublocale, nucleus_map, open_subl, subl_join,
-    subl_meet, supplement, whole_context, whole_subl,
+    is_nowhere_dense, nucleus_map, open_subl, subl_join, subl_meet,
+    supplement, whole_context,
 )
 from localic.cli import main
 from localic.generators import (
-    build_corpus, gen_chains, gen_frames, gen_maps, gen_squares, gen_triangles,
+    build_corpus, gen_chains, gen_maps, gen_squares, gen_triangles,
 )
 from localic.registry import REGISTRY, checks_in_scope
 from localic.registry import FAIL, PASS
 
-from oracles import join_is_whole
+from oracles import is_sublocale_by_definition, join_is_whole
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -203,11 +201,11 @@ def test_criterion_6_known_value_regressions():
     problems = []
 
     def brute_sublocales(f):
-        # independent oracle: filter every subset through is_sublocale
+        # independent oracle: filter every subset through the definition
         out = []
         for mask in range(1 << f.n):
             members = [x for x in range(f.n) if mask >> x & 1]
-            if is_sublocale(f, members):
+            if is_sublocale_by_definition(f, members):
                 out.append(Sublocale.of(f, members))
         return out
 

@@ -251,9 +251,6 @@ def test_frame_from_leq_matches_definitions():
                 1 << x for x in set(pseudo)), up
             assert f.is_boolean() == all(
                 join[x][pseudo[x]] == f.top for x in range(n)), up
-            assert f._impl_req == tuple(
-                sum(1 << y for y in {impl[x][s] for x in range(n)})
-                for s in range(n)), up
             assert [list(r) for r in f.impl_table] == impl, up
             assert [list(r) for r in f.meet_table] == meet, up
             seen.add("frame")

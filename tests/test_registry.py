@@ -146,8 +146,8 @@ def test_replay_with_nothing_kept(max_size, replays):
 def test_induced_frames_fill_no_lattice_table(monkeypatch):
     # meets and joins come from the join-irreducible masks: every check
     # run on the posets4 corpus leaves the induced-frame views without a
-    # meet or implication table, and only BLandL4's enumeration, through
-    # is_sublocale, fills a meet table
+    # meet or implication table, and no frame, corpus or view, fills a
+    # meet table
     built = []
     init = FiniteFrame.__init__
 
@@ -162,14 +162,11 @@ def test_induced_frames_fill_no_lattice_table(monkeypatch):
                 c.runner(inst)
     frames = {id(f) for f in corpus["frame"]}
     views = [f for f in built if id(f) not in frames]
-    assert [f for f in views
-            if f._meet is not None or f._impl is not None] == []
-    assert {id(f) for f in built if f._meet is not None} \
-        == {id(f) for f in corpus["frame"] if f._sublocales is not None}
+    assert [f for f in views if f._impl is not None] == []
+    assert [f for f in built if f._meet is not None] == []
     assert not hasattr(FiniteFrame, "join_table")
     assert (len(built), len(frames), len(views)) == (93, 25, 68)
-    assert (sum(f._meet is not None for f in built),
-            sum(f._impl is not None for f in built)) == (25, 25)
+    assert sum(f._impl is not None for f in built) == 25
 
 
 def test_replay_catches_a_kept_context_keyed_by_frame(monkeypatch):

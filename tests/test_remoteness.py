@@ -1,7 +1,7 @@
 import pytest
 
 from localic import (
-    REGISTRY, GenSpec, MixedFrames, RemoteContext, Sublocale, bl_context,
+    REGISTRY, GenSpec, MixedFrames, RemoteContext, bl_context,
     boolean_frame, booleanization, chain_frame, checks_in_scope,
     closed_subl, dense_context, enumerate_sublocales, nd_join, registry,
     subl_join, supplement, void_subl, whole_context, whole_subl,
@@ -364,7 +364,7 @@ def test_frame_checks_pass_on_tier1(tier1_frames):
 @pytest.mark.parametrize("cid, owner, name", [
     ("obsremotefrom", FiniteFrame, "is_boolean"),
     ("obsremotefromstar", registry, "is_dense_in_itself"),
-])
+], ids=["obsremotefrom", "obsremotefromstar"])
 def test_frame_equivalences_fail_with_a_witness(monkeypatch, c3, b2,
                                                 cid, owner, name):
     # one side of the equivalence answers wrongly, so the check must fail

@@ -14,7 +14,8 @@ from localic.sublocale import (
 )
 
 from oracles import (
-    enumerate_sublocales_oracle, join_is_whole, s_dense_elements,
+    enumerate_sublocales_oracle, is_sublocale_by_definition, join_is_whole,
+    s_dense_elements,
 )
 
 
@@ -102,6 +103,24 @@ def test_is_sublocale_rejects(c3):
     assert is_sublocale(c3, [0, 1, 2])
     with pytest.raises(InvalidSublocale):
         Sublocale.of(c3, [0, 1])
+    # a member outside the frame: no sublocale, and the error names it
+    for members, bad in (([2, 5], 5), ([-1, 2], -1)):
+        assert not is_sublocale(c3, members)
+        with pytest.raises(InvalidSublocale, match=f"^{bad} is not an"):
+            Sublocale.of(c3, members)
+    assert not is_sublocale(c3, 0b1100) and not is_sublocale(c3, -1)
+
+
+def test_is_sublocale_matches_the_definition(tier1_frames):
+    # the span test against the three closure conditions, on every mask
+    # of every tier-1 frame
+    masks = 0
+    for f in tier1_frames:
+        verdicts = [is_sublocale(f, m) for m in range(1 << f.n)]
+        assert verdicts == [is_sublocale_by_definition(f, m)
+                            for m in range(1 << f.n)], f
+        masks += len(verdicts)
+    assert masks == 74_766
 
 
 def test_closed_open_are_complements(tier1_frames):
