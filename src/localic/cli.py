@@ -14,8 +14,11 @@ loads ``generators`` and ``registry``.
 
 Suite reports are byte-deterministic for a given spec, filter and corpus;
 wall time is written to stderr only so report files can be compared
-directly.  Each suite shard tallies its rows by check and verdict and
-writes out, and so names the instance of, only failing rows.
+directly.  ``suite`` builds its corpus once.  ``--jobs 1`` runs it as one
+shard in-process; a higher count forks one worker per shard, which
+inherits the corpus and starts on a CPU of its own.  Each shard tallies
+its rows by check and verdict and writes out, and so names the instance
+of, only failing rows.
 """
 
 from __future__ import annotations
@@ -55,13 +58,12 @@ def build_corpus(spec: GenSpec) -> dict[str, list]:
     return build_corpus(spec)
 
 
-def _run_shard(args: tuple) -> tuple[Counter, list[dict], dict[str, int]]:
-    """Worker: regenerate the corpus and run its slice of the instances;
-    return the (check id, verdict) tally, the fail rows and corpus counts."""
+def _run_shard(args: tuple) -> tuple[Counter, list[dict]]:
+    """Worker: run the checks on one slice of the corpus, every
+    ``nshards``-th instance from the ``shard``-th on; return the
+    (check id, verdict) tally and the fail rows."""
     from .registry import FAIL, SCOPES, select
-    spec, pattern, shard, nshards = args
-    corpus = build_corpus(spec)
-    counts = {scope: len(items) for scope, items in corpus.items()}
+    corpus, pattern, shard, nshards = args
     selected = select(pattern)
     tally = Counter()
     failures = []
@@ -76,25 +78,108 @@ def _run_shard(args: tuple) -> tuple[Counter, list[dict], dict[str, int]]:
                     if row.verdict == FAIL:
                         failures.append(row.to_json())
             idx += 1
-    return tally, failures, counts
+    return tally, failures
+
+
+def _start_on_own_cpu(k: int) -> None:
+    """Move this forked worker to the k-th, in order, of the CPUs that it
+    may run on, then give it back all of them.  A forked child starts on
+    its parent's CPU, and the kernel is slow to move it off, so two
+    workers can share one CPU for their whole life; once placed, a worker
+    stays put, but the kernel may still move it.  A CPU that cannot be
+    used is skipped."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    allowed = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {sorted(allowed)[k]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def _fork_shards(shards: list[tuple]) -> list[tuple[Counter, list[dict]]]:
+    """``_run_shard`` of each of ``shards`` in a forked worker of its own,
+    started on a CPU of its own; the results, in order.
+
+    A worker inherits the corpus from this process, so nothing is pickled
+    going in; it pickles back its result, or the exception that it raised,
+    through a pipe.  Every worker is reaped before anything is raised: the
+    first failing shard's exception as its worker raised it, or, for a
+    worker that sent no result, a ``RuntimeError`` naming the shard.  The
+    suite starts no threads, so forking is safe.
+    """
+    import pickle
+    pids, pipes = [], []
+    try:
+        for k, args in enumerate(shards):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _shard_worker(k, args, pipes, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        sent = []
+        for r in pipes:
+            with open(r, "rb", closefd=False) as fh:
+                sent.append(fh.read())
+    finally:
+        for r in pipes:
+            os.close(r)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    results = []
+    for k, (data, status) in enumerate(zip(sent, statuses)):
+        if not data:
+            # a negative exit code is the signal that ended the worker
+            raise RuntimeError(
+                f"suite shard {k} of {len(shards)} sent no result: its "
+                f"worker's exit code was {os.waitstatus_to_exitcode(status)}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _shard_worker(k: int, args: tuple, pipes: list[int], w: int) -> None:
+    """The forked worker of shard ``k``: run it, write the pickled outcome
+    to ``w`` and exit, never returning into the parent's code."""
+    import pickle
+    status = 1
+    try:
+        # holding a read end, a worker whose parent stopped reading would
+        # wait on a full pipe for ever, where it should fail to write
+        for r in pipes:
+            os.close(r)
+        _start_on_own_cpu(k)
+        try:
+            # through the module global, which a tracer may wrap
+            result = True, _run_shard(args)
+        except BaseException as e:  # raised again by the parent
+            result = False, e
+        data = pickle.dumps(result)
+        with open(w, "wb", closefd=False) as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
     from .registry import FAIL, HYPOTHESES_NOT_MET, PASS, select
-    # One worker process per shard, and never more shards than usable CPUs.
-    jobs = min(jobs, _usable_cpus())
-    if jobs <= 1:
-        shards = [_run_shard((spec, pattern, 0, 1))]
-    else:
-        # imported here: only a forking run should pay for multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        args = [(spec, pattern, k, jobs) for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            shards = list(pool.map(_run_shard, args))
+    # One worker process per shard, never more shards than usable CPUs,
+    # and no workers where the platform cannot fork.
+    jobs = min(jobs, _usable_cpus()) if hasattr(os, "fork") else 1
+    corpus = build_corpus(spec)
+    args = [(corpus, pattern, k, jobs) for k in range(jobs)]
+    shards = _fork_shards(args) if jobs > 1 else [_run_shard(args[0])]
     tallies = {c.id: {PASS: 0, HYPOTHESES_NOT_MET: 0, FAIL: 0}
                for c in select(pattern)}
     failures = []
-    for tally, fails, _ in shards:
+    for tally, fails in shards:
         for (cid, verdict), n in tally.items():
             tallies[cid][verdict] += n
         failures += fails
@@ -104,7 +189,7 @@ def run_suite(spec: GenSpec, pattern: str, jobs: int) -> dict:
         "schema": 1,
         "genspec": spec.to_json(),
         "filter": pattern,
-        "corpus": shards[0][2],
+        "corpus": {scope: len(items) for scope, items in corpus.items()},
         "checks": tallies,
         "failures": failures,
     }

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,9 @@ from localic.errors import FrameTooLarge, InvalidDocument, NotALattice
 from localic.frame import frame_from_leq
 from localic.generators import FAMILIES, GenSpec, gen_frames
 from localic.jsonio import document_from_json
-from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS
+from localic.registry import (
+    FAIL, HYPOTHESES_NOT_MET, PASS, TheoremCheck,
+)
 
 C3_DOC = {
     "type": "frame",
@@ -638,24 +641,15 @@ def test_suite_rejects_out_that_is_a_directory(tmp_path, monkeypatch,
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """An in-process stand-in for the worker pool; it records the pool
-    sizes asked for, and nothing is forked."""
+    """An in-process stand-in for the forked shard workers; it records the
+    worker counts asked for, and nothing is forked."""
     pools = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def inline(shards):
+        pools.append(len(shards))
+        return [cli._run_shard(args) for args in shards]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return list(map(fn, args))
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_fork_shards", inline)
     return pools
 
 
@@ -696,6 +690,15 @@ def test_suite_clamps_workers_to_cores(monkeypatch, inline_pool):
     assert inline_pool == [3, 2, 2]
 
 
+def test_suite_runs_in_process_where_fork_is_missing(monkeypatch,
+                                                     inline_pool):
+    _usable(monkeypatch, 2, 2)
+    monkeypatch.delattr(cli.os, "fork")
+    spec = GenSpec("chain", 3)
+    assert cli.run_suite(spec, "*", 2) == cli.run_suite(spec, "*", 1)
+    assert inline_pool == []
+
+
 def test_failing_suite_is_identical_across_jobs(monkeypatch, inline_pool,
                                                 corpora):
     # adjoints that always commute make square checks fail on posets3;
@@ -716,6 +719,85 @@ def test_failing_suite_is_identical_across_jobs(monkeypatch, inline_pool,
         assert any(check.runner(i).to_json() == row
                    for i in corpus[check.scope]
                    if i.subject() == row["subject"]), row
+
+
+@pytest.fixture
+def alarm():
+    """Fail the test, rather than hang it, if a fork waits too long."""
+    def expired(signum, frame):
+        raise TimeoutError("the forked suite did not finish within 60 s")
+    before = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, before)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_forked_workers_are_reaped_and_their_errors_raised(monkeypatch,
+                                                           alarm):
+    _usable(monkeypatch, 2, 2)
+    spec = GenSpec("chain", 3)
+    # a runner that raises on one instance: its forked shard gives the
+    # parent the very error that --jobs 1 raises
+    target = cli.build_corpus(spec)["context"][-1].subject()
+    check = REGISTRY["remS"]
+
+    def raising(inst):
+        if inst.subject() == target:
+            raise ValueError(f"no verdict on {target}")
+        return check.runner(inst)
+    monkeypatch.setitem(REGISTRY, "remS",
+                        TheoremCheck(check.id, check.scope, raising))
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as raised:
+            cli.run_suite(spec, "*", jobs)
+        errors.append((type(raised.value), str(raised.value)))
+    assert errors == [(ValueError, f"no verdict on {target}")] * 2
+    monkeypatch.setitem(REGISTRY, "remS", check)
+    # a shard whose worker dies sends nothing: one error names it
+    run = cli._run_shard
+
+    def dying(args):
+        if args[2] == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(args)
+    monkeypatch.setattr(cli, "_run_shard", dying)
+    with pytest.raises(RuntimeError, match=r"^suite shard 1 of 2 sent no "
+                       r"result: its worker's exit code was -9$"):
+        cli.run_suite(spec, "*", 2)
+    monkeypatch.setattr(cli, "_run_shard", run)
+    assert cli.run_suite(spec, "*", 2) == cli.run_suite(spec, "*", 1)
+    # every worker of the passing and failing runs was reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_k_starts_on_the_kth_usable_cpu(monkeypatch):
+    # a set of these CPUs lists 64 first: worker k takes the k-th in
+    # order, and then gets every CPU back
+    placed = []
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {64, 1, 3},
+                        raising=False)
+    monkeypatch.setattr(cli.os, "sched_setaffinity",
+                        lambda pid, cpus: placed.append(set(cpus)),
+                        raising=False)
+    for k in range(3):
+        cli._start_on_own_cpu(k)
+    assert placed == [{1}, {1, 3, 64}, {3}, {1, 3, 64}, {64}, {1, 3, 64}]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity")
+def test_worker_on_a_missing_cpu_still_reports(monkeypatch, alarm):
+    # worker 1 is sent to a CPU that the host lacks: it runs where it is
+    real = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: {real, os.cpu_count()})
+    spec = GenSpec("all-posets-up-to", 3)
+    serial = cli.render_report(cli.run_suite(spec, "*", 1))
+    assert cli.render_report(cli.run_suite(spec, "*", 2)) == serial
 
 
 def _run_child(child: str, *args: str) -> list[str]:
@@ -742,6 +824,26 @@ def test_serial_suite_imports_no_pool_or_dataclasses():
     assert "localic.cli" in loaded
     assert not loaded & {"concurrent.futures", "multiprocessing",
                          "dataclasses", "inspect"}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_forked_suite_imports_no_pool():
+    # two forked shards need pickle, and only they; neither pool module
+    child = (
+        "import os, sys\n"
+        "from localic.cli import main\n"
+        "print(' '.join(sys.modules))\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "os.cpu_count = lambda: 2\n"
+        "rc = main(['suite', '--family', 'chain', '--max-size', '3',"
+        " '--jobs', '2'])\n"
+        "print(' '.join(sys.modules))\n"
+        "sys.exit(rc)\n")
+    lines = _run_child(child)
+    imported, ran = set(lines[0].split()), set(lines[-1].split())
+    assert "localic.cli" in imported and "pickle" not in imported
+    assert "pickle" in ran
+    assert not ran & {"concurrent.futures", "multiprocessing"}
 
 
 def test_query_and_validate_import_no_suite_module(tmp_path):
@@ -866,30 +968,43 @@ def test_each_check_alone_matches_the_full_run(max_size):
                                      if row["statement_id"] == cid], cid
 
 
-# Each report byte for byte, written by `localic suite --jobs 1 --out`.
-@pytest.mark.parametrize("spec, digest", [
-    (GenSpec("all-posets-up-to", 3),
-     "8e2deb09adc790a152884159cd84f117e9186d80db4b39f598a590f224cbca66"),
-    (GenSpec("all-posets-up-to", 4),
-     "975f1cf582c642db0468f1df1524f6f2bef4a62b3233ecd43780699e9973f3d7"),
-    (GenSpec("all-posets-up-to", 5),
-     "2f385d96873abcdb1bba17334a735acd10f86291a1a95c2b7673a81b9b869207"),
-    (GenSpec("random-poset", 12, seed=7, count=200),
-     "433a2e98a8a3c2ca78d05cad32a8e7e34825d8214e3fe6c92f43610e3f022873"),
-    (GenSpec("finite-topology", 16, count=100),
-     "a9a3aa181dd8e3cf775712fb622ecc82857cef59cc3959c2427c8fadc45c0913"),
-    (GenSpec("chain", 16),
-     "84fa852b68ee3109dae47dd0eef252debd641dce48bd60e01e9993b1efb3919e"),
-    (GenSpec("boolean-algebra", 16),
-     "bd8522bce74b86309f1507802b67fc2357f54c424f895ce7a3659cc914509fb2"),
-], ids=["all-posets-up-to-3", "all-posets-up-to-4", "all-posets-up-to-5",
-        "random-poset-12-200-7", "finite-topology-16-100", "chain-16",
-        "boolean-algebra-16"])
-def test_report_is_pinned(spec, digest, tmp_path, capsys):
+# Each report byte for byte, written by `localic suite --jobs 1 --out`;
+# two forked shards (a case id ending in -jobs2) write the same bytes.
+PINNED_REPORTS = {
+    "all-posets-up-to-3": (
+        GenSpec("all-posets-up-to", 3),
+        "8e2deb09adc790a152884159cd84f117e9186d80db4b39f598a590f224cbca66"),
+    "all-posets-up-to-4": (
+        GenSpec("all-posets-up-to", 4),
+        "975f1cf582c642db0468f1df1524f6f2bef4a62b3233ecd43780699e9973f3d7"),
+    "all-posets-up-to-5": (
+        GenSpec("all-posets-up-to", 5),
+        "2f385d96873abcdb1bba17334a735acd10f86291a1a95c2b7673a81b9b869207"),
+    "random-poset-12-200-7": (
+        GenSpec("random-poset", 12, seed=7, count=200),
+        "433a2e98a8a3c2ca78d05cad32a8e7e34825d8214e3fe6c92f43610e3f022873"),
+    "finite-topology-16-100": (
+        GenSpec("finite-topology", 16, count=100),
+        "a9a3aa181dd8e3cf775712fb622ecc82857cef59cc3959c2427c8fadc45c0913"),
+    "chain-16": (
+        GenSpec("chain", 16),
+        "84fa852b68ee3109dae47dd0eef252debd641dce48bd60e01e9993b1efb3919e"),
+    "boolean-algebra-16": (
+        GenSpec("boolean-algebra", 16),
+        "bd8522bce74b86309f1507802b67fc2357f54c424f895ce7a3659cc914509fb2"),
+}
+
+
+@pytest.mark.parametrize("spec, digest, jobs", [
+    pytest.param(spec, digest, jobs, id=name + ("" if jobs == 1 else "-jobs2"))
+    for jobs in (1, 2) for name, (spec, digest) in PINNED_REPORTS.items()])
+def test_report_is_pinned(spec, digest, jobs, tmp_path, monkeypatch,
+                          capsys):
+    _usable(monkeypatch, jobs, jobs)  # so that two shards fork on any host
     out = tmp_path / "report.json"
     assert main(["suite", "--family", spec.family,
                  "--max-size", str(spec.max_size), "--seed", str(spec.seed),
-                 "--count", str(spec.count), "--jobs", "1",
+                 "--count", str(spec.count), "--jobs", str(jobs),
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
