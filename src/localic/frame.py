@@ -5,10 +5,20 @@ int bitmasks throughout the package; ``bits(mask)`` iterates the indices.
 Meets and joins come from the join-irreducible masks kept with the order;
 the meet and implication tables fill on first use.  No value of a frame
 changes once it is known, so a frame is safe to share between workers.
+
+Each order is validated once while it stays memoised: :func:`frame_from_leq`
+reads the order's shape (its up- and down-masks, join-irreducible masks,
+bottom, top, pseudocomplements, and the dense, BL and point masks) from a
+memo keyed by the tuple of up-masks, which keeps the ``_SHAPES`` (256)
+most recently used orders.  Frames built from equal up-masks share that
+shape, which nothing writes; each still has its own labels, name, label
+index, tables and kept values, so what one frame fills never shows on
+another.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAPartialOrder, NotALattice, NotDistributive, FrameTooLarge
@@ -31,6 +41,16 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def _up_closure(up: Sequence[int], d: int) -> int:
+    """The elements above some element in mask d."""
+    out = 0
+    while d:
+        low = d & -d
+        out |= up[low.bit_length() - 1]
+        d ^= low
+    return out
+
+
 class FiniteFrame:
     """A finite bounded distributive lattice with Heyting implication.
 
@@ -47,43 +67,24 @@ class FiniteFrame:
         "_views", "_inclusions", "_contexts",
     )
 
-    def __init__(self, n, up, down, jm, by_jm, bottom, top, labels, name):
-        self.n = n
-        self.up = up            # up[a] = bitmask of {x : a <= x}
-        self.down = down        # down[a] = bitmask of {x : x <= a}
-        self.bottom, self.top = bottom, top
+    def __init__(self, shape: tuple, labels: tuple[str, ...],
+                 name: Optional[str]):
+        # the order's values, shared with every frame of equal up-masks:
+        # up[a] = {x : a <= x} and down[a] = {x : x <= a} as bitmasks; jm[x]
+        # the join-irreducibles below x as a mask, and by_jm its inverse
+        # (a -> b is the element whose join-irreducibles are the j with
+        # j /\ a <= b: those above no join-irreducible below a but not b);
+        # x*, and the masks of the dense elements, BL and the points
+        (self.n, self.up, self.down, self._jm, self._by_jm, self.bottom,
+         self.top, self._pseudo, self._dense_mask, self._bool_mask,
+         self._point_mask) = shape
         self.labels, self.name = labels, name
         self._label_index = None    # filled by the first index_of
-        # jm[x]: the join-irreducibles below x, as a mask; by_jm inverts it.
-        # a -> b is the element whose join-irreducibles are the j with
-        # j /\ a <= b: those above no join-irreducible below a but not b.
-        self._jm, self._by_jm = jm, by_jm
         self._meet = self._impl = None      # the tables, on first read
-        # one pass: a* (whose join-irreducibles are above none below a),
-        # the dense a (a* = 0), BL = {a*} and the points (see points_mask)
-        irr, ups, pseudo = jm[top], set(up), []
-        dense = boolean = points = 0
-        for a, m in enumerate(jm):
-            x = by_jm[irr & ~self._up_closure(m)]
-            pseudo.append(x)
-            boolean |= 1 << x
-            dense |= (x == bottom) << a
-            points |= (up[a] & ~(1 << a) in ups) << a
-        self._pseudo, self._dense_mask = pseudo, dense
-        self._bool_mask, self._point_mask = boolean, points
         # kept on first use: sublocale.py fills the first four; views,
         # inclusion maps and contexts are keyed by a sublocale's mask
         self._sublocales = self._min_pts = self._point_subls = None
         self._views = self._inclusions = self._contexts = None
-
-    def _up_closure(self, d: int) -> int:
-        """The elements above some element in mask d."""
-        up, out = self.up, 0
-        while d:
-            low = d & -d
-            out |= up[low.bit_length() - 1]
-            d ^= low
-        return out
 
     @property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
@@ -100,7 +101,8 @@ class FiniteFrame:
         """impl_table[a][b] = a -> b; filled on first read, for
         :meth:`heyting` and ``open_subl``."""
         if self._impl is None:
-            jm, by_jm, irr = self._jm, self._by_jm, self._jm[self.top]
+            jm, by_jm, up = self._jm, self._by_jm, self.up
+            irr = jm[self.top]
             # a -> b depends only on d = jm[a] & ~jm[b]: one up-closure per d
             by_diff, rows = {}, []
             for ja in jm:
@@ -109,7 +111,7 @@ class FiniteFrame:
                     d = ja & ~jb
                     x = by_diff.get(d)
                     if x is None:
-                        x = by_diff[d] = by_jm[irr & ~self._up_closure(d)]
+                        x = by_diff[d] = by_jm[irr & ~_up_closure(up, d)]
                     row.append(x)
                 rows.append(tuple(row))
             self._impl = tuple(rows)
@@ -241,28 +243,38 @@ def _close_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return up
 
 
-def frame_from_leq(up: Sequence[int],
-                   labels: Optional[Sequence[str]] = None,
-                   name: Optional[str] = None) -> FiniteFrame:
-    """Build a frame from a full partial order given as up-set bitmasks.
+# Distinct orders that _shape keeps.  The suite specs meet 5 (boolean
+# 16) to 83 (posets5) distinct orders, a query16 batch 40; a shape holds
+# about 3 KB at 16 elements and 12 KB at 64, so a full memo holds 0.8 MB
+# of 16-element shapes or 3 MB of 64-element ones.
+_SHAPES = 256
 
-    Validates the order (reflexive, transitive, antisymmetric) and that it
-    is a distributive lattice; the tables are filled on first use.  With J
-    the j whose strict down-set has a largest element and jm[x] = down[x]
-    & J, it is one iff for every x (b) up[x] is the AND of up[j], j in
-    jm[x] (all of L if jm[x] = 0), and (c) each jm[x] | jm[j], j in J, is
-    some jm[y].  Only if: x is the join of jm[x], and jm[x \\/ j] = jm[x] |
-    jm[j] by distributivity.  If: by (b), jm[x] <= jm[y] puts y in up[x],
-    so jm reflects the order and, by antisymmetry, is one to one.  Also
-    jm[x] = 0 for a minimal x, and a down-set D of J is the union of the
-    jm[j], j in D, so by (c) jm is onto the down-sets of J.  So it is an
-    order isomorphism onto a distributive lattice under & and |.
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _shape(up: tuple[int, ...]) -> tuple:
+    """Validate a full partial order given as up-set bitmasks and return
+    what it determines, in the order ``FiniteFrame.__init__`` reads it: n,
+    up, down, jm, by_jm, bottom, top, x*, and the dense, BL and point
+    masks.  Memoised on ``up``, so an order is checked once while the memo
+    holds it; nothing writes a shape.  The caller has checked
+    0 < n <= MAX_ELEMENTS.
+
+    It checks the order (reflexive, transitive, antisymmetric) and that it
+    is a distributive lattice.  With J the j whose strict down-set has a
+    largest element and jm[x] = down[x] & J, it is one iff for every x (b)
+    up[x] is the AND of up[j], j in jm[x] (all of L if jm[x] = 0), and (c)
+    each jm[x] | jm[j], j in J, is some jm[y].  Only if: x is the join of
+    jm[x], and jm[x \\/ j] = jm[x] | jm[j] by distributivity.  If: by (b),
+    jm[x] <= jm[y] puts y in up[x], so jm reflects the order and, by
+    antisymmetry, is one to one.  Also jm[x] = 0 for a minimal x, and a
+    down-set D of J is the union of the jm[j], j in D, so by (c) jm is onto
+    the down-sets of J.  So it is an order isomorphism onto a distributive
+    lattice under & and |.
+
+    ``lru_cache`` keeps no exception, so an order that fails raises anew
+    on every call.
     """
     n = len(up)
-    if n == 0:
-        raise NotALattice("a frame needs at least one element")
-    if n > MAX_ELEMENTS:
-        raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
     # one pass over the bits of each up-set: transpose it into the
     # down-sets, checking each b above a has its up-set inside a's
     down = [0] * n
@@ -326,11 +338,46 @@ def frame_from_leq(up: Sequence[int],
                     f"{join(meet(j, a), meet(j, b))}")
         raise AssertionError("a distributive lattice passes (b) and (c)")
 
+    bottom, top = by_jm[0], by_jm[irr]
+    # one pass: a* (whose join-irreducibles are above none below a), the
+    # dense a (a* = 0), BL = {a*} and the points (see points_mask)
+    ups, pseudo = set(up), []
+    dense = boolean = points = 0
+    for a, m in enumerate(jm):
+        x = by_jm[irr & ~_up_closure(up, m)]
+        pseudo.append(x)
+        boolean |= 1 << x
+        dense |= (x == bottom) << a
+        points |= (up[a] & ~(1 << a) in ups) << a
+    return (n, up, tuple(down), jm, by_jm, bottom, top, tuple(pseudo), dense,
+            boolean, points)
+
+
+def frame_from_leq(up: Sequence[int],
+                   labels: Optional[Sequence[str]] = None,
+                   name: Optional[str] = None) -> FiniteFrame:
+    """Build a frame from a full partial order given as up-set bitmasks.
+
+    Checks the size against ``MAX_ELEMENTS`` as it reads at the call, then
+    validates the order by :func:`_shape` (see its docstring for the test
+    and its proof), then the labels; the tables are filled on first use.
+    ``_shape`` is memoised on ``tuple(up)``, keeping the ``_SHAPES`` (256)
+    most recently used orders, so frames built from equal up-masks share one
+    validated shape: the order's masks, x*, and the dense, BL and point
+    masks, none of which is ever written.  Every call still returns a new
+    frame with its own labels, name, label index and kept slots (tables,
+    sublocales, views, inclusion maps, contexts).
+    """
+    n = len(up)
+    if n == 0:
+        raise NotALattice("a frame needs at least one element")
+    if n > MAX_ELEMENTS:
+        raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
+    shape = _shape(tuple(up))
     labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
     if len(labels) != n or len(set(labels)) != n:
         raise NotALattice("labels must be distinct and one per element")
-    return FiniteFrame(n, tuple(up), tuple(down), jm, by_jm, by_jm[0],
-                       by_jm[irr], labels, name)
+    return FiniteFrame(shape, labels, name)
 
 
 def build_frame(order: Iterable[tuple[int, int]], n: int,

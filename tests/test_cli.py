@@ -1008,3 +1008,26 @@ def test_report_is_pinned(spec, digest, jobs, tmp_path, monkeypatch,
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_report_does_not_depend_on_the_shape_memo(tmp_path, capsys):
+    # posets4's report is the same bytes whether each frame order is
+    # validated afresh or, after a posets5 run, every one is read from the
+    # shape memo
+    def report(spec, name):
+        out = tmp_path / name
+        assert main(["suite", "--family", spec.family,
+                     "--max-size", str(spec.max_size), "--jobs", "1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        return out.read_bytes()
+
+    spec, digest = PINNED_REPORTS["all-posets-up-to-4"]
+    frame._shape.cache_clear()
+    cold = report(spec, "cold.json")
+    report(PINNED_REPORTS["all-posets-up-to-5"][0], "posets5.json")
+    misses = frame._shape.cache_info().misses
+    warm = report(spec, "warm.json")
+    assert frame._shape.cache_info().misses == misses
+    assert cold == warm
+    assert hashlib.sha256(warm).hexdigest() == digest

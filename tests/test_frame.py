@@ -5,12 +5,15 @@ import re
 import pytest
 
 from localic import (
-    FrameTooLarge, NotALattice, NotAPartialOrder, NotDistributive,
-    boolean_frame, build_frame, chain_frame,
+    FiniteFrame, FrameTooLarge, NotALattice, NotAPartialOrder,
+    NotDistributive, boolean_frame, build_frame, chain_frame, closed_subl,
+    enumerate_sublocales, whole_context,
 )
 from localic import booleanization, frame
 from localic.frame import frame_from_leq
+from localic.generators import downset_frame
 from localic.jsonio import frame_from_json
+from localic.sublocale import span
 
 from oracles import is_point
 
@@ -284,9 +287,11 @@ def test_frame_from_leq_matches_definitions():
     ([0b011, 0b110, 0b100], "0 <= 1 and 1 <= 2 but not 0 <= 2"),
 ])
 def test_frame_from_leq_rejects_a_relation_that_is_not_an_order(up, message):
-    with pytest.raises(NotAPartialOrder) as info:
-        frame_from_leq(up)
-    assert str(info.value) == message
+    # the shape memo keeps no error: each call raises it anew
+    for _ in range(2):
+        with pytest.raises(NotAPartialOrder) as info:
+            frame_from_leq(up)
+        assert str(info.value) == message
 
 
 # Orders that fail just one of frame_from_leq's tests (b) and (c), so
@@ -312,9 +317,10 @@ def test_frame_from_leq_rejects_a_relation_that_is_not_an_order(up, message):
 ], ids=["V-fails-c", "antichain-fails-b", "fails-b-with-bottom",
         "fails-b-onto", "M3", "N5"])
 def test_frame_from_leq_names_why_the_birkhoff_tests_fail(up, error, message):
-    with pytest.raises(error) as info:
-        frame_from_leq(up)
-    assert str(info.value) == message
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            frame_from_leq(up)
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_close_order_matches_the_closure(monkeypatch):
@@ -356,11 +362,17 @@ def _outcome(build):
     return [getattr(f, slot) for slot in _SLOTS]
 
 
-def test_three_routes_build_the_same_frame():
-    # a relation given as a frame document, to build_frame, and to
-    # frame_from_leq as its closure, under three labellings and as covers
-    # (the relation itself where its closure has a cycle) and as the full
-    # order: every route builds the same frame or raises the same error
+def _three_routes(cold: bool) -> set:
+    """Build each relation of ``_orders`` by every route; the outcomes
+    seen.  The closure goes to frame_from_leq with the shape memo cleared;
+    the other routes then clear it again (``cold``) or read the shape that
+    this build left there."""
+    shapes = frame._shape
+
+    def fresh(build):
+        shapes.cache_clear()
+        return _outcome(build)
+
     rng = random.Random(33)
     seen = set()
     for n, pairs in _orders():
@@ -381,12 +393,107 @@ def test_three_routes_build_the_same_frame():
                 labels[p] = f"e{i}"
             up = [sum(1 << b for b in range(n) if leq[a][b])
                   for a in range(n)]
-            want = _outcome(lambda: frame_from_leq(up, labels, "F"))
+            want = fresh(lambda: frame_from_leq(up, labels, "F"))
             seen.add(want[0] if isinstance(want, tuple) else "frame")
+            outcome = fresh if cold else _outcome
             for given in (covers, full):
                 order = [[labels[a], labels[b]] for a, b in sorted(given)]
                 doc = {"name": "F", "elements": labels, "order": order}
-                assert _outcome(lambda: frame_from_json(doc)) == want, doc
-                assert _outcome(lambda: build_frame(
+                assert outcome(lambda: frame_from_json(doc)) == want, doc
+                assert outcome(lambda: build_frame(
                     sorted(given), n, labels, "F")) == want, (n, given)
-    assert seen == {"frame", NotAPartialOrder, NotALattice, NotDistributive}
+            # warm, each of the four builds of a frame read the memo
+            hits = 0 if cold or isinstance(want, tuple) else 4
+            assert shapes.cache_info().hits == hits, (n, rel)
+    return seen
+
+
+def test_three_routes_build_the_same_frame():
+    # a relation given as a frame document, to build_frame, and to
+    # frame_from_leq as its closure, under three labellings and as covers
+    # (the relation itself where its closure has a cycle) and as the full
+    # order: every route builds the same frame or raises the same error,
+    # each validating the order afresh or reading the memoised shape
+    for cold in (True, False):
+        assert _three_routes(cold) == {
+            "frame", NotAPartialOrder, NotALattice, NotDistributive}
+
+
+# -- the shape memo: what frames of equal up-masks share ----------------------
+
+def _twins():
+    """Pairs of frames built from equal up-masks: a frame document and a
+    relabelled, renamed copy; a downset lattice (of the two-point
+    antichain) and an induced-frame view (c(a) of an atom a of B3)."""
+    doc = {"name": "C3", "elements": ["0", "m", "1"],
+           "order": [["0", "m"], ["m", "1"]]}
+    copy = {"name": "D3", "elements": ["a", "b", "c"],
+            "order": [["a", "b"], ["b", "c"]]}
+    yield frame_from_json(doc), frame_from_json(copy)
+    view, _ = closed_subl(boolean_frame(3), 1).as_frame()
+    yield downset_frame(2, frozenset(), name="P2"), view
+
+
+_FILLS = {
+    "_label_index": lambda f: f.index_of(f.labels[0]),
+    "_impl": lambda f: f.impl_table,
+    "_min_pts": lambda f: span(f, f.points_mask()),
+    "_views": lambda f: booleanization(f).as_frame(),
+    "_contexts": whole_context,
+    "_sublocales": enumerate_sublocales,
+}
+
+
+def test_frames_of_equal_masks_share_only_the_shape():
+    kept = [slot for slot in FiniteFrame.__slots__
+            if getattr(chain_frame(2), slot) is None]
+    assert set(_FILLS) <= set(kept)
+    for slot, fill in _FILLS.items():
+        for f, g in _twins():
+            assert f is not g and f.up is g.up and f._by_jm is g._by_jm
+            assert f.labels != g.labels and f.name != g.name
+            assert f.subject() != g.subject()
+            fill(f)
+            assert getattr(f, slot) is not None, slot
+            assert [s for s in kept if getattr(g, s) is not None] == [], slot
+            fill(g)
+            assert getattr(f, slot) is not getattr(g, slot), slot
+
+
+def test_the_per_call_checks_run_on_a_memoised_shape(monkeypatch):
+    up = chain_frame(3).up
+    for _ in range(2):
+        with pytest.raises(NotALattice) as info:
+            frame_from_leq(up, labels=["a", "a", "b"])
+        assert str(info.value) == "labels must be distinct and one per element"
+    # the cap is read at each call, not when the shape was kept
+    hits = frame._shape.cache_info().hits
+    assert frame_from_leq(up).n == 3
+    assert frame._shape.cache_info().hits == hits + 1
+    monkeypatch.setattr(frame, "MAX_ELEMENTS", 2)
+    with pytest.raises(FrameTooLarge) as info:
+        frame_from_leq(up)
+    assert str(info.value) == "3 elements exceeds the cap of 2"
+
+
+def test_the_memo_is_bounded():
+    # more distinct downset frames of seeded random posets on 6 points than
+    # the memo holds: it stays full, and the least recently used order,
+    # evicted, rebuilds to an equal frame
+    shapes = frame._shape
+    shapes.cache_clear()
+    rng = random.Random(38)
+    pairs = list(itertools.combinations(range(6), 2))
+    built = {}      # up-masks -> frame, least recently built first
+    while len(built) <= shapes.cache_info().maxsize:
+        rel = frozenset(p for p in pairs if rng.random() < 0.4)
+        f = downset_frame(6, rel, name=f"D{len(built)}")
+        built.pop(f.up, None)
+        built[f.up] = f
+    info = shapes.cache_info()
+    assert info.currsize == info.maxsize
+    oldest = next(iter(built.values()))
+    again = frame_from_leq(list(oldest.up), oldest.labels, oldest.name)
+    assert shapes.cache_info().misses == info.misses + 1
+    assert again is not oldest and again.up is not oldest.up
+    assert _outcome(lambda: again) == _outcome(lambda: oldest)
