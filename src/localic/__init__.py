@@ -34,8 +34,9 @@ _EXPORTS = {
         "is_f_star_remote_preserving", "takes_remainder",
     ),
     "generators": (
-        "GenSpec", "gen_chains", "gen_dense_sublocales", "gen_frames",
-        "gen_maps", "gen_squares", "gen_triangles", "inclusion_map",
+        "GenSpec", "downset_frame", "gen_chains", "gen_dense_sublocales",
+        "gen_frames", "gen_maps", "gen_squares", "gen_triangles",
+        "inclusion_map",
     ),
     "registry": ("REGISTRY", "CheckResult", "TheoremCheck", "checks_in_scope"),
 }

@@ -187,5 +187,6 @@ def is_complemented_subl(frame: FiniteFrame, s: Sublocale) -> bool:
 
     A complement must contain the supplement, the least sublocale joining
     s to the whole; so one exists iff the supplement misses s.
+    ``supplement`` refuses a sublocale of another frame.
     """
     return supplement(frame, s).mask & s.mask == 1 << frame.top

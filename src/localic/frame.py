@@ -244,9 +244,10 @@ def _close_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
 
 # Distinct orders that _shape keeps.  The suite specs meet 5 (boolean
-# 16) to 83 (posets5) distinct orders, a query16 batch 40; a shape holds
-# about 3 KB at 16 elements and 12 KB at 64, so a full memo holds 0.8 MB
-# of 16-element shapes or 3 MB of 64-element ones.
+# 16) to 134 (posets5 at --jobs 1) distinct orders in one process, a
+# query16 batch 40; a shape holds about 3 KB at 16 elements and 12 KB at
+# 64, so a full memo holds 0.8 MB of 16-element shapes or 3 MB of
+# 64-element ones.
 _SHAPES = 256
 
 
@@ -259,17 +260,16 @@ def _shape(up: tuple[int, ...]) -> tuple:
     holds it; nothing writes a shape.  The caller has checked
     0 < n <= MAX_ELEMENTS.
 
-    It checks the order (reflexive, transitive, antisymmetric) and that it
-    is a distributive lattice.  With J the j whose strict down-set has a
-    largest element and jm[x] = down[x] & J, it is one iff for every x (b)
-    up[x] is the AND of up[j], j in jm[x] (all of L if jm[x] = 0), and (c)
-    each jm[x] | jm[j], j in J, is some jm[y].  Only if: x is the join of
-    jm[x], and jm[x \\/ j] = jm[x] | jm[j] by distributivity.  If: by (b),
-    jm[x] <= jm[y] puts y in up[x], so jm reflects the order and, by
-    antisymmetry, is one to one.  Also jm[x] = 0 for a minimal x, and a
-    down-set D of J is the union of the jm[j], j in D, so by (c) jm is onto
-    the down-sets of J.  So it is an order isomorphism onto a distributive
-    lattice under & and |.
+    It checks the order (reflexive, transitive, antisymmetric), then that
+    it is a distributive lattice by the definitions (Davey & Priestley,
+    ch. 2 and 5), naming the first pair, by index, that shows it is not.
+    Every pair has a meet and a join iff the order is a lattice.  With J
+    the j whose strict down-set has a largest element and jm[x] =
+    down[x] & J, jm takes meets to & and, as x is the join of jm[x], is
+    one to one; so it takes joins to | iff L is distributive (a lattice of
+    sets is distributive, and in a distributive lattice a j below a \\/ b
+    is below a or b).  Then jm is onto the down-sets of J (Birkhoff's
+    theorem), which the x* lookups in ``by_jm`` need.
 
     ``lru_cache`` keeps no exception, so an order that fails raises anew
     on every call.
@@ -306,37 +306,25 @@ def _shape(up: tuple[int, ...]) -> tuple:
         irr |= (strict in downs) << a
     jm = tuple(d & irr for d in down)
     by_jm = {m: x for x, m in enumerate(jm)}
-    above = [(1 << n) - 1] * n      # (b): x >= j exactly when j is in jm[x]
-    unions = set()                  # (c)
-    for j in bits(irr):
-        rest = uj = up[j]
-        while rest:
-            x = rest & -rest
-            above[x.bit_length() - 1] &= uj
-            rest ^= x
-        unions.update(map(jm[j].__or__, jm))
-    if above != list(up) or not unions <= by_jm.keys():
-        # no distributive lattice: name the first pair or triple to show it
-        by_down = {d: x for x, d in enumerate(down)}
-        by_up = {u: x for x, u in enumerate(up)}
-        pairs = [(a, b) for a in range(n) for b in range(a, n)]
-        for a, b in pairs:
-            if down[a] & down[b] not in by_down:
-                raise NotALattice(f"elements {a} and {b} have no meet")
-            if up[a] & up[b] not in by_up:
-                raise NotALattice(f"elements {a} and {b} have no join")
-        meet = lambda a, b: by_down[down[a] & down[b]]
-        join = lambda a, b: by_up[up[a] & up[b]]
-        for a, b in pairs:
-            lost = jm[join(a, b)] & ~(jm[a] | jm[b])
-            if lost:
-                # j <= a \/ b, but j /\ a and j /\ b lie below j's lower cover
-                j = (lost & -lost).bit_length() - 1
-                raise NotDistributive(
-                    f"witness triple ({j},{a},{b}): {j}/\\({a}\\/{b})={j} "
-                    f"but ({j}/\\{a})\\/({j}/\\{b})="
-                    f"{join(meet(j, a), meet(j, b))}")
-        raise AssertionError("a distributive lattice passes (b) and (c)")
+    by_down = {d: x for x, d in enumerate(down)}
+    by_up = {u: x for x, u in enumerate(up)}
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    for a, b in pairs:
+        if down[a] & down[b] not in by_down:
+            raise NotALattice(f"elements {a} and {b} have no meet")
+        if up[a] & up[b] not in by_up:
+            raise NotALattice(f"elements {a} and {b} have no join")
+    meet = lambda a, b: by_down[down[a] & down[b]]
+    join = lambda a, b: by_up[up[a] & up[b]]
+    for a, b in pairs:
+        lost = jm[join(a, b)] & ~(jm[a] | jm[b])
+        if lost:
+            # j <= a \/ b, but j /\ a and j /\ b lie below j's lower cover
+            j = (lost & -lost).bit_length() - 1
+            raise NotDistributive(
+                f"witness triple ({j},{a},{b}): {j}/\\({a}\\/{b})={j} "
+                f"but ({j}/\\{a})\\/({j}/\\{b})="
+                f"{join(meet(j, a), meet(j, b))}")
 
     bottom, top = by_jm[0], by_jm[irr]
     # one pass: a* (whose join-irreducibles are above none below a), the
@@ -359,8 +347,9 @@ def frame_from_leq(up: Sequence[int],
     """Build a frame from a full partial order given as up-set bitmasks.
 
     Checks the size against ``MAX_ELEMENTS`` as it reads at the call, then
-    validates the order by :func:`_shape` (see its docstring for the test
-    and its proof), then the labels; the tables are filled on first use.
+    validates the order by :func:`_shape` (a scan of the pairs for meets,
+    joins and distributivity; see its docstring), then the labels; the
+    tables are filled on first use.
     ``_shape`` is memoised on ``tuple(up)``, keeping the ``_SHAPES`` (256)
     most recently used orders, so frames built from equal up-masks share one
     validated shape: the order's masks, x*, and the dense, BL and point

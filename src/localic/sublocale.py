@@ -67,7 +67,7 @@ class Sublocale:
         return popcount(self.mask)
 
     def __le__(self, other: "Sublocale") -> bool:
-        self._check(other)
+        _check_frame(self.frame, other)
         return self.mask & ~other.mask == 0
 
     def __eq__(self, other) -> bool:
@@ -76,10 +76,6 @@ class Sublocale:
 
     def __hash__(self) -> int:
         return hash((id(self.frame), self.mask))
-
-    def _check(self, other: "Sublocale") -> None:
-        if other.frame is not self.frame:
-            raise MixedFrames("sublocales belong to different frames")
 
     def is_void(self) -> bool:
         return self.mask == 1 << self.frame.top
@@ -125,6 +121,12 @@ class Sublocale:
 
     def __repr__(self) -> str:
         return f"Sublocale({self.frame.name or '?'}:{{{','.join(self.labels())}}})"
+
+
+def _check_frame(frame: FiniteFrame, s: Sublocale) -> None:
+    """Refuse a sublocale of another frame than the one it is used with."""
+    if s.frame is not frame:
+        raise MixedFrames("sublocales belong to different frames")
 
 
 def _member_mask(frame: FiniteFrame, members: Iterable[int]) -> int:
@@ -192,7 +194,7 @@ def subl_meet(ss: list[Sublocale]) -> Sublocale:
     frame = ss[0].frame
     mask = (1 << frame.n) - 1
     for s in ss:
-        ss[0]._check(s)
+        _check_frame(frame, s)
         mask &= s.mask
     return Sublocale(frame, mask)
 
@@ -232,7 +234,7 @@ def subl_join(ss: list[Sublocale]) -> Sublocale:
     frame = ss[0].frame
     mask = 0
     for s in ss:
-        ss[0]._check(s)
+        _check_frame(frame, s)
         mask |= s.mask
     return Sublocale(frame, span(frame, mask & frame.points_mask()))
 
@@ -311,6 +313,7 @@ def supplement(frame: FiniteFrame, s: Sublocale) -> Sublocale:
     the span of the points outside S; the test suite checks it against
     ``join_is_whole`` (``tests/oracles.py``) over the enumeration.
     """
+    _check_frame(frame, s)
     return Sublocale(frame, span(frame, frame.points_mask() & ~s.mask))
 
 
@@ -321,6 +324,7 @@ def nucleus_map(s: Sublocale, a: int) -> int:
 
 def is_nowhere_dense(frame: FiniteFrame, s: Sublocale) -> bool:
     """S /\\ BL = O; equivalently the meet of S is a dense element."""
+    _check_frame(frame, s)
     return s.mask & frame._bool_mask == 1 << frame.top
 
 
@@ -349,6 +353,7 @@ def nd_join(frame: FiniteFrame, s: Sublocale) -> Sublocale:
     and Nd(S) is the span of all of them.  Cross-checked against the
     induced-frame oracle :func:`nd_join_oracle` in the test suite.
     """
+    _check_frame(frame, s)
     if not s.is_dense():
         raise InvalidSublocale("Nd(S) is defined for dense S")
     dense_pts = s.mask & frame.points_mask() & frame.dense_elements_mask()
@@ -357,13 +362,15 @@ def nd_join(frame: FiniteFrame, s: Sublocale) -> Sublocale:
 
 def nd_join_oracle(frame: FiniteFrame, s: Sublocale) -> Sublocale:
     """Nd(S) via the induced-frame enumeration of S(S)."""
+    _check_frame(frame, s)
     if not s.is_dense():
         raise InvalidSublocale("Nd(S) is defined for dense S")
     return subl_join([void_subl(frame)] + s_nowhere_dense_sublocales(s))
 
 
 def is_rare(frame: FiniteFrame, s: Sublocale) -> bool:
-    """Rare: the supplement is the whole locale."""
+    """Rare: the supplement is the whole locale (``supplement`` refuses a
+    sublocale of another frame)."""
     return supplement(frame, s).is_whole()
 
 

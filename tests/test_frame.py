@@ -224,60 +224,83 @@ def _orders():
         yield n, pairs
 
 
+def _check_by_definition(n, pairs):
+    """Build the closure of ``pairs`` by frame_from_leq and check the frame,
+    or the error and what its message names, against the definitions; the
+    outcome, "frame" or the error class."""
+    leq = _closure(n, pairs)
+    up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
+    error, meet, join, impl = _by_definition(leq)
+    if error is None:
+        f = frame_from_leq(up)
+        cells = list(itertools.product(range(n), repeat=2))
+        assert [f.meet(a, b) for a, b in cells] \
+            == [meet[a][b] for a, b in cells], up
+        assert [f.join(a, b) for a, b in cells] \
+            == [join[a][b] for a, b in cells], up
+        if n <= 4:
+            for k in range(1 << n):
+                xs = [x for x in range(n) if k >> x & 1]
+                assert (f.meet_of(xs), f.join_of(xs)) \
+                    == _set_bounds(leq, xs), (up, xs)
+        # the frame finds these without its implication table, which
+        # fills on first use: check them against the definition
+        bottom = f.bottom
+        pseudo = [impl[x][bottom] for x in range(n)]
+        assert [f.pseudocomplement(x) for x in range(n)] == pseudo, up
+        assert f._impl is None, up
+        assert f.dense_elements_mask() == sum(
+            1 << x for x in range(n) if pseudo[x] == bottom), up
+        assert booleanization(f).mask == sum(
+            1 << x for x in set(pseudo)), up
+        assert f.is_boolean() == all(
+            join[x][pseudo[x]] == f.top for x in range(n)), up
+        assert [list(r) for r in f.impl_table] == impl, up
+        assert [list(r) for r in f.meet_table] == meet, up
+        return "frame"
+    with pytest.raises(error) as info:
+        frame_from_leq(up)
+    message = str(info.value)
+    if error is NotAPartialOrder:
+        a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                    if leq[a][b] and leq[b][a])
+        assert message == f"elements {a} and {b} are in a cycle", up
+    elif error is NotALattice:
+        a, b = next((a, b) for a in range(n) for b in range(a, n)
+                    if meet[a][b] is None or join[a][b] is None)
+        bound = "meet" if meet[a][b] is None else "join"
+        assert message == f"elements {a} and {b} have no {bound}", up
+    else:
+        triple = re.match(r"witness triple \((\d+),(\d+),(\d+)\)",
+                          message)
+        a, b, c = map(int, triple.groups())
+        assert meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]], up
+    return error
+
+
 def test_frame_from_leq_matches_definitions():
-    seen = set()
-    for n, pairs in _orders():
-        leq = _closure(n, pairs)
-        up = [sum(1 << b for b in range(n) if leq[a][b]) for a in range(n)]
-        error, meet, join, impl = _by_definition(leq)
-        if error is None:
-            f = frame_from_leq(up)
-            pairs = list(itertools.product(range(n), repeat=2))
-            assert [f.meet(a, b) for a, b in pairs] \
-                == [meet[a][b] for a, b in pairs], up
-            assert [f.join(a, b) for a, b in pairs] \
-                == [join[a][b] for a, b in pairs], up
-            if n <= 4:
-                for k in range(1 << n):
-                    xs = [x for x in range(n) if k >> x & 1]
-                    assert (f.meet_of(xs), f.join_of(xs)) \
-                        == _set_bounds(leq, xs), (up, xs)
-            # the frame finds these without its implication table, which
-            # fills on first use: check them against the definition
-            bottom = f.bottom
-            pseudo = [impl[x][bottom] for x in range(n)]
-            assert [f.pseudocomplement(x) for x in range(n)] == pseudo, up
-            assert f._impl is None, up
-            assert f.dense_elements_mask() == sum(
-                1 << x for x in range(n) if pseudo[x] == bottom), up
-            assert booleanization(f).mask == sum(
-                1 << x for x in set(pseudo)), up
-            assert f.is_boolean() == all(
-                join[x][pseudo[x]] == f.top for x in range(n)), up
-            assert [list(r) for r in f.impl_table] == impl, up
-            assert [list(r) for r in f.meet_table] == meet, up
-            seen.add("frame")
-            continue
-        with pytest.raises(error) as info:
-            frame_from_leq(up)
-        seen.add(error.__name__)
-        message = str(info.value)
-        if error is NotAPartialOrder:
-            a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
-                        if leq[a][b] and leq[b][a])
-            assert message == f"elements {a} and {b} are in a cycle", up
-        elif error is NotALattice:
-            a, b = next((a, b) for a in range(n) for b in range(a, n)
-                        if meet[a][b] is None or join[a][b] is None)
-            bound = "meet" if meet[a][b] is None else "join"
-            assert message == f"elements {a} and {b} have no {bound}", up
-        else:
-            triple = re.match(r"witness triple \((\d+),(\d+),(\d+)\)",
-                              message)
-            a, b, c = map(int, triple.groups())
-            assert meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]], up
-    assert seen == {"frame", "NotAPartialOrder", "NotALattice",
-                    "NotDistributive"}
+    assert {_check_by_definition(n, pairs) for n, pairs in _orders()} \
+        == {"frame", NotAPartialOrder, NotALattice, NotDistributive}
+
+
+def _chain_pairs(k):
+    return {(i, i + 1) for i in range(k - 1)}
+
+
+# Orders of MAX_ELEMENTS = 64 elements, where the pair scan is longest
+@pytest.mark.parametrize("pairs, outcome", [
+    ({(a, a | 1 << i) for a in range(64) for i in range(6)
+      if not a >> i & 1}, "frame"),
+    (_chain_pairs(64), "frame"),
+    # two incomparable tops above the chain 0 < ... < 61: no join
+    (_chain_pairs(62) | {(61, 62), (61, 63)}, NotALattice),
+    # M3 (59 < 60, 61, 62 < 63) above the chain 0 < ... < 58
+    (_chain_pairs(59) | {(58, 59), (59, 60), (59, 61), (59, 62),
+                         (60, 63), (61, 63), (62, 63)}, NotDistributive),
+], ids=["B6", "C64", "C62-two-tops", "C59-M3"])
+def test_frame_from_leq_matches_definitions_at_the_size_cap(pairs, outcome):
+    assert frame.MAX_ELEMENTS == 64
+    assert _check_by_definition(64, pairs) == outcome
 
 
 @pytest.mark.parametrize("up, message", [
@@ -294,29 +317,30 @@ def test_frame_from_leq_rejects_a_relation_that_is_not_an_order(up, message):
         assert str(info.value) == message
 
 
-# Orders that fail just one of frame_from_leq's tests (b) and (c), so
-# dropping either test lets one of them through.
+# Orders pinned with the first pair, by index, that has no meet or join
+# (the meet is checked first), or with the pair whose join breaks
+# distributivity and the join-irreducible j that its witness triple names.
 @pytest.mark.parametrize("up, error, message", [
-    # the V 1 > 0 < 2, the least order failing (c) alone: jm[1] | jm[2]
-    # is no jm[y]
+    # the V 1 > 0 < 2: (1, 2) is the first pair with no upper bound
     ([0b111, 0b010, 0b100], NotALattice, "elements 1 and 2 have no join"),
-    # the least order failing (b) alone: jm[0] = jm[1] = 0, so it cannot
-    # be both up[0] and up[1]
+    # two minimal elements: (0, 1) has neither bound, and the meet is named
     ([0b01, 0b10], NotALattice, "elements 0 and 1 have no meet"),
-    # with a bottom, 5 elements are the least that fail (b) alone:
-    # jm[3] = jm[4] = {1, 2}, and up[1] & up[2] = {3, 4}
+    # 0 < 1, 2 < 3, 4: 1 and 2 have the two minimal upper bounds 3 and 4,
+    # and (1, 2) comes before (3, 4), which has no join either
     ([31, 26, 28, 8, 16], NotALattice, "elements 1 and 2 have no join"),
-    # jm is onto the down-sets of J = {1, 2, 3}, but jm[5] = {1, 2} while
-    # up[1] & up[2] = {4, 5}: only (b) fails
+    # 0 < 1, 2; 1 < 3 < 4; 1, 2 < 5; 2 < 4: the upper bounds of 1 and 2
+    # are 4 and 5, which are incomparable
     ([63, 58, 52, 24, 16, 32], NotALattice, "elements 1 and 2 have no join"),
-    # M3 and N5 fail (c)
+    # M3 and N5: 1 \/ 2 = 4 is above the join-irreducible 3, which is
+    # below neither 1 nor 2
     ([31, 18, 20, 24, 16], NotDistributive,
      "witness triple (3,1,2): 3/\\(1\\/2)=3 but (3/\\1)\\/(3/\\2)=0"),
     ([31, 18, 28, 24, 16], NotDistributive,
      "witness triple (3,1,2): 3/\\(1\\/2)=3 but (3/\\1)\\/(3/\\2)=2"),
-], ids=["V-fails-c", "antichain-fails-b", "fails-b-with-bottom",
-        "fails-b-onto", "M3", "N5"])
-def test_frame_from_leq_names_why_the_birkhoff_tests_fail(up, error, message):
+], ids=["V", "antichain", "bowtie", "bowtie-of-six", "M3", "N5"])
+def test_frame_from_leq_names_the_first_failing_pair_or_triple(
+        up, error, message):
+    # the shape memo keeps no error: each call raises it anew
     for _ in range(2):
         with pytest.raises(error) as info:
             frame_from_leq(up)

@@ -1,15 +1,24 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and every
+definition in the package is read by the package or public.
 
-No linter is part of the toolchain, so this scan is the check: it parses
-each module and lists the names an import binds that nothing reads.
+No linter is part of the toolchain, so these scans are the check: they
+parse each module and list the names an import binds that nothing reads,
+and the functions, classes and methods of ``src/localic`` that nothing
+there reads and that are not public.
 """
 
 import ast
 from pathlib import Path
 
+import localic
+
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "localic").glob("*.py")) \
-    + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "localic").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+
+# Read by no library code, but imported by the benchmark's gate
+# (perfbench/gate.py), which checks query answers with them.
+BENCHMARK_BOUND = {"nd_join_oracle", "serialize_sublocale"}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -63,6 +72,52 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+class _Reads(ast.NodeVisitor):
+    """Each name read, as a name or an attribute, with the definitions
+    (function, class) it is read inside."""
+
+    def __init__(self):
+        self.inside, self.reads = [], {}
+
+    def _definition(self, node):
+        self.inside.append(node)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def visit_Name(self, node):
+        self.reads.setdefault(node.id, []).append(tuple(self.inside))
+
+    def visit_Attribute(self, node):
+        self.reads.setdefault(node.attr, []).append(tuple(self.inside))
+        self.generic_visit(node)
+
+
+def dead_definitions(sources: dict[str, str], public: set[str]) -> list[str]:
+    """``module.name`` or ``module.Class.name`` of each module-level
+    function or class, and each method, in ``sources`` (module name to
+    code) that no code there reads outside its own body and that is not
+    public: named in ``public`` or a method of a class named there.
+    Dunder methods are called by the language, so they are kept."""
+    definitions, reads = [], _Reads()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{module}.{node.name}", node.name, node))
+            if isinstance(node, ast.ClassDef) and node.name not in public:
+                definitions += [
+                    (f"{module}.{node.name}.{m.name}", m.name, m)
+                    for m in node.body if isinstance(m, ast.FunctionDef)]
+        reads.visit(tree)
+    return sorted(
+        where for where, name, node in definitions
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in public
+        and all(node in inside for inside in reads.reads.get(name, [])))
+
+
 def test_no_unused_imports():
     found = {path.relative_to(ROOT).as_posix(): unused
              for path in SOURCES
@@ -83,3 +138,27 @@ def test_scan_reads_code_and_string_annotations():
         "from b import D, E\n"
     )
     assert unused_imports(source) == ["D (line 9)", "E (line 9)"]
+
+
+def test_every_definition_is_read_or_public():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert dead_definitions(
+        sources, set(localic.__all__) | BENCHMARK_BOUND) == []
+
+
+def test_dead_definition_scan():
+    sources = {
+        "a": (
+            "def used(): pass\n"
+            "def loops(): return loops()\n"
+            "class Hidden:\n"
+            "    def read(self): pass\n"
+            "    def unread(self): pass\n"
+            "    def __len__(self): return 0\n"
+            "class Public:\n"
+            "    def unread(self): pass\n"
+        ),
+        "b": "from a import used, Hidden\nused()\nHidden().read()\n",
+    }
+    assert dead_definitions(sources, {"Public"}) == [
+        "a.Hidden.unread", "a.loops"]

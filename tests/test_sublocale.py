@@ -3,11 +3,12 @@ import random
 import pytest
 
 from localic import (
-    InvalidSublocale, Sublocale, boolean_frame, booleanization, chain_frame,
-    closed_subl, enumerate_sublocales, is_dense_in_itself, is_nowhere_dense,
-    is_rare, is_sublocale, nd_join, nucleus_map, open_subl, subl_join,
-    subl_meet, supplement, void_subl, whole_subl,
+    InvalidSublocale, MixedFrames, Sublocale, boolean_frame, booleanization,
+    chain_frame, closed_subl, enumerate_sublocales, is_dense_in_itself,
+    is_nowhere_dense, is_rare, is_sublocale, nd_join, nucleus_map, open_subl,
+    subl_join, subl_meet, supplement, void_subl, whole_subl,
 )
+from localic.diagrams import is_complemented_subl
 from localic.frame import bits
 from localic.sublocale import (
     nd_join_oracle, s_nowhere_dense_sublocales, span, sublocales_below,
@@ -220,6 +221,19 @@ def test_nd_join_matches_oracle(tier1_frames):
         for s in enumerate_sublocales(f):
             if s.is_dense():
                 assert nd_join(f, s) == nd_join_oracle(f, s)
+
+
+@pytest.mark.parametrize("fn", [
+    supplement, nd_join, nd_join_oracle, is_rare, is_nowhere_dense,
+    is_complemented_subl,
+], ids=lambda fn: fn.__name__)
+def test_a_sublocale_of_another_frame_is_refused(fn, c3, c4):
+    # whole_subl is dense, so only the frame check can refuse it; a chain
+    # equal to C3, but another object, is another frame
+    for other in (c4, chain_frame(3)):
+        with pytest.raises(MixedFrames):
+            fn(c3, whole_subl(other))
+    fn(c3, whole_subl(c3))
 
 
 def test_induced_frame_agrees_with_ambient_filter(tier1_frames):
