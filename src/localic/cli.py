@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from .errors import InvalidSublocale, LocalicError
 from .frame import FiniteFrame, popcount
 from .jsonio import load_document
-from .remoteness import RemoteContext
+from .remoteness import dense_context
 from .sublocale import (
     Sublocale, booleanization, is_dense_in_itself, is_rare, nd_join, whole_subl,
 )
@@ -245,12 +245,11 @@ def answer_query(frame: FiniteFrame, words: list[str]):
         return is_dense_in_itself(frame)
     s = _parse_subl(frame, rest[0][2:]) if rest else whole_subl(frame)
     if question == "remote-set":
-        ctx = RemoteContext(frame, s)
-        return sorted(t.labels() for t in ctx.remote_set())
+        return sorted(t.labels() for t in dense_context(frame, s).remote_set())
     if question == "rs":
-        return RemoteContext(frame, s).rs().labels()
+        return dense_context(frame, s).rs().labels()
     if question == "star-rs":
-        return RemoteContext(frame, s).star().rs().labels()
+        return dense_context(frame, s).star().rs().labels()
     if question == "nd":
         return nd_join(frame, s).labels()
     return is_rare(frame, s)

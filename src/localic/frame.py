@@ -11,8 +11,8 @@ reads the order's shape (its up- and down-masks, join-irreducible masks,
 bottom, top, pseudocomplements, and the dense, BL and point masks) from a
 memo keyed by the tuple of up-masks, which keeps the ``_SHAPES`` (256)
 most recently used orders.  Frames built from equal up-masks share that
-shape, which nothing writes; each still has its own labels, name, label
-index, tables and kept values, so what one frame fills never shows on
+shape, which nothing writes; each still has its own labels, name and
+:attr:`FiniteFrame.kept` store, so what one frame fills never shows on
 another.
 """
 
@@ -57,14 +57,15 @@ class FiniteFrame:
     Do not call directly: use :func:`build_frame` or :func:`frame_from_leq`,
     which validate the order.  Meets and joins AND or OR the join-irreducible
     masks; the meet and Heyting implication tables fill on first read.
+    ``kept`` holds what is derived from the frame on first use, by each
+    module that needs it: a whole-frame value by name (here ``"meet"``,
+    ``"impl"``, ``"index"``), a sublocale's by ``(name, mask)``.
     """
 
     __slots__ = (
         "n", "up", "down", "bottom", "top", "labels", "name",
-        "_label_index", "_jm", "_by_jm", "_pseudo",
-        "_meet", "_impl", "_dense_mask", "_bool_mask",
-        "_point_mask", "_sublocales", "_min_pts", "_point_subls",
-        "_views", "_inclusions", "_contexts",
+        "_jm", "_by_jm", "_pseudo", "_dense_mask", "_bool_mask",
+        "_point_mask", "kept",
     )
 
     def __init__(self, shape: tuple, labels: tuple[str, ...],
@@ -79,28 +80,26 @@ class FiniteFrame:
          self.top, self._pseudo, self._dense_mask, self._bool_mask,
          self._point_mask) = shape
         self.labels, self.name = labels, name
-        self._label_index = None    # filled by the first index_of
-        self._meet = self._impl = None      # the tables, on first read
-        # kept on first use: sublocale.py fills the first four; views,
-        # inclusion maps and contexts are keyed by a sublocale's mask
-        self._sublocales = self._min_pts = self._point_subls = None
-        self._views = self._inclusions = self._contexts = None
+        self.kept = {}
 
     @property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
         """[a][b] = a /\\ b, by_jm[jm[a] & jm[b]]; filled on first read.  No
         library code reads it: the references in ``tests/oracles.py`` and
         ``perfbench/gate.py`` check meets by table."""
-        if self._meet is None:
+        table = self.kept.get("meet")
+        if table is None:
             jm, by_jm = self._jm, self._by_jm
-            self._meet = tuple(tuple([by_jm[a & b] for b in jm]) for a in jm)
-        return self._meet
+            table = self.kept["meet"] = tuple(
+                tuple([by_jm[a & b] for b in jm]) for a in jm)
+        return table
 
     @property
     def impl_table(self) -> tuple[tuple[int, ...], ...]:
         """impl_table[a][b] = a -> b; filled on first read, for
         :meth:`heyting` and ``open_subl``."""
-        if self._impl is None:
+        table = self.kept.get("impl")
+        if table is None:
             jm, by_jm, up = self._jm, self._by_jm, self.up
             irr = jm[self.top]
             # a -> b depends only on d = jm[a] & ~jm[b]: one up-closure per d
@@ -114,8 +113,8 @@ class FiniteFrame:
                         x = by_diff[d] = by_jm[irr & ~_up_closure(up, d)]
                     row.append(x)
                 rows.append(tuple(row))
-            self._impl = tuple(rows)
-        return self._impl
+            table = self.kept["impl"] = tuple(rows)
+        return table
 
     # -- order and lattice operations ------------------------------------
 
@@ -191,13 +190,12 @@ class FiniteFrame:
                 f"enumeration is capped at {ENUMERATION_CAP}"
             )
 
-    def label(self, a: int) -> str:
-        return self.labels[a]
-
     def index_of(self, label: str) -> int:
-        if self._label_index is None:
-            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        return self._label_index[label]
+        index = self.kept.get("index")
+        if index is None:
+            index = self.kept["index"] = {
+                lab: i for i, lab in enumerate(self.labels)}
+        return index[label]
 
     def subject(self) -> str:
         return self.name or f"frame(n={self.n})"
@@ -354,8 +352,7 @@ def frame_from_leq(up: Sequence[int],
     most recently used orders, so frames built from equal up-masks share one
     validated shape: the order's masks, x*, and the dense, BL and point
     masks, none of which is ever written.  Every call still returns a new
-    frame with its own labels, name, label index and kept slots (tables,
-    sublocales, views, inclusion maps, contexts).
+    frame with its own labels, name and empty ``kept`` store.
     """
     n = len(up)
     if n == 0:

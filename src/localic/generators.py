@@ -9,11 +9,10 @@ raises, since a generated diagram that fails validation is a bug.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import namedtuple
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .frame import (
     ENUMERATION_CAP, FiniteFrame, bits, boolean_frame,
@@ -218,11 +217,16 @@ def _free_points(frame: FiniteFrame) -> int:
     return popcount(frame.points_mask() & ~frame.min_points())
 
 
-def gen_dense_sublocales(frame: FiniteFrame) -> list[Sublocale]:
+def gen_dense_sublocales(frame: FiniteFrame) -> tuple[Sublocale, ...]:
     """All dense sublocales, BL first and L last: the spans of pts(BL)
     and Q for every set Q of free points, in the order of Q (mask order
-    on every generated frame; see :func:`dense_sublocales`)."""
-    return dense_sublocales(frame, range(1 << _free_points(frame)))
+    on every generated frame; see :func:`dense_sublocales`), kept on the
+    frame as a tuple after the first call."""
+    dense = frame.kept.get("dense")
+    if dense is None:
+        dense = frame.kept["dense"] = tuple(
+            dense_sublocales(frame, range(1 << _free_points(frame))))
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +285,11 @@ def inclusion_map(s: Sublocale) -> LocalicMap:
 
     Its derived adjoint is the nucleus of s, which preserves finite meets.
     """
-    frame = s.frame
-    if frame._inclusions is None:
-        frame._inclusions = {}
-    inc = frame._inclusions.get(s.mask)
+    frame, key = s.frame, ("inclusion", s.mask)
+    inc = frame.kept.get(key)
     if inc is None:
         sub, elems = s.as_frame()
-        inc = frame._inclusions[s.mask] = build_map(sub, frame, elems)
+        inc = frame.kept[key] = build_map(sub, frame, elems)
     return inc
 
 
@@ -338,11 +340,12 @@ def _pair_maps(l: FiniteFrame, m: FiniteFrame, limit: int,
     return gen_maps(l, m, limit=limit, seed=seed)
 
 
-def _squares_over(f: LocalicMap, ss: list[Sublocale], ts: list[Sublocale]
+def _squares_over(f: LocalicMap, ss: Iterable[Sublocale]
                   ) -> Iterator[tuple[DenseSquare, Sublocale]]:
-    """(square, T) for each S in ss and T in ts that f restricts to."""
+    """(square, T) for each S in ss and dense T of f's target that f
+    restricts to."""
     for s in ss:
-        for t in ts:
+        for t in gen_dense_sublocales(f.target):
             sq = square_from(f, s, t)
             if sq is not None:
                 yield sq, t
@@ -354,13 +357,12 @@ def gen_squares(frames: list[FiniteFrame], seed: int = 0
     DIAGRAM_FRAME_CAP elements, in list order, each pair with a few drawn
     maps (the identity first on a same-frame pair)."""
     small = [f for f in frames if f.n <= DIAGRAM_FRAME_CAP]
-    dense = [gen_dense_sublocales(f) for f in small]
     out: list[DenseSquare] = []
     for li, l in enumerate(small):
         for mi, m in enumerate(small):
             for f in _pair_maps(l, m, SQUARE_MAPS_PER_PAIR,
                                 seed + 7919 * li + mi):
-                for sq, _ in _squares_over(f, dense[li], dense[mi]):
+                for sq, _ in _squares_over(f, gen_dense_sublocales(l)):
                     out.append(sq)
                     if len(out) >= SQUARE_BUDGET:
                         return out
@@ -369,18 +371,16 @@ def gen_squares(frames: list[FiniteFrame], seed: int = 0
 
 def gen_chains(squares: list[DenseSquare]) -> list[SquareChain]:
     """The first CHAIN_BUDGET chains: dense middle layers R (S <= R <= L)
-    and U (T <= U <= M) interposed in each square, each frame's dense
-    sublocales listed once per call."""
+    and U (T <= U <= M) interposed in each square."""
     out: list[SquareChain] = []
-    dense = functools.cache(gen_dense_sublocales)
     for sq in squares:
         s, t = whole_subl(sq.s_frame), whole_subl(sq.t_frame)
         # i and k are never None: R holds alpha[S], U holds omega[T]
         uppers = [(r, inclusion_map(r), restriction_map(sq.alpha, s, r))
-                  for r in dense(sq.l_frame)
+                  for r in gen_dense_sublocales(sq.l_frame)
                   if sq.alpha_image.mask & ~r.mask == 0]
         lowers = [(u, inclusion_map(u), restriction_map(sq.omega, t, u))
-                  for u in dense(sq.m_frame)
+                  for u in gen_dense_sublocales(sq.m_frame)
                   if sq.omega_image.mask & ~u.mask == 0]
         for r, theta, i in uppers:
             for u, sigma, k in lowers:
@@ -399,12 +399,11 @@ def gen_triangles(frames: list[FiniteFrame], seed: int = 0
     over frame triples in list order.  A first square is built once per
     frame pair, and the second squares once per (p, T) in a frame triple."""
     small = [f for f in frames if f.n <= DIAGRAM_FRAME_CAP]
-    dense = [gen_dense_sublocales(f) for f in small]
     out: list[Triangle] = []
     for li, l in enumerate(small):
         for mi, m in enumerate(small):
             fs = _pair_maps(l, m, TRIANGLE_MAPS_PER_PAIR, seed + 31 * li + mi)
-            firsts = [list(_squares_over(f, dense[li], dense[mi]))
+            firsts = [list(_squares_over(f, gen_dense_sublocales(l)))
                       for f in fs]
             for ni, nf in enumerate(small):
                 ps = _pair_maps(m, nf, TRIANGLE_MAPS_PER_PAIR,
@@ -416,7 +415,7 @@ def gen_triangles(frames: list[FiniteFrame], seed: int = 0
                             if t.mask not in after_p:
                                 after_p[t.mask] = [
                                     sq for sq, _ in
-                                    _squares_over(p, [t], dense[ni])]
+                                    _squares_over(p, [t])]
                             for sq2 in after_p[t.mask]:
                                 out.append(Triangle(sq1, sq2))
                                 if len(out) >= TRIANGLE_BUDGET:

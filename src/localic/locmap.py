@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .errors import AdjointNotFrameHom, MixedFrames, NotMeetPreserving
 from .frame import FiniteFrame, bits
-from .sublocale import Sublocale, span
+from .sublocale import Sublocale, _check_frame, span
 
 
 class LocalicMap:
@@ -87,8 +87,7 @@ class LocalicMap:
 
     def image_subl(self, a: Sublocale) -> Sublocale:
         """Elementwise image; it is span(f[pts(A)]), so a sublocale."""
-        if a.frame is not self.source:
-            raise MixedFrames("sublocale not in the map's source frame")
+        _check_frame(self.source, a)
         mask = 0
         for x in a.members():
             mask |= 1 << self.table[x]
@@ -101,8 +100,7 @@ class LocalicMap:
         image of A lies in b iff f(p) is in b for every point p of A: the
         preimage is the span of those points.
         """
-        if b.frame is not self.target:
-            raise MixedFrames("sublocale not in the map's target frame")
+        _check_frame(self.target, b)
         src = self.source
         pts = 0
         for p in bits(src.points_mask()):

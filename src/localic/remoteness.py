@@ -14,10 +14,11 @@ subspace S (van Douwen's remote sets).  The fast path is the default; their
 agreement is itself one of the checked theorems, so the theorem checks
 never assume it.  On both routes the joins Rs and *Rs are spans of points.
 
-A frame keeps one ordinary context per dense S, built on first use by
-:func:`dense_context`; :func:`whole_context`, :func:`bl_context`, the
-corpus contexts and the contexts of every square over that frame and S
-are that one object, so each shares what the others have derived.
+A frame keeps one ordinary context per dense S in its store, under
+``("context", mask)``, built on first use by :func:`dense_context`;
+:func:`whole_context`, :func:`bl_context`, the corpus contexts, the
+contexts of every square over that frame and S and those of a query are
+that one object, so each shares what the others have derived.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from typing import Optional
 
 from .frame import FiniteFrame, bits
 from .sublocale import (
-    Sublocale, booleanization, nd_join, nucleus_map, open_subl, span,
-    sublocales_below, supplement, void_subl, whole_subl,
+    Sublocale, _check_frame, booleanization, nd_join, nucleus_map, open_subl,
+    span, sublocales_below, supplement, void_subl, whole_subl,
 )
-from .errors import InvalidSublocale, MixedFrames
+from .errors import InvalidSublocale
 
 
 class RemoteContext:
@@ -48,8 +49,7 @@ class RemoteContext:
 
     def __init__(self, frame: FiniteFrame, dense_subl: Sublocale,
                  within: Optional[Sublocale] = None):
-        if dense_subl.frame is not frame:
-            raise MixedFrames("context sublocale belongs to another frame")
+        _check_frame(frame, dense_subl)
         if not dense_subl.is_dense():
             raise InvalidSublocale("remoteness contexts need a dense sublocale")
         self.frame = frame
@@ -202,11 +202,11 @@ class RemoteContext:
 def dense_context(frame: FiniteFrame, s: Sublocale) -> RemoteContext:
     """The context (L, S), built on the first call for S and kept on the
     frame, so every instance over (L, S) shares it and what it derives."""
-    if frame._contexts is None:
-        frame._contexts = {}
-    ctx = frame._contexts.get(s.mask)
-    if ctx is None or s.frame is not frame:     # a foreign S: it raises
-        ctx = frame._contexts[s.mask] = RemoteContext(frame, s)
+    _check_frame(frame, s)
+    key = ("context", s.mask)
+    ctx = frame.kept.get(key)
+    if ctx is None:
+        ctx = frame.kept[key] = RemoteContext(frame, s)
     return ctx
 
 

@@ -3,7 +3,9 @@
 A sublocale is a subset of frame elements containing the top, closed under
 binary meets, and closed under ``x -> s`` for every frame element ``x`` and
 member ``s``.  A :class:`Sublocale` is its frame and a bitmask, no more;
-its induced frame and inclusion map are kept on the frame by mask.
+its induced frame and inclusion map are kept in the frame's ``kept``
+store by mask.  This module keeps ``"span"`` (the table :func:`span`
+reads), ``"sublocales"``, ``"points"`` and ``("view", mask)`` there.
 
 A finite frame is spatial and T_D, so S(L) is the powerset of its points
 (primes): every sublocale is the :func:`span` of the points it contains.
@@ -22,7 +24,7 @@ above a meet of X are the union of the points above each x in X.  If
 a is the meet of some X inside Q, a minimal point above a lies above
 some x in X, itself a point above a, so it is x; conversely a is the
 meet of the minimal points above it.  :func:`span` reads a per-frame
-table of those minimal points, built on its first call.
+table of those minimal points, kept on its first call.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .frame import FiniteFrame, _mask_of, frame_from_leq, bits, popcount
 
 class Sublocale:
     """An immutable member of the coframe S(L): a frame and a mask, and no
-    more.  What is derived from it is kept on the frame, keyed by the mask,
-    so equal sublocales share it."""
+    more.  What is derived from it is kept in the frame's store, keyed by
+    the mask, so equal sublocales share it."""
 
     __slots__ = ("frame", "mask")
 
@@ -102,12 +104,11 @@ class Sublocale:
         index of subframe element ``i``.  Order is inherited; meets coincide
         with the ambient meets, joins and implication are recomputed inside.
         The induced frame of the whole sublocale is the frame itself.  The
-        view is kept on the frame by mask, so equal sublocales share it.
+        view is kept in the frame's store by mask, so equal sublocales share
+        it.
         """
-        f = self.frame
-        if f._views is None:
-            f._views = {}
-        view = f._views.get(self.mask)
+        f, key = self.frame, ("view", self.mask)
+        view = f.kept.get(key)
         if view is None:
             elems = list(self.members())
             pos = {e: i for i, e in enumerate(elems)}
@@ -116,7 +117,7 @@ class Sublocale:
             sub = f if self.is_whole() else frame_from_leq(
                 up, labels=[f.labels[e] for e in elems],
                 name=f"{f.name or 'frame'}|{''.join(self.labels())}")
-            view = f._views[self.mask] = (sub, elems)
+            view = f.kept[key] = (sub, elems)
         return view
 
     def __repr__(self) -> str:
@@ -206,7 +207,7 @@ def span(frame: FiniteFrame, pts: int) -> int:
     the mask (module docstring); no point lies above the top, so the top
     is in every span.
     """
-    table = frame._min_pts
+    table = frame.kept.get("span")
     if table is None:
         # per element: the points above it, less every point strictly
         # above another of them
@@ -218,7 +219,7 @@ def span(frame: FiniteFrame, pts: int) -> int:
                 least &= ~up[low.bit_length() - 1] | low
                 above ^= low
             rows.append(least)
-        table = frame._min_pts = tuple(rows)
+        table = frame.kept["span"] = tuple(rows)
     missing = ~pts
     mask = 0
     for a, need in enumerate(table):
@@ -263,12 +264,13 @@ def enumerate_sublocales(frame: FiniteFrame) -> list[Sublocale]:
     Requires the enumeration cap; the subset filter
     ``enumerate_sublocales_oracle`` in ``tests/oracles.py`` is the oracle.
     """
-    if frame._sublocales is None:
+    subs = frame.kept.get("sublocales")
+    if subs is None:
         subs = sublocales_below(whole_subl(frame))
         if not all(is_sublocale(frame, t.mask) for t in subs):
             raise AssertionError(f"a span is no sublocale of {frame!r}")
-        frame._sublocales = subs
-    return list(frame._sublocales)
+        frame.kept["sublocales"] = subs
+    return list(subs)
 
 
 def point_sublocales(frame: FiniteFrame) -> tuple[Sublocale, ...]:
@@ -280,11 +282,12 @@ def point_sublocales(frame: FiniteFrame) -> tuple[Sublocale, ...]:
     only if it fails on O or on some {p, 1} with p in A, needs only these
     1 + |pts| sublocales, not all 2^|pts| of them.
     """
-    if frame._point_subls is None:
+    subs = frame.kept.get("points")
+    if subs is None:
         top = 1 << frame.top
-        frame._point_subls = (void_subl(frame),) + tuple(
+        subs = frame.kept["points"] = (void_subl(frame),) + tuple(
             Sublocale(frame, top | 1 << p) for p in bits(frame.points_mask()))
-    return frame._point_subls
+    return subs
 
 
 def dense_sublocales(frame: FiniteFrame, qs: Iterable[int]

@@ -270,12 +270,11 @@ def iter_square_space(max_points: int):
     points: each localic map f : L -> M with each pair of dense S of L and
     T of M that f restricts to, built on fresh frames."""
     frames = gen_frames(GenSpec("all-posets-up-to", max_points))
-    dense = [gen_dense_sublocales(f) for f in frames]
-    for l, ss in zip(frames, dense):
-        for m, ts in zip(frames, dense):
+    for l in frames:
+        for m in frames:
             for f in gen_maps(l, m):
-                for s in ss:
-                    for t in ts:
+                for s in gen_dense_sublocales(l):
+                    for t in gen_dense_sublocales(m):
                         sq = square_from(f, s, t)
                         if sq is not None:
                             yield sq

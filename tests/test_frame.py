@@ -11,9 +11,11 @@ from localic import (
 )
 from localic import booleanization, frame
 from localic.frame import frame_from_leq
-from localic.generators import downset_frame
+from localic.generators import (
+    downset_frame, gen_dense_sublocales, inclusion_map,
+)
 from localic.jsonio import frame_from_json
-from localic.sublocale import span
+from localic.sublocale import point_sublocales, span
 
 from oracles import is_point
 
@@ -134,7 +136,7 @@ def test_min_points_are_the_minimal_points_and_the_points_of_bl(
 
 def test_labels_roundtrip(c3):
     for i in range(c3.n):
-        assert c3.index_of(c3.label(i)) == i
+        assert c3.index_of(c3.labels[i]) == i
 
 
 # -- brute-force oracle for frame_from_leq -----------------------------------
@@ -248,7 +250,7 @@ def _check_by_definition(n, pairs):
         bottom = f.bottom
         pseudo = [impl[x][bottom] for x in range(n)]
         assert [f.pseudocomplement(x) for x in range(n)] == pseudo, up
-        assert f._impl is None, up
+        assert "impl" not in f.kept, up
         assert f.dense_elements_mask() == sum(
             1 << x for x in range(n) if pseudo[x] == bottom), up
         assert booleanization(f).mask == sum(
@@ -458,30 +460,52 @@ def _twins():
     yield downset_frame(2, frozenset(), name="P2"), view
 
 
+# Each name in a frame's store, with a call that fills it
 _FILLS = {
-    "_label_index": lambda f: f.index_of(f.labels[0]),
-    "_impl": lambda f: f.impl_table,
-    "_min_pts": lambda f: span(f, f.points_mask()),
-    "_views": lambda f: booleanization(f).as_frame(),
-    "_contexts": whole_context,
-    "_sublocales": enumerate_sublocales,
+    "index": lambda f: f.index_of(f.labels[0]),
+    "meet": lambda f: f.meet_table,
+    "impl": lambda f: f.impl_table,
+    "span": lambda f: span(f, f.points_mask()),
+    "sublocales": enumerate_sublocales,
+    "points": point_sublocales,
+    "dense": gen_dense_sublocales,
+    "view": lambda f: booleanization(f).as_frame(),
+    "inclusion": lambda f: inclusion_map(booleanization(f)),
+    "context": whole_context,
 }
 
 
+def _names(f: FiniteFrame) -> set[str]:
+    """The names in a frame's store: a key, or a (name, mask) key's name."""
+    return {key if isinstance(key, str) else key[0] for key in f.kept}
+
+
 def test_frames_of_equal_masks_share_only_the_shape():
-    kept = [slot for slot in FiniteFrame.__slots__
-            if getattr(chain_frame(2), slot) is None]
-    assert set(_FILLS) <= set(kept)
-    for slot, fill in _FILLS.items():
+    # each frame starts with an empty store of its own, and what one twin
+    # fills never shows on the other
+    for name, fill in _FILLS.items():
         for f, g in _twins():
             assert f is not g and f.up is g.up and f._by_jm is g._by_jm
             assert f.labels != g.labels and f.name != g.name
             assert f.subject() != g.subject()
+            assert f.kept == g.kept == {} and f.kept is not g.kept
             fill(f)
-            assert getattr(f, slot) is not None, slot
-            assert [s for s in kept if getattr(g, s) is not None] == [], slot
+            assert name in _names(f) and g.kept == {}, name
             fill(g)
-            assert getattr(f, slot) is not getattr(g, slot), slot
+            assert f.kept.keys() == g.kept.keys(), name
+            assert all(f.kept[k] is not g.kept[k] for k in f.kept), name
+
+
+def test_the_store_is_the_only_slot_filled_after_building():
+    # building a frame sets every other slot, and no fill rebinds one
+    f = chain_frame(3)
+    rest = [slot for slot in FiniteFrame.__slots__ if slot != "kept"]
+    built = [getattr(f, slot) for slot in rest]
+    assert None not in built
+    for fill in _FILLS.values():
+        fill(f)
+    assert all(getattr(f, slot) is v for slot, v in zip(rest, built))
+    assert _names(f) == set(_FILLS)
 
 
 def test_the_per_call_checks_run_on_a_memoised_shape(monkeypatch):

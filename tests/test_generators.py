@@ -219,7 +219,7 @@ def test_gen_dense_sublocales(tier1_frames):
             assert all(kept[s.mask] == s and
                        kept[s.mask].as_frame() is s.as_frame() for s in got)
             if len(dense) <= MAX_CONTEXTS_PER_FRAME:
-                assert got == dense, f.name
+                assert tuple(got) == dense, f.name
                 continue
             masks = [s.mask for s in got]
             assert len(got) == MAX_CONTEXTS_PER_FRAME + 1, f.name

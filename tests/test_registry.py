@@ -1,12 +1,17 @@
+import itertools
+
 import pytest
 
 from localic import (
-    DenseSquare, GenSpec, RemoteContext, SquareChain, Triangle, chain_frame,
-    diagrams, generators, registry, remoteness,
+    DenseSquare, GenSpec, RemoteContext, SquareChain, Sublocale, Triangle,
+    dense_context, diagrams, generators, registry, remoteness,
 )
-from localic.frame import FiniteFrame
+from localic.frame import FiniteFrame, _mask_of, bits
+from localic.sublocale import span
 from localic.registry import CHECKS, REGISTRY, SCOPES, checks_in_scope
 from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS, CheckResult
+
+from test_cli import PINNED_REPORTS
 
 
 def test_registry_scopes_match_check_tables():
@@ -80,14 +85,6 @@ def test_runner_writes_the_row(monkeypatch):
 
 # -- verdicts do not depend on what is kept ------------------------------------
 
-def _kept_frame_slots() -> list[str]:
-    """The FiniteFrame slots that a freshly built frame leaves None: every
-    value a frame keeps once it is first asked for."""
-    fresh = chain_frame(2)
-    return [slot for slot in FiniteFrame.__slots__
-            if getattr(fresh, slot) is None]
-
-
 def _squares_of(inst) -> list[DenseSquare]:
     if isinstance(inst, DenseSquare):
         return [inst]
@@ -98,9 +95,9 @@ def _squares_of(inst) -> list[DenseSquare]:
     return []
 
 
-def _unkept(inst, slots: list[str]):
-    """inst with every value it can reach reset: the kept slots of its
-    frames, its squares' adjoint verdicts, and for a context a new one."""
+def _unkept(inst):
+    """inst with every value it can reach reset: the stores of its frames,
+    its squares' adjoint verdicts, and for a context a new one."""
     squares = _squares_of(inst)
     if isinstance(inst, FiniteFrame):
         frames = [inst]
@@ -111,8 +108,7 @@ def _unkept(inst, slots: list[str]):
         frames = [frame for sq in squares for frame in
                   (sq.s_frame, sq.t_frame, sq.l_frame, sq.m_frame)]
     for frame in frames:
-        for slot in slots:
-            setattr(frame, slot, None)
+        frame.kept.clear()
     for sq in squares:
         sq._commute = None
     return inst
@@ -124,23 +120,30 @@ def _replay_differences(spec: GenSpec) -> tuple[int, list]:
     corpus = generators.build_corpus(spec)
     rows = [(c, inst, c.runner(inst)) for scope in SCOPES
             for inst in corpus[scope] for c in checks_in_scope(scope)]
-    slots = _kept_frame_slots()
     wrong = []
     for c, inst, row in rows:
-        again = c.runner(_unkept(inst, slots))
+        again = c.runner(_unkept(inst))
         if (again.verdict, again.witness) != (row.verdict, row.witness):
             wrong.append((c.id, row.subject, row.verdict, again.verdict))
     return len(rows), wrong
 
 
-@pytest.mark.parametrize("max_size, replays", [(3, 7026), (4, 8172)])
-def test_replay_with_nothing_kept(max_size, replays):
-    # each row, replayed with every value it could read from an earlier
-    # check reset, gives the same verdict and witness
-    assert {"_meet", "_views", "_inclusions", "_contexts"} \
-        <= set(_kept_frame_slots())
-    spec = GenSpec("all-posets-up-to", max_size)
-    assert _replay_differences(spec) == (replays, [])
+# The rows of each pinned report's suite
+_REPLAYS = {
+    "all-posets-up-to-3": 7_026, "all-posets-up-to-4": 8_172,
+    "all-posets-up-to-5": 15_496, "random-poset-12-200-7": 16_642,
+    "finite-topology-16-100": 9_896, "chain-16": 9_644,
+    "boolean-algebra-16": 914,
+}
+
+
+@pytest.mark.parametrize("name", list(_REPLAYS))
+def test_replay_with_nothing_kept(name):
+    # each row of every pinned report, replayed with every value it could
+    # read from an earlier check reset, gives the same verdict and witness
+    assert _REPLAYS.keys() == PINNED_REPORTS.keys()
+    spec, _ = PINNED_REPORTS[name]
+    assert _replay_differences(spec) == (_REPLAYS[name], [])
 
 
 def test_induced_frames_fill_no_lattice_table(monkeypatch):
@@ -162,24 +165,89 @@ def test_induced_frames_fill_no_lattice_table(monkeypatch):
                 c.runner(inst)
     frames = {id(f) for f in corpus["frame"]}
     views = [f for f in built if id(f) not in frames]
-    assert [f for f in views if f._impl is not None] == []
-    assert [f for f in built if f._meet is not None] == []
+    assert [f for f in views if "impl" in f.kept] == []
+    assert [f for f in built if "meet" in f.kept] == []
     assert not hasattr(FiniteFrame, "join_table")
     assert (len(built), len(frames), len(views)) == (93, 25, 68)
-    assert sum(f._impl is not None for f in built) == 25
+    assert sum("impl" in f.kept for f in built) == 25
 
 
 def test_replay_catches_a_kept_context_keyed_by_frame(monkeypatch):
     # a dense_context keyed by the frame alone hands every S the first
     # context built on L; the replay sees rows that change
     def by_frame(frame, s):
-        if frame._contexts is None:
-            frame._contexts = {}
-        if 0 not in frame._contexts:
-            frame._contexts[0] = RemoteContext(frame, s)
-        return frame._contexts[0]
+        if "context" not in frame.kept:
+            frame.kept["context"] = RemoteContext(frame, s)
+        return frame.kept["context"]
 
     for module in (remoteness, diagrams, generators):
         monkeypatch.setattr(module, "dense_context", by_frame)
     _, wrong = _replay_differences(GenSpec("all-posets-up-to", 3))
     assert wrong
+
+
+# -- verdicts do not depend on labels ------------------------------------------
+
+def _moved(perm, rel: frozenset) -> frozenset:
+    return frozenset((perm[i], perm[j]) for i, j in rel)
+
+
+def _relabelling(n: int, rel: frozenset):
+    """A permutation of the n points that is no automorphism of the order:
+    the first, in the order of ``itertools.permutations``, whose downset
+    frame has other up-masks, else the first at all; None when every
+    permutation is an automorphism, as on an antichain."""
+    moved = [p for p in itertools.permutations(range(n))
+             if _moved(p, rel) != rel]
+    up = generators.downset_frame(n, rel).up
+    return next((p for p in moved
+                 if generators.downset_frame(n, _moved(p, rel)).up != up),
+                next(iter(moved), None))
+
+
+def _carry(f: FiniteFrame, g: FiniteFrame, perm) -> list[int]:
+    """The element map of the isomorphism f -> g that a relabelling of the
+    points induces: each down-set, named by its points, to its image."""
+    def points(label):
+        return [] if label == "o" else [int(c) for c in label]
+
+    return [g.index_of("".join(sorted(str(perm[p]) for p in points(lab)))
+                       or "o") for lab in f.labels]
+
+
+def test_verdicts_survive_a_relabelling():
+    # every poset on at most 4 points that some permutation moves, rebuilt
+    # from its relabelled order: each frame check, and each context check
+    # on every dense S carried across by its points, gives the verdict it
+    # gives on the original.  Squares, chains and triangles are left to a
+    # later step: they need the maps carried across too
+    differ, frames, reordered, contexts = [], 0, 0, 0
+    for n in range(5):
+        for idx, rel in enumerate(generators.all_posets(n)):
+            perm = _relabelling(n, rel)
+            if perm is None:
+                continue
+            f = generators.downset_frame(n, rel, name=f"P{n}-{idx}")
+            g = generators.downset_frame(n, _moved(perm, rel),
+                                         name=f"P{n}-{idx}'")
+            carry = _carry(f, g, perm)
+            assert all(g.up[carry[a]] == _mask_of(carry[x] for x in bits(u))
+                       for a, u in enumerate(f.up)), f
+            frames += 1
+            reordered += f.up != g.up
+            pairs = [(f, g, checks_in_scope("frame"))]
+            for s in generators.gen_dense_sublocales(f):
+                pts = f.points_mask() & s.mask
+                t = span(g, _mask_of(carry[p] for p in bits(pts)))
+                assert t == _mask_of(carry[x] for x in bits(s.mask)), s
+                pairs.append((dense_context(f, s),
+                              dense_context(g, Sublocale(g, t)),
+                              checks_in_scope("context")))
+                contexts += 1
+            differ += [(c.id, a.subject()) for a, b, checks in pairs
+                       for c in checks
+                       if c.runner(a).verdict != c.runner(b).verdict]
+    assert differ == []
+    # the five antichains (0 to 4 points) have no such permutation, and on
+    # 11 of the others every relabelling rebuilds the same up-masks
+    assert (frames, reordered, contexts) == (20, 9, 88)

@@ -292,7 +292,7 @@ def test_downward_closure_catches_non_down_closed_predicate(b2):
 def test_contexts_are_kept_per_frame_and_s():
     # one context per frame and dense S, built on first use
     f = chain_frame(3)
-    assert f._contexts is None
+    assert f.kept == {}
     whole = whole_context(f)
     assert whole is dense_context(f, whole_subl(f)) is whole_context(f)
     assert bl_context(f) is dense_context(f, booleanization(f))

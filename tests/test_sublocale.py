@@ -3,10 +3,11 @@ import random
 import pytest
 
 from localic import (
-    InvalidSublocale, MixedFrames, Sublocale, boolean_frame, booleanization,
-    chain_frame, closed_subl, enumerate_sublocales, is_dense_in_itself,
-    is_nowhere_dense, is_rare, is_sublocale, nd_join, nucleus_map, open_subl,
-    subl_join, subl_meet, supplement, void_subl, whole_subl,
+    InvalidSublocale, MixedFrames, RemoteContext, Sublocale, boolean_frame,
+    booleanization, chain_frame, closed_subl, dense_context,
+    enumerate_sublocales, identity_map, is_dense_in_itself, is_nowhere_dense,
+    is_rare, is_sublocale, nd_join, nucleus_map, open_subl, subl_join,
+    subl_meet, supplement, void_subl, whole_subl,
 )
 from localic.diagrams import is_complemented_subl
 from localic.frame import bits
@@ -87,9 +88,9 @@ def test_span_by_minimal_points_matches_meet_rule(tier1_frames):
 def test_span_table_is_built_on_first_use():
     # a frame is built without the table; the first span fills it
     f = chain_frame(5)
-    assert f._min_pts is None
+    assert "span" not in f.kept
     assert span(f, 0) == 1 << f.top
-    assert f._min_pts is not None
+    assert "span" in f.kept
 
 
 def test_boolean_sublocales_are_closed(b2):
@@ -223,16 +224,27 @@ def test_nd_join_matches_oracle(tier1_frames):
                 assert nd_join(f, s) == nd_join_oracle(f, s)
 
 
+def image_subl(frame, s):
+    return identity_map(frame).image_subl(s)
+
+
+def preimage_subl(frame, s):
+    return identity_map(frame).preimage_subl(s)
+
+
 @pytest.mark.parametrize("fn", [
     supplement, nd_join, nd_join_oracle, is_rare, is_nowhere_dense,
-    is_complemented_subl,
+    is_complemented_subl, RemoteContext, dense_context, image_subl,
+    preimage_subl,
 ], ids=lambda fn: fn.__name__)
 def test_a_sublocale_of_another_frame_is_refused(fn, c3, c4):
     # whole_subl is dense, so only the frame check can refuse it; a chain
-    # equal to C3, but another object, is another frame
+    # equal to C3, but another object, is another frame.  Every call site
+    # goes through the one check, with its one message
     for other in (c4, chain_frame(3)):
-        with pytest.raises(MixedFrames):
+        with pytest.raises(MixedFrames) as info:
             fn(c3, whole_subl(other))
+        assert str(info.value) == "sublocales belong to different frames"
     fn(c3, whole_subl(c3))
 
 
