@@ -245,7 +245,7 @@ def _close_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 # 16) to 134 (posets5 at --jobs 1) distinct orders in one process, a
 # query16 batch 40; a shape holds about 3 KB at 16 elements and 12 KB at
 # 64, so a full memo holds 0.8 MB of 16-element shapes or 3 MB of
-# 64-element ones.
+# 64-element ones.  ``jsonio.load_document`` keeps as many frame documents.
 _SHAPES = 256
 
 

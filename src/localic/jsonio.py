@@ -14,15 +14,30 @@ they mention and reference them by name.
 
 Labels and names are strings, and the labels of a frame are distinct.  A
 field of any other shape raises InvalidDocument.
+
+:func:`load_document` keeps what a frame document determines, its
+up-masks, labels and name, keyed by the file's bytes, for the ``_SHAPES``
+(256) documents it loaded last.  A file whose bytes it holds skips the
+JSON decode, the pair walk and the closure, and goes straight to
+:func:`frame_from_leq`, so the size cap (as it reads at the call), the
+shape memo and the labels are checked on every load, and every load
+returns a new frame with its own empty ``kept`` store.  A document that
+raises, and a map, square or chain document, is never kept.  An entry
+holds the file's bytes beside the frame's up-masks and labels, about
+7 KB at the 64-element cap with labels of up to three characters.  Such
+a document that lists each pair of its order once is at most 33 KB (the
+chain C64, 2,080 pairs), so a full memo of them holds under 10 MB; a
+document that repeats pairs or has long labels is kept at its own size.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Union
 
 from .errors import InvalidDocument
-from .frame import FiniteFrame, build_frame
+from .frame import _SHAPES, FiniteFrame, build_frame, frame_from_leq
 
 if TYPE_CHECKING:
     # imported at run time by the branches that build them, so reading a
@@ -141,13 +156,29 @@ def document_from_json(doc: dict) -> Document:
     raise InvalidDocument(f"unknown document type {kind!r}")
 
 
+# A frame document's (up, labels, name), keyed by the file's bytes; the
+# most recently loaded last
+_FRAME_DOCS: OrderedDict[bytes, tuple] = OrderedDict()
+
+
 def load_document(path: str) -> Document:
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
+            data = fh.read()
     except OSError as e:
         raise InvalidDocument(f"cannot read {path}: {e}")
+    kept = _FRAME_DOCS.get(data)
+    if kept is not None:
+        _FRAME_DOCS.move_to_end(data)
+        return frame_from_leq(*kept)
+    try:
+        doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, bytes that are not text, or nesting too deep
         raise InvalidDocument(f"not valid JSON: {e}")
-    return document_from_json(doc)
+    obj = document_from_json(doc)
+    if isinstance(obj, FiniteFrame):
+        _FRAME_DOCS[data] = (obj.up, obj.labels, obj.name)
+        if len(_FRAME_DOCS) > _SHAPES:
+            _FRAME_DOCS.popitem(last=False)
+    return obj

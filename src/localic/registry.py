@@ -414,7 +414,25 @@ def _beta(sq: DenseSquare, ctx_l: RemoteContext,
 
 def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
            ctx_m: RemoteContext) -> Optional[str]:
-    """A remote image under f, or f(x) in Rmt of M, forces the same in L."""
+    """A remote image under f, or f(x) in Rmt of M, forces the same in L.
+
+    The body of ``beta1`` and, on the star contexts, of ``beta1star``.  On
+    finite frames g skeletal alone gives both, without the other two
+    hypotheses of ``beta1star``.  Let phi be f on points, Q and R the
+    points of alpha[S] and omega[T], and M_Q, M_R the miss masks of
+    (L, alpha[S]) and (M, omega[T]): the up-closures of Q - Min and
+    R - Min, within the points.  Lemma: phi[M_Q] <= M_R.  Take p >= q,
+    q in Q - Min.  q is a non-minimal point of S; a skeletal g sends it
+    to a non-minimal point of T, and the square commutes, so phi(q) is in
+    R - Min; phi is monotone, so phi(p) is in M_R.  The square commutes,
+    so phi[Q] <= R, and the star masks M_Q | Q and M_R | R follow.  Read
+    point by point, the lemma is the sublocale part (a point of A in M_Q
+    puts phi of it in f[A] and M_R).  The Rmt part: x is outside Rmt iff
+    x <= p for some p in the miss mask, and x <= p gives f(x) <= phi(p),
+    so x outside Rmt of L puts f(x) outside Rmt of M.
+    ``test_a_skeletal_g_keeps_the_miss_masks`` checks the lemma on the
+    3-point square space.
+    """
     for a in point_sublocales(sq.l_frame):
         if ctx_m.is_remote_from(sq.f.image_subl(a)) \
                 and not ctx_l.is_remote_from(a):
@@ -429,7 +447,16 @@ def _beta1(sq: DenseSquare, ctx_l: RemoteContext,
 
 def _for(sq: DenseSquare, ctx_l: RemoteContext,
          ctx_m: RemoteContext) -> Optional[str]:
-    """f pulls remote sublocales and Rmt elements of M back into L."""
+    """f pulls remote sublocales and Rmt elements of M back into L.
+
+    The body of ``for`` and, on the star contexts, of ``forstar``.  On
+    finite frames g skeletal alone gives both, by the lemma in
+    :func:`_beta1`: phi[M_Q] <= M_R, and phi[M_Q | Q] <= M_R | R for the
+    star masks.  The sublocale part: a point p of f^-1[A] in M_Q puts
+    phi(p) in A and M_R, so A is not remote.  The Rmt part: f*(x) <= p
+    iff x <= f(p) = phi(p), so f*(x) below a point of M_Q puts x below
+    one of M_R.
+    """
     for a in _remote_points(ctx_m):
         if not ctx_l.is_remote_from(sq.f.preimage_subl(a)):
             return f"A={a.labels()}"

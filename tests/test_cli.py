@@ -16,9 +16,12 @@ from localic import (
     RemoteContext, SquareChain, Triangle, checks_in_scope, cli,
     enumerate_sublocales,
 )
-from localic import frame
+from localic import frame, jsonio
 from localic.cli import main
-from localic.errors import FrameTooLarge, InvalidDocument, NotALattice
+from localic.errors import (
+    FrameTooLarge, InvalidDocument, NotALattice, NotAPartialOrder,
+    NotDistributive,
+)
 from localic.frame import frame_from_leq
 from localic.generators import FAMILIES, GenSpec, gen_frames
 from localic.jsonio import document_from_json
@@ -409,7 +412,9 @@ def _elements(n: int) -> list[str]:
     return [f"e{i}" for i in range(n)]
 
 
-@pytest.mark.parametrize("doc, error, message", [
+# Frame documents with an error, and what each raises: pair shapes first,
+# then labels, then the size cap, then the order
+FRAME_DOC_ERRORS = [
     # every pair's shape is checked before any label
     ({"elements": ["a", "b"], "order": [["a", "x"], ["a"]]},
      InvalidDocument, "'order' must be a list of [a, b] pairs"),
@@ -435,13 +440,40 @@ def _elements(n: int) -> list[str]:
      InvalidDocument, "'order' must be a list of [a, b] pairs"),
     ({"elements": ["a", "b"], "order": {"a": "b"}},
      InvalidDocument, "'order' must be a list of [a, b] pairs"),
-], ids=["shape-after-unknown", "shape-after-unhashable", "first-unknown",
-        "unhashable", "unknown-in-70", "unknown-in-empty", "empty",
-        "cap", "shape-in-70", "order-not-a-list"])
+    # orders that the shape check refuses
+    ({"elements": ["0", "a", "b", "c", "1"],
+      "order": [["0", "a"], ["a", "1"], ["0", "b"], ["b", "c"], ["c", "1"]]},
+     NotDistributive, "witness triple (3,1,2): 3/\\(1\\/2)=3 but "
+     "(3/\\1)\\/(3/\\2)=2"),
+    ({"elements": ["0", "m"], "order": [["0", "m"], ["m", "0"]]},
+     NotAPartialOrder, "elements 0 and 1 are in a cycle"),
+]
+FRAME_DOC_ERROR_IDS = [
+    "shape-after-unknown", "shape-after-unhashable", "first-unknown",
+    "unhashable", "unknown-in-70", "unknown-in-empty", "empty", "cap",
+    "shape-in-70", "order-not-a-list", "n5", "cycle"]
+
+
+@pytest.mark.parametrize("doc, error, message", FRAME_DOC_ERRORS,
+                         ids=FRAME_DOC_ERROR_IDS)
 def test_frame_document_errors_fire_in_order(doc, error, message):
     with pytest.raises(error) as info:
         document_from_json({"type": "frame", **doc})
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("doc, error, message", FRAME_DOC_ERRORS,
+                         ids=FRAME_DOC_ERROR_IDS)
+def test_frame_document_errors_fire_in_order_from_a_file(doc, error, message,
+                                                         tmp_path, doc_memo):
+    # the same error from a file, loaded cold and again: no error is kept,
+    # so an order that the shape check refuses raises on every load
+    path = _write(tmp_path, "bad.json", {"type": "frame", **doc})
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            jsonio.load_document(path)
+        assert type(info.value) is error and str(info.value) == message
+    assert doc_memo == {}
 
 
 def test_frame_document_cap_before_masks(monkeypatch):
@@ -455,6 +487,100 @@ def test_frame_document_cap_before_masks(monkeypatch):
     with pytest.raises(FrameTooLarge) as info:
         document_from_json(doc)
     assert str(info.value) == "10000 elements exceeds the cap of 64"
+
+
+# -- the frame-document memo of load_document ----------------------------------
+
+@pytest.fixture
+def doc_memo():
+    """load_document's memo, emptied before and after the test."""
+    jsonio._FRAME_DOCS.clear()
+    yield jsonio._FRAME_DOCS
+    jsonio._FRAME_DOCS.clear()
+
+
+def _slots(f: FiniteFrame) -> list:
+    return [getattr(f, slot) for slot in FiniteFrame.__slots__
+            if slot != "kept"]
+
+
+B2_DOC = {"type": "frame", "name": "B2", "elements": ["0", "a", "b", "1"],
+          "order": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
+
+
+def test_a_kept_document_loads_as_a_new_frame(tmp_path, doc_memo):
+    # each load returns a new frame with an empty store of its own, equal
+    # slot for slot to a cold build
+    path = _write(tmp_path, "b2.json", B2_DOC)
+    cold = document_from_json(B2_DOC)
+    first = jsonio.load_document(path)
+    assert len(doc_memo) == 1 and first.kept == {}
+    first.index_of("a")
+    again = jsonio.load_document(path)
+    assert again is not first and again.kept == {} and "index" in first.kept
+    assert _slots(again) == _slots(first) == _slots(cold)
+
+
+def test_the_document_memo_keys_on_the_bytes(tmp_path, doc_memo):
+    # a file rewritten with another order between two loads gives the new
+    # frame
+    path = _write(tmp_path, "frame.json", C3_DOC)
+    assert jsonio.load_document(path).n == 3
+    _write(tmp_path, "frame.json", B2_DOC)
+    new = jsonio.load_document(path)
+    assert _slots(new) == _slots(document_from_json(B2_DOC))
+    assert len(doc_memo) == 2
+
+
+def test_the_cap_is_read_at_each_load_of_a_kept_document(
+        tmp_path, doc_memo, monkeypatch):
+    path = _write(tmp_path, "c3.json", C3_DOC)
+    assert jsonio.load_document(path).n == 3
+    monkeypatch.setattr(frame, "MAX_ELEMENTS", 2)
+    with pytest.raises(FrameTooLarge) as warm:
+        jsonio.load_document(path)
+    assert str(warm.value) == "3 elements exceeds the cap of 2"
+    doc_memo.clear()    # a cold load raises the same
+    with pytest.raises(FrameTooLarge) as cold:
+        jsonio.load_document(path)
+    assert str(cold.value) == str(warm.value)
+
+
+@pytest.mark.parametrize("doc, kind", [
+    (MAP_DOC, LocalicMap), (SQUARE_DOC, DenseSquare),
+], ids=["map", "square"])
+def test_other_documents_are_never_kept(doc, kind, tmp_path, doc_memo,
+                                        monkeypatch):
+    # a map or square document is decoded once on each load, and a frame
+    # document only on its first
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda text: decoded.append(text) or loads(text))
+    path = _write(tmp_path, "doc.json", doc)
+    for _ in range(2):
+        assert type(jsonio.load_document(path)) is kind
+    assert len(decoded) == 2 and doc_memo == {}
+    path = _write(tmp_path, "c3.json", C3_DOC)
+    for _ in range(2):
+        jsonio.load_document(path)
+    assert len(decoded) == 3 and len(doc_memo) == 1
+
+
+def test_the_document_memo_is_bounded(tmp_path, doc_memo):
+    # one more distinct document than the memo holds: it stays full, and
+    # the least recently loaded, evicted, loads anew to an equal frame
+    bound = frame._SHAPES
+    paths = [_write(tmp_path, f"c3-{i}.json", dict(C3_DOC, name=f"C3-{i}"))
+             for i in range(bound + 1)]
+    first = jsonio.load_document(paths[0])
+    for path in paths[1:]:
+        jsonio.load_document(path)
+    assert len(doc_memo) == bound
+    with open(paths[0], "rb") as fh:
+        assert fh.read() not in doc_memo
+    again = jsonio.load_document(paths[0])
+    assert len(doc_memo) == bound and _slots(again) == _slots(first)
 
 
 def test_non_ascii_labels_round_trip(tmp_path, capsys):

@@ -114,6 +114,34 @@ def test_each_square_hypothesis_is_pinned(square_space):
                for _, first in DROPPED_HYPOTHESES.values()) == 16
 
 
+def test_a_skeletal_g_keeps_the_miss_masks(square_space):
+    # the lemma that makes pulls_omega_to_alpha redundant for beta1star and
+    # forstar on finite frames (proof in registry._beta1 and _for): with
+    # phi f's point map, Q and R the points of alpha[S] and omega[T], and
+    # M_Q and M_R the miss masks of (L, alpha[S]) and (M, omega[T]), a
+    # skeletal g gives phi[M_Q] <= M_R and phi[M_Q | Q] <= M_R | R, the
+    # second pair being the masks of the star contexts.  The first holds
+    # only if g is skeletal: a point of S that g moves to a minimal point
+    # goes to a minimal point of M, which M_R misses
+    skeletal = unpulled = 0
+    for sq in square_space():
+        q = sq.alpha_image.mask & sq.l_frame.points_mask()
+        r = sq.omega_image.mask & sq.m_frame.points_mask()
+        is_skeletal = sq.g.is_skeletal()
+        skeletal += is_skeletal
+        unpulled += is_skeletal and not registry.pulls_omega_to_alpha(sq)
+        for oracle in (False, True):
+            m_q = sq.ctx_l().miss_points(oracle)
+            m_r = sq.ctx_m().miss_points(oracle)
+            assert sq.ctx_l().star().miss_points(oracle) == m_q | q
+            assert sq.ctx_m().star().miss_points(oracle) == m_r | r
+            kept = sq.f.point_image(m_q) & ~m_r == 0
+            assert kept == is_skeletal, sq
+            if is_skeletal:
+                assert sq.f.point_image(m_q | q) & ~(m_r | r) == 0, sq
+    assert (skeletal, unpulled) == (1206, 578)
+
+
 def test_identity_square_passes_everything(c3):
     sq = identity_square(c3, booleanization(c3))
     for check in checks_in_scope("square"):

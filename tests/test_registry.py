@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -10,6 +11,7 @@ from localic.frame import FiniteFrame, _mask_of, bits
 from localic.sublocale import span
 from localic.registry import CHECKS, REGISTRY, SCOPES, checks_in_scope
 from localic.registry import FAIL, HYPOTHESES_NOT_MET, PASS, CheckResult
+from localic.cli import render_report
 
 from test_cli import PINNED_REPORTS
 
@@ -114,18 +116,37 @@ def _unkept(inst):
     return inst
 
 
-def _replay_differences(spec: GenSpec) -> tuple[int, list]:
+def _report_of(spec: GenSpec, corpus: dict, rows: list) -> str:
+    """The suite report of ``rows``, every check on ``corpus``, as
+    ``localic suite`` writes it."""
+    tallies = {cid: {PASS: 0, HYPOTHESES_NOT_MET: 0, FAIL: 0}
+               for cid in REGISTRY}
+    for row in rows:
+        tallies[row.check_id][row.verdict] += 1
+    failures = sorted((row.to_json() for row in rows if row.verdict == FAIL),
+                      key=lambda r: (r["statement_id"], r["subject"],
+                                     r["witness"]))
+    return render_report({
+        "schema": 1, "genspec": spec.to_json(), "filter": "*",
+        "corpus": {scope: len(items) for scope, items in corpus.items()},
+        "checks": tallies, "failures": failures})
+
+
+def _replay_differences(spec: GenSpec) -> tuple[int, list, str]:
     """Run every check on every instance as the suite does, then replay
-    each row with nothing kept; the replays and the rows that differ."""
+    each row with nothing kept; the replays, the rows that differ, and the
+    digest of the report of the replayed rows."""
     corpus = generators.build_corpus(spec)
     rows = [(c, inst, c.runner(inst)) for scope in SCOPES
             for inst in corpus[scope] for c in checks_in_scope(scope)]
-    wrong = []
+    wrong, replayed = [], []
     for c, inst, row in rows:
         again = c.runner(_unkept(inst))
+        replayed.append(again)
         if (again.verdict, again.witness) != (row.verdict, row.witness):
             wrong.append((c.id, row.subject, row.verdict, again.verdict))
-    return len(rows), wrong
+    report = _report_of(spec, corpus, replayed)
+    return len(rows), wrong, hashlib.sha256(report.encode()).hexdigest()
 
 
 # The rows of each pinned report's suite
@@ -140,10 +161,11 @@ _REPLAYS = {
 @pytest.mark.parametrize("name", list(_REPLAYS))
 def test_replay_with_nothing_kept(name):
     # each row of every pinned report, replayed with every value it could
-    # read from an earlier check reset, gives the same verdict and witness
+    # read from an earlier check reset, gives the same verdict and witness,
+    # and the replayed rows give the pinned report
     assert _REPLAYS.keys() == PINNED_REPORTS.keys()
-    spec, _ = PINNED_REPORTS[name]
-    assert _replay_differences(spec) == (_REPLAYS[name], [])
+    spec, digest = PINNED_REPORTS[name]
+    assert _replay_differences(spec) == (_REPLAYS[name], [], digest)
 
 
 def test_induced_frames_fill_no_lattice_table(monkeypatch):
@@ -182,7 +204,7 @@ def test_replay_catches_a_kept_context_keyed_by_frame(monkeypatch):
 
     for module in (remoteness, diagrams, generators):
         monkeypatch.setattr(module, "dense_context", by_frame)
-    _, wrong = _replay_differences(GenSpec("all-posets-up-to", 3))
+    _, wrong, _ = _replay_differences(GenSpec("all-posets-up-to", 3))
     assert wrong
 
 
