@@ -167,10 +167,10 @@ def load_document(path: str) -> Document:
             data = fh.read()
     except OSError as e:
         raise InvalidDocument(f"cannot read {path}: {e}")
-    kept = _FRAME_DOCS.get(data)
-    if kept is not None:
+    entry = _FRAME_DOCS.get(data)
+    if entry is not None:
         _FRAME_DOCS.move_to_end(data)
-        return frame_from_leq(*kept)
+        return frame_from_leq(*entry)
     try:
         doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:

@@ -135,8 +135,8 @@ def test_a_skeletal_g_keeps_the_miss_masks(square_space):
             m_r = sq.ctx_m().miss_points(oracle)
             assert sq.ctx_l().star().miss_points(oracle) == m_q | q
             assert sq.ctx_m().star().miss_points(oracle) == m_r | r
-            kept = sq.f.point_image(m_q) & ~m_r == 0
-            assert kept == is_skeletal, sq
+            inside = sq.f.point_image(m_q) & ~m_r == 0
+            assert inside == is_skeletal, sq
             if is_skeletal:
                 assert sq.f.point_image(m_q | q) & ~(m_r | r) == 0, sq
     assert (skeletal, unpulled) == (1206, 578)
