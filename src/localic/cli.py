@@ -270,10 +270,10 @@ query     ask about a frame document: booleanization, sublocale-count,
           dense-in-itself?, or, of one dense S (default S=L), remote-set,
           rs, star-rs, nd, rare?
 suite     run the theorem suite over a generated corpus; FAMILY is one of
-          all-posets-up-to, random-poset, chain, boolean-algebra,
-          finite-topology; --count is for the random families, --filter
-          a check-id glob, --jobs 0 (the default) the usable CPUs, and
-          --out a file that also receives the report
+          all-posets-up-to, random-poset, chain, boolean-algebra; --count
+          is for random-poset, --filter a check-id glob, --jobs 0 (the
+          default) the usable CPUs, and --out a file that also receives
+          the report
 
 An option takes its value as --opt VALUE or --opt=VALUE, and is given
 at most once.

@@ -1,7 +1,7 @@
 """Instance generators, and :func:`build_corpus`, the suite's corpus.
 
 Everything here is deterministic given a :class:`GenSpec`: the exhaustive
-families enumerate in a fixed order and the random families derive all
+families enumerate in a fixed order and ``random-poset`` derives all
 choices from the seed.  Emitted objects are validated through the regular
 constructors, never assumed correct; a constructor that rejects one
 raises, since a generated diagram that fails validation is a bug.
@@ -23,8 +23,7 @@ from .diagrams import DenseSquare, SquareChain, Triangle
 from .remoteness import dense_context
 from .sublocale import Sublocale, dense_sublocales, whole_subl
 
-FAMILIES = ("all-posets-up-to", "random-poset", "chain",
-            "boolean-algebra", "finite-topology")
+FAMILIES = ("all-posets-up-to", "random-poset", "chain", "boolean-algebra")
 
 # Squares and triangles are built only over frames of at most this size.
 DIAGRAM_FRAME_CAP = 8
@@ -37,8 +36,8 @@ MAX_CONTEXTS_PER_FRAME = 16
 SQUARE_BUDGET = 400
 CHAIN_BUDGET = 240
 TRIANGLE_BUDGET = 240
-# The most instances a random family may ask for: a spec above it is
-# refused before anything is built.
+# The most frames random-poset may ask for: a spec above it is refused
+# before anything is built.
 MAX_COUNT = 10_000
 
 
@@ -48,7 +47,7 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
     __slots__ = ()
 
     def __new__(cls, family: str, max_size: int, seed: int = 0,
-                count: int = 0):    # count: random-family instances, 0 = 50
+                count: int = 0):    # count: random-poset frames, 0 = 50
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if max_size < 0 or count < 0:
@@ -57,13 +56,13 @@ class GenSpec(namedtuple("GenSpec", "family max_size seed count")):
         if count > MAX_COUNT:
             raise ValueError(f"count must be at most {MAX_COUNT}, "
                              f"got {count}")
-        # only the random families draw a number of frames; a count
-        # elsewhere would change the report's genspec, not its corpus
-        if count and family not in ("random-poset", "finite-topology"):
+        # only random-poset draws a number of frames; a count elsewhere
+        # would change the report's genspec, not its corpus
+        if count and family != "random-poset":
             raise ValueError(f"{family} takes no count, got {count}")
         # no random frame has under 2 elements, so gen_frames would loop;
         # a chain or Boolean corpus under cap 1 is empty and checks nothing
-        least = {"random-poset": 2, "finite-topology": 2, "chain": 1,
+        least = {"random-poset": 2, "chain": 1,
                  "boolean-algebra": 1}.get(family, 0)
         if max_size < least:
             raise ValueError(f"{family} needs max_size of at least {least}, "
@@ -151,27 +150,6 @@ def _random_poset(rng: random.Random, n_points: int) -> frozenset:
     return frozenset((i, j) for i, m in enumerate(up) for j in bits(m))
 
 
-def _random_topology_frame(rng: random.Random, size_cap: int,
-                           name: str) -> Optional[FiniteFrame]:
-    """Open-set lattice of a random topology on up to 4 points."""
-    k = rng.randint(2, 4)
-    full = (1 << k) - 1
-    opens = {0, full}
-    for _ in range(rng.randint(1, 1 << k)):
-        opens.add(rng.randint(0, full))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(tuple(opens), 2):
-            for c in (a | b, a & b):
-                if c not in opens:
-                    opens.add(c)
-                    changed = True
-    if len(opens) > size_cap:
-        return None
-    return _lattice_of_sets(opens, name)
-
-
 def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
     """The frame corpus for a spec, in a fixed deterministic order."""
     fam = spec.family
@@ -190,25 +168,17 @@ def gen_frames(spec: GenSpec) -> list[FiniteFrame]:
                 if len(downs) <= ENUMERATION_CAP:
                     out.append(_lattice_of_sets(downs, f"P{n}-{idx}"))
         return out
+    # random-poset
     rng = random.Random(spec.seed)
     count = spec.count or 50
     out = []
-    if fam == "random-poset":
-        idx = 0
-        while len(out) < count:
-            n_points = rng.randint(1, 5)
-            downs = _downsets(n_points, _random_poset(rng, n_points))
-            if len(downs) <= spec.max_size:
-                out.append(_lattice_of_sets(downs, f"R{idx}"))
-            idx += 1
-        return out
-    # finite-topology
     idx = 0
     while len(out) < count:
-        f = _random_topology_frame(rng, spec.max_size, name=f"T{idx}")
+        n_points = rng.randint(1, 5)
+        downs = _downsets(n_points, _random_poset(rng, n_points))
+        if len(downs) <= spec.max_size:
+            out.append(_lattice_of_sets(downs, f"R{idx}"))
         idx += 1
-        if f is not None:
-            out.append(f)
     return out
 
 

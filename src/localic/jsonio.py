@@ -15,19 +15,22 @@ they mention and reference them by name.
 Labels and names are strings, and the labels of a frame are distinct.  A
 field of any other shape raises InvalidDocument.
 
-:func:`load_document` keeps what a frame document determines, its
-up-masks, labels and name, keyed by the file's bytes, for the ``_SHAPES``
-(256) documents it loaded last.  A file whose bytes it holds skips the
-JSON decode, the pair walk and the closure, and goes straight to
-:func:`frame_from_leq`, so the size cap (as it reads at the call), the
-shape memo and the labels are checked on every load, and every load
-returns a new frame with its own empty ``kept`` store.  A document that
-raises, and a map, square or chain document, is never kept.  An entry
-holds the file's bytes beside the frame's up-masks and labels, about
-7 KB at the 64-element cap with labels of up to three characters.  Such
-a document that lists each pair of its order once is at most 33 KB (the
-chain C64, 2,080 pairs), so a full memo of them holds under 10 MB; a
-document that repeats pairs or has long labels is kept at its own size.
+:func:`load_document` reads a file until it ends or passes
+``_MAX_BYTES`` (256 KiB), and refuses one that passes it.  The largest
+document the formats need at 64 elements is a chain of six frames, each
+listing all 2,080 pairs of C64 under three-character labels (33 KB),
+and nine 64-entry maps: 205 KB.  It keeps what a frame document
+determines, its up-masks, labels and name, keyed by the file's bytes,
+for the ``_SHAPES`` (256) documents it loaded last.  A file whose bytes
+it holds skips the JSON decode, the pair walk and the closure, and goes
+straight to :func:`frame_from_leq`, so the size cap (as it reads at the
+call), the shape memo and the labels are checked on every load, and
+every load returns a new frame with its own empty ``kept`` store.  A
+document that raises, and a map, square or chain document, is never
+kept.  An entry holds the file's bytes and the labels and name read
+from them, each at most the byte cap, so a full memo holds at most
+about 135 MB; 256 C64 documents that list each pair once hold under
+10 MB.
 """
 
 from __future__ import annotations
@@ -156,6 +159,11 @@ def document_from_json(doc: dict) -> Document:
     raise InvalidDocument(f"unknown document type {kind!r}")
 
 
+# The longest file load_document reads (module docstring), and the piece
+# it reads at a time: one read of the cap would allocate 256 KiB, by a
+# fresh mmap, on every load
+_MAX_BYTES = 1 << 18
+_PIECE = 1 << 16
 # A frame document's (up, labels, name), keyed by the file's bytes; the
 # most recently loaded last
 _FRAME_DOCS: OrderedDict[bytes, tuple] = OrderedDict()
@@ -164,9 +172,16 @@ _FRAME_DOCS: OrderedDict[bytes, tuple] = OrderedDict()
 def load_document(path: str) -> Document:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = b""
+            while len(data) <= _MAX_BYTES:    # at most a piece past the cap
+                piece = fh.read(_PIECE)
+                data += piece
+                if len(piece) < _PIECE:    # a short read ends the file
+                    break
     except OSError as e:
         raise InvalidDocument(f"cannot read {path}: {e}")
+    if len(data) > _MAX_BYTES:
+        raise InvalidDocument(f"{path} is longer than {_MAX_BYTES} bytes")
     entry = _FRAME_DOCS.get(data)
     if entry is not None:
         _FRAME_DOCS.move_to_end(data)

@@ -506,6 +506,17 @@ def check_gamma_remote_preserving(sq: DenseSquare) -> Optional[str]:
 
 
 def check_star_gamma_remote_preserving(sq: DenseSquare) -> Optional[str]:
+    """Three equivalent faces of f-*remote preservation.
+
+    On finite frames they agree without the paper's hypothesis
+    ``commuting_adjoints``, which the registry keeps.  With phi f on
+    points and F the points outside the star miss mask of (L, alpha[S]),
+    *Rs(L) is the span of F, and the points of f[A] are phi of those of
+    A.  So each face, f *remote preserving, f[*Rs(L)] *remote and
+    f[*Rs(L)] <= *Rs(M), says that phi[F] misses M's star mask
+    (``test_star_gamma_faces_are_one_closed_form``).  The plain twin's
+    fourth face, f[BL] remote, reads phi[Min L] and needs the hypothesis.
+    """
     ctx_l, ctx_m = sq.ctx_l().star(), sq.ctx_m().star()
     p1 = is_f_star_remote_preserving(sq)
     img = sq.f.image_subl(ctx_l.rs())

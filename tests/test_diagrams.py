@@ -142,6 +142,28 @@ def test_a_skeletal_g_keeps_the_miss_masks(square_space):
     assert (skeletal, unpulled) == (1206, 578)
 
 
+def test_star_gamma_faces_are_one_closed_form(square_space):
+    # the proof in registry.check_star_gamma_remote_preserving: with phi
+    # f's point map and F the free points of L's star context, each of the
+    # three faces is "phi[F] misses M's star mask", here read on the oracle
+    # route, on every square, the 270 whose adjoints do not commute too;
+    # the form holds on 891 squares, 33 of those 270 among them
+    held = uncommuting = held_uncommuting = 0
+    for sq in square_space():
+        ctx_l, ctx_m = sq.ctx_l().star(), sq.ctx_m().star()
+        free = sq.l_frame.points_mask() & ~ctx_l.miss_points(oracle=True)
+        closed = sq.f.point_image(free) & ctx_m.miss_points(oracle=True) == 0
+        img = sq.f.image_subl(ctx_l.rs())
+        faces = (is_f_star_remote_preserving(sq), ctx_m.is_remote_from(img),
+                 img <= ctx_m.rs())
+        assert faces == (closed,) * 3, sq
+        apart = not sq.adjoints_commute()
+        held += closed
+        uncommuting += apart
+        held_uncommuting += closed and apart
+    assert (held, uncommuting, held_uncommuting) == (891, 270, 33)
+
+
 def test_identity_square_passes_everything(c3):
     sq = identity_square(c3, booleanization(c3))
     for check in checks_in_scope("square"):
@@ -600,3 +622,12 @@ def test_square_space_runner_on_two_points(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("36 squares, 0 disagreements in ")
     assert len(out) == 1 + len(DROPPED_HYPOTHESES)
+
+
+def test_square_space_runner_refuses_a_bad_argument(capsys):
+    import square_space as runner
+    for argv in (["x"], [], ["2", "3"]):
+        assert runner.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage: square_space.py N\n"
