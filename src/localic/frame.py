@@ -245,8 +245,19 @@ def _close_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 # 16) to 134 (posets5 at --jobs 1) distinct orders in one process, a
 # query16 batch 40; a shape holds about 3 KB at 16 elements and 12 KB at
 # 64, so a full memo holds 0.8 MB of 16-element shapes or 3 MB of
-# 64-element ones.  ``jsonio.load_document`` keeps as many frame documents.
+# 64-element ones.  ``jsonio.load_document`` keeps as many frame
+# documents, each with the frame built from it and what that frame has
+# derived in its ``kept`` store (see the ``jsonio`` docstring).
 _SHAPES = 256
+
+
+def require_size(n: int) -> None:
+    """Refuse a frame of ``n`` elements if n < 1 or n > ``MAX_ELEMENTS``,
+    the cap as it reads at the call."""
+    if n <= 0:
+        raise NotALattice("element count must be positive")
+    if n > MAX_ELEMENTS:
+        raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
 
 
 @functools.lru_cache(maxsize=_SHAPES)
@@ -344,21 +355,20 @@ def frame_from_leq(up: Sequence[int],
                    name: Optional[str] = None) -> FiniteFrame:
     """Build a frame from a full partial order given as up-set bitmasks.
 
-    Checks the size against ``MAX_ELEMENTS`` as it reads at the call, then
-    validates the order by :func:`_shape` (a scan of the pairs for meets,
-    joins and distributivity; see its docstring), then the labels; the
-    tables are filled on first use.
+    Checks the size by :func:`require_size`, then validates the order by
+    :func:`_shape` (a scan of the pairs for meets, joins and
+    distributivity; see its docstring), then the labels; the tables are
+    filled on first use.
     ``_shape`` is memoised on ``tuple(up)``, keeping the ``_SHAPES`` (256)
     most recently used orders, so frames built from equal up-masks share one
     validated shape: the order's masks, x*, and the dense, BL and point
-    masks, none of which is ever written.  Every call still returns a new
-    frame with its own labels, name and empty ``kept`` store.
+    masks, none of which is ever written.  Every call returns a new frame
+    with its own labels, name and empty ``kept`` store;
+    ``jsonio.load_document`` calls it once per frame document it keeps and
+    hands that one frame out again on each later load of the same bytes.
     """
     n = len(up)
-    if n == 0:
-        raise NotALattice("a frame needs at least one element")
-    if n > MAX_ELEMENTS:
-        raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
+    require_size(n)
     shape = _shape(tuple(up))
     labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
     if len(labels) != n or len(set(labels)) != n:
@@ -375,10 +385,7 @@ def build_frame(order: Iterable[tuple[int, int]], n: int,
     ``(a, b)`` meaning ``a <= b``; its reflexive-transitive closure is taken
     first.  Raises NotAPartialOrder / NotALattice / NotDistributive.
     """
-    if n <= 0:
-        raise NotALattice("element count must be positive")
-    if n > MAX_ELEMENTS:    # before the closure builds n masks
-        raise FrameTooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
+    require_size(n)    # before the closure builds n masks
     return frame_from_leq(_close_order(n, order), labels=labels, name=name)
 
 

@@ -19,18 +19,30 @@ field of any other shape raises InvalidDocument.
 ``_MAX_BYTES`` (256 KiB), and refuses one that passes it.  The largest
 document the formats need at 64 elements is a chain of six frames, each
 listing all 2,080 pairs of C64 under three-character labels (33 KB),
-and nine 64-entry maps: 205 KB.  It keeps what a frame document
-determines, its up-masks, labels and name, keyed by the file's bytes,
-for the ``_SHAPES`` (256) documents it loaded last.  A file whose bytes
-it holds skips the JSON decode, the pair walk and the closure, and goes
-straight to :func:`frame_from_leq`, so the size cap (as it reads at the
-call), the shape memo and the labels are checked on every load, and
-every load returns a new frame with its own empty ``kept`` store.  A
-document that raises, and a map, square or chain document, is never
-kept.  An entry holds the file's bytes and the labels and name read
-from them, each at most the byte cap, so a full memo holds at most
-about 135 MB; 256 C64 documents that list each pair once hold under
-10 MB.
+and nine 64-entry maps: 205 KB.
+
+It keeps the frame built from each frame document, keyed by the file's
+bytes, for the ``_SHAPES`` (256) documents it loaded last.  A load of
+bytes it holds skips the JSON decode, the closure and
+:func:`frame_from_leq`: it checks the size cap by :func:`require_size`,
+as the cap reads at the call, and returns the kept frame.  A frame
+changes only by filling its ``kept`` store with functions of the frame,
+so every load of those bytes is one frame, and a later query reuses the
+span table, label index and contexts that earlier ones filled.
+Sublocales from two loads of one file mix; those from loads either side
+of a rewrite do not.  A document that raises, and a map, square or chain
+document, is never kept.
+
+An entry holds the file's bytes and the frame: the labels and name read
+from them, each at most the byte cap, a shape of about 12 KB at 64
+elements (shared with ``frame._shape``'s memo), and its store.  So a full
+memo holds at most about 140 MB before any query (256 C64 documents that
+list each pair once hold under 10 MB).  The store grows with what is
+asked of the frame, not with how often: a query on a dense S adds that
+S's context and star context once, about 1.4 KB at 64 elements (C64, 400
+distinct S), and a repeat adds nothing.  A frame has one dense S per set
+of its points outside BL, so that part is bounded by the distinct S
+asked about, not by the memo.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Union
 
 from .errors import InvalidDocument
-from .frame import _SHAPES, FiniteFrame, build_frame, frame_from_leq
+from .frame import _SHAPES, FiniteFrame, build_frame, require_size
 
 if TYPE_CHECKING:
     # imported at run time by the branches that build them, so reading a
@@ -164,9 +176,9 @@ def document_from_json(doc: dict) -> Document:
 # fresh mmap, on every load
 _MAX_BYTES = 1 << 18
 _PIECE = 1 << 16
-# A frame document's (up, labels, name), keyed by the file's bytes; the
+# The frame built from a frame document, keyed by the file's bytes; the
 # most recently loaded last
-_FRAME_DOCS: OrderedDict[bytes, tuple] = OrderedDict()
+_FRAME_DOCS: OrderedDict[bytes, FiniteFrame] = OrderedDict()
 
 
 def load_document(path: str) -> Document:
@@ -182,10 +194,11 @@ def load_document(path: str) -> Document:
         raise InvalidDocument(f"cannot read {path}: {e}")
     if len(data) > _MAX_BYTES:
         raise InvalidDocument(f"{path} is longer than {_MAX_BYTES} bytes")
-    entry = _FRAME_DOCS.get(data)
-    if entry is not None:
+    frame = _FRAME_DOCS.get(data)
+    if frame is not None:
         _FRAME_DOCS.move_to_end(data)
-        return frame_from_leq(*entry)
+        require_size(frame.n)
+        return frame
     try:
         doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:
@@ -193,7 +206,7 @@ def load_document(path: str) -> Document:
         raise InvalidDocument(f"not valid JSON: {e}")
     obj = document_from_json(doc)
     if isinstance(obj, FiniteFrame):
-        _FRAME_DOCS[data] = (obj.up, obj.labels, obj.name)
+        _FRAME_DOCS[data] = obj
         if len(_FRAME_DOCS) > _SHAPES:
             _FRAME_DOCS.popitem(last=False)
     return obj

@@ -19,12 +19,16 @@ from localic import (
 from localic import frame, jsonio
 from localic.cli import main
 from localic.errors import (
-    FrameTooLarge, InvalidDocument, NotALattice, NotAPartialOrder,
-    NotDistributive,
+    FrameTooLarge, InvalidDocument, MixedFrames, NotALattice,
+    NotAPartialOrder, NotDistributive,
 )
 from localic.frame import frame_from_leq
 from localic.generators import FAMILIES, GenSpec
 from localic.jsonio import document_from_json
+from localic.remoteness import dense_context
+from localic.sublocale import (
+    booleanization, subl_join, supplement, whole_subl,
+)
 from localic.registry import (
     FAIL, HYPOTHESES_NOT_MET, PASS, TheoremCheck,
 )
@@ -352,15 +356,21 @@ def test_query_nd(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == ["1", "m"]
 
 
+# The 13 question words of a query: three plain questions, and the five
+# about a dense S with S=L and S=BL
+QUERY_WORDS = [["booleanization"], ["sublocale-count"],
+               ["dense-in-itself?"]] + [
+    [q, s] for q in ("remote-set", "rs", "star-rs", "nd", "rare?")
+    for s in ("S=L", "S=BL")]
+
+
 def test_query_answers_fill_no_table(tier1_frames):
-    # each query loads a fresh frame: its answer reads the order and the
-    # masks found with it, and never fills a meet, join or implication table
-    questions = [["booleanization"], ["sublocale-count"],
-                 ["dense-in-itself?"]] + [
-        [q, s] for q in ("remote-set", "rs", "star-rs", "nd", "rare?")
-        for s in ("S=L", "S=BL")]
+    # a frame answers each question on its own here, as on its first load:
+    # its answer reads the order and the masks found with it, and never
+    # fills a meet, join or implication table.  A kept frame's later
+    # queries reuse what the first filled (the document memo's tests)
     for f in tier1_frames:
-        for words in questions:
+        for words in QUERY_WORDS:
             fresh = frame_from_leq(f.up, labels=f.labels, name=f.name)
             cli.answer_query(fresh, words)
             assert not {"meet", "impl"} & fresh.kept.keys(), (f, words)
@@ -512,17 +522,30 @@ B2_DOC = {"type": "frame", "name": "B2", "elements": ["0", "a", "b", "1"],
           "order": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
 
 
-def test_a_kept_document_loads_as_a_new_frame(tmp_path, doc_memo):
-    # each load returns a new frame with an empty store of its own, equal
-    # slot for slot to a cold build
+def test_a_kept_document_loads_as_the_same_frame(tmp_path, doc_memo):
+    # a hit returns the frame of the first load, with every value it has
+    # derived since, and that frame equals a cold build slot for slot
     path = _write(tmp_path, "b2.json", B2_DOC)
     cold = document_from_json(B2_DOC)
     first = jsonio.load_document(path)
     assert len(doc_memo) == 1 and first.kept == {}
     first.index_of("a")
+    dense_context(first, booleanization(first)).star()
+    filled = dict(first.kept)
+    assert {"index", "span", ("context", booleanization(first).mask)} \
+        <= filled.keys()
     again = jsonio.load_document(path)
-    assert again is not first and again.kept == {} and "index" in first.kept
-    assert _slots(again) == _slots(first) == _slots(cold)
+    assert again is first and again.kept.keys() == filled.keys()
+    assert all(again.kept[key] is value for key, value in filled.items())
+    assert _slots(again) == _slots(cold)
+
+
+# The downset frame of the 4-point poset p < r > q < s
+N4_DOC = {"type": "frame", "name": "N4",
+          "elements": ["0", "p", "q", "pq", "qs", "pqs", "pqr", "1"],
+          "order": [["0", "p"], ["0", "q"], ["p", "pq"], ["q", "pq"],
+                    ["q", "qs"], ["pq", "pqs"], ["qs", "pqs"], ["pq", "pqr"],
+                    ["pqs", "1"], ["pqr", "1"]]}
 
 
 def test_the_document_memo_keys_on_the_bytes(tmp_path, doc_memo):
@@ -587,25 +610,80 @@ def test_the_document_memo_is_bounded(tmp_path, doc_memo):
     assert len(doc_memo) == bound and _slots(again) == _slots(first)
 
 
-def test_a_load_builds_one_frame(tmp_path, doc_memo, monkeypatch):
+def test_a_miss_builds_one_frame_and_a_hit_none(tmp_path, doc_memo,
+                                                 monkeypatch):
     # a miss decodes the document once and builds one frame from it; a hit
-    # decodes nothing and builds one frame from the kept masks
+    # decodes nothing and builds no frame, by any route
     built, decoded = [], []
-    build, decode = frame.frame_from_leq, jsonio.document_from_json
+    init, loads = FiniteFrame.__init__, json.loads
 
-    def counted(*args, **kwargs):
-        built.append(args[0])
-        return build(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(frame, "frame_from_leq", counted)   # build_frame's
-    monkeypatch.setattr(jsonio, "frame_from_leq", counted)  # a hit's
-    monkeypatch.setattr(jsonio, "document_from_json",
-                        lambda doc: decoded.append(doc) or decode(doc))
-    path = _write(tmp_path, "b2.json", B2_DOC)
-    jsonio.load_document(path)
-    assert (len(built), decoded) == (1, [B2_DOC])
-    jsonio.load_document(path)
-    assert (len(built), decoded) == (2, [B2_DOC])
+    monkeypatch.setattr(FiniteFrame, "__init__", counted)
+    monkeypatch.setattr(json, "loads",
+                        lambda text: decoded.append(text) or loads(text))
+    b2 = _write(tmp_path, "b2.json", B2_DOC)
+    jsonio.load_document(b2)
+    assert (len(built), len(decoded)) == (1, 1)
+    for _ in range(3):
+        jsonio.load_document(b2)
+    assert (len(built), len(decoded)) == (1, 1)
+    jsonio.load_document(_write(tmp_path, "c3.json", C3_DOC))
+    assert (len(built), len(decoded)) == (2, 2)
+
+
+def test_sublocales_of_two_loads_of_one_file_combine(tmp_path, doc_memo):
+    # two loads of one file are one frame, so their sublocales are equal
+    # and mix; a sublocale of the frame a file held before it was
+    # rewritten, even with the same order, does not mix with the new one
+    path = _write(tmp_path, "frame.json", N4_DOC)
+    first, again = (jsonio.load_document(path) for _ in range(2))
+    s, t = booleanization(first), booleanization(again)
+    assert s == t and hash(s) == hash(t)
+    assert s <= whole_subl(again)
+    assert subl_join([s, supplement(again, t)]) == whole_subl(first)
+    assert dense_context(again, s) is dense_context(first, t)
+    for doc in (B2_DOC, dict(reversed(N4_DOC.items()))):
+        _write(tmp_path, "frame.json", doc)
+        new = jsonio.load_document(path)
+        assert new is not first
+        with pytest.raises(MixedFrames):
+            dense_context(new, s)
+        with pytest.raises(MixedFrames):
+            s <= whole_subl(new)
+
+
+def test_answers_do_not_depend_on_what_a_kept_frame_filled(
+        tmp_path, doc_memo, capsys):
+    # every question on B2, C3 and the 4-point N4 prints the same bytes
+    # whatever its frame filled before: in order on a warm memo, in
+    # reverse on a cleared one, and with the memo cleared before each call
+    paths = [_write(tmp_path, f"{name}.json", doc) for name, doc in
+             (("b2", B2_DOC), ("c3", C3_DOC), ("n4", N4_DOC))]
+    calls = [["query", path] + words for path in paths
+             for words in QUERY_WORDS]
+
+    def ask(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    frames = [jsonio.load_document(path) for path in paths]
+    forward = [ask(argv) for argv in calls]
+    kept = [set(f.kept) for f in frames]
+    assert [ask(argv) for argv in calls] == forward
+    assert [set(f.kept) for f in frames] == kept    # a repeat adds nothing
+    assert all(jsonio.load_document(p) is f for p, f in zip(paths, frames))
+    doc_memo.clear()
+    backward = [ask(argv) for argv in reversed(calls)][::-1]
+    cold = []
+    for argv in calls:
+        doc_memo.clear()
+        cold.append(ask(argv))
+    assert backward == cold == forward
+    assert all(code == 0 and err == "" for code, _, err in forward)
 
 
 def test_a_document_over_the_byte_cap_is_refused(tmp_path, capsys,

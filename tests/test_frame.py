@@ -524,6 +524,22 @@ def test_the_per_call_checks_run_on_a_memoised_shape(monkeypatch):
     assert str(info.value) == "3 elements exceeds the cap of 2"
 
 
+@pytest.mark.parametrize("n, error, message", [
+    (0, NotALattice, "element count must be positive"),
+    (3, FrameTooLarge, "3 elements exceeds the cap of 2"),
+], ids=["empty", "over-cap"])
+def test_both_builders_refuse_a_size_alike(n, error, message, monkeypatch):
+    # one size check, the cap read at the call, for the order and for
+    # the generating relation of the chain on n elements
+    monkeypatch.setattr(frame, "MAX_ELEMENTS", 2)
+    up = [(1 << n) - (1 << i) for i in range(n)]
+    for build in (lambda: frame_from_leq(up),
+                  lambda: build_frame([(i, i + 1) for i in range(n - 1)], n)):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
+
+
 def test_the_memo_is_bounded():
     # more distinct downset frames of seeded random posets on 6 points than
     # the memo holds: it stays full, and the least recently used order,
